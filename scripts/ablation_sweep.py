@@ -14,7 +14,6 @@ import numpy as np
 
 from adsq.codes import encode_matrix, pack
 from adsq.config import HyperParams
-from adsq.data import build_similarity
 from adsq.metrics import RelevanceJudge, mean_ap
 from adsq.synth import SynthSpec, generate
 from adsq.trainer import train
@@ -26,10 +25,9 @@ def score(variant, seed, k_half, extra):
     spec = SynthSpec(classes=4, dim=32, per_class=100, queries_per_class=25,
                      cluster_spread=0.5, center_scale=1.0, seed=seed)
     train_split, query_split = generate(spec)
-    sim = build_similarity(train_split.labels)
     hp = HyperParams(k_half=k_half, encoder_hidden=(64,), semantic_dim=32,
                      seed=seed, variant=variant, **extra)
-    state = train(train_split, sim, hp)
+    state = train(train_split, hp)
     db = pack(encode_matrix(train_split.features, state.imgx_params, state.imgy_params))
     q = pack(encode_matrix(query_split.features, state.imgx_params, state.imgy_params))
     judge = RelevanceJudge(query_labels=query_split.labels,

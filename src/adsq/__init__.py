@@ -8,12 +8,12 @@ evaluation toolkit over compact Hamming codes.
 __version__ = "0.1.0"
 
 from .config import HyperParams, TermMask, Variant, load_config, variant_loss_mask
-from .data import Dataset, SimilarityMatrix, build_similarity, load_dataset
+from .data import Dataset, build_similarity, load_dataset
 from .errors import (AdsqError, ConfigError, DataError, FormatError, TrainingError)
 
 __all__ = [
     "__version__",
     "AdsqError", "ConfigError", "DataError", "FormatError", "TrainingError",
     "HyperParams", "TermMask", "Variant", "load_config", "variant_loss_mask",
-    "Dataset", "SimilarityMatrix", "build_similarity", "load_dataset",
+    "Dataset", "build_similarity", "load_dataset",
 ]

@@ -19,8 +19,8 @@ import numpy as np
 from . import __version__
 from .codes import encode_matrix, load_codes, pack, write_codes
 from .config import load_config, parse_variant
-from .data import (build_similarity, load_dataset, load_features, load_labels,
-                   write_features, write_labels)
+from .data import (load_dataset, load_features, load_labels, write_features,
+                   write_labels)
 from .encoder import load_params
 from .errors import AdsqError, ConfigError
 from .metrics import (RelevanceJudge, mean_ap, mean_precision_at_hamming2,
@@ -104,9 +104,8 @@ def cmd_train(args) -> int:
 
     t0 = time.perf_counter()
     dataset = load_dataset(args.features, args.labels)
-    sim = build_similarity(dataset.labels)
     t_load = time.perf_counter()
-    state = train(dataset, sim, hp)
+    state = train(dataset, hp)
     t_train = time.perf_counter()
     written = save_run(state, args.out, hp)
     _write_manifest(os.path.join(args.out, "manifest.json"), "train",

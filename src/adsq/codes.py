@@ -47,13 +47,9 @@ def quantize_sign(values) -> np.ndarray:
     return np.where(arr >= 0, 1.0, -1.0)
 
 
-def encode_query(x, imgx_params: EncoderParams, imgy_params: EncoderParams) -> np.ndarray:
-    """Concatenated code for one feature vector: x-network half first."""
-    return encode_matrix(np.asarray(x, dtype=np.float64)[None, :], imgx_params, imgy_params)[0]
-
-
 def encode_matrix(x, imgx_params: EncoderParams, imgy_params: EncoderParams) -> np.ndarray:
-    """Row-wise codes of length 2*k_half for a feature matrix."""
+    """Row-wise codes of length 2*k_half for a feature matrix: x-network
+    half first."""
     half_x = quantize_sign(forward(imgx_params, x).u)
     half_y = quantize_sign(forward(imgy_params, x).u)
     return np.concatenate([half_x, half_y], axis=1)
@@ -94,11 +90,12 @@ def distances_to_all(query_row, db: PackedCodes) -> np.ndarray:
 
 def search_topk(query_row, db: PackedCodes, k: int) -> np.ndarray:
     """Indices of the k nearest database rows, ascending distance; ties
-    broken by ascending database index."""
+    broken by ascending database index. The result owns its k entries, so
+    keeping it does not keep the full n-entry ranking alive."""
     if k > db.n:
         raise ValueError(f"k={k} exceeds database size {db.n}")
     dist = distances_to_all(query_row, db)
-    return np.argsort(dist, kind="stable")[:k]
+    return np.argsort(dist, kind="stable")[:k].copy()
 
 
 def write_codes(path, packed: PackedCodes):

@@ -1,4 +1,5 @@
-"""Datasets, pairwise similarity, and the two on-disk matrix formats.
+"""Datasets, the shared-label similarity rule, and the two on-disk matrix
+formats.
 
 Feature files (magic ``ADSQF001``) store ``n x dim`` float32 matrices;
 label files (magic ``ADSQL001``) store ``n x classes`` byte matrices with
@@ -47,45 +48,23 @@ class Dataset:
         return self.labels.shape[1]
 
 
-@dataclass(frozen=True)
-class SimilarityMatrix:
-    """Symmetric pairwise similarity with unit diagonal.
+def build_similarity(labels_a, labels_b=None) -> np.ndarray:
+    """Pairwise similarity block from multi-hot labels: entry (i, j) is 1.0
+    iff row i of ``labels_a`` and row j of ``labels_b`` (default
+    ``labels_a``) share at least one positive label, else 0.0.
 
-    ``binary`` holds {0,1}; ``signed`` is the 2s-1 view in {-1,+1}.
-    The likelihood losses consume the binary view; the asymmetric
-    inner-product term and the discrete code solver consume the signed
-    view, so dissimilar pairs are pushed toward opposite codes.
-    """
-
-    binary: np.ndarray  # n x n, int8
-
-    def __post_init__(self):
-        b = np.asarray(self.binary, dtype=np.int8)
-        if b.ndim != 2 or b.shape[0] != b.shape[1]:
-            raise ValueError(f"similarity matrix must be square, got {b.shape}")
-        object.__setattr__(self, "binary", _freeze(b))
-
-    @property
-    def n(self) -> int:
-        return self.binary.shape[0]
-
-    @property
-    def signed(self) -> np.ndarray:
-        return 2 * self.binary.astype(np.int8) - 1
-
-    def submatrix(self, idx):
-        """Binary and signed float64 views restricted to the given rows/cols."""
-        sub = self.binary[np.ix_(idx, idx)].astype(np.float64)
-        return sub, 2.0 * sub - 1.0
-
-
-def build_similarity(labels) -> SimilarityMatrix:
-    """Two items are similar iff they share at least one positive label."""
-    lab = np.asarray(labels)
-    if lab.ndim != 2:
-        raise ValueError(f"labels must be 2-D, got shape {lab.shape}")
-    shared = lab.astype(np.int64) @ lab.astype(np.int64).T
-    return SimilarityMatrix(binary=(shared > 0).astype(np.int8))
+    This is the only place the shared-label rule lives; training consumes
+    the {0,1} block and its signed view ``2s - 1``, evaluation one query
+    row against the database."""
+    a = np.asarray(labels_a, dtype=np.float64)
+    b = a if labels_b is None else np.asarray(labels_b, dtype=np.float64)
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
+        raise ValueError(f"label blocks must be 2-D with equal widths, got {a.shape} "
+                         f"and {b.shape}")
+    # 0/1 products summed in float64 are exact counts of shared labels
+    shared = a @ b.T
+    np.greater(shared, 0.0, out=shared)
+    return shared
 
 
 def write_features(path, features):

@@ -69,9 +69,6 @@ class EncoderGrads:
     weights: list
     biases: list
 
-    def is_finite(self) -> bool:
-        return all(np.all(np.isfinite(a)) for a in self.weights + self.biases)
-
 
 def init_params(dims, seed) -> EncoderParams:
     """Glorot-uniform weights, zero biases, deterministic per seed.
@@ -172,17 +169,6 @@ class MomentumSGD:
             vel *= self.momentum
             vel += g + self.weight_decay * a
             a -= lr * vel
-
-
-def sgd_step(params: EncoderParams, grads: EncoderGrads, lr: float,
-             momentum: float, weight_decay: float,
-             optimizer: MomentumSGD | None = None) -> EncoderParams:
-    """Single update; pass the same ``optimizer`` to carry velocity across steps."""
-    arrays = params.weights + params.biases
-    if optimizer is None:
-        optimizer = MomentumSGD(arrays, momentum, weight_decay)
-    optimizer.step(arrays, grads.weights + grads.biases, lr)
-    return params
 
 
 def save_params(path, params: EncoderParams):

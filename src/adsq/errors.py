@@ -18,4 +18,5 @@ class ConfigError(AdsqError):
 
 
 class TrainingError(AdsqError):
-    """Non-finite loss or gradient encountered during optimization."""
+    """Non-finite loss, logits, gradient or code-update argument, or a code
+    update that would raise the objective, encountered during optimization."""

@@ -19,11 +19,11 @@ import numpy as np
 
 from .bstep import CodeMatrix
 from .config import HyperParams, TermMask, variant_loss_mask
-from .data import Dataset, SimilarityMatrix
+from .data import Dataset, build_similarity
 from .encoder import EncoderParams, MomentumSGD, backward, forward
 from .errors import TrainingError
 from .labelnet import LabelSupervision, iter_batches, pairwise_nll
-from .numerics import sigmoid_stable
+from .numerics import check_finite, sigmoid_stable
 
 
 @dataclass
@@ -57,19 +57,16 @@ class ImgLossBreakdown:
 
 
 def make_context(batch, outs, sup: LabelSupervision, code_matrix: CodeMatrix,
-                 sim: SimilarityMatrix) -> ImgBatchContext:
+                 labels) -> ImgBatchContext:
+    """Batch context; ``labels`` is the full training label matrix."""
     batch = np.asarray(batch)
-    s_bin, s_signed = sim.submatrix(batch)
+    s_bin = build_similarity(labels[batch])
+    s_signed = 2.0 * s_bin
+    s_signed -= 1.0
     return ImgBatchContext(indices=batch, u=outs.u, r_img=outs.r,
                            r_sup=sup.r_l[batch], w_sup=sup.omega_l[batch],
                            codes=code_matrix.codes[batch],
                            sim_binary=s_bin, sim_signed=s_signed)
-
-
-def _check_finite(value, term):
-    if not np.all(np.isfinite(value)):
-        raise TrainingError(f"non-finite {term} term in image-network loss")
-    return value
 
 
 def imgnet_loss(ctx: ImgBatchContext, hp: HyperParams, variant="full") -> ImgLossBreakdown:
@@ -78,26 +75,26 @@ def imgnet_loss(ctx: ImgBatchContext, hp: HyperParams, variant="full") -> ImgLos
 
     sem = 0.0
     if mask.sem_pair:
-        lam = 0.5 * (ctx.r_sup @ ctx.r_img.T)
-        sem = _check_finite(mask.sem_pair * hp.alpha * pairwise_nll(lam, ctx.sim_binary),
-                            "sem_pair")
+        lam = check_finite(0.5 * (ctx.r_sup @ ctx.r_img.T), "sem_pair logits")
+        sem = check_finite(mask.sem_pair * hp.alpha * pairwise_nll(lam, ctx.sim_binary),
+                           "sem_pair term")
     code = 0.0
     if mask.code_pair:
-        theta = 0.5 * (ctx.w_sup @ ctx.u.T)
-        code = _check_finite(mask.code_pair * hp.beta * pairwise_nll(theta, ctx.sim_binary),
-                             "code_pair")
+        theta = check_finite(0.5 * (ctx.w_sup @ ctx.u.T), "code_pair logits")
+        code = check_finite(mask.code_pair * hp.beta * pairwise_nll(theta, ctx.sim_binary),
+                            "code_pair term")
     quant = 0.0
     if mask.quant:
-        quant = _check_finite(mask.quant * hp.eta * float(((ctx.u - ctx.codes)**2).sum()),
-                              "quant")
+        quant = check_finite(mask.quant * hp.eta * float(((ctx.u - ctx.codes)**2).sum()),
+                             "quant term")
     balance = 0.0
     if mask.balance:
-        balance = _check_finite(mask.balance * hp.nu * float((ctx.u.sum(axis=0)**2).sum()),
-                                "balance")
+        balance = check_finite(mask.balance * hp.nu * float((ctx.u.sum(axis=0)**2).sum()),
+                               "balance term")
     asym = 0.0
     if mask.asym:
         fit = ctx.u @ ctx.codes.T - k * ctx.sim_signed
-        asym = _check_finite(mask.asym * float((fit**2).sum()), "asym")
+        asym = check_finite(mask.asym * float((fit**2).sum()), "asym term")
     return ImgLossBreakdown(sem_pair=sem, code_pair=code, quant=quant,
                             balance=balance, asym=asym)
 
@@ -134,14 +131,8 @@ def imgnet_grads(ctx: ImgBatchContext, hp: HyperParams, variant="full"):
     return g_r, g_v
 
 
-def grad_v(ctx: ImgBatchContext, hp: HyperParams, variant="full") -> np.ndarray:
-    """Gradient w.r.t. hash pre-activations only (semantic side excluded)."""
-    return imgnet_grads(ctx, hp, variant)[1]
-
-
-def wstep_epoch(params: EncoderParams, dataset: Dataset, sim: SimilarityMatrix,
-                code_matrix: CodeMatrix, sup: LabelSupervision, hp: HyperParams,
-                variant, *, lr: float, rng,
+def wstep_epoch(params: EncoderParams, dataset: Dataset, code_matrix: CodeMatrix,
+                sup: LabelSupervision, hp: HyperParams, variant, *, lr: float, rng,
                 optimizer: MomentumSGD | None = None) -> float:
     """One epoch of weight updates with the discrete codes held fixed.
 
@@ -152,7 +143,7 @@ def wstep_epoch(params: EncoderParams, dataset: Dataset, sim: SimilarityMatrix,
     for batch in iter_batches(dataset.n, hp.batch_size, rng):
         x = dataset.features[batch]
         outs = forward(params, x)
-        ctx = make_context(batch, outs, sup, code_matrix, sim)
+        ctx = make_context(batch, outs, sup, code_matrix, dataset.labels)
         total += imgnet_loss(ctx, hp, variant).total
         g_r, g_v = imgnet_grads(ctx, hp, variant)
         net_grads = backward(params, x, g_r, g_v)
@@ -161,11 +152,10 @@ def wstep_epoch(params: EncoderParams, dataset: Dataset, sim: SimilarityMatrix,
     return total
 
 
-def full_objective(params: EncoderParams, dataset: Dataset, sim: SimilarityMatrix,
-                   code_matrix: CodeMatrix, sup: LabelSupervision, hp: HyperParams,
-                   variant) -> ImgLossBreakdown:
+def full_objective(params: EncoderParams, dataset: Dataset, code_matrix: CodeMatrix,
+                   sup: LabelSupervision, hp: HyperParams, variant) -> ImgLossBreakdown:
     """Whole-training-set objective (a single batch spanning every item)."""
     idx = np.arange(dataset.n)
     outs = forward(params, dataset.features)
-    ctx = make_context(idx, outs, sup, code_matrix, sim)
+    ctx = make_context(idx, outs, sup, code_matrix, dataset.labels)
     return imgnet_loss(ctx, hp, variant)

@@ -13,18 +13,15 @@ The trained outputs (semantic rows and code rows for the whole training
 set) are cached and later used as fixed supervision by the image networks.
 """
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import HyperParams
-from .data import Dataset, SimilarityMatrix
+from .data import Dataset, build_similarity
 from .encoder import (EncoderParams, MomentumSGD, NetOutputs, backward, forward)
-from .errors import FormatError, TrainingError
-from .numerics import sigmoid_stable, softplus_stable
-
-SUPERVISION_MAGIC = b"ADSQS001"
+from .errors import TrainingError
+from .numerics import check_finite, sigmoid_stable, softplus_stable
 
 
 @dataclass
@@ -79,12 +76,6 @@ class LabelGrads:
     head_bias: np.ndarray
 
 
-def _check_finite(value, term):
-    if not np.all(np.isfinite(value)):
-        raise TrainingError(f"non-finite {term} term in label-network loss")
-    return value
-
-
 def pairwise_nll(logits, sim_binary):
     """Negative log-likelihood sum over ordered off-diagonal pairs."""
     per_pair = softplus_stable(logits) - sim_binary * logits
@@ -104,15 +95,15 @@ def labelnet_loss(outs: NetOutputs, head: ClassifierHead, sim_binary, labels,
     r, omega = outs.r, outs.u
     m = r.shape[0]
     s = np.asarray(sim_binary, dtype=np.float64)
-    lam = 0.5 * (r @ r.T)
-    theta = 0.5 * (omega @ omega.T)
-    sem = _check_finite(hp.alpha * pairwise_nll(lam, s), "sem_pair")
-    code = _check_finite(hp.beta * pairwise_nll(theta, s), "code_pair")
+    lam = check_finite(0.5 * (r @ r.T), "sem_pair logits")
+    theta = check_finite(0.5 * (omega @ omega.T), "code_pair logits")
+    sem = check_finite(hp.alpha * pairwise_nll(lam, s), "sem_pair term")
+    code = check_finite(hp.beta * pairwise_nll(theta, s), "code_pair term")
     # each item appears in 2*(m-1) ordered-pair slots
-    reg = _check_finite(hp.gamma * 2.0 * (m - 1) * binary_reg_value(omega, hp.j3_literal),
-                        "binary_reg")
+    reg = check_finite(hp.gamma * 2.0 * (m - 1) * binary_reg_value(omega, hp.j3_literal),
+                       "binary_reg term")
     resid = head.predict(omega) - np.asarray(labels, dtype=np.float64)
-    classify = _check_finite(hp.delta * float((resid**2).sum()), "classify")
+    classify = check_finite(hp.delta * float((resid**2).sum()), "classify term")
     return LabelLossBreakdown(sem_pair=sem, code_pair=code, binary_reg=reg,
                               classify=classify)
 
@@ -164,7 +155,7 @@ def iter_batches(n, batch_size, rng):
 
 
 def train_labelnet(params: EncoderParams, head: ClassifierHead, dataset: Dataset,
-                   sim: SimilarityMatrix, hp: HyperParams, *, epochs: int, lr: float,
+                   hp: HyperParams, *, epochs: int, lr: float,
                    rng, opt_net: MomentumSGD | None = None,
                    opt_head: MomentumSGD | None = None):
     """Run ``epochs`` of minibatch SGD, then cache supervision from the
@@ -184,10 +175,10 @@ def train_labelnet(params: EncoderParams, head: ClassifierHead, dataset: Dataset
         total = 0.0
         for batch in iter_batches(dataset.n, hp.batch_size, rng):
             x = labels_f[batch]
-            s_bin, _ = sim.submatrix(batch)
+            s_bin = build_similarity(x)
             outs = forward(params, x)
-            total += labelnet_loss(outs, head, s_bin, labels_f[batch], hp).total
-            grads = labelnet_grad(outs, head, s_bin, labels_f[batch], hp)
+            total += labelnet_loss(outs, head, s_bin, x, hp).total
+            grads = labelnet_grad(outs, head, s_bin, x, hp)
             upstream_v = grads.omega * (1.0 - outs.u**2)
             net_grads = backward(params, x, grads.r, upstream_v)
             opt_net.step(params.weights + params.biases,
@@ -200,26 +191,3 @@ def train_labelnet(params: EncoderParams, head: ClassifierHead, dataset: Dataset
     supervision = LabelSupervision(r_l=outs.r, omega_l=outs.u, epoch=epochs)
     return supervision, epoch_losses
 
-
-def save_supervision(path, sup: LabelSupervision):
-    n, sem = sup.r_l.shape
-    k = sup.omega_l.shape[1]
-    with open(path, "wb") as fh:
-        fh.write(SUPERVISION_MAGIC)
-        fh.write(struct.pack("<III", n, sem, k))
-        fh.write(np.ascontiguousarray(sup.r_l, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(sup.omega_l, dtype="<f8").tobytes())
-
-
-def load_supervision(path) -> LabelSupervision:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 20 or blob[:8] != SUPERVISION_MAGIC:
-        raise FormatError(f"{path}: missing or malformed supervision-file magic")
-    n, sem, k = struct.unpack_from("<III", blob, 8)
-    expected = 20 + 8 * n * (sem + k)
-    if len(blob) != expected:
-        raise FormatError(f"{path}: truncated supervision payload")
-    r = np.frombuffer(blob, dtype="<f8", count=n * sem, offset=20).reshape(n, sem)
-    w = np.frombuffer(blob, dtype="<f8", count=n * k, offset=20 + 8 * n * sem).reshape(n, k)
-    return LabelSupervision(r_l=r.astype(np.float64), omega_l=w.astype(np.float64), epoch=-1)

@@ -7,11 +7,14 @@ ascending-index order from the search module.
 """
 
 import csv
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .codes import PackedCodes, distances_to_all
+from .data import build_similarity
 
 DEFAULT_RECALL_GRID = tuple(np.round(np.linspace(0.05, 1.0, 20), 4))
 
@@ -29,9 +32,8 @@ class RelevanceJudge:
 
     def relevance(self, query_index: int) -> np.ndarray:
         """Boolean relevance flags over the database for one query."""
-        shared = self.query_labels[query_index].astype(np.int64) @ \
-            self.db_labels.astype(np.int64).T
-        return shared > 0
+        row = self.query_labels[query_index][None, :]
+        return build_similarity(row, self.db_labels)[0] > 0
 
 
 def _ranked_relevance(query_row, db: PackedCodes, judge: RelevanceJudge, qi: int):
@@ -100,10 +102,13 @@ def pr_curve(queries: PackedCodes, db: PackedCodes, judge: RelevanceJudge,
              recall_grid=DEFAULT_RECALL_GRID) -> list:
     """(recall, precision) points averaged over queries: for each query,
     precision at the smallest rank reaching each recall level. Queries
-    with no relevant item are skipped."""
+    with no relevant item are skipped. A level needs ceil(level * total)
+    hits in exact arithmetic on the level's decimal form: 0.55 of 100
+    relevant items is 55 hits."""
     grid = [float(g) for g in recall_grid]
     if any(not 0 < g <= 1 for g in grid):
         raise ValueError("recall grid points must lie in (0, 1]")
+    levels = [Fraction(str(g)) for g in grid]
     per_level = [[] for _ in grid]
     for qi in range(queries.n):
         rel, _ = _ranked_relevance(queries.row(qi), db, judge, qi)
@@ -112,8 +117,8 @@ def pr_curve(queries: PackedCodes, db: PackedCodes, judge: RelevanceJudge,
             continue
         hits = np.cumsum(rel)
         ranks = np.arange(1, rel.size + 1)
-        for gi, level in enumerate(grid):
-            needed = int(np.ceil(level * total))
+        for gi, level in enumerate(levels):
+            needed = math.ceil(level * total)
             rank = int(np.searchsorted(hits, needed) + 1)
             per_level[gi].append(hits[rank - 1] / ranks[rank - 1])
     return [(g, float(np.mean(vals))) for g, vals in zip(grid, per_level) if vals]

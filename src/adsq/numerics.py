@@ -1,11 +1,14 @@
-"""Numerically stable scalar kernels shared by all loss terms.
+"""Numerically stable scalar kernels and the finiteness guard shared by all
+loss terms.
 
-Both functions accept scalars or numpy arrays and always compute in double
+Both kernels accept scalars or numpy arrays and always compute in double
 precision. Outputs stay finite for any finite input, including |x| in the
 thousands where the naive formulas overflow.
 """
 
 import numpy as np
+
+from .errors import TrainingError
 
 # Smallest positive normal double; sigmoid output is clamped into
 # [_TINY, 1 - eps/2] so callers can safely take logs of either side.
@@ -18,6 +21,15 @@ def _as_finite_array(x, name):
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} requires finite input")
     return arr
+
+
+def check_finite(value, what):
+    """Return ``value``; raise TrainingError naming ``what`` if any entry
+    is NaN or Inf. Loss code calls this so that a diverged run fails with
+    the trainer's round and phase attached, not a bare ValueError."""
+    if not np.all(np.isfinite(value)):
+        raise TrainingError(f"non-finite {what}")
+    return value
 
 
 def sigmoid_stable(x):

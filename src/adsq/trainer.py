@@ -17,12 +17,12 @@ import numpy as np
 
 from .bstep import CodeMatrix, bstep_sweep
 from .codes import pack, quantize_sign, write_codes
-from .config import (HyperParams, TermMask, Variant, parse_variant, variant_loss_mask)
-from .data import Dataset, SimilarityMatrix, validate_dataset
+from .config import HyperParams, Variant, parse_variant, variant_loss_mask
+from .data import Dataset, build_similarity, validate_dataset
 from .encoder import MomentumSGD, forward, init_params, save_params
 from .errors import DataError, TrainingError
 from .imgnet import full_objective, wstep_epoch
-from .labelnet import (LabelLossBreakdown, init_head, labelnet_loss, train_labelnet)
+from .labelnet import init_head, labelnet_loss, train_labelnet
 
 MODEL_FILES = ("label.net", "imgx.net", "imgy.net")
 CODE_FILES = ("codes_x.adsqb", "codes_y.adsqb")
@@ -86,23 +86,24 @@ def convergence_check(history, tol: float = CONVERGENCE_TOL,
     return True
 
 
-def _label_breakdown_row(rnd, dataset, sim, params, head, hp) -> LogRow:
+def _label_breakdown_row(rnd, dataset, params, head, hp) -> LogRow:
     labels_f = dataset.labels.astype(np.float64)
     outs = forward(params, labels_f)
-    s_bin = sim.binary.astype(np.float64)
-    bd = labelnet_loss(outs, head, s_bin, labels_f, hp)
+    bd = labelnet_loss(outs, head, build_similarity(labels_f), labels_f, hp)
     return LogRow(rnd, "label", bd.total, bd.sem_pair, bd.code_pair,
                   bd.binary_reg, bd.classify, 0.0)
 
 
-def _img_breakdown_row(rnd, phase, params, dataset, sim, codes, sup, hp, mask) -> LogRow:
-    bd = full_objective(params, dataset, sim, codes, sup, hp, mask)
-    return LogRow(rnd, phase, bd.total, bd.sem_pair, bd.code_pair,
-                  bd.quant, bd.balance, bd.asym)
+def _signed_similarity(labels) -> np.ndarray:
+    """Signed view 2s - 1 of the full similarity, formed in place so that a
+    single n x n array is alive."""
+    s = build_similarity(labels)
+    s *= 2.0
+    s -= 1.0
+    return s
 
 
-def train(dataset: Dataset, sim: SimilarityMatrix, hp: HyperParams,
-          variant=None) -> TrainState:
+def train(dataset: Dataset, hp: HyperParams, variant=None) -> TrainState:
     """Run the full alternating procedure; see the module docstring."""
     variant = parse_variant(variant if variant is not None else hp.variant)
     mask = variant_loss_mask(variant)
@@ -111,8 +112,6 @@ def train(dataset: Dataset, sim: SimilarityMatrix, hp: HyperParams,
     problems = validate_dataset(dataset, hp)
     if problems:
         raise DataError("; ".join(problems))
-    if sim.n != dataset.n:
-        raise DataError(f"similarity size {sim.n} does not match dataset n {dataset.n}")
 
     label_dims = [dataset.num_classes, *hp.encoder_hidden, hp.semantic_dim, hp.k_half]
     img_dims = [dataset.dim, *hp.encoder_hidden, hp.semantic_dim, hp.k_half]
@@ -139,67 +138,57 @@ def train(dataset: Dataset, sim: SimilarityMatrix, hp: HyperParams,
                        imgx_params=imgx_params, imgy_params=imgy_params,
                        codes_x=None, codes_y=None, supervision=None, variant=variant)
 
-    def run_label_phase(rnd, lr):
-        sup, _ = train_labelnet(label_params, head, dataset, sim, hp,
-                                epochs=hp.t_label, lr=lr, rng=label_rng,
-                                opt_net=opt_label, opt_head=opt_head)
-        state.supervision = sup
-        state.log_rows.append(_label_breakdown_row(rnd, dataset, sim, label_params, head, hp))
-
-    try:
-        run_label_phase(0, hp.lr_for_round(0))
-    except TrainingError as exc:
-        raise TrainingError(f"round 0, phase label: {exc}") from exc
-
-    # warm-start codes from the current (still untrained) networks
-    state.codes_x = CodeMatrix(quantize_sign(forward(imgx_params, dataset.features).u),
-                               owner="x")
-    state.codes_y = state.codes_x if symmetric else CodeMatrix(
-        quantize_sign(forward(imgy_params, dataset.features).u), owner="y")
-
-    nets = [("x", imgx_params, opt_x, imgx_rng)]
-    if not symmetric:
-        nets.append(("y", imgy_params, opt_y, imgy_rng))
-
-    def run_phase(rnd, phase, fn):
+    def run_phase(rnd, phase, fn, *args):
         try:
-            fn()
+            return fn(*args)
         except TrainingError as exc:
             raise TrainingError(f"round {rnd}, phase {phase}: {exc}") from exc
+
+    def label_phase(rnd, lr):
+        state.supervision, _ = train_labelnet(label_params, head, dataset, hp,
+                                              epochs=hp.t_label, lr=lr, rng=label_rng,
+                                              opt_net=opt_label, opt_head=opt_head)
+        state.log_rows.append(_label_breakdown_row(rnd, dataset, label_params, head, hp))
+
+    def img_row(rnd, phase, params, codes) -> LogRow:
+        bd = full_objective(params, dataset, codes, state.supervision, hp, mask)
+        row = LogRow(rnd, phase, bd.total, bd.sem_pair, bd.code_pair,
+                     bd.quant, bd.balance, bd.asym)
+        state.log_rows.append(row)
+        return row
+
+    def wstep(rnd, lr, tag, params, codes, opt, rng):
+        for _ in range(hp.t_img):
+            wstep_epoch(params, dataset, codes, state.supervision, hp, mask,
+                        lr=lr, rng=rng, optimizer=opt)
+        img_row(rnd, f"wstep_{tag}", params, codes)
+
+    def bstep(rnd, tag, params, codes) -> float:
+        u_full = forward(params, dataset.features).u
+        bstep_sweep(codes, u_full, _signed_similarity(dataset.labels), hp, sweeps=1)
+        return img_row(rnd, f"bstep_{tag}", params, codes).loss_total
+
+    run_phase(0, "label", label_phase, 0, hp.lr_for_round(0))
+
+    # warm-start codes from the current (still untrained) networks
+    state.codes_x = CodeMatrix(quantize_sign(forward(imgx_params, dataset.features).u))
+    state.codes_y = state.codes_x if symmetric else CodeMatrix(
+        quantize_sign(forward(imgy_params, dataset.features).u))
+
+    nets = [("x", imgx_params, state.codes_x, opt_x, imgx_rng)]
+    if not symmetric:
+        nets.append(("y", imgy_params, state.codes_y, opt_y, imgy_rng))
 
     for rnd in range(hp.outer_rounds):
         lr = hp.lr_for_round(rnd)
         if rnd > 0 and hp.refresh_labelnet:
-            run_phase(rnd, "label", lambda: run_label_phase(rnd, lr))
-        for tag, params, opt, rng in nets:
-            codes = state.codes_x if tag == "x" else state.codes_y
-
-            def wstep(params=params, codes=codes, opt=opt, rng=rng, tag=tag):
-                for _ in range(hp.t_img):
-                    wstep_epoch(params, dataset, sim, codes, state.supervision, hp,
-                                mask, lr=lr, rng=rng, optimizer=opt)
-                state.log_rows.append(_img_breakdown_row(
-                    rnd, f"wstep_{tag}", params, dataset, sim, codes,
-                    state.supervision, hp, mask))
-
-            run_phase(rnd, f"wstep_{tag}", wstep)
-        for tag, params, _, _ in nets:
-            codes = state.codes_x if tag == "x" else state.codes_y
-
-            def bstep(params=params, codes=codes, tag=tag):
-                u_full = forward(params, dataset.features).u
-                bstep_sweep(codes, u_full, sim.signed.astype(np.float64), hp, sweeps=1)
-                state.log_rows.append(_img_breakdown_row(
-                    rnd, f"bstep_{tag}", params, dataset, sim, codes,
-                    state.supervision, hp, mask))
-
-            run_phase(rnd, f"bstep_{tag}", bstep)
-
-        total = sum(full_objective(params, dataset, sim,
-                                   state.codes_x if tag == "x" else state.codes_y,
-                                   state.supervision, hp, mask).total
-                    for tag, params, _, _ in nets)
-        state.history.append(total)
+            run_phase(rnd, "label", label_phase, rnd, lr)
+        for tag, params, codes, opt, rng in nets:
+            run_phase(rnd, f"wstep_{tag}", wstep, rnd, lr, tag, params, codes, opt, rng)
+        # each bstep row is the full objective of its network after the round
+        totals = [run_phase(rnd, f"bstep_{tag}", bstep, rnd, tag, params, codes)
+                  for tag, params, codes, _, _ in nets]
+        state.history.append(sum(totals))
         state.rounds_run = rnd + 1
         if convergence_check(state.history):
             break

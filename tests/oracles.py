@@ -6,6 +6,9 @@ mismatch counts on the +-1 matrices, ranking is python sorted() with the
 rank.
 """
 
+import math
+from fractions import Fraction
+
 import numpy as np
 
 
@@ -59,7 +62,8 @@ def oracle_pr(query_codes, db_codes, qlab, dlab, grid):
         if total == 0:
             continue
         for g in grid:
-            needed = int(np.ceil(g * total))
+            # exact: a level of j/20 over T relevant items needs ceil(j*T/20) hits
+            needed = math.ceil(Fraction(str(g)) * total)
             hits = 0
             for rank, f in enumerate(flags, start=1):
                 hits += f

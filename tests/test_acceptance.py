@@ -14,7 +14,6 @@ import pytest
 from adsq.bstep import CodeMatrix, bstep_objective, make_workspace, update_column
 from adsq.codes import encode_matrix, hamming_distance, pack
 from adsq.config import HyperParams, Variant
-from adsq.data import build_similarity
 from adsq.encoder import NetOutputs, init_params
 from adsq.imgnet import ImgBatchContext, imgnet_grads, imgnet_loss
 from adsq.labelnet import ClassifierHead, labelnet_grad, labelnet_loss
@@ -43,11 +42,10 @@ def fixture_spec(seed):
 def run_fixture(variant, seed):
     """Train one fixture configuration; returns state, mAP@100, seconds."""
     train_split, query_split = generate(fixture_spec(seed))
-    sim = build_similarity(train_split.labels)
     judge = RelevanceJudge(query_labels=query_split.labels, db_labels=train_split.labels)
     hp = HyperParams(seed=seed, variant=variant, **FIXTURE_HP)
     t0 = time.perf_counter()
-    state = train(train_split, sim, hp)
+    state = train(train_split, hp)
     db = pack(encode_matrix(train_split.features, state.imgx_params, state.imgy_params))
     queries = pack(encode_matrix(query_split.features, state.imgx_params,
                                  state.imgy_params))

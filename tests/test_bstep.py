@@ -1,4 +1,7 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ import pytest
 from adsq.bstep import (CodeMatrix, bstep_objective, bstep_sweep, compute_P,
                         make_workspace, update_column)
 from adsq.config import HyperParams
+from adsq.errors import TrainingError
 from fdcheck import random_similarity
 
 
@@ -129,6 +133,32 @@ class TestSweep:
         hp, U, s_signed, B = random_instance(5)
         bstep_sweep(B, U, s_signed, hp, sweeps=2)
         assert np.isin(B.codes, (-1.0, 1.0)).all()
+
+    def test_nan_output_raises_training_error(self):
+        hp, U, s_signed, B = random_instance(6)
+        U[0, 0] = np.nan
+        with pytest.raises(TrainingError, match="non-finite"):
+            bstep_sweep(B, U, s_signed, hp)
+
+    def test_nan_guard_survives_optimize_flag(self):
+        """The column guard is a raise, not an assert, so -O keeps it."""
+        script = (
+            "import numpy as np\n"
+            "from adsq.bstep import CodeMatrix, bstep_sweep\n"
+            "from adsq.config import HyperParams\n"
+            "from adsq.errors import TrainingError\n"
+            "U = np.full((3, 2), np.nan)\n"
+            "hp = HyperParams(k_half=2, encoder_hidden=(4,), semantic_dim=4)\n"
+            "try:\n"
+            "    bstep_sweep(CodeMatrix(np.ones((3, 2))), U, np.ones((3, 3)), hp)\n"
+            "except TrainingError:\n"
+            "    print('raised')\n")
+        paths = [os.path.join(os.path.dirname(__file__), os.pardir, "src"),
+                 os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+        out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                             capture_output=True, text=True, timeout=60, check=True)
+        assert out.stdout.strip() == "raised"
 
 
 def test_code_matrix_rejects_non_sign_entries():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adsq.codes import (PackedCodes, distances_to_all, encode_query, encode_matrix,
+from adsq.codes import (PackedCodes, distances_to_all, encode_matrix,
                         hamming_distance, load_codes, pack, quantize_sign,
                         search_topk, unpack, write_codes)
 from adsq.encoder import forward, init_params
@@ -38,7 +38,7 @@ class TestEncode:
 
     def test_x_half_comes_first(self):
         x = np.random.default_rng(2).normal(size=5)
-        code = encode_query(x, self.px, self.py)
+        code = encode_matrix(x[None, :], self.px, self.py)[0]
         hx = quantize_sign(forward(self.px, x[None, :]).u[0])
         hy = quantize_sign(forward(self.py, x[None, :]).u[0])
         np.testing.assert_array_equal(code[:2], hx)
@@ -46,7 +46,7 @@ class TestEncode:
 
     def test_length_is_twice_k_half(self):
         x = np.zeros(5)
-        assert encode_query(x, self.px, self.py).shape == (4,)
+        assert encode_matrix(x[None, :], self.px, self.py).shape == (1, 4)
 
     def test_shared_params_give_identical_halves(self):
         x = np.random.default_rng(3).normal(size=(6, 5))
@@ -113,6 +113,11 @@ class TestSearch:
         codes = np.array([[1.0, 1, 1, 1], [1.0, 1, 1, 1], [-1.0, -1, -1, -1]])
         db = pack(codes)
         np.testing.assert_array_equal(search_topk(db.row(1), db, 3), [0, 1, 2])
+
+    def test_result_owns_only_k_entries(self):
+        db = pack(random_codes(8, 40, 16))
+        got = search_topk(db.row(3), db, 5)
+        assert got.shape == (5,) and got.base is None
 
     def test_k_too_large(self):
         db = pack(random_codes(3, 5, 8))

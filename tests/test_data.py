@@ -96,24 +96,19 @@ def test_shared_label_means_similar():
     # {person, tree} vs {tree} share one label
     lab = np.array([[1, 1, 0], [0, 1, 0]], dtype=np.int8)
     sim = build_similarity(lab)
-    assert sim.binary[0, 1] == 1 and sim.binary[1, 0] == 1
+    assert sim[0, 1] == 1.0 and sim[1, 0] == 1.0
 
 
 def test_disjoint_labels_dissimilar():
     lab = np.array([[1, 0], [0, 1]], dtype=np.int8)
     sim = build_similarity(lab)
-    assert sim.binary[0, 1] == 0
+    assert sim[0, 1] == 0.0
 
 
 def test_diagonal_is_one():
     lab = random_labels(3, 20, 5)
     sim = build_similarity(lab)
-    assert np.all(np.diag(sim.binary) == 1)
-
-
-def test_signed_view_identity():
-    sim = build_similarity(random_labels(4, 30, 6))
-    np.testing.assert_array_equal(sim.signed, 2 * sim.binary.astype(np.int8) - 1)
+    assert np.all(np.diag(sim) == 1.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -121,10 +116,11 @@ def test_signed_view_identity():
 def test_similarity_matches_brute_force(seed, n, c):
     lab = random_labels(seed, n, c)
     sim = build_similarity(lab)
+    assert sim.dtype == np.float64
     for i in range(n):
         for j in range(n):
             expect = int(any(lab[i, t] and lab[j, t] for t in range(c)))
-            assert sim.binary[i, j] == expect
+            assert sim[i, j] == expect
 
 
 @given(seed=st.integers(0, 2**31 - 1))
@@ -132,13 +128,25 @@ def test_similarity_invariant_to_label_column_permutation(seed):
     rng = np.random.default_rng(seed)
     lab = random_labels(seed, 15, 6)
     perm = rng.permutation(6)
-    np.testing.assert_array_equal(build_similarity(lab).binary,
-                                  build_similarity(lab[:, perm]).binary)
+    np.testing.assert_array_equal(build_similarity(lab),
+                                  build_similarity(lab[:, perm]))
 
 
 def test_similarity_symmetric():
     sim = build_similarity(random_labels(9, 40, 4))
-    np.testing.assert_array_equal(sim.binary, sim.binary.T)
+    np.testing.assert_array_equal(sim, sim.T)
+
+
+def test_cross_block_matches_full_block():
+    """Two label sets give the off-diagonal block of their stacked matrix."""
+    a, b = random_labels(5, 7, 4), random_labels(6, 11, 4)
+    full = build_similarity(np.vstack([a, b]))
+    np.testing.assert_array_equal(build_similarity(a, b), full[:7, 7:])
+
+
+def test_similarity_rejects_mismatched_widths():
+    with pytest.raises(ValueError):
+        build_similarity(np.ones((2, 3)), np.ones((2, 4)))
 
 
 # ---------------------------------------------------------------- validation

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from adsq.encoder import (EncoderGrads, MomentumSGD, backward, forward,
-                          init_params, load_params, save_params, sgd_step)
+from adsq.encoder import (MomentumSGD, backward, forward, init_params, load_params,
+                          save_params)
 from adsq.errors import ConfigError, FormatError, TrainingError
 from fdcheck import TOL, fd_grad, max_rel_error
 
@@ -115,20 +115,23 @@ class TestBackward:
 
 
 class TestSgd:
-    def _grads_like(self, p, fill):
-        return EncoderGrads([np.full_like(w, fill) for w in p.weights],
-                            [np.full_like(b, fill) for b in p.biases])
+    @staticmethod
+    def _step(p, fill, lr, momentum, optimizer=None):
+        arrays = p.weights + p.biases
+        if optimizer is None:
+            optimizer = MomentumSGD(arrays, momentum=momentum, weight_decay=0.0)
+        optimizer.step(arrays, [np.full_like(a, fill) for a in arrays], lr)
 
     def test_vanilla_step(self):
         p = init_params([3, 4, 2], seed=0)
         before = p.copy()
-        sgd_step(p, self._grads_like(p, 0.5), lr=0.1, momentum=0.0, weight_decay=0.0)
+        self._step(p, 0.5, lr=0.1, momentum=0.0)
         np.testing.assert_allclose(p.weights[0], before.weights[0] - 0.05, rtol=1e-12)
 
     def test_zero_grad_zero_velocity_no_change(self):
         p = init_params([3, 4, 2], seed=1)
         before = p.copy()
-        sgd_step(p, self._grads_like(p, 0.0), lr=0.5, momentum=0.9, weight_decay=0.0)
+        self._step(p, 0.0, lr=0.5, momentum=0.9)
         assert p.allclose(before)
 
     def test_two_momentum_steps_displace_2_9g(self):
@@ -138,16 +141,16 @@ class TestSgd:
         g = 0.25
         opt = MomentumSGD(p.weights + p.biases, momentum=0.9, weight_decay=0.0)
         for _ in range(2):
-            sgd_step(p, self._grads_like(p, g), lr=1.0, momentum=0.9,
-                     weight_decay=0.0, optimizer=opt)
+            self._step(p, g, lr=1.0, momentum=0.9, optimizer=opt)
         np.testing.assert_allclose(before.weights[0] - p.weights[0], 2.9 * g, rtol=1e-12)
 
     def test_nonfinite_gradient_aborts(self):
         p = init_params([3, 4, 2], seed=3)
-        bad = self._grads_like(p, 1.0)
-        bad.weights[0][0, 0] = np.nan
+        bad = [np.ones_like(a) for a in p.weights + p.biases]
+        bad[0][0, 0] = np.nan
+        opt = MomentumSGD(p.weights + p.biases, momentum=0.9, weight_decay=0.0)
         with pytest.raises(TrainingError):
-            sgd_step(p, bad, lr=0.1, momentum=0.9, weight_decay=0.0)
+            opt.step(p.weights + p.biases, bad, lr=0.1)
 
 
 class TestModelFile:

@@ -3,10 +3,11 @@ import pytest
 
 from adsq.bstep import CodeMatrix
 from adsq.config import HyperParams, TermMask, Variant
-from adsq.data import Dataset, build_similarity
+from adsq.data import Dataset
 from adsq.encoder import MomentumSGD, forward, init_params
-from adsq.imgnet import (ImgBatchContext, full_objective, grad_v, imgnet_grads,
-                         imgnet_loss, make_context, wstep_epoch)
+from adsq.errors import TrainingError
+from adsq.imgnet import (ImgBatchContext, full_objective, imgnet_grads, imgnet_loss,
+                         make_context, wstep_epoch)
 from adsq.labelnet import LabelSupervision
 from fdcheck import TOL, fd_grad, max_rel_error, random_similarity
 
@@ -75,6 +76,20 @@ class TestLossValues:
         # opposite codes hit the -k target almost exactly
         assert imgnet_loss(ctx, hp, Variant.FULL).asym < 0.01
 
+    @pytest.mark.parametrize("row, logits", [("r", "sem_pair"), ("u", "code_pair")])
+    def test_overflowing_logits_raise_training_error(self, row, logits):
+        hp, v, r_img, r_sup, w_sup, codes, s_bin, s_signed = make_instance(7)
+        ctx = ctx_from(v, r_img, r_sup, w_sup, codes, s_bin, s_signed)
+        if row == "r":
+            ctx.r_img[1] = 1e200
+            ctx.r_sup[1] = 1e200
+        else:
+            ctx.u[1] = 1e200
+            ctx.w_sup[1] = 1e200
+        with np.errstate(over="ignore"), \
+                pytest.raises(TrainingError, match=f"non-finite {logits} logits"):
+            imgnet_loss(ctx, hp, Variant.FULL)
+
     def test_breakdown_sums_to_total(self):
         hp, v, r_img, r_sup, w_sup, codes, s_bin, s_signed = make_instance(5)
         for variant in VARIANTS:
@@ -132,7 +147,7 @@ class TestGradients:
         ctx = ctx_from(np.arctanh(u), np.zeros((m, 5)), np.zeros((m, 5)),
                        np.zeros((m, k)), codes,
                        *random_similarity(np.random.default_rng(3), m))
-        g = grad_v(ctx, hp, Variant.NO_BOTH)
+        g = imgnet_grads(ctx, hp, Variant.NO_BOTH)[1]
         np.testing.assert_allclose(g, 2 * hp.eta * (u - codes) * (1 - u**2), rtol=1e-9)
 
     def test_zero_outputs_pull_toward_codes(self):
@@ -142,7 +157,7 @@ class TestGradients:
         ctx = ctx_from(np.zeros((m, k)), np.zeros((m, 5)), np.zeros((m, 5)),
                        np.zeros((m, k)), codes,
                        *random_similarity(np.random.default_rng(5), m))
-        np.testing.assert_allclose(grad_v(ctx, hp, Variant.NO_BOTH),
+        np.testing.assert_allclose(imgnet_grads(ctx, hp, Variant.NO_BOTH)[1],
                                    -2 * hp.eta * codes, rtol=1e-12)
 
     @pytest.mark.parametrize("variant", VARIANTS, ids=[v.value for v in VARIANTS])
@@ -179,41 +194,40 @@ def wstep_setup(seed=0, n=30, dim=6, k=3, sem=4):
                                              [0.0] * 3 + [1.0] * 3]) \
         + 0.3 * rng.normal(size=(n, dim))
     ds = Dataset(features=feats, labels=labels)
-    sim = build_similarity(labels)
     hp = HyperParams(k_half=k, semantic_dim=sem, encoder_hidden=(6,),
                      batch_size=10, seed=seed)
     params = init_params([dim, 6, sem, k], seed=seed)
     sup = LabelSupervision(r_l=rng.normal(0, 1, (n, sem)),
                            omega_l=np.tanh(rng.normal(0, 1, (n, k))), epoch=0)
     codes = CodeMatrix(np.where(rng.random((n, k)) < 0.5, -1.0, 1.0))
-    return ds, sim, hp, params, sup, codes
+    return ds, hp, params, sup, codes
 
 
 def test_zero_epochs_no_change():
-    ds, sim, hp, params, sup, codes = wstep_setup()
+    ds, hp, params, sup, codes = wstep_setup()
     before = params.copy()
     # no call at all is the 0-epoch case in the trainer; one epoch must move
     assert params.allclose(before)
-    wstep_epoch(params, ds, sim, codes, sup, hp, Variant.FULL,
+    wstep_epoch(params, ds, codes, sup, hp, Variant.FULL,
                 lr=1e-5, rng=np.random.default_rng(0))
     assert not params.allclose(before)
 
 
 def test_epoch_descends_full_objective():
-    ds, sim, hp, params, sup, codes = wstep_setup(1)
-    before = full_objective(params, ds, sim, codes, sup, hp, Variant.FULL).total
+    ds, hp, params, sup, codes = wstep_setup(1)
+    before = full_objective(params, ds, codes, sup, hp, Variant.FULL).total
     opt = MomentumSGD(params.weights + params.biases, hp.momentum, hp.weight_decay)
-    wstep_epoch(params, ds, sim, codes, sup, hp, Variant.FULL,
+    wstep_epoch(params, ds, codes, sup, hp, Variant.FULL,
                 lr=1e-6, rng=np.random.default_rng(1), optimizer=opt)
-    after = full_objective(params, ds, sim, codes, sup, hp, Variant.FULL).total
+    after = full_objective(params, ds, codes, sup, hp, Variant.FULL).total
     assert after < before
 
 
 def test_two_networks_diverge_with_different_seeds():
-    ds, sim, hp, params_x, sup, codes = wstep_setup(2)
+    ds, hp, params_x, sup, codes = wstep_setup(2)
     params_y = init_params([ds.dim, 6, hp.semantic_dim, hp.k_half], seed=999)
     for params, rng_seed in ((params_x, 10), (params_y, 11)):
-        wstep_epoch(params, ds, sim, codes, sup, hp, Variant.FULL,
+        wstep_epoch(params, ds, codes, sup, hp, Variant.FULL,
                     lr=1e-5, rng=np.random.default_rng(rng_seed))
     ux = forward(params_x, ds.features).u
     uy = forward(params_y, ds.features).u
@@ -221,10 +235,10 @@ def test_two_networks_diverge_with_different_seeds():
 
 
 def test_make_context_aligns_rows():
-    ds, sim, hp, params, sup, codes = wstep_setup(3)
+    ds, hp, params, sup, codes = wstep_setup(3)
     batch = np.array([4, 7, 19])
     outs = forward(params, ds.features[batch])
-    ctx = make_context(batch, outs, sup, codes, sim)
+    ctx = make_context(batch, outs, sup, codes, ds.labels)
     np.testing.assert_array_equal(ctx.codes, codes.codes[batch])
     np.testing.assert_array_equal(ctx.w_sup, sup.omega_l[batch])
     assert ctx.sim_binary.shape == (3, 3)

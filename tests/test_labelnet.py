@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from adsq.config import HyperParams
-from adsq.data import Dataset, build_similarity
+from adsq.data import Dataset
 from adsq.encoder import NetOutputs, init_params
+from adsq.errors import TrainingError
 from adsq.labelnet import (ClassifierHead, binary_reg_value, init_head,
-                           labelnet_grad, labelnet_loss, load_supervision,
-                           save_supervision, train_labelnet)
+                           labelnet_grad, labelnet_loss, train_labelnet)
 from fdcheck import TOL, fd_grad, max_rel_error, random_similarity
 
 K = 3
@@ -86,6 +86,18 @@ class TestLossValues:
         bd = labelnet_loss(outputs(r, omega), head, s_bin, labels, hp)
         parts = bd.sem_pair + bd.code_pair + bd.binary_reg + bd.classify
         assert bd.total == pytest.approx(parts, abs=1e-12)
+
+    @pytest.mark.parametrize("row, logits", [("r", "sem_pair"), ("u", "code_pair")])
+    def test_overflowing_logits_raise_training_error(self, row, logits):
+        hp = hp_with()
+        r, omega, labels, head, s_bin = random_instance(2)
+        if row == "r":
+            r[0] = 1e200
+        else:
+            omega[0] = 1e200
+        with np.errstate(over="ignore"), \
+                pytest.raises(TrainingError, match=f"non-finite {logits} logits"):
+            labelnet_loss(outputs(r, omega), head, s_bin, labels, hp)
 
     def test_binary_reg_zero_iff_unit_magnitude(self):
         assert binary_reg_value(np.array([[1.0, -1.0], [-1.0, 1.0]]), literal=False) == 0.0
@@ -176,17 +188,16 @@ def toy_dataset(seed=0, n=24):
 
 def phase_setup(seed=0):
     ds = toy_dataset(seed)
-    sim = build_similarity(ds.labels)
     hp = hp_with(batch_size=8, seed=seed)
     params = init_params([CLASSES, 5, SEM, K], seed=seed)
     head = init_head(CLASSES, K, seed + 1)
-    return ds, sim, hp, params, head
+    return ds, hp, params, head
 
 
 def test_zero_epochs_leaves_params_and_still_caches():
-    ds, sim, hp, params, head = phase_setup()
+    ds, hp, params, head = phase_setup()
     before = params.copy()
-    sup, losses = train_labelnet(params, head, ds, sim, hp, epochs=0, lr=1e-3,
+    sup, losses = train_labelnet(params, head, ds, hp, epochs=0, lr=1e-3,
                                  rng=np.random.default_rng(0))
     assert params.allclose(before)
     assert losses == []
@@ -196,26 +207,16 @@ def test_zero_epochs_leaves_params_and_still_caches():
 def test_fixed_seed_reproduces_trajectory():
     runs = []
     for _ in range(2):
-        ds, sim, hp, params, head = phase_setup(3)
-        _, losses = train_labelnet(params, head, ds, sim, hp, epochs=5, lr=1e-4,
+        ds, hp, params, head = phase_setup(3)
+        _, losses = train_labelnet(params, head, ds, hp, epochs=5, lr=1e-4,
                                    rng=np.random.default_rng(42))
         runs.append(losses)
     assert runs[0] == runs[1]
 
 
 def test_loss_descends_on_separable_toy():
-    ds, sim, hp, params, head = phase_setup(1)
-    _, losses = train_labelnet(params, head, ds, sim, hp, epochs=50, lr=1e-4,
+    ds, hp, params, head = phase_setup(1)
+    _, losses = train_labelnet(params, head, ds, hp, epochs=50, lr=1e-4,
                                rng=np.random.default_rng(7))
     assert losses[-1] < losses[0]
 
-
-def test_supervision_cache_round_trip(tmp_path):
-    ds, sim, hp, params, head = phase_setup(2)
-    sup, _ = train_labelnet(params, head, ds, sim, hp, epochs=2, lr=1e-4,
-                            rng=np.random.default_rng(0))
-    path = tmp_path / "sup.adsqs"
-    save_supervision(path, sup)
-    loaded = load_supervision(path)
-    np.testing.assert_array_equal(loaded.r_l, sup.r_l)
-    np.testing.assert_array_equal(loaded.omega_l, sup.omega_l)

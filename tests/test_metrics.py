@@ -165,6 +165,21 @@ class TestPrCurve:
         for (g1, p1), (g2, p2) in zip(got, expect):
             assert g1 == g2 and p1 == pytest.approx(p2, abs=1e-12)
 
+    def test_recall_level_needs_exact_hit_count(self):
+        """55 relevant, 1 irrelevant, 45 relevant, all at distance 0: recall
+        0.55 of 100 needs 55 hits, reached before the irrelevant item."""
+        flags = np.array([1] * 55 + [0] + [1] * 45)
+        q = np.ones((1, 8))
+        dc = np.ones((flags.size, 8))
+        qlab = np.array([[1, 0]], dtype=np.int8)
+        dlab = np.stack([flags, 1 - flags], axis=1).astype(np.int8)
+        pts = pr_curve(pack(q), pack(dc), RelevanceJudge(qlab, dlab))
+        assert dict(pts)[0.55] == 1.0
+        # level j/20 needs 5j hits; the irrelevant item sits at rank 56
+        expect = [5 * j / (5 * j + (5 * j > 55)) for j in range(1, 21)]
+        assert [p for _, p in pts] == expect
+        assert oracle_pr(q, dc, qlab, dlab, [g for g, _ in pts]) == pts
+
     def test_grid_outside_unit_interval_rejected(self):
         qc, dc, qlab, dlab = random_case(0)
         with pytest.raises(ValueError):

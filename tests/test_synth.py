@@ -44,7 +44,7 @@ def test_single_label_similarity_is_block_diagonal():
     train, _ = generate(spec_with(multilabel_overlap=0.0))
     sim = build_similarity(train.labels)
     expect = np.kron(np.eye(3, dtype=np.int8), np.ones((12, 12), dtype=np.int8))
-    np.testing.assert_array_equal(sim.binary, expect)
+    np.testing.assert_array_equal(sim, expect)
 
 
 def test_overlap_adds_second_labels():

@@ -3,9 +3,9 @@ import pytest
 
 from adsq.codes import encode_matrix
 from adsq.config import HyperParams, TermMask, Variant, variant_loss_mask
-from adsq.data import build_similarity
+from adsq.data import Dataset
 from adsq.encoder import init_params
-from adsq.errors import DataError
+from adsq.errors import DataError, TrainingError
 from adsq.synth import SynthSpec, generate
 from adsq.trainer import (convergence_check, save_run, subseed, train,
                           write_training_log)
@@ -18,13 +18,13 @@ TINY = dict(k_half=4, encoder_hidden=(8,), semantic_dim=6, batch_size=8,
 def tiny_data():
     spec = SynthSpec(classes=3, dim=8, per_class=15, queries_per_class=4, seed=3)
     train_split, query_split = generate(spec)
-    return train_split, query_split, build_similarity(train_split.labels)
+    return train_split, query_split
 
 
 def run_tiny(tiny_data, **overrides):
-    ds, _, sim = tiny_data
+    ds, _ = tiny_data
     hp = HyperParams(**{**TINY, **overrides})
-    return train(ds, sim, hp), hp
+    return train(ds, hp), hp
 
 
 class TestVariantMask:
@@ -127,10 +127,20 @@ class TestTrainLoop:
         assert sum(r.phase == "label" for r in state.log_rows) == 1
 
     def test_rejects_invalid_dataset(self, tiny_data):
-        ds, _, sim = tiny_data
+        ds, _ = tiny_data
         hp = HyperParams(**{**TINY, "batch_size": 512})
         with pytest.raises(DataError, match="batch_size"):
-            train(ds, sim, hp)
+            train(ds, hp)
+
+
+    def test_divergence_reports_round_and_phase(self, tiny_data):
+        """Overflowing logits fail as a TrainingError naming where, not as
+        a bare ValueError from the softplus kernel."""
+        ds, _ = tiny_data
+        huge = Dataset(features=ds.features * 1e150, labels=ds.labels)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(TrainingError, match="round 0, phase wstep_x: non-finite"):
+            train(huge, HyperParams(**TINY))
 
 
 class TestLrSchedule:
