@@ -23,9 +23,7 @@ from .data import (load_dataset, load_features, load_labels, write_features,
                    write_labels)
 from .encoder import load_params
 from .errors import AdsqError, ConfigError
-from .metrics import (RelevanceJudge, mean_ap, mean_precision_at_hamming2,
-                      pr_curve, precision_at_n, write_metrics_csv,
-                      DEFAULT_RECALL_GRID)
+from .metrics import RelevanceJudge, evaluate, write_metrics_csv
 from .synth import SynthSpec, generate
 from .trainer import save_run, train
 
@@ -155,23 +153,15 @@ def cmd_eval(args) -> int:
         if m not in known:
             raise AdsqError(f"unknown metric {m!r} (choose from {sorted(known)})")
 
-    k = db_codes.k_total
-    rows = []
-    if "map" in wanted:
-        rows.append(("map", k, repr(mean_ap(query_codes, db_codes, judge, args.map_r)),
-                     args.map_r))
-    if "ph2" in wanted:
-        rows.append(("ph2", k,
-                     repr(mean_precision_at_hamming2(query_codes, db_codes, judge)), ""))
-    if "pr" in wanted:
-        for recall, precision in pr_curve(query_codes, db_codes, judge,
-                                          DEFAULT_RECALL_GRID):
-            rows.append(("pr", k, repr(precision), recall))
-    if "pn" in wanted:
-        grid = [n for n in DEFAULT_TOPN_GRID if n <= db_codes.n]
-        for n, precision in precision_at_n(query_codes, db_codes, judge, grid):
-            rows.append(("pn", k, repr(precision), n))
-    write_metrics_csv(args.out, rows)
+    result = evaluate(query_codes, db_codes, judge, map_r=args.map_r,
+                      n_list=[n for n in DEFAULT_TOPN_GRID if n <= db_codes.n])
+    # (value, grid) pairs per metric, written in this order whatever --metrics says
+    points = {"map": [(result.map, args.map_r)], "ph2": [(result.ph2, "")],
+              "pr": [(p, recall) for recall, p in result.pr],
+              "pn": [(p, n) for n, p in result.pn]}
+    write_metrics_csv(args.out, [(m, db_codes.k_total, repr(value), grid)
+                                 for m in points if m in wanted
+                                 for value, grid in points[m]])
     _write_manifest(args.out + ".manifest.json", "eval",
                     {"metrics": wanted, "map_r": args.map_r}, {},
                     [args.query_codes, args.db_codes, args.query_labels,

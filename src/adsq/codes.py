@@ -17,8 +17,6 @@ from .errors import FormatError
 
 CODES_MAGIC = b"ADSQB001"
 
-_POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
-
 
 @dataclass(frozen=True)
 class PackedCodes:
@@ -77,7 +75,7 @@ def hamming_distance(a, b) -> int:
     b = np.asarray(b, dtype=np.uint8)
     if a.shape != b.shape:
         raise ValueError(f"packed rows differ in length: {a.shape} vs {b.shape}")
-    return int(_POPCOUNT8[np.bitwise_xor(a, b)].sum())
+    return int(np.bitwise_count(np.bitwise_xor(a, b)).sum())
 
 
 def distances_to_all(query_row, db: PackedCodes) -> np.ndarray:
@@ -85,7 +83,7 @@ def distances_to_all(query_row, db: PackedCodes) -> np.ndarray:
     q = np.asarray(query_row, dtype=np.uint8)
     if q.shape != (db.payload.shape[1],):
         raise ValueError("query row width does not match database")
-    return _POPCOUNT8[np.bitwise_xor(db.payload, q)].sum(axis=1)
+    return np.bitwise_count(np.bitwise_xor(db.payload, q)).sum(axis=1, dtype=np.int64)
 
 
 def search_topk(query_row, db: PackedCodes, k: int) -> np.ndarray:

@@ -38,10 +38,6 @@ class EncoderParams:
     def semantic_dim(self) -> int:
         return self.weights[-2].shape[0]
 
-    @property
-    def out_dim(self) -> int:
-        return self.weights[-1].shape[0]
-
     def copy(self) -> "EncoderParams":
         return EncoderParams([w.copy() for w in self.weights],
                              [b.copy() for b in self.biases])
@@ -190,11 +186,14 @@ def load_params(path) -> EncoderParams:
     (n_layers,) = struct.unpack_from("<I", blob, 8)
     offset = 12
     weights, biases = [], []
-    for _ in range(n_layers):
+    for i in range(n_layers):
         if offset + 8 > len(blob):
             raise FormatError(f"{path}: truncated layer header")
         rows, cols = struct.unpack_from("<II", blob, offset)
         offset += 8
+        if weights and cols != weights[-1].shape[0]:
+            raise FormatError(f"{path}: layer {i} takes {cols} inputs but layer {i - 1} "
+                              f"gives {weights[-1].shape[0]}")
         need = 8 * rows * cols + 8 * rows
         if offset + need > len(blob):
             raise FormatError(f"{path}: truncated layer payload")

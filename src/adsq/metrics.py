@@ -3,13 +3,15 @@
 Relevance follows the similarity rule used for training supervision: a
 database item is relevant to a query iff they share at least one positive
 label. All rankings use the deterministic ascending-distance,
-ascending-index order from the search module.
+ascending-index order from the search module. ``evaluate`` ranks each
+query once and derives every metric from that one ranking.
 """
 
 import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,9 +28,9 @@ class RelevanceJudge:
     query_labels: np.ndarray
     db_labels: np.ndarray
 
-    @property
-    def num_queries(self) -> int:
-        return self.query_labels.shape[0]
+    def __post_init__(self):
+        # widened once, so no relevance row copies the database labels
+        object.__setattr__(self, "db_labels", np.asarray(self.db_labels, dtype=np.float64))
 
     def relevance(self, query_index: int) -> np.ndarray:
         """Boolean relevance flags over the database for one query."""
@@ -36,108 +38,98 @@ class RelevanceJudge:
         return build_similarity(row, self.db_labels)[0] > 0
 
 
-def _ranked_relevance(query_row, db: PackedCodes, judge: RelevanceJudge, qi: int):
-    order = np.argsort(distances_to_all(query_row, db), kind="stable")
-    return judge.relevance(qi)[order], order
+class Evaluation(NamedTuple):
+    """mAP@R, P@H<=2, PR points (recall, precision), P@N points (N, precision)."""
+
+    map: float
+    ph2: float
+    pr: list
+    pn: list
 
 
-def average_precision(ranked_relevance, r_cutoff: int, *, denominator: str = "min") -> float:
-    """AP of the top ``r_cutoff`` ranks of one query's full ranking.
+def _average_precision(rel, hits, r_cutoff: int) -> float:
+    total = int(hits[-1])
+    if total == 0:
+        return 0.0
+    top = rel[:r_cutoff]
+    precision_at_hits = (hits[:top.size][top] / (np.flatnonzero(top) + 1)).sum()
+    return float(precision_at_hits / min(r_cutoff, total))
 
-    ``denominator="min"`` divides by min(r_cutoff, total relevant) —
-    the truncated-retrieval convention; ``denominator="total"`` always
-    divides by the total relevant count. AP is 0 when nothing relevant
-    exists in the database.
-    """
+
+def average_precision(ranked_relevance, r_cutoff: int) -> float:
+    """AP of the top ``r_cutoff`` ranks of one query's full ranking,
+    divided by min(r_cutoff, total relevant). AP is 0 when nothing
+    relevant exists in the database."""
     rel = np.asarray(ranked_relevance, dtype=bool)
     if rel.size == 0:
         raise ValueError("ranking must be nonempty")
     if r_cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {r_cutoff}")
-    total_relevant = int(rel.sum())
-    if total_relevant == 0:
-        return 0.0
-    top = rel[:r_cutoff]
-    hits = np.cumsum(top)
-    ranks = np.arange(1, top.size + 1)
-    precision_at_hits = (hits[top] / ranks[top]).sum()
-    if denominator == "min":
-        denom = min(r_cutoff, total_relevant)
-    elif denominator == "total":
-        denom = total_relevant
-    else:
-        raise ValueError(f"unknown denominator convention {denominator!r}")
-    return float(precision_at_hits / denom)
+    return _average_precision(rel, np.cumsum(rel), r_cutoff)
 
 
-def mean_ap(queries: PackedCodes, db: PackedCodes, judge: RelevanceJudge,
-            r_cutoff: int, *, denominator: str = "min") -> float:
-    if queries.n == 0:
-        raise ValueError("query set must be nonempty")
-    aps = []
-    for qi in range(queries.n):
-        rel, _ = _ranked_relevance(queries.row(qi), db, judge, qi)
-        aps.append(average_precision(rel, r_cutoff, denominator=denominator))
-    return float(np.mean(aps))
-
-
-def precision_at_hamming2(query_row, db: PackedCodes, relevance) -> float:
-    """Precision among database items within Hamming radius 2; 0.0 when
-    the radius is empty."""
-    dist = distances_to_all(query_row, db)
-    mask = dist <= 2
-    if not mask.any():
-        return 0.0
-    return float(np.asarray(relevance, dtype=bool)[mask].mean())
-
-
-def mean_precision_at_hamming2(queries: PackedCodes, db: PackedCodes,
-                               judge: RelevanceJudge) -> float:
-    vals = [precision_at_hamming2(queries.row(qi), db, judge.relevance(qi))
-            for qi in range(queries.n)]
-    return float(np.mean(vals))
-
-
-def pr_curve(queries: PackedCodes, db: PackedCodes, judge: RelevanceJudge,
-             recall_grid=DEFAULT_RECALL_GRID) -> list:
-    """(recall, precision) points averaged over queries: for each query,
-    precision at the smallest rank reaching each recall level. Queries
-    with no relevant item are skipped. A level needs ceil(level * total)
-    hits in exact arithmetic on the level's decimal form: 0.55 of 100
-    relevant items is 55 hits."""
+def evaluate(queries: PackedCodes, db: PackedCodes, judge: RelevanceJudge, *,
+             map_r: int, recall_grid=DEFAULT_RECALL_GRID, n_list=()) -> Evaluation:
+    """Every metric from one distance scan, one stable ranking and one
+    relevance row per query. P@H<=2 is 0.0 for a query with an empty
+    radius. A PR level is the precision at the smallest rank with
+    ceil(level * total) hits, in exact arithmetic on the level's decimal
+    form (0.55 of 100 relevant items is 55 hits); PR skips queries with no
+    relevant item."""
+    if queries.n == 0 or db.n == 0:
+        raise ValueError(f"query set and database must be nonempty, got {queries.n} "
+                         f"queries and {db.n} database rows")
+    if map_r < 1:
+        raise ValueError(f"cutoff must be >= 1, got {map_r}")
     grid = [float(g) for g in recall_grid]
     if any(not 0 < g <= 1 for g in grid):
         raise ValueError("recall grid points must lie in (0, 1]")
     levels = [Fraction(str(g)) for g in grid]
-    per_level = [[] for _ in grid]
+    n_arr = np.array([int(n) for n in n_list], dtype=np.int64)
+    if np.any((n_arr < 1) | (n_arr > db.n)):
+        raise ValueError(f"every N must lie in [1, {db.n}], got {n_arr.tolist()}")
+
+    aps, ph2s, pr_rows = [], [], []
+    pn_sums = np.zeros(n_arr.size)
     for qi in range(queries.n):
-        rel, _ = _ranked_relevance(queries.row(qi), db, judge, qi)
-        total = int(rel.sum())
-        if total == 0:
-            continue
+        dist = distances_to_all(queries.row(qi), db)
+        order = np.argsort(dist, kind="stable")
+        rel = judge.relevance(qi)[order]
         hits = np.cumsum(rel)
-        ranks = np.arange(1, rel.size + 1)
-        for gi, level in enumerate(levels):
-            needed = math.ceil(level * total)
-            rank = int(np.searchsorted(hits, needed) + 1)
-            per_level[gi].append(hits[rank - 1] / ranks[rank - 1])
-    return [(g, float(np.mean(vals))) for g, vals in zip(grid, per_level) if vals]
+        total = int(hits[-1])
+        aps.append(_average_precision(rel, hits, map_r))
+        # the radius-2 items are a prefix of the ranking
+        within = int(np.searchsorted(dist[order], 2, side="right"))
+        ph2s.append(float(rel[:within].mean()) if within else 0.0)
+        if total:
+            at = np.searchsorted(hits, [math.ceil(level * total) for level in levels])
+            pr_rows.append(hits[at] / (at + 1))
+        pn_sums += hits[n_arr - 1] / n_arr
+    return Evaluation(
+        map=float(np.mean(aps)),
+        ph2=float(np.mean(ph2s)),
+        pr=[(g, float(np.mean(vals))) for g, vals in zip(grid, zip(*pr_rows))],
+        pn=[(int(n), float(s / queries.n)) for n, s in zip(n_arr, pn_sums)])
+
+
+def mean_ap(queries: PackedCodes, db: PackedCodes, judge: RelevanceJudge,
+            r_cutoff: int) -> float:
+    return evaluate(queries, db, judge, map_r=r_cutoff).map
+
+
+def mean_precision_at_hamming2(queries: PackedCodes, db: PackedCodes,
+                               judge: RelevanceJudge) -> float:
+    return evaluate(queries, db, judge, map_r=1).ph2
+
+
+def pr_curve(queries: PackedCodes, db: PackedCodes, judge: RelevanceJudge,
+             recall_grid=DEFAULT_RECALL_GRID) -> list:
+    return evaluate(queries, db, judge, map_r=1, recall_grid=recall_grid).pr
 
 
 def precision_at_n(queries: PackedCodes, db: PackedCodes, judge: RelevanceJudge,
                    n_list) -> list:
-    """(N, mean precision of the top N) for each requested cutoff."""
-    n_list = [int(n) for n in n_list]
-    for n in n_list:
-        if not 1 <= n <= db.n:
-            raise ValueError(f"N={n} outside [1, {db.n}]")
-    sums = np.zeros(len(n_list))
-    for qi in range(queries.n):
-        rel, _ = _ranked_relevance(queries.row(qi), db, judge, qi)
-        hits = np.cumsum(rel)
-        for ni, n in enumerate(n_list):
-            sums[ni] += hits[n - 1] / n
-    return [(n, float(s / queries.n)) for n, s in zip(n_list, sums)]
+    return evaluate(queries, db, judge, map_r=1, n_list=n_list).pn
 
 
 def write_metrics_csv(path, rows):

@@ -200,6 +200,24 @@ class TestEval:
         assert code == 1
         assert "mismatch" in capsys.readouterr().err
 
+    def test_empty_query_set_fails(self, tmp_path, workspace, capsys):
+        root, data, _ = workspace
+        from adsq.codes import write_codes
+        from adsq.data import load_labels, write_labels
+        codes, labels = tmp_path / "none.adsqb", tmp_path / "none.adsql"
+        write_codes(codes, pack(np.ones((0, 8))))
+        n_labels = load_labels(data / "train.adsql").shape[1]
+        write_labels(labels, np.zeros((0, n_labels), dtype=np.int8))
+        out = tmp_path / "m.csv"
+        code = main(["eval", "--query-codes", str(codes),
+                     "--db-codes", str(root / "db.adsqb"),
+                     "--query-labels", str(labels),
+                     "--db-labels", str(data / "train.adsql"),
+                     "--metrics", "ph2,pr,pn", "--out", str(out)])
+        assert code == 1
+        assert "must be nonempty" in capsys.readouterr().err
+        assert not out.exists() or "nan" not in out.read_text()
+
 
 def test_train_idempotent_output_digests(tmp_path):
     data = tmp_path / "d"

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from adsq.encoder import (MomentumSGD, backward, forward, init_params, load_params,
-                          save_params)
+from adsq.encoder import (EncoderParams, MomentumSGD, backward, forward, init_params,
+                          load_params, save_params)
 from adsq.errors import ConfigError, FormatError, TrainingError
 from fdcheck import TOL, fd_grad, max_rel_error
 
@@ -175,4 +175,13 @@ class TestModelFile:
         blob = path.read_bytes()
         path.write_bytes(blob[:-4])
         with pytest.raises(FormatError):
+            load_params(path)
+
+    def test_layer_width_mismatch(self, tmp_path):
+        # a 4x3 layer feeding a 2x5 layer: 4 outputs cannot drive 5 inputs
+        p = EncoderParams(weights=[np.zeros((4, 3)), np.zeros((2, 5))],
+                          biases=[np.zeros(4), np.zeros(2)])
+        path = tmp_path / "w.net"
+        save_params(path, p)
+        with pytest.raises(FormatError, match="layer 1 takes 5 inputs"):
             load_params(path)

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+import adsq.metrics
 from adsq.codes import pack
-from adsq.metrics import (RelevanceJudge, average_precision, mean_ap,
-                          mean_precision_at_hamming2, pr_curve,
-                          precision_at_hamming2, precision_at_n)
+from adsq.metrics import (RelevanceJudge, average_precision, evaluate, mean_ap,
+                          mean_precision_at_hamming2, pr_curve, precision_at_n)
 from oracles import (oracle_mean_ap, oracle_ph2, oracle_pn, oracle_pr,
                      random_case)
 
@@ -26,12 +26,6 @@ class TestAveragePrecision:
     def test_empty_ranking_rejected(self):
         with pytest.raises(ValueError):
             average_precision([], 1)
-
-    def test_total_denominator_convention(self):
-        # 5 relevant overall, cutoff 2, hits at ranks 1 and 2
-        flags = [1, 1, 0, 1, 1, 1]
-        assert average_precision(flags, 2) == pytest.approx(1.0)
-        assert average_precision(flags, 2, denominator="total") == pytest.approx(2 / 5)
 
     def test_promoting_relevant_item_never_hurts(self):
         rng = np.random.default_rng(0)
@@ -89,29 +83,26 @@ class TestMeanAp:
 
 
 class TestPrecisionAtHamming2:
-    def _db_at_distances(self, dists, k=8):
+    def _ph2(self, dists, rel, k=8):
+        """P@H<=2 of one all-ones query against rows at the given distances,
+        with relevance given per row."""
         q = np.ones((1, k))
-        rows = []
-        for d in dists:
-            row = np.ones(k)
+        dc = np.ones((len(dists), k))
+        for row, d in zip(dc, dists):
             row[:d] = -1
-            rows.append(row)
-        return q, np.array(rows)
+        rel = np.asarray(rel)
+        dlab = np.stack([rel, ~rel], axis=1).astype(np.int8)
+        qlab = np.array([[1, 0]], dtype=np.int8)
+        return mean_precision_at_hamming2(pack(q), pack(dc), RelevanceJudge(qlab, dlab))
 
     def test_counts_only_radius_two(self):
-        q, dc = self._db_at_distances([0, 2, 4])
-        rel = np.array([True, True, False])
-        assert precision_at_hamming2(pack(q).row(0), pack(dc), rel) == 1.0
+        assert self._ph2([0, 2, 4], [True, True, False]) == 1.0
 
     def test_mixed_relevance(self):
-        q, dc = self._db_at_distances([1, 2])
-        rel = np.array([False, True])
-        assert precision_at_hamming2(pack(q).row(0), pack(dc), rel) == 0.5
+        assert self._ph2([1, 2], [False, True]) == 0.5
 
     def test_empty_radius_is_zero(self):
-        q, dc = self._db_at_distances([3, 5])
-        rel = np.array([True, True])
-        assert precision_at_hamming2(pack(q).row(0), pack(dc), rel) == 0.0
+        assert self._ph2([3, 5], [True, True]) == 0.0
 
     @pytest.mark.parametrize("seed", range(6))
     def test_mean_matches_oracle(self, seed):
@@ -232,3 +223,52 @@ class TestPrecisionAtN:
                                   [n_cut]))
         sigma = np.sqrt(0.25 / (n_cut * n_q))
         assert abs(got[n_cut] - 0.5) < 3 * sigma + 0.02
+
+
+# ---------------------------------------------------------------- one pass
+
+
+class TestEvaluate:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_metric_matches_oracle(self, seed):
+        qc, dc, qlab, dlab = random_case(seed, k=6)
+        grid, n_list = (0.25, 0.5, 1.0), [1, 7, 40]
+        got = evaluate(pack(qc), pack(dc), RelevanceJudge(qlab, dlab), map_r=12,
+                       recall_grid=grid, n_list=n_list)
+        assert got.map == pytest.approx(oracle_mean_ap(qc, dc, qlab, dlab, 12), abs=1e-12)
+        assert got.ph2 == pytest.approx(oracle_ph2(qc, dc, qlab, dlab), abs=1e-12)
+        for got_points, expect in ((got.pr, oracle_pr(qc, dc, qlab, dlab, grid)),
+                                   (got.pn, oracle_pn(qc, dc, qlab, dlab, n_list))):
+            assert [x for x, _ in got_points] == [x for x, _ in expect]
+            assert [p for _, p in got_points] == pytest.approx([p for _, p in expect],
+                                                               abs=1e-12)
+
+    def test_one_scan_and_one_relevance_row_per_query(self, monkeypatch):
+        qc, dc, qlab, dlab = random_case(1)
+        calls = {"scan": 0, "relevance": 0}
+        scan, relevance = adsq.metrics.distances_to_all, RelevanceJudge.relevance
+
+        def counted_scan(*args):
+            calls["scan"] += 1
+            return scan(*args)
+
+        def counted_relevance(self, qi):
+            calls["relevance"] += 1
+            return relevance(self, qi)
+
+        monkeypatch.setattr(adsq.metrics, "distances_to_all", counted_scan)
+        monkeypatch.setattr(RelevanceJudge, "relevance", counted_relevance)
+        evaluate(pack(qc), pack(dc), RelevanceJudge(qlab, dlab), map_r=10, n_list=[5])
+        assert calls == {"scan": len(qc), "relevance": len(qc)}
+
+    def test_empty_query_set_rejected(self):
+        _, dc, _, dlab = random_case(0)
+        with pytest.raises(ValueError, match="must be nonempty"):
+            evaluate(pack(np.ones((0, 12))), pack(dc),
+                     RelevanceJudge(np.zeros((0, dlab.shape[1]), dtype=np.int8), dlab),
+                     map_r=5)
+
+    def test_zero_cutoff_rejected(self):
+        qc, dc, qlab, dlab = random_case(0)
+        with pytest.raises(ValueError, match="cutoff"):
+            evaluate(pack(qc), pack(dc), RelevanceJudge(qlab, dlab), map_r=0)
