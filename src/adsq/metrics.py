@@ -52,7 +52,7 @@ def _average_precision(rel, hits, r_cutoff: int) -> float:
     if total == 0:
         return 0.0
     top = rel[:r_cutoff]
-    precision_at_hits = (hits[:top.size][top] / (np.flatnonzero(top) + 1)).sum()
+    precision_at_hits = (hits[:r_cutoff][top] / (np.flatnonzero(top) + 1)).sum()
     return float(precision_at_hits / min(r_cutoff, total))
 
 

@@ -48,11 +48,6 @@ def test_traced_span_resolves(layer, module, attr):
         assert callable(getattr(owner, attr))
 
 
-@pytest.mark.parametrize("module, attr", CALLED, ids=[f"{m}.{a}" for m, a in CALLED])
-def test_called_name_exists(module, attr):
-    assert hasattr(importlib.import_module(module), attr)
-
-
 def _adsq_attributes(path):
     for node in ast.walk(ast.parse(path.read_text())):
         if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
@@ -63,6 +58,7 @@ def _adsq_attributes(path):
 def test_every_adsq_attribute_in_the_scripts_exists():
     used = {pair for script in ("run.py", "workloads.py")
             for pair in _adsq_attributes(PERFBENCH / script)}
+    # the scan must see at least the names known to be called
     assert set(CALLED) <= used
     missing = [f"{m}.{a}" for m, a in sorted(used)
                if not hasattr(importlib.import_module(m), a)]
