@@ -5,6 +5,14 @@ Packed layout: one row per item, MSB-first within each byte, bit 1 means
 +1, rows padded to a byte boundary with zero bits. For +-1 codes of equal
 length, popcount distance and inner product are tied by
 dist = (k_total - <a, b>) / 2.
+
+In memory, each code set also keeps a read-only uint64 word view of its
+rows, zero-padded to a multiple of 8 bytes (no copy when the rows already
+are contiguous whole words, as 64-bit codes are). The scan XORs a query's
+words against it and popcounts each word column; distances come back as
+the narrowest unsigned dtype that holds k_total (uint8 up to 255 bits,
+uint16 up to 65535), so the stable ranking argsort takes numpy's radix
+sort. The word view never reaches a file.
 """
 
 import struct
@@ -18,20 +26,42 @@ from .errors import FormatError
 CODES_MAGIC = b"ADSQB001"
 
 
+def _as_words(rows: np.ndarray) -> np.ndarray:
+    """uint64 view of 2-D packed uint8 rows, each zero-padded to whole
+    words (at least one); a view without a copy when the rows already are
+    contiguous whole words."""
+    n, row_bytes = rows.shape
+    width = 8 * max(1, -(-row_bytes // 8))
+    if width != row_bytes or not rows.flags.c_contiguous:
+        padded = np.zeros((n, width), dtype=np.uint8)
+        padded[:, :row_bytes] = rows
+        rows = padded
+    return rows.view(np.uint64)
+
+
 @dataclass(frozen=True)
 class PackedCodes:
-    """Bit-packed +-1 code matrix."""
+    """Bit-packed +-1 code matrix. ``words`` is the read-only uint64 view
+    of the rows that the scan reads, built once per code set."""
 
     n: int
     k_total: int
     payload: np.ndarray  # n x ceil(k_total/8), uint8
 
     def __post_init__(self):
+        payload = self.payload
+        if not (isinstance(payload, np.ndarray) and payload.dtype == np.uint8
+                and payload.ndim == 2):
+            raise ValueError(f"payload must be a 2-D uint8 array, got "
+                             f"{np.asarray(payload).dtype} of shape {np.shape(payload)}")
         row_bytes = (self.k_total + 7) // 8
-        if self.payload.shape != (self.n, row_bytes):
+        if payload.shape != (self.n, row_bytes):
             raise ValueError(
-                f"payload shape {self.payload.shape} does not match "
+                f"payload shape {payload.shape} does not match "
                 f"n={self.n}, k_total={self.k_total}")
+        words = _as_words(payload)
+        words.flags.writeable = False
+        object.__setattr__(self, "words", words)
 
     def row(self, i) -> np.ndarray:
         return self.payload[i]
@@ -79,11 +109,17 @@ def hamming_distance(a, b) -> int:
 
 
 def distances_to_all(query_row, db: PackedCodes) -> np.ndarray:
-    """Hamming distances from one packed query row to every database row."""
+    """Hamming distances from one packed query row to every database row,
+    as the narrowest unsigned dtype that holds ``db.k_total``."""
     q = np.asarray(query_row, dtype=np.uint8)
     if q.shape != (db.payload.shape[1],):
         raise ValueError("query row width does not match database")
-    return np.bitwise_count(np.bitwise_xor(db.payload, q)).sum(axis=1, dtype=np.int64)
+    q_words = _as_words(q[None, :])[0]
+    dist = np.bitwise_count(db.words[:, 0] ^ q_words[0]).astype(
+        np.min_scalar_type(db.k_total), copy=False)
+    for j in range(1, q_words.size):
+        dist += np.bitwise_count(db.words[:, j] ^ q_words[j])
+    return dist
 
 
 def search_topk(query_row, db: PackedCodes, k: int) -> np.ndarray:

@@ -99,7 +99,7 @@ def evaluate(queries: PackedCodes, db: PackedCodes, judge: RelevanceJudge, *,
         total = int(hits[-1])
         aps.append(_average_precision(rel, hits, map_r))
         # the radius-2 items are a prefix of the ranking
-        within = int(np.searchsorted(dist[order], 2, side="right"))
+        within = int(np.count_nonzero(dist <= 2))
         ph2s.append(float(rel[:within].mean()) if within else 0.0)
         if total:
             at = np.searchsorted(hits, [math.ceil(level * total) for level in levels])

@@ -143,6 +143,76 @@ class TestSearch:
         assert all(all_d[j] == hamming_distance(q, db.row(j)) for j in range(30))
 
 
+def tied_codes(seed, n, k, distinct=4):
+    """n rows drawn from a few distinct codes, so distances tie heavily."""
+    rng = np.random.default_rng(seed)
+    return random_codes(seed, distinct, k)[rng.integers(0, distinct, n)]
+
+
+def assert_scan_matches_oracle(query, codes, db):
+    """Distances are (k - <a, b>) / 2 on the +-1 codes; search is the
+    (distance, index) order for every k up to n."""
+    k_total, n = codes.shape[1], codes.shape[0]
+    qrow = pack(query[None, :]).row(0)
+    dist = distances_to_all(qrow, db)
+    expect = (k_total - (codes @ query).astype(np.int64)) // 2
+    np.testing.assert_array_equal(dist.astype(np.int64), expect)
+    order = np.lexsort((np.arange(n), expect))
+    for top in (1, 5, n):
+        np.testing.assert_array_equal(search_topk(qrow, db, top), order[:top])
+
+
+class TestWordScan:
+    K_TOTALS = [1, 7, 8, 33, 63, 64, 65, 130, 300]
+
+    @pytest.mark.parametrize("k_total", K_TOTALS)
+    def test_matches_brute_force(self, k_total):
+        codes = tied_codes(k_total, 60, k_total)
+        query = random_codes(k_total + 1, 1, k_total)[0]
+        db = pack(codes)
+        assert_scan_matches_oracle(query, codes, db)
+        assert_scan_matches_oracle(codes[9], codes, db)
+
+    @pytest.mark.parametrize("k_total", K_TOTALS)
+    def test_sliced_payloads_match_brute_force(self, k_total):
+        codes = tied_codes(k_total + 2, 61, k_total)
+        query = random_codes(k_total + 3, 1, k_total)[0]
+        payload = pack(codes).payload
+        strided = PackedCodes(n=31, k_total=k_total, payload=payload[::2])
+        assert not strided.payload.flags.c_contiguous
+        assert_scan_matches_oracle(query, codes[::2], strided)
+        tail = PackedCodes(n=60, k_total=k_total, payload=payload[1:])
+        assert_scan_matches_oracle(query, codes[1:], tail)
+
+    @pytest.mark.parametrize("k_total, dtype", [(1, np.uint8), (64, np.uint8),
+                                                (255, np.uint8), (256, np.uint16),
+                                                (300, np.uint16)])
+    def test_distance_dtype_is_narrowest(self, k_total, dtype):
+        # stable argsort radix-sorts only 8- and 16-bit keys
+        db = pack(random_codes(k_total, 5, k_total))
+        assert distances_to_all(db.row(0), db).dtype == dtype
+
+    def test_whole_word_rows_are_viewed_not_copied(self):
+        db = pack(random_codes(6, 10, 64))
+        assert db.words.shape == (10, 1) and np.shares_memory(db.words, db.payload)
+        assert not db.words.flags.writeable
+
+    def test_partial_word_rows_are_zero_padded(self):
+        db = pack(np.ones((3, 72)))
+        assert db.words.shape == (3, 2)
+        assert np.all(db.words.view(np.uint8)[:, 9:] == 0)
+
+    @pytest.mark.parametrize("payload", [
+        np.zeros((4, 2), dtype=np.int64),
+        np.zeros(2, dtype=np.uint8),
+        np.zeros((4, 2, 1), dtype=np.uint8),
+        [[0, 0]] * 4,
+    ], ids=["int64", "1-D", "3-D", "list"])
+    def test_payload_must_be_2d_uint8_array(self, payload):
+        with pytest.raises(ValueError, match="2-D uint8"):
+            PackedCodes(n=4, k_total=16, payload=payload)
+
+
 class TestCodesFile:
     def test_round_trip(self, tmp_path):
         packed = pack(random_codes(4, 10, 11))

@@ -231,7 +231,22 @@ class TestPrecisionAtN:
 class TestEvaluate:
     @pytest.mark.parametrize("seed", range(4))
     def test_every_metric_matches_oracle(self, seed):
-        qc, dc, qlab, dlab = random_case(seed, k=6)
+        self.assert_matches_oracle(*random_case(seed, k=6))
+
+    def test_two_word_rows_match_oracle(self):
+        # 72-bit rows fill one word and part of a zero-padded second; the
+        # database holds 5 distinct codes and each query is one of them with
+        # 0-2 bits flipped, so distances tie and the radius-2 set is nonempty
+        qc, dc, qlab, dlab = random_case(5, n_q=6, n_db=60, k=72)
+        rng = np.random.default_rng(5)
+        dc = dc[rng.integers(0, 5, len(dc))]
+        qc = dc[rng.integers(0, len(dc), len(qc))]
+        for q in qc:
+            q[rng.choice(72, size=rng.integers(0, 3), replace=False)] *= -1
+        self.assert_matches_oracle(qc, dc, qlab, dlab)
+
+    @staticmethod
+    def assert_matches_oracle(qc, dc, qlab, dlab):
         grid, n_list = (0.25, 0.5, 1.0), [1, 7, 40]
         got = evaluate(pack(qc), pack(dc), RelevanceJudge(qlab, dlab), map_r=12,
                        recall_grid=grid, n_list=n_list)
