@@ -10,6 +10,11 @@ the self-interaction term is constant and each column has the closed-form
 minimizer  -sign(2 * B_rest (U_rest^T u_col) + p_col)  where
 P = -2 * k_half * S_signed^T U - 2 * eta * U.
 
+During training the similarity is given as ``LabelPatterns``, and
+S_signed^T U = 2 (S_pat @ per-pattern sums of U)[ids] - colsum(U), in
+O(n k + p^2 k) with no n x n array. A dense signed matrix is also
+accepted, for similarities that no label set produces.
+
 The objective depends on column c only through <b_c, arg_c>, so an update
 changes it by exactly (b_new - b_old) . arg_c. Each update checks that this
 change is finite and non-positive, in O(n), instead of recomputing the
@@ -21,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import HyperParams
+from .data import LabelPatterns
 from .errors import TrainingError
 
 
@@ -35,26 +41,6 @@ class CodeMatrix:
         if not np.isin(self.codes, (-1.0, 1.0)).all():
             raise ValueError("code matrix entries must be exactly -1 or +1")
 
-    @property
-    def n(self) -> int:
-        return self.codes.shape[0]
-
-    @property
-    def k_half(self) -> int:
-        return self.codes.shape[1]
-
-    def copy(self) -> "CodeMatrix":
-        return CodeMatrix(self.codes.copy())
-
-
-@dataclass
-class BStepWorkspace:
-    """Quantities fixed across one sweep: full-set tanh outputs U and the
-    linear-term matrix P derived from them and the signed similarity."""
-
-    U: np.ndarray
-    P: np.ndarray
-
 
 def bstep_objective(U, B, sim_signed, k_half: int, eta: float) -> float:
     U = np.asarray(U, dtype=np.float64)
@@ -63,30 +49,41 @@ def bstep_objective(U, B, sim_signed, k_half: int, eta: float) -> float:
     return float((fit**2).sum() + eta * (quant**2).sum())
 
 
-def compute_P(U, sim_signed, hp: HyperParams) -> np.ndarray:
+def compute_P(U, similarity, hp: HyperParams) -> np.ndarray:
+    """P for ``similarity`` given as LabelPatterns or as a dense signed matrix."""
     U = np.asarray(U, dtype=np.float64)
-    s = np.asarray(sim_signed, dtype=np.float64)
-    if s.shape != (U.shape[0], U.shape[0]):
-        raise ValueError(f"similarity shape {s.shape} does not match U rows {U.shape[0]}")
-    return -2.0 * hp.k_half * (s.T @ U) - 2.0 * hp.eta * U
+    if isinstance(similarity, LabelPatterns):
+        if similarity.ids.shape != U.shape[:1]:
+            raise ValueError(f"patterns cover {similarity.ids.size} items, U has "
+                             f"{U.shape[0]} rows")
+        # S_signed^T U = 2 (S_pat @ per-pattern sums of U)[ids] - colsum(U)
+        s_u = 2.0 * (similarity.sim @ similarity.sums(U))[similarity.ids] - U.sum(axis=0)
+    else:
+        s = np.asarray(similarity, dtype=np.float64)
+        if s.shape != (U.shape[0], U.shape[0]):
+            raise ValueError(f"similarity shape {s.shape} does not match U rows {U.shape[0]}")
+        s_u = s.T @ U
+    return -2.0 * hp.k_half * s_u - 2.0 * hp.eta * U
 
 
-def make_workspace(U, sim_signed, hp: HyperParams) -> BStepWorkspace:
-    return BStepWorkspace(U=np.asarray(U, dtype=np.float64), P=compute_P(U, sim_signed, hp))
+def make_workspace(U, similarity, hp: HyperParams):
+    """The (U, P) pair fixed across one sweep."""
+    return np.asarray(U, dtype=np.float64), compute_P(U, similarity, hp)
 
 
-def update_column(code_matrix: CodeMatrix, c: int, ws: BStepWorkspace) -> np.ndarray:
+def update_column(code_matrix: CodeMatrix, c: int, ws) -> np.ndarray:
     """Replace column c with the exact minimizer over {-1,+1}^n, all other
-    columns fixed. sign(0) = +1, so a zero argument lands on -1 after the
-    leading negation. Raises TrainingError if the argument is non-finite or
-    the update would raise the objective."""
+    columns fixed, given the ``(U, P)`` workspace. sign(0) = +1, so a zero
+    argument lands on -1 after the leading negation. Raises TrainingError if
+    the argument is non-finite or the update would raise the objective."""
+    U, P = ws
     B = code_matrix.codes
     k = B.shape[1]
     if not 0 <= c < k:
         raise IndexError(f"column index {c} out of range for {k} columns")
     rest = np.delete(np.arange(k), c)
-    cross = ws.U[:, rest].T @ ws.U[:, c]          # (k-1,)
-    arg = 2.0 * (B[:, rest] @ cross) + ws.P[:, c]
+    cross = U[:, rest].T @ U[:, c]          # (k-1,)
+    arg = 2.0 * (B[:, rest] @ cross) + P[:, c]
     if not np.all(np.isfinite(arg)):
         raise TrainingError(f"non-finite code-update argument in column {c}")
     new = np.where(arg >= 0, -1.0, 1.0)
@@ -97,12 +94,12 @@ def update_column(code_matrix: CodeMatrix, c: int, ws: BStepWorkspace) -> np.nda
     return B[:, c]
 
 
-def bstep_sweep(code_matrix: CodeMatrix, U, sim_signed, hp: HyperParams,
+def bstep_sweep(code_matrix: CodeMatrix, U, similarity, hp: HyperParams,
                 sweeps: int = 1) -> CodeMatrix:
     """Cycle columns in ascending order ``sweeps`` times; stop early once a
     full sweep changes nothing. Every column update checks that the
     objective does not increase (see ``update_column``)."""
-    ws = make_workspace(U, sim_signed, hp)
+    ws = make_workspace(U, similarity, hp)
     B = code_matrix.codes
     for _ in range(sweeps):
         changed = False

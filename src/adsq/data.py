@@ -1,5 +1,10 @@
-"""Datasets, the shared-label similarity rule, and the two on-disk matrix
-formats.
+"""Datasets, the shared-label similarity rule, label patterns, and the two
+on-disk matrix formats.
+
+Similarity depends only on the label row, so training uses the p distinct
+rows (``LabelPatterns``, keyed by the rows packed into uint64 words): any
+similarity block is a gather from the p x p pattern table, and products
+with the similarity reduce to per-pattern sums, O(n k + p^2 k).
 
 Feature files (magic ``ADSQF001``) store ``n x dim`` float32 matrices;
 label files (magic ``ADSQL001``) store ``n x classes`` byte matrices with
@@ -10,6 +15,7 @@ are widened to float64 on load.
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,6 +53,11 @@ class Dataset:
     def num_classes(self) -> int:
         return self.labels.shape[1]
 
+    @cached_property
+    def patterns(self) -> "LabelPatterns":
+        """Label patterns of the (read-only) labels, built on first use."""
+        return LabelPatterns(self.labels)
+
 
 def build_similarity(labels_a, labels_b=None) -> np.ndarray:
     """Pairwise similarity block from multi-hot labels: entry (i, j) is 1.0
@@ -65,6 +76,49 @@ def build_similarity(labels_a, labels_b=None) -> np.ndarray:
     shared = a @ b.T
     np.greater(shared, 0.0, out=shared)
     return shared
+
+
+def pack_label_words(labels) -> np.ndarray:
+    """n x max(1, ceil(classes / 64)) uint64 words of a {0,1} label matrix;
+    bit j of word w holds class 64w + j and unused bits are zero."""
+    lab = np.asarray(labels)
+    n, c = lab.shape
+    packed = np.zeros((n, 8 * max(1, -(-c // 64))), dtype=np.uint8)
+    packed[:, :(c + 7) // 8] = np.packbits(lab != 0, axis=1, bitorder="little")
+    return packed.view(np.uint64)
+
+
+class LabelPatterns:
+    """The distinct rows of a label matrix (see the module docstring).
+
+    ``rows`` (p x classes), ``ids`` (n, pattern of each item), ``counts``
+    (p) and ``sim`` (p x p float64 {0,1}, from ``build_similarity``)."""
+
+    def __init__(self, labels):
+        lab = np.asarray(labels)
+        words = pack_label_words(lab)
+        # one opaque key per row: a 1-D unique, not the much slower axis=0 form
+        keys = words.view(np.dtype((np.void, 8 * words.shape[1])))[:, 0]
+        _, first, ids, counts = np.unique(keys, return_index=True, return_inverse=True,
+                                          return_counts=True)
+        self.rows = _freeze(lab[first])
+        self.ids = _freeze(ids)
+        self.counts = _freeze(counts)
+        self.sim = _freeze(build_similarity(self.rows))
+        # items grouped by pattern, for per-pattern sums by one reduceat
+        self._order = np.argsort(ids, kind="stable")
+        self._starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+
+    def block(self, index) -> np.ndarray:
+        """{0,1} similarity among the items ``index``, equal to
+        ``build_similarity(labels[index])``."""
+        pid = self.ids[index]
+        return self.sim[np.ix_(pid, pid)]
+
+    def sums(self, x) -> np.ndarray:
+        """Per-pattern sums of the rows of the n-row matrix ``x``."""
+        return np.add.reduceat(np.asarray(x, dtype=np.float64)[self._order], self._starts,
+                               axis=0)
 
 
 def write_features(path, features):

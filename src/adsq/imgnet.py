@@ -19,11 +19,11 @@ import numpy as np
 
 from .bstep import CodeMatrix
 from .config import HyperParams, TermMask, variant_loss_mask
-from .data import Dataset, build_similarity
+from .data import Dataset, LabelPatterns
 from .encoder import EncoderParams, MomentumSGD, backward, forward
 from .errors import TrainingError
 from .labelnet import LabelSupervision, iter_batches, pairwise_nll
-from .numerics import check_finite, sigmoid_stable
+from .numerics import check_finite, sigmoid_stable, softplus_stable
 
 
 @dataclass
@@ -57,10 +57,10 @@ class ImgLossBreakdown:
 
 
 def make_context(batch, outs, sup: LabelSupervision, code_matrix: CodeMatrix,
-                 labels) -> ImgBatchContext:
-    """Batch context; ``labels`` is the full training label matrix."""
+                 patterns: LabelPatterns) -> ImgBatchContext:
+    """Batch context; ``patterns`` are those of the full training labels."""
     batch = np.asarray(batch)
-    s_bin = build_similarity(labels[batch])
+    s_bin = patterns.block(batch)
     s_signed = 2.0 * s_bin
     s_signed -= 1.0
     return ImgBatchContext(indices=batch, u=outs.u, r_img=outs.r,
@@ -69,34 +69,33 @@ def make_context(batch, outs, sup: LabelSupervision, code_matrix: CodeMatrix,
                            sim_binary=s_bin, sim_signed=s_signed)
 
 
-def imgnet_loss(ctx: ImgBatchContext, hp: HyperParams, variant="full") -> ImgLossBreakdown:
+def _weighted_terms(variant, hp: HyperParams, u, codes, sem, code, asym) -> ImgLossBreakdown:
+    """Weight and check each term the variant's mask keeps; ``sem``, ``code``
+    and ``asym`` return the unweighted sums and are called only if kept."""
     mask = variant if isinstance(variant, TermMask) else variant_loss_mask(variant)
+    raw = {"sem_pair": (hp.alpha, sem), "code_pair": (hp.beta, code),
+           "quant": (hp.eta, lambda: float(((u - codes)**2).sum())),
+           "balance": (hp.nu, lambda: float((u.sum(axis=0)**2).sum())),
+           "asym": (1.0, asym)}
+    terms = {}
+    for name, (weight, value) in raw.items():
+        keep = getattr(mask, name)
+        terms[name] = check_finite(keep * weight * value(), f"{name} term") if keep else 0.0
+    return ImgLossBreakdown(**terms)
+
+
+def imgnet_loss(ctx: ImgBatchContext, hp: HyperParams, variant="full") -> ImgLossBreakdown:
     k = ctx.u.shape[1]
 
-    sem = 0.0
-    if mask.sem_pair:
-        lam = check_finite(0.5 * (ctx.r_sup @ ctx.r_img.T), "sem_pair logits")
-        sem = check_finite(mask.sem_pair * hp.alpha * pairwise_nll(lam, ctx.sim_binary),
-                           "sem_pair term")
-    code = 0.0
-    if mask.code_pair:
-        theta = check_finite(0.5 * (ctx.w_sup @ ctx.u.T), "code_pair logits")
-        code = check_finite(mask.code_pair * hp.beta * pairwise_nll(theta, ctx.sim_binary),
-                            "code_pair term")
-    quant = 0.0
-    if mask.quant:
-        quant = check_finite(mask.quant * hp.eta * float(((ctx.u - ctx.codes)**2).sum()),
-                             "quant term")
-    balance = 0.0
-    if mask.balance:
-        balance = check_finite(mask.balance * hp.nu * float((ctx.u.sum(axis=0)**2).sum()),
-                               "balance term")
-    asym = 0.0
-    if mask.asym:
-        fit = ctx.u @ ctx.codes.T - k * ctx.sim_signed
-        asym = check_finite(mask.asym * float((fit**2).sum()), "asym term")
-    return ImgLossBreakdown(sem_pair=sem, code_pair=code, quant=quant,
-                            balance=balance, asym=asym)
+    def nll(sup, img, what):
+        return pairwise_nll(check_finite(0.5 * (sup @ img.T), f"{what} logits"),
+                            ctx.sim_binary)
+
+    return _weighted_terms(
+        variant, hp, ctx.u, ctx.codes,
+        sem=lambda: nll(ctx.r_sup, ctx.r_img, "sem_pair"),
+        code=lambda: nll(ctx.w_sup, ctx.u, "code_pair"),
+        asym=lambda: float(((ctx.u @ ctx.codes.T - k * ctx.sim_signed)**2).sum()))
 
 
 def imgnet_grads(ctx: ImgBatchContext, hp: HyperParams, variant="full"):
@@ -143,7 +142,7 @@ def wstep_epoch(params: EncoderParams, dataset: Dataset, code_matrix: CodeMatrix
     for batch in iter_batches(dataset.n, hp.batch_size, rng):
         x = dataset.features[batch]
         outs = forward(params, x)
-        ctx = make_context(batch, outs, sup, code_matrix, dataset.labels)
+        ctx = make_context(batch, outs, sup, code_matrix, dataset.patterns)
         total += imgnet_loss(ctx, hp, variant).total
         g_r, g_v = imgnet_grads(ctx, hp, variant)
         net_grads = backward(params, x, g_r, g_v)
@@ -154,8 +153,31 @@ def wstep_epoch(params: EncoderParams, dataset: Dataset, code_matrix: CodeMatrix
 
 def full_objective(params: EncoderParams, dataset: Dataset, code_matrix: CodeMatrix,
                    sup: LabelSupervision, hp: HyperParams, variant) -> ImgLossBreakdown:
-    """Whole-training-set objective (a single batch spanning every item)."""
-    idx = np.arange(dataset.n)
+    """Whole-training-set objective (a single batch spanning every item).
+
+    The similarity enters only through per-pattern sums of the dataset's
+    label patterns: sum_ij s_ij x_i.y_j = <S_pat, X_pat Y_pat^T>. Only the
+    softplus part of the pairwise likelihoods stays dense (n x n)."""
+    pat = dataset.patterns
     outs = forward(params, dataset.features)
-    ctx = make_context(idx, outs, sup, code_matrix, dataset.labels)
-    return imgnet_loss(ctx, hp, variant)
+    u, codes = outs.u, code_matrix.codes
+    n, k = codes.shape
+
+    def sim_inner(x, y):
+        return float((pat.sim * (pat.sums(x) @ pat.sums(y).T)).sum())
+
+    def nll(sup, img, what):
+        soft = softplus_stable(check_finite(0.5 * (sup @ img.T), f"{what} logits"))
+        np.fill_diagonal(soft, 0.0)
+        # the s_ij logit_ij part over i != j (s_ii = 1)
+        return float(soft.sum()) - 0.5 * (sim_inner(sup, img) - float((sup * img).sum()))
+
+    def asym():
+        # ||U B^T - k S_signed||^2 with S_signed = 2 S - 1, every entry +-1
+        signed = 2.0 * sim_inner(u, codes) - float(u.sum(axis=0) @ codes.sum(axis=0))
+        return float(((u.T @ u) * (codes.T @ codes)).sum()) - 2.0 * k * signed \
+            + float(k * k) * n * n
+
+    return _weighted_terms(variant, hp, u, codes,
+                           sem=lambda: nll(sup.r_l, outs.r, "sem_pair"),
+                           code=lambda: nll(sup.omega_l, u, "code_pair"), asym=asym)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import HyperParams
-from .data import Dataset, build_similarity
+from .data import Dataset
 from .encoder import (EncoderParams, MomentumSGD, NetOutputs, backward, forward)
 from .errors import TrainingError
 from .numerics import check_finite, sigmoid_stable, softplus_stable
@@ -33,9 +33,6 @@ class ClassifierHead:
 
     def predict(self, omega):
         return omega @ self.weight.T + self.bias
-
-    def copy(self) -> "ClassifierHead":
-        return ClassifierHead(self.weight.copy(), self.bias.copy())
 
 
 def init_head(num_classes: int, k_half: int, seed) -> ClassifierHead:
@@ -76,34 +73,46 @@ class LabelGrads:
     head_bias: np.ndarray
 
 
-def pairwise_nll(logits, sim_binary):
-    """Negative log-likelihood sum over ordered off-diagonal pairs."""
+def pairwise_nll(logits, sim_binary, counts=None):
+    """Negative log-likelihood sum over ordered off-diagonal pairs. With
+    ``counts``, row a stands for counts[a] items that share its logits, so
+    pair (a, b) weighs counts[a] * counts[b] and (a, a) counts[a] * (counts[a] - 1)."""
     per_pair = softplus_stable(logits) - sim_binary * logits
-    np.fill_diagonal(per_pair, 0.0)
-    return float(per_pair.sum())
+    if counts is None:
+        np.fill_diagonal(per_pair, 0.0)
+        return float(per_pair.sum())
+    weights = np.outer(counts, counts) - np.diag(counts)
+    return float((weights * per_pair).sum())
 
 
-def binary_reg_value(omega, literal: bool) -> float:
-    """Per-item L1 distance of codes from the discrete target set."""
-    if literal:
-        return float(np.abs(omega - 1.0).sum())
-    return float(np.abs(np.abs(omega) - 1.0).sum())
+def binary_reg_value(omega, literal: bool, counts=None) -> float:
+    """Per-item L1 distance of codes from the discrete target set, row a
+    counted ``counts[a]`` times when given."""
+    dist = np.abs(omega - 1.0) if literal else np.abs(np.abs(omega) - 1.0)
+    return float((dist if counts is None else counts[:, None] * dist).sum())
 
 
 def labelnet_loss(outs: NetOutputs, head: ClassifierHead, sim_binary, labels,
-                  hp: HyperParams) -> LabelLossBreakdown:
+                  hp: HyperParams, counts=None) -> LabelLossBreakdown:
+    """Loss over the rows of ``outs``; with ``counts`` (label patterns), row
+    a stands for counts[a] identical items and every term is weighted so."""
     r, omega = outs.r, outs.u
-    m = r.shape[0]
+    if counts is not None:
+        counts = np.asarray(counts, dtype=np.float64)
+    m = r.shape[0] if counts is None else float(counts.sum())
     s = np.asarray(sim_binary, dtype=np.float64)
     lam = check_finite(0.5 * (r @ r.T), "sem_pair logits")
     theta = check_finite(0.5 * (omega @ omega.T), "code_pair logits")
-    sem = check_finite(hp.alpha * pairwise_nll(lam, s), "sem_pair term")
-    code = check_finite(hp.beta * pairwise_nll(theta, s), "code_pair term")
+    sem = check_finite(hp.alpha * pairwise_nll(lam, s, counts), "sem_pair term")
+    code = check_finite(hp.beta * pairwise_nll(theta, s, counts), "code_pair term")
     # each item appears in 2*(m-1) ordered-pair slots
-    reg = check_finite(hp.gamma * 2.0 * (m - 1) * binary_reg_value(omega, hp.j3_literal),
-                       "binary_reg term")
-    resid = head.predict(omega) - np.asarray(labels, dtype=np.float64)
-    classify = check_finite(hp.delta * float((resid**2).sum()), "classify term")
+    reg = check_finite(
+        hp.gamma * 2.0 * (m - 1) * binary_reg_value(omega, hp.j3_literal, counts),
+        "binary_reg term")
+    resid2 = (head.predict(omega) - np.asarray(labels, dtype=np.float64))**2
+    classify = check_finite(
+        hp.delta * float((resid2 if counts is None else counts[:, None] * resid2).sum()),
+        "classify term")
     return LabelLossBreakdown(sem_pair=sem, code_pair=code, binary_reg=reg,
                               classify=classify)
 
@@ -175,7 +184,7 @@ def train_labelnet(params: EncoderParams, head: ClassifierHead, dataset: Dataset
         total = 0.0
         for batch in iter_batches(dataset.n, hp.batch_size, rng):
             x = labels_f[batch]
-            s_bin = build_similarity(x)
+            s_bin = dataset.patterns.block(batch)
             outs = forward(params, x)
             total += labelnet_loss(outs, head, s_bin, x, hp).total
             grads = labelnet_grad(outs, head, s_bin, x, hp)

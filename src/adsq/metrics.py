@@ -16,26 +16,33 @@ from typing import NamedTuple
 import numpy as np
 
 from .codes import PackedCodes, distances_to_all
-from .data import build_similarity
+from .data import pack_label_words
 
 DEFAULT_RECALL_GRID = tuple(np.round(np.linspace(0.05, 1.0, 20), 4))
 
 
 @dataclass(frozen=True)
 class RelevanceJudge:
-    """Shared-label relevance between a query set and a database."""
+    """Shared-label relevance between a query set and a database.
+
+    Both label sets are packed into uint64 words once; a database item is
+    relevant iff some word of its AND with the query's words is nonzero."""
 
     query_labels: np.ndarray
     db_labels: np.ndarray
 
     def __post_init__(self):
-        # widened once, so no relevance row copies the database labels
-        object.__setattr__(self, "db_labels", np.asarray(self.db_labels, dtype=np.float64))
+        q, d = np.asarray(self.query_labels), np.asarray(self.db_labels)
+        if q.ndim != 2 or d.ndim != 2 or q.shape[1] != d.shape[1]:
+            raise ValueError(f"query and database labels must be 2-D with equal widths, "
+                             f"got {q.shape} and {d.shape}")
+        object.__setattr__(self, "_query_words", pack_label_words(q))
+        object.__setattr__(self, "_db_columns", np.ascontiguousarray(pack_label_words(d).T))
 
     def relevance(self, query_index: int) -> np.ndarray:
         """Boolean relevance flags over the database for one query."""
-        row = self.query_labels[query_index][None, :]
-        return build_similarity(row, self.db_labels)[0] > 0
+        words = self._query_words[query_index][:, None]
+        return ((self._db_columns & words) != 0).any(axis=0)
 
 
 class Evaluation(NamedTuple):

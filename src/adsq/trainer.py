@@ -18,7 +18,7 @@ import numpy as np
 from .bstep import CodeMatrix, bstep_sweep
 from .codes import pack, quantize_sign, write_codes
 from .config import HyperParams, Variant, parse_variant, variant_loss_mask
-from .data import Dataset, build_similarity, validate_dataset
+from .data import Dataset, validate_dataset
 from .encoder import MomentumSGD, forward, init_params, save_params
 from .errors import DataError, TrainingError
 from .imgnet import full_objective, wstep_epoch
@@ -87,20 +87,14 @@ def convergence_check(history, tol: float = CONVERGENCE_TOL,
 
 
 def _label_breakdown_row(rnd, dataset, params, head, hp) -> LogRow:
-    labels_f = dataset.labels.astype(np.float64)
-    outs = forward(params, labels_f)
-    bd = labelnet_loss(outs, head, build_similarity(labels_f), labels_f, hp)
+    """Full-set label loss. The label network's input is the label row, so
+    it runs on the distinct patterns, each weighted by its item count."""
+    pat = dataset.patterns
+    rows_f = pat.rows.astype(np.float64)
+    bd = labelnet_loss(forward(params, rows_f), head, pat.sim, rows_f, hp,
+                       counts=pat.counts)
     return LogRow(rnd, "label", bd.total, bd.sem_pair, bd.code_pair,
                   bd.binary_reg, bd.classify, 0.0)
-
-
-def _signed_similarity(labels) -> np.ndarray:
-    """Signed view 2s - 1 of the full similarity, formed in place so that a
-    single n x n array is alive."""
-    s = build_similarity(labels)
-    s *= 2.0
-    s -= 1.0
-    return s
 
 
 def train(dataset: Dataset, hp: HyperParams, variant=None) -> TrainState:
@@ -165,7 +159,7 @@ def train(dataset: Dataset, hp: HyperParams, variant=None) -> TrainState:
 
     def bstep(rnd, tag, params, codes) -> float:
         u_full = forward(params, dataset.features).u
-        bstep_sweep(codes, u_full, _signed_similarity(dataset.labels), hp, sweeps=1)
+        bstep_sweep(codes, u_full, dataset.patterns, hp, sweeps=1)
         return img_row(rnd, f"bstep_{tag}", params, codes).loss_total
 
     run_phase(0, "label", label_phase, 0, hp.lr_for_round(0))

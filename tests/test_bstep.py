@@ -9,8 +9,10 @@ import pytest
 from adsq.bstep import (CodeMatrix, bstep_objective, bstep_sweep, compute_P,
                         make_workspace, update_column)
 from adsq.config import HyperParams
+from adsq.data import LabelPatterns, build_similarity
 from adsq.errors import TrainingError
 from fdcheck import random_similarity
+from labelsets import LABEL_SET_NAMES, hand_label_sets
 
 
 def hp_with(k, eta=10.0):
@@ -48,6 +50,18 @@ class TestComputeP:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             compute_P(np.zeros((3, 2)), np.eye(4), hp_with(k=2))
+        with pytest.raises(ValueError):
+            compute_P(np.zeros((3, 2)), LabelPatterns(np.eye(4)), hp_with(k=2))
+
+    @pytest.mark.parametrize("name", LABEL_SET_NAMES)
+    def test_patterns_match_dense_formula(self, name):
+        labels = hand_label_sets()[name]
+        hp = hp_with(k=3, eta=2.5)
+        U = np.tanh(np.random.default_rng(2).normal(size=(labels.shape[0], 3)))
+        s_signed = 2.0 * build_similarity(labels) - 1.0
+        dense = -2.0 * hp.k_half * (s_signed.T @ U) - 2.0 * hp.eta * U
+        np.testing.assert_allclose(compute_P(U, LabelPatterns(labels), hp), dense,
+                                   rtol=1e-12, atol=1e-12)
 
 
 class TestUpdateColumn:
@@ -55,7 +69,7 @@ class TestUpdateColumn:
         hp = hp_with(k=1)
         B = CodeMatrix(np.ones((2, 1)))
         ws = make_workspace(np.zeros((2, 1)), np.eye(2) * 2 - 1, hp)
-        ws.P[:, 0] = [-11.0, 3.0]
+        ws[1][:, 0] = [-11.0, 3.0]
         col = update_column(B, 0, ws)
         np.testing.assert_array_equal(col, [1.0, -1.0])
 
@@ -63,7 +77,7 @@ class TestUpdateColumn:
         hp = hp_with(k=1)
         B = CodeMatrix(np.ones((1, 1)))
         ws = make_workspace(np.zeros((1, 1)), np.ones((1, 1)), hp)
-        ws.P[:, 0] = [0.0]
+        ws[1][:, 0] = [0.0]
         assert update_column(B, 0, ws)[0] == -1.0
 
     def test_out_of_range_column(self):
@@ -115,6 +129,18 @@ class TestSweep:
         bstep_sweep(B, U, s_signed, hp, sweeps=4)
         end = bstep_objective(U, B.codes, s_signed, hp.k_half, hp.eta)
         assert end <= start + 1e-9 * max(1.0, abs(start))
+
+    @pytest.mark.parametrize("name", LABEL_SET_NAMES)
+    def test_patterns_sweep_like_dense(self, name):
+        labels = hand_label_sets()[name]
+        n, k = labels.shape[0], 3
+        rng = np.random.default_rng(3)
+        U = np.tanh(rng.normal(size=(n, k)))
+        start = np.where(rng.random((n, k)) < 0.5, -1.0, 1.0)
+        by_patterns, dense = CodeMatrix(start.copy()), CodeMatrix(start.copy())
+        bstep_sweep(by_patterns, U, LabelPatterns(labels), hp_with(k), sweeps=3)
+        bstep_sweep(dense, U, 2.0 * build_similarity(labels) - 1.0, hp_with(k), sweeps=3)
+        np.testing.assert_array_equal(by_patterns.codes, dense.codes)
 
     def test_zero_sweeps_no_change(self):
         hp, U, s_signed, B = random_instance(3)

@@ -200,6 +200,21 @@ class TestEval:
         assert code == 1
         assert "mismatch" in capsys.readouterr().err
 
+    def test_label_width_mismatch_fails(self, tmp_path, workspace, capsys):
+        """3-class query labels against a 4-class database exit 1."""
+        root, data, _ = workspace
+        from adsq.data import load_labels, write_labels
+        db_labels = load_labels(data / "train.adsql")
+        assert db_labels.shape[1] == 3
+        wide = tmp_path / "wide.adsql"
+        write_labels(wide, np.hstack([db_labels, np.zeros((len(db_labels), 1), np.int8)]))
+        code = main(["eval", "--query-codes", str(root / "query.adsqb"),
+                     "--db-codes", str(root / "db.adsqb"),
+                     "--query-labels", str(data / "query.adsql"),
+                     "--db-labels", str(wide), "--out", str(tmp_path / "m.csv")])
+        assert code == 1
+        assert "equal widths" in capsys.readouterr().err
+
     def test_empty_query_set_fails(self, tmp_path, workspace, capsys):
         root, data, _ = workspace
         from adsq.codes import write_codes

@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adsq.config import HyperParams
-from adsq.data import (Dataset, build_similarity, load_features, load_labels,
-                       validate_dataset, write_features, write_labels,
-                       FEATURE_MAGIC, LABEL_MAGIC)
+from adsq.data import (Dataset, LabelPatterns, build_similarity, load_features,
+                       load_labels, pack_label_words, validate_dataset, write_features,
+                       write_labels, FEATURE_MAGIC, LABEL_MAGIC)
 from adsq.errors import DataError, FormatError
+from labelsets import LABEL_SET_NAMES, hand_label_sets
 
 
 def random_labels(seed, n, c):
@@ -147,6 +148,62 @@ def test_cross_block_matches_full_block():
 def test_similarity_rejects_mismatched_widths():
     with pytest.raises(ValueError):
         build_similarity(np.ones((2, 3)), np.ones((2, 4)))
+
+
+# ---------------------------------------------------------------- label patterns
+
+
+@pytest.mark.parametrize("classes", [1, 7, 63, 64, 65, 130])
+def test_label_words_hold_one_bit_per_class(classes):
+    lab = random_labels(classes, 30, classes)
+    words = pack_label_words(lab)
+    assert words.dtype == np.uint64
+    assert words.shape == (30, max(1, -(-classes // 64)))
+    bits = (words[:, np.arange(64 * words.shape[1]) // 64]
+            >> (np.arange(64 * words.shape[1]) % 64).astype(np.uint64)) & np.uint64(1)
+    np.testing.assert_array_equal(bits[:, :classes], lab)
+    assert not bits[:, classes:].any()
+
+
+@pytest.mark.parametrize("name", LABEL_SET_NAMES)
+def test_patterns_rebuild_labels(name):
+    lab = hand_label_sets()[name]
+    pat = LabelPatterns(lab)
+    p = np.unique(lab, axis=0).shape[0]
+    assert pat.rows.shape == (p, lab.shape[1]) and pat.ids.shape == (lab.shape[0],)
+    np.testing.assert_array_equal(pat.rows[pat.ids], lab)
+    np.testing.assert_array_equal(pat.counts, np.bincount(pat.ids, minlength=p))
+    assert np.unique(pat.rows, axis=0).shape[0] == p
+
+
+@pytest.mark.parametrize("name", LABEL_SET_NAMES)
+def test_pattern_gather_equals_build_similarity(name):
+    lab = hand_label_sets()[name]
+    pat = LabelPatterns(lab)
+    full = build_similarity(lab)
+    np.testing.assert_array_equal(pat.sim, build_similarity(pat.rows))
+    np.testing.assert_array_equal(pat.block(np.arange(lab.shape[0])), full)
+    rng = np.random.default_rng(0)
+    for m in (1, 2, 5, lab.shape[0]):
+        batch = rng.permutation(lab.shape[0])[:m]
+        block = pat.block(batch)
+        assert block.dtype == np.float64
+        np.testing.assert_array_equal(block, build_similarity(lab[batch]))
+
+
+@pytest.mark.parametrize("name", LABEL_SET_NAMES)
+def test_pattern_sums_match_dense(name):
+    lab = hand_label_sets()[name]
+    pat = LabelPatterns(lab)
+    x = np.random.default_rng(1).normal(size=(lab.shape[0], 3))
+    onehot = np.eye(pat.rows.shape[0])[pat.ids]
+    np.testing.assert_allclose(pat.sums(x), onehot.T @ x, rtol=1e-12, atol=1e-12)
+
+
+def test_dataset_builds_patterns_once():
+    ds = Dataset(features=np.zeros((20, 2)), labels=random_labels(2, 20, 3))
+    assert ds.patterns is ds.patterns
+    np.testing.assert_array_equal(ds.patterns.rows[ds.patterns.ids], ds.labels)
 
 
 # ---------------------------------------------------------------- validation

@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from adsq.bstep import CodeMatrix
-from adsq.config import HyperParams, TermMask, Variant
-from adsq.data import Dataset
+from adsq.config import HyperParams, TermMask, Variant, variant_loss_mask
+from adsq.data import Dataset, build_similarity
 from adsq.encoder import MomentumSGD, forward, init_params
 from adsq.errors import TrainingError
 from adsq.imgnet import (ImgBatchContext, full_objective, imgnet_grads, imgnet_loss,
                          make_context, wstep_epoch)
 from adsq.labelnet import LabelSupervision
 from fdcheck import TOL, fd_grad, max_rel_error, random_similarity
+from labelsets import LABEL_SET_NAMES, hand_label_sets
 
 VARIANTS = [Variant.FULL, Variant.NO_ASYM, Variant.NO_SEM, Variant.NO_BOTH]
 
@@ -238,8 +239,53 @@ def test_make_context_aligns_rows():
     ds, hp, params, sup, codes = wstep_setup(3)
     batch = np.array([4, 7, 19])
     outs = forward(params, ds.features[batch])
-    ctx = make_context(batch, outs, sup, codes, ds.labels)
+    ctx = make_context(batch, outs, sup, codes, ds.patterns)
     np.testing.assert_array_equal(ctx.codes, codes.codes[batch])
     np.testing.assert_array_equal(ctx.w_sup, sup.omega_l[batch])
     assert ctx.sim_binary.shape == (3, 3)
     np.testing.assert_array_equal(ctx.sim_signed, 2 * ctx.sim_binary - 1)
+
+
+# ---------------------------------------------------------------- full objective
+
+
+def dense_full_objective(params, ds, codes, sup, hp, variant):
+    """Reference: every term over the n x n similarity, pairs i != j for
+    the likelihoods and all pairs for the asymmetric fit."""
+    mask = variant_loss_mask(variant)
+    outs = forward(params, ds.features)
+    u, B = outs.u, codes.codes
+    s = build_similarity(ds.labels)
+    off = ~np.eye(ds.n, dtype=bool)
+
+    def nll(sup_rows, img_rows):
+        logits = 0.5 * (sup_rows @ img_rows.T)
+        return float((np.logaddexp(0.0, logits) - s * logits)[off].sum())
+
+    return {"sem_pair": mask.sem_pair * hp.alpha * nll(sup.r_l, outs.r),
+            "code_pair": mask.code_pair * hp.beta * nll(sup.omega_l, u),
+            "quant": mask.quant * hp.eta * float(((u - B)**2).sum()),
+            "balance": mask.balance * hp.nu * float((u.sum(axis=0)**2).sum()),
+            "asym": mask.asym * float(((u @ B.T - B.shape[1] * (2 * s - 1))**2).sum())}
+
+
+@pytest.mark.parametrize("variant", list(Variant), ids=[v.value for v in Variant])
+@pytest.mark.parametrize("name", LABEL_SET_NAMES)
+def test_full_objective_matches_dense_reference(name, variant):
+    labels = hand_label_sets()[name]
+    n, k, sem = labels.shape[0], 3, 4
+    rng = np.random.default_rng(11)
+    ds = Dataset(features=rng.normal(size=(n, 5)), labels=labels)
+    hp = HyperParams(k_half=k, semantic_dim=sem, encoder_hidden=(6,), nu=0.3)
+    params = init_params([5, 6, sem, k], seed=4)
+    sup = LabelSupervision(r_l=rng.normal(0, 1, (n, sem)),
+                           omega_l=np.tanh(rng.normal(0, 1, (n, k))), epoch=0)
+    codes = CodeMatrix(np.where(rng.random((n, k)) < 0.5, -1.0, 1.0))
+    got = full_objective(params, ds, codes, sup, hp, variant)
+    for term, want in dense_full_objective(params, ds, codes, sup, hp, variant).items():
+        value = getattr(got, term)
+        assert type(value) is float, term
+        if want == 0.0:
+            assert value == 0.0, term
+        else:
+            assert value == pytest.approx(want, rel=1e-10), term

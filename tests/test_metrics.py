@@ -3,10 +3,36 @@ import pytest
 
 import adsq.metrics
 from adsq.codes import pack
+from adsq.data import build_similarity
 from adsq.metrics import (RelevanceJudge, average_precision, evaluate, mean_ap,
                           mean_precision_at_hamming2, pr_curve, precision_at_n)
 from oracles import (oracle_mean_ap, oracle_ph2, oracle_pn, oracle_pr,
                      random_case)
+
+
+# ---------------------------------------------------------------- relevance
+
+
+class TestRelevanceJudge:
+    @pytest.mark.parametrize("classes", [1, 63, 64, 65, 130])
+    def test_matches_build_similarity(self, classes):
+        rng = np.random.default_rng(classes)
+        qlab = (rng.random((12, classes)) < 0.1).astype(np.int8)
+        dlab = (rng.random((300, classes)) < 0.1).astype(np.int8)
+        qlab[::2, -1] = 1  # the last class sits in the last word
+        dlab[::7, -1] = 1
+        judge = RelevanceJudge(qlab, dlab)
+        want = build_similarity(qlab, dlab) > 0
+        for qi in range(qlab.shape[0]):
+            got = judge.relevance(qi)
+            assert got.dtype == bool
+            np.testing.assert_array_equal(got, want[qi])
+
+    @pytest.mark.parametrize("q_classes, db_classes", [(3, 4), (63, 64), (64, 65)])
+    def test_width_mismatch_rejected_at_construction(self, q_classes, db_classes):
+        with pytest.raises(ValueError, match="equal widths"):
+            RelevanceJudge(np.ones((2, q_classes), np.int8),
+                           np.ones((5, db_classes), np.int8))
 
 
 # ---------------------------------------------------------------- AP

@@ -1,14 +1,19 @@
+import sys
+
 import numpy as np
 import pytest
 
+import adsq.data
 from adsq.codes import encode_matrix
 from adsq.config import HyperParams, TermMask, Variant, variant_loss_mask
-from adsq.data import Dataset
-from adsq.encoder import init_params
+from adsq.data import Dataset, build_similarity
+from adsq.encoder import forward, init_params
 from adsq.errors import DataError, TrainingError
+from adsq.labelnet import init_head
 from adsq.synth import SynthSpec, generate
-from adsq.trainer import (convergence_check, save_run, subseed, train,
-                          write_training_log)
+from adsq.trainer import (_label_breakdown_row, convergence_check, save_run, subseed,
+                          train, write_training_log)
+from labelsets import LABEL_SET_NAMES, hand_label_sets
 
 TINY = dict(k_half=4, encoder_hidden=(8,), semantic_dim=6, batch_size=8,
             t_label=4, t_img=2, outer_rounds=2, seed=3)
@@ -141,6 +146,67 @@ class TestTrainLoop:
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(TrainingError, match="round 0, phase wstep_x: non-finite"):
             train(huge, HyperParams(**TINY))
+
+
+def dense_label_row(labels, params, head, hp):
+    """Reference: the label loss over all n items and their n x n similarity."""
+    lab = labels.astype(np.float64)
+    outs = forward(params, lab)
+    s = build_similarity(lab)
+    off = ~np.eye(lab.shape[0], dtype=bool)
+
+    def nll(rows):
+        logits = 0.5 * (rows @ rows.T)
+        return float((np.logaddexp(0.0, logits) - s * logits)[off].sum())
+
+    u = outs.u
+    dist = np.abs(u - 1.0) if hp.j3_literal else np.abs(np.abs(u) - 1.0)
+    return {"j1": hp.alpha * nll(outs.r), "j2": hp.beta * nll(u),
+            "j3": hp.gamma * 2.0 * (lab.shape[0] - 1) * float(dist.sum()),
+            "j4": hp.delta * float(((head.predict(u) - lab)**2).sum())}
+
+
+@pytest.mark.parametrize("literal", [False, True])
+@pytest.mark.parametrize("name", LABEL_SET_NAMES)
+def test_label_row_matches_dense_reference(name, literal):
+    labels = hand_label_sets()[name]
+    n, classes = labels.shape
+    hp = HyperParams(k_half=3, semantic_dim=4, encoder_hidden=(6,), j3_literal=literal)
+    params = init_params([classes, 6, 4, 3], seed=5)
+    head = init_head(classes, 3, seed=6)
+    ds = Dataset(features=np.zeros((n, 2)), labels=labels)
+    row = _label_breakdown_row(2, ds, params, head, hp)
+    want = dense_label_row(labels, params, head, hp)
+    for term, value in want.items():
+        assert getattr(row, term) == pytest.approx(value, rel=1e-10), term
+    assert row.loss_total == pytest.approx(sum(want.values()), rel=1e-10)
+    # the log writes repr() of each value, so they must be plain floats
+    assert all(type(getattr(row, term)) is float for term in ("loss_total", *want))
+    assert (row.round, row.phase, row.asym) == (2, "label", 0.0)
+
+
+def test_training_builds_no_similarity_wider_than_patterns(tiny_data, monkeypatch):
+    """Every similarity block in training is gathered from the p x p
+    pattern table, so build_similarity never sees more than p rows."""
+    original = adsq.data.build_similarity
+    rows = []
+
+    def recording(labels_a, labels_b=None):
+        rows.append(len(labels_a))
+        if labels_b is not None:
+            rows.append(len(labels_b))
+        return original(labels_a, labels_b)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "adsq" or name.startswith("adsq.")) and \
+                getattr(module, "build_similarity", None) is original:
+            monkeypatch.setattr(module, "build_similarity", recording)
+    src = tiny_data[0]
+    ds = Dataset(features=src.features, labels=src.labels)  # patterns not yet built
+    p = np.unique(ds.labels, axis=0).shape[0]
+    assert p < HyperParams(**TINY).batch_size < ds.n
+    train(ds, HyperParams(**TINY))
+    assert rows and max(rows) <= p
 
 
 class TestLrSchedule:
