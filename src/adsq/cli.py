@@ -23,7 +23,8 @@ from .data import (load_dataset, load_features, load_labels, write_features,
                    write_labels)
 from .encoder import load_params
 from .errors import AdsqError, ConfigError
-from .metrics import RelevanceJudge, evaluate, write_metrics_csv
+from .fileio import atomic_open, write_csv
+from .metrics import RelevanceJudge, evaluate
 from .synth import SynthSpec, generate
 from .trainer import save_run, train
 
@@ -48,7 +49,7 @@ def _write_manifest(path, command, config, seeds, inputs, outputs, timings):
         "outputs": {os.path.basename(p): _sha256(p) for p in outputs},
         "timings_s": {k: round(v, 6) for k, v in timings.items()},
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return manifest
@@ -159,9 +160,9 @@ def cmd_eval(args) -> int:
     points = {"map": [(result.map, args.map_r)], "ph2": [(result.ph2, "")],
               "pr": [(p, recall) for recall, p in result.pr],
               "pn": [(p, n) for n, p in result.pn]}
-    write_metrics_csv(args.out, [(m, db_codes.k_total, repr(value), grid)
-                                 for m in points if m in wanted
-                                 for value, grid in points[m]])
+    write_csv(args.out, ["metric", "k_total", "value", "grid"],
+              [(m, db_codes.k_total, repr(value), grid)
+               for m in points if m in wanted for value, grid in points[m]])
     _write_manifest(args.out + ".manifest.json", "eval",
                     {"metrics": wanted, "map_r": args.map_r}, {},
                     [args.query_codes, args.db_codes, args.query_labels,

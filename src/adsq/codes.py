@@ -12,16 +12,17 @@ are contiguous whole words, as 64-bit codes are). The scan XORs a query's
 words against it and popcounts each word column; distances come back as
 the narrowest unsigned dtype that holds k_total (uint8 up to 255 bits,
 uint16 up to 65535), so the stable ranking argsort takes numpy's radix
-sort. The word view never reaches a file.
+sort. The word view never reaches a file: code files (``ADSQB001``, an
+``adsq.fileio`` container) hold n, k_total and the packed rows.
 """
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .encoder import EncoderParams, forward
 from .errors import FormatError
+from .fileio import BinaryReader, write_binary
 
 CODES_MAGIC = b"ADSQB001"
 
@@ -59,6 +60,9 @@ class PackedCodes:
             raise ValueError(
                 f"payload shape {payload.shape} does not match "
                 f"n={self.n}, k_total={self.k_total}")
+        pad_bits = 8 * row_bytes - self.k_total
+        if pad_bits and np.any(payload[:, -1] & ((1 << pad_bits) - 1)):
+            raise ValueError("nonzero padding bits in packed payload")
         words = _as_words(payload)
         words.flags.writeable = False
         object.__setattr__(self, "words", words)
@@ -133,26 +137,14 @@ def search_topk(query_row, db: PackedCodes, k: int) -> np.ndarray:
 
 
 def write_codes(path, packed: PackedCodes):
-    with open(path, "wb") as fh:
-        fh.write(CODES_MAGIC)
-        fh.write(struct.pack("<II", packed.n, packed.k_total))
-        fh.write(np.ascontiguousarray(packed.payload).tobytes())
+    write_binary(path, CODES_MAGIC, (packed.n, packed.k_total), packed.payload)
 
 
 def load_codes(path) -> PackedCodes:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 16 or blob[:8] != CODES_MAGIC:
-        raise FormatError(f"{path}: missing or malformed codes-file magic")
-    n, k_total = struct.unpack_from("<II", blob, 8)
-    row_bytes = (k_total + 7) // 8
-    expected = 16 + n * row_bytes
-    if len(blob) != expected:
-        raise FormatError(
-            f"{path}: truncated or oversized payload (expected {expected} bytes, "
-            f"file has {len(blob)})")
-    payload = np.frombuffer(blob, dtype=np.uint8, offset=16).reshape(n, row_bytes).copy()
-    pad_bits = 8 * row_bytes - k_total
-    if pad_bits and np.any(payload[:, -1] & ((1 << pad_bits) - 1)):
-        raise FormatError(f"{path}: nonzero padding bits in packed payload")
-    return PackedCodes(n=n, k_total=k_total, payload=payload)
+    with BinaryReader(path, CODES_MAGIC, "codes") as r:
+        n, k_total = r.header(2)
+        payload = r.array(np.uint8, (n, (k_total + 7) // 8)).copy()
+    try:
+        return PackedCodes(n=n, k_total=k_total, payload=payload)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc

@@ -4,7 +4,7 @@ import dataclasses
 import enum
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigError
 
@@ -92,16 +92,19 @@ class HyperParams:
         self.validate()
 
     def validate(self):
-        for name in ("alpha", "beta", "gamma", "delta", "nu", "eta"):
+        for name in ("alpha", "beta", "gamma", "delta", "nu", "eta", "weight_decay"):
             v = getattr(self, name)
             if not math.isfinite(v) or v < 0:
                 raise ConfigError(f"{name} must be finite and >= 0, got {v}")
+        if not 0 <= self.momentum < 1:
+            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.k_half < 1:
             raise ConfigError(f"k_half must be >= 1, got {self.k_half}")
         if self.batch_size < 2:
             raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
-        if not (0 < self.lr_min <= self.lr_max):
-            raise ConfigError(f"need 0 < lr_min <= lr_max, got {self.lr_min}, {self.lr_max}")
+        if not (0 < self.lr_min <= self.lr_max < math.inf):
+            raise ConfigError(f"need 0 < lr_min <= lr_max < inf, got {self.lr_min}, "
+                              f"{self.lr_max}")
         if self.lr_steps < 1:
             raise ConfigError(f"lr_steps must be >= 1, got {self.lr_steps}")
         for name in ("t_label", "t_img", "outer_rounds"):
@@ -133,45 +136,32 @@ class HyperParams:
         return d
 
 
-_CONFIG_KEYS = {f.name for f in dataclasses.fields(HyperParams)}
-
-_INT_KEYS = {"k_half", "lr_steps", "t_label", "t_img", "outer_rounds", "batch_size", "seed",
-             "semantic_dim"}
-_FLOAT_KEYS = {"alpha", "beta", "gamma", "delta", "nu", "eta", "lr_min", "lr_max", "momentum",
-               "weight_decay"}
-_BOOL_KEYS = {"j3_literal", "refresh_labelnet"}
+_DEFAULTS = {f.name: f.default for f in dataclasses.fields(HyperParams)}
+_BOOL_STRINGS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
 def _coerce(key, value):
+    """``value`` (JSON or a ``--set`` string) as the type of the key's default."""
+    default = _DEFAULTS[key]
     try:
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-        if key in _BOOL_KEYS:
-            if isinstance(value, str):
-                if value.lower() in ("true", "1", "yes"):
-                    return True
-                if value.lower() in ("false", "0", "no"):
-                    return False
-                raise ValueError(value)
-            return bool(value)
-        if key == "encoder_hidden":
+        if isinstance(default, bool):
+            return _BOOL_STRINGS[value.lower()] if isinstance(value, str) else bool(value)
+        if isinstance(default, Variant):
+            return parse_variant(value)
+        if isinstance(default, tuple):
             if isinstance(value, str):
                 value = [v for v in value.split(",") if v.strip()]
             return tuple(int(v) for v in value)
-        if key == "variant":
-            return parse_variant(value)
-    except (TypeError, ValueError) as exc:
+        return type(default)(value)
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for config key {key!r}: {value!r}") from exc
-    return value
 
 
 def make_hyperparams(mapping: dict) -> HyperParams:
     """Build HyperParams from a plain dict, rejecting unknown keys by name."""
     clean = {}
     for key, value in mapping.items():
-        if key not in _CONFIG_KEYS:
+        if key not in _DEFAULTS:
             raise ConfigError(f"unknown config key: {key!r}")
         clean[key] = _coerce(key, value)
     return HyperParams(**clean)

@@ -6,20 +6,19 @@ rows (``LabelPatterns``, keyed by the rows packed into uint64 words): any
 similarity block is a gather from the p x p pattern table, and products
 with the similarity reduce to per-pattern sums, O(n k + p^2 k).
 
-Feature files (magic ``ADSQF001``) store ``n x dim`` float32 matrices;
-label files (magic ``ADSQL001``) store ``n x classes`` byte matrices with
-entries in {0, 1}. Both headers are little-endian u32 pairs after the
-8-byte magic. Training math is double precision throughout, so features
-are widened to float64 on load.
+Feature files (``ADSQF001``) hold n, dim and an n x dim float32 matrix;
+label files (``ADSQL001``) hold n, classes and n x classes bytes in {0, 1};
+both are ``adsq.fileio`` containers. Training math is double precision,
+so features are widened to float64 on load.
 """
 
-import struct
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import DataError, FormatError
+from .fileio import BinaryReader, write_binary
 
 FEATURE_MAGIC = b"ADSQF001"
 LABEL_MAGIC = b"ADSQL001"
@@ -127,25 +126,12 @@ def write_features(path, features):
         raise ValueError(f"feature matrix must be 2-D, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise DataError("refusing to write non-finite feature values")
-    with open(path, "wb") as fh:
-        fh.write(FEATURE_MAGIC)
-        fh.write(struct.pack("<II", x.shape[0], x.shape[1]))
-        fh.write(np.ascontiguousarray(x, dtype="<f4").tobytes())
+    write_binary(path, FEATURE_MAGIC, x.shape, x.astype("<f4"))
 
 
 def load_features(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 16 or blob[:8] != FEATURE_MAGIC:
-        raise FormatError(f"{path}: missing or malformed feature-file magic")
-    n, dim = struct.unpack_from("<II", blob, 8)
-    expected = 16 + 4 * n * dim
-    if len(blob) != expected:
-        raise FormatError(
-            f"{path}: truncated or oversized payload (header says {n}x{dim}, "
-            f"expected {expected} bytes, file has {len(blob)})")
-    x = np.frombuffer(blob, dtype="<f4", count=n * dim, offset=16).reshape(n, dim)
-    out = x.astype(np.float64)
+    with BinaryReader(path, FEATURE_MAGIC, "feature") as r:
+        out = r.array("<f4", r.header(2)).astype(np.float64)
     if not np.all(np.isfinite(out)):
         raise DataError(f"{path}: feature payload contains NaN or Inf")
     return out
@@ -157,24 +143,12 @@ def write_labels(path, labels):
         raise ValueError(f"label matrix must be 2-D, got shape {lab.shape}")
     if not np.isin(lab, (0, 1)).all():
         raise DataError("label entries must be 0 or 1")
-    with open(path, "wb") as fh:
-        fh.write(LABEL_MAGIC)
-        fh.write(struct.pack("<II", lab.shape[0], lab.shape[1]))
-        fh.write(np.ascontiguousarray(lab, dtype=np.uint8).tobytes())
+    write_binary(path, LABEL_MAGIC, lab.shape, lab.astype(np.uint8))
 
 
 def load_labels(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 16 or blob[:8] != LABEL_MAGIC:
-        raise FormatError(f"{path}: missing or malformed label-file magic")
-    n, c = struct.unpack_from("<II", blob, 8)
-    expected = 16 + n * c
-    if len(blob) != expected:
-        raise FormatError(
-            f"{path}: truncated or oversized payload (header says {n}x{c}, "
-            f"expected {expected} bytes, file has {len(blob)})")
-    lab = np.frombuffer(blob, dtype=np.uint8, count=n * c, offset=16).reshape(n, c)
+    with BinaryReader(path, LABEL_MAGIC, "label") as r:
+        lab = r.array(np.uint8, r.header(2))
     if not np.isin(lab, (0, 1)).all():
         raise FormatError(f"{path}: label payload contains values outside {{0, 1}}")
     if np.any(lab.sum(axis=1) == 0):

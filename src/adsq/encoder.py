@@ -7,14 +7,16 @@ topology but never the weights.
 
 Gradients flow in through two injection points: ``upstream_r`` at the
 semantic-layer output and ``upstream_v`` at the hash-layer pre-activation.
+Model files (``ADSQW001``) are ``adsq.fileio`` containers: the layer
+count, then per layer rows, cols, float64 weights and float64 biases.
 """
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, FormatError, TrainingError
+from .fileio import BinaryReader, write_binary
 
 MODEL_MAGIC = b"ADSQW001"
 
@@ -34,18 +36,9 @@ class EncoderParams:
     def in_dim(self) -> int:
         return self.weights[0].shape[1]
 
-    @property
-    def semantic_dim(self) -> int:
-        return self.weights[-2].shape[0]
-
     def copy(self) -> "EncoderParams":
         return EncoderParams([w.copy() for w in self.weights],
                              [b.copy() for b in self.biases])
-
-    def allclose(self, other, rtol=0.0, atol=0.0) -> bool:
-        return all(np.allclose(a, b, rtol=rtol, atol=atol)
-                   for a, b in zip(self.weights + self.biases,
-                                   other.weights + other.biases))
 
 
 @dataclass
@@ -168,43 +161,23 @@ class MomentumSGD:
 
 
 def save_params(path, params: EncoderParams):
-    with open(path, "wb") as fh:
-        fh.write(MODEL_MAGIC)
-        fh.write(struct.pack("<I", params.num_layers))
-        for w, b in zip(params.weights, params.biases):
-            rows, cols = w.shape
-            fh.write(struct.pack("<II", rows, cols))
-            fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
+    parts = [(params.num_layers,)]
+    for w, b in zip(params.weights, params.biases):
+        parts += [w.shape, np.asarray(w, dtype="<f8"), np.asarray(b, dtype="<f8")]
+    write_binary(path, MODEL_MAGIC, *parts)
 
 
 def load_params(path) -> EncoderParams:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 12 or blob[:8] != MODEL_MAGIC:
-        raise FormatError(f"{path}: missing or malformed model-file magic")
-    (n_layers,) = struct.unpack_from("<I", blob, 8)
-    offset = 12
     weights, biases = [], []
-    for i in range(n_layers):
-        if offset + 8 > len(blob):
-            raise FormatError(f"{path}: truncated layer header")
-        rows, cols = struct.unpack_from("<II", blob, offset)
-        offset += 8
-        if weights and cols != weights[-1].shape[0]:
-            raise FormatError(f"{path}: layer {i} takes {cols} inputs but layer {i - 1} "
-                              f"gives {weights[-1].shape[0]}")
-        need = 8 * rows * cols + 8 * rows
-        if offset + need > len(blob):
-            raise FormatError(f"{path}: truncated layer payload")
-        w = np.frombuffer(blob, dtype="<f8", count=rows * cols, offset=offset)
-        offset += 8 * rows * cols
-        b = np.frombuffer(blob, dtype="<f8", count=rows, offset=offset)
-        offset += 8 * rows
-        weights.append(w.reshape(rows, cols).astype(np.float64))
-        biases.append(b.astype(np.float64))
-    if offset != len(blob):
-        raise FormatError(f"{path}: trailing bytes after last layer")
+    with BinaryReader(path, MODEL_MAGIC, "model") as r:
+        (n_layers,) = r.header(1)
+        for i in range(n_layers):
+            rows, cols = r.header(2)
+            if weights and cols != weights[-1].shape[0]:
+                raise FormatError(f"{path}: layer {i} takes {cols} inputs but layer {i - 1} "
+                                  f"gives {weights[-1].shape[0]}")
+            weights.append(r.array("<f8", (rows, cols)).astype(np.float64))
+            biases.append(r.array("<f8", (rows,)).astype(np.float64))
     if len(weights) < 2:
         raise FormatError(f"{path}: model must have at least semantic and hash layers")
     return EncoderParams(weights=weights, biases=biases)

@@ -48,7 +48,6 @@ class LabelSupervision:
 
     r_l: np.ndarray      # n x semantic_dim
     omega_l: np.ndarray  # n x k_half
-    epoch: int
 
 
 @dataclass
@@ -197,6 +196,6 @@ def train_labelnet(params: EncoderParams, head: ClassifierHead, dataset: Dataset
         epoch_losses.append(total)
 
     outs = forward(params, labels_f)
-    supervision = LabelSupervision(r_l=outs.r, omega_l=outs.u, epoch=epochs)
+    supervision = LabelSupervision(r_l=outs.r, omega_l=outs.u)
     return supervision, epoch_losses
 

@@ -7,7 +7,6 @@ ascending-index order from the search module. ``evaluate`` ranks each
 query once and derives every metric from that one ranking.
 """
 
-import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -137,12 +136,3 @@ def pr_curve(queries: PackedCodes, db: PackedCodes, judge: RelevanceJudge,
 def precision_at_n(queries: PackedCodes, db: PackedCodes, judge: RelevanceJudge,
                    n_list) -> list:
     return evaluate(queries, db, judge, map_r=1, n_list=n_list).pn
-
-
-def write_metrics_csv(path, rows):
-    """Long-form CSV: metric, k_total, value, grid (grid empty for scalars)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "k_total", "value", "grid"])
-        for row in rows:
-            writer.writerow(row)

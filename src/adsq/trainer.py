@@ -9,9 +9,8 @@ clamped at the last point. In the symmetric variant a single image
 network backs both halves of the final code.
 """
 
-import csv
 import os
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -21,6 +20,7 @@ from .config import HyperParams, Variant, parse_variant, variant_loss_mask
 from .data import Dataset, validate_dataset
 from .encoder import MomentumSGD, forward, init_params, save_params
 from .errors import DataError, TrainingError
+from .fileio import write_csv
 from .imgnet import full_objective, wstep_epoch
 from .labelnet import init_head, labelnet_loss, train_labelnet
 
@@ -189,15 +189,6 @@ def train(dataset: Dataset, hp: HyperParams, variant=None) -> TrainState:
     return state
 
 
-def write_training_log(path, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["round", "phase", "loss_total", "j1", "j2", "j3", "j4", "asym"])
-        for r in rows:
-            writer.writerow([r.round, r.phase, repr(r.loss_total), repr(r.j1),
-                             repr(r.j2), repr(r.j3), repr(r.j4), repr(r.asym)])
-
-
 def save_run(state: TrainState, outdir, hp: HyperParams) -> list:
     """Write model files, per-network training codes, and the log CSV.
     Returns the list of paths written."""
@@ -213,6 +204,6 @@ def save_run(state: TrainState, outdir, hp: HyperParams) -> list:
         write_codes(path, pack(codes.codes))
         paths.append(path)
     log_path = os.path.join(outdir, LOG_FILE)
-    write_training_log(log_path, state.log_rows)
+    write_csv(log_path, [f.name for f in fields(LogRow)], map(astuple, state.log_rows))
     paths.append(log_path)
     return paths

@@ -213,6 +213,13 @@ class TestWordScan:
             PackedCodes(n=4, k_total=16, payload=payload)
 
 
+    def test_nonzero_padding_bits_rejected(self):
+        # both rows read ++++ in 4 bits; the second has its 4 padding bits set
+        payload = np.array([[0b11110000], [0b11111111]], dtype=np.uint8)
+        with pytest.raises(ValueError, match="padding"):
+            PackedCodes(n=2, k_total=4, payload=payload)
+
+
 class TestCodesFile:
     def test_round_trip(self, tmp_path):
         packed = pack(random_codes(4, 10, 11))

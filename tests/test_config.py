@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -30,6 +31,10 @@ def test_unknown_key_named_in_error():
     {"lr_min": 0.0},
     {"lr_min": 1e-2, "lr_max": 1e-5},
     {"t_label": -1},
+    {"momentum": float("nan")},
+    {"momentum": 1.5},
+    {"weight_decay": -1.0},
+    {"lr_max": float("inf")},
 ])
 def test_invariant_violations_rejected(bad):
     with pytest.raises(ConfigError):
@@ -71,3 +76,34 @@ def test_to_dict_round_trips():
     hp = HyperParams(k_half=4, variant="sym", encoder_hidden=(8, 4))
     again = make_hyperparams(hp.to_dict())
     assert again == hp
+
+
+def test_momentum_zero_and_weight_decay_zero_are_valid():
+    hp = make_hyperparams({"momentum": "0", "weight_decay": "0"})
+    assert (hp.momentum, hp.weight_decay) == (0.0, 0.0)
+
+
+def set_string(value) -> str:
+    """The ``--set KEY=VALUE`` text of a config value."""
+    if isinstance(value, tuple):
+        return ",".join(map(str, value))
+    if isinstance(value, Variant):
+        return value.value
+    return str(value)
+
+
+# every field away from its default, so that an ignored key would show
+CHANGED = HyperParams(alpha=2.0, beta=0.5, gamma=0.25, delta=3.0, nu=1.5, eta=0.75,
+                      k_half=12, lr_min=2e-5, lr_max=3e-3, lr_steps=4, t_label=7, t_img=5,
+                      outer_rounds=9, batch_size=16, momentum=0.5, weight_decay=1e-3,
+                      seed=11, encoder_hidden=(16, 8), semantic_dim=24,
+                      variant=Variant.NO_SEM, j3_literal=True, refresh_labelnet=False)
+
+
+@pytest.mark.parametrize("field", dataclasses.fields(HyperParams), ids=lambda f: f.name)
+def test_every_field_round_trips_from_its_set_string(field):
+    value = getattr(CHANGED, field.name)
+    assert value != field.default
+    got = make_hyperparams({field.name: set_string(value)})
+    assert getattr(got, field.name) == value
+    assert type(getattr(got, field.name)) is type(value)

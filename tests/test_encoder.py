@@ -5,6 +5,7 @@ from adsq.encoder import (EncoderParams, MomentumSGD, backward, forward, init_pa
                           load_params, save_params)
 from adsq.errors import ConfigError, FormatError, TrainingError
 from fdcheck import TOL, fd_grad, max_rel_error
+from netparams import same_params
 
 
 def probe_loss(params, x, coef_r, coef_v):
@@ -132,7 +133,7 @@ class TestSgd:
         p = init_params([3, 4, 2], seed=1)
         before = p.copy()
         self._step(p, 0.0, lr=0.5, momentum=0.9)
-        assert p.allclose(before)
+        assert same_params(p, before)
 
     def test_two_momentum_steps_displace_2_9g(self):
         # v1 = g, v2 = 0.9 g + g; total displacement 2.9 g at lr = 1

@@ -17,3 +17,44 @@ def test_library_has_no_assert_statements():
                                             filename=str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+# calls that open a path for writing without taking an ``open`` mode
+PATH_WRITERS = {"tofile", "write_bytes", "write_text", "save", "savez", "savez_compressed",
+                "savetxt"}
+
+
+def _writes_or_imports_struct(path):
+    """Lines of ``path`` that import ``struct`` or open a file for writing:
+    an ``open`` whose mode is not a literal read-only mode, or a numpy /
+    pathlib call that writes a path itself."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.Import):
+            bad = any(a.name.split(".")[0] == "struct" for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            bad = (node.module or "").split(".")[0] == "struct"
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name == "open":
+                mode = node.args[1] if len(node.args) > 1 else next(
+                    (k.value for k in node.keywords if k.arg == "mode"), ast.Constant("r"))
+                bad = not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                           and not set(mode.value) & set("wax+"))
+            else:
+                bad = name in PATH_WRITERS
+        else:
+            bad = False
+        if bad:
+            found.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    return found
+
+
+def test_only_the_file_container_writes_files_or_packs_structs():
+    """Every write goes through ``adsq.fileio`` so that it is atomic, and
+    every binary layout is laid out and checked there alone."""
+    container = SRC / "fileio.py"
+    assert _writes_or_imports_struct(container), "the scan no longer sees the container's writes"
+    found = [line for path in sorted(SRC.rglob("*.py")) if path != container
+             for line in _writes_or_imports_struct(path)]
+    assert found == []

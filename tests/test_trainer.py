@@ -11,9 +11,9 @@ from adsq.encoder import forward, init_params
 from adsq.errors import DataError, TrainingError
 from adsq.labelnet import init_head
 from adsq.synth import SynthSpec, generate
-from adsq.trainer import (_label_breakdown_row, convergence_check, save_run, subseed,
-                          train, write_training_log)
+from adsq.trainer import _label_breakdown_row, convergence_check, save_run, subseed, train
 from labelsets import LABEL_SET_NAMES, hand_label_sets
+from netparams import same_params
 
 TINY = dict(k_half=4, encoder_hidden=(8,), semantic_dim=6, batch_size=8,
             t_label=4, t_img=2, outer_rounds=2, seed=3)
@@ -78,11 +78,11 @@ class TestTrainLoop:
         ds = tiny_data[0]
         dims = [ds.dim, *hp.encoder_hidden, hp.semantic_dim, hp.k_half]
         fresh_x = init_params(dims, subseed(hp.seed, 2))
-        assert state.imgx_params.allclose(fresh_x)
+        assert same_params(state.imgx_params, fresh_x)
         # label net did train
         fresh_label = init_params([ds.num_classes, *hp.encoder_hidden,
                                    hp.semantic_dim, hp.k_half], subseed(hp.seed, 0))
-        assert not state.label_params.allclose(fresh_label)
+        assert not same_params(state.label_params, fresh_label)
 
     def test_bitwise_reproducible(self, tiny_data):
         s1, _ = run_tiny(tiny_data)
@@ -106,7 +106,7 @@ class TestTrainLoop:
 
     def test_asymmetric_networks_differ(self, tiny_data):
         state, _ = run_tiny(tiny_data)
-        assert not state.imgx_params.allclose(state.imgy_params)
+        assert not same_params(state.imgx_params, state.imgy_params)
 
     def test_codes_stay_sign_valued(self, tiny_data):
         state, _ = run_tiny(tiny_data)
@@ -236,8 +236,7 @@ def test_save_run_writes_expected_files(tmp_path, tiny_data):
 
 
 def test_training_log_columns(tmp_path, tiny_data):
-    state, _ = run_tiny(tiny_data)
-    path = tmp_path / "log.csv"
-    write_training_log(path, state.log_rows)
-    header = path.read_text().splitlines()[0]
+    state, hp = run_tiny(tiny_data)
+    save_run(state, tmp_path, hp)
+    header = (tmp_path / "train_log.csv").read_text().splitlines()[0]
     assert header == "round,phase,loss_total,j1,j2,j3,j4,asym"
