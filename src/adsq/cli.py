@@ -106,7 +106,7 @@ def cmd_train(args) -> int:
     t_load = time.perf_counter()
     state = train(dataset, hp)
     t_train = time.perf_counter()
-    written = save_run(state, args.out, hp)
+    written = save_run(state, args.out)
     _write_manifest(os.path.join(args.out, "manifest.json"), "train",
                     hp.to_dict(), {"seed": hp.seed},
                     [args.features, args.labels], written,
@@ -124,7 +124,8 @@ def cmd_encode(args) -> int:
         raise AdsqError(f"{args.features}: no rows to encode")
     codes = encode_matrix(features, imgx, imgy)
     write_codes(args.out, pack(codes))
-    _write_manifest(args.out + ".manifest.json", "encode", {"model": args.model},
+    _write_manifest(args.out + ".manifest.json", "encode",
+                    {"model": os.path.basename(os.path.normpath(args.model))},
                     {}, [args.features,
                          os.path.join(args.model, "imgx.net"),
                          os.path.join(args.model, "imgy.net")],

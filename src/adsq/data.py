@@ -124,9 +124,11 @@ def write_features(path, features):
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"feature matrix must be 2-D, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise DataError("refusing to write non-finite feature values")
-    write_binary(path, FEATURE_MAGIC, x.shape, x.astype("<f4"))
+    with np.errstate(over="ignore"):
+        x32 = x.astype("<f4")
+    if not np.all(np.isfinite(x32)):
+        raise DataError("refusing to write feature values that are not finite in float32")
+    write_binary(path, FEATURE_MAGIC, x.shape, x32)
 
 
 def load_features(path) -> np.ndarray:

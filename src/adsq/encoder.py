@@ -44,11 +44,13 @@ class EncoderParams:
 @dataclass
 class NetOutputs:
     """Per-item activations: semantic features r, hash pre-activations v,
-    and binary-like codes u = tanh(v)."""
+    binary-like codes u = tanh(v), and (for backward() only) the input and
+    each rectifier output."""
 
     r: np.ndarray
     v: np.ndarray
     u: np.ndarray
+    hidden: list | None = None
 
 
 @dataclass
@@ -81,7 +83,7 @@ def init_params(dims, seed) -> EncoderParams:
 
 
 def _forward_trace(params: EncoderParams, x: np.ndarray):
-    """Hidden activations plus (r, v); kept private for backward()."""
+    """Hidden activations plus (r, v)."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.in_dim:
         raise ValueError(
@@ -96,14 +98,18 @@ def _forward_trace(params: EncoderParams, x: np.ndarray):
     return hidden, r, v
 
 
-def forward(params: EncoderParams, x) -> NetOutputs:
-    _, r, v = _forward_trace(params, x)
-    return NetOutputs(r=r, v=v, u=np.tanh(v))
-
-
-def backward(params: EncoderParams, x, upstream_r, upstream_v) -> EncoderGrads:
-    """Exact reverse-mode parameter gradients for the two injected upstreams."""
+def forward(params: EncoderParams, x, keep_hidden: bool = False) -> NetOutputs:
     hidden, r, v = _forward_trace(params, x)
+    return NetOutputs(r=r, v=v, u=np.tanh(v), hidden=hidden if keep_hidden else None)
+
+
+def backward(params: EncoderParams, outs: NetOutputs, upstream_r, upstream_v) -> EncoderGrads:
+    """Exact reverse-mode parameter gradients for the two injected upstreams,
+    from the activations of ``forward(params, x, keep_hidden=True)``; the
+    forward pass is never recomputed."""
+    hidden, r, v = outs.hidden, outs.r, outs.v
+    if hidden is None:
+        raise ValueError("backward needs the outputs of forward(..., keep_hidden=True)")
     upstream_r = np.asarray(upstream_r, dtype=np.float64)
     upstream_v = np.asarray(upstream_v, dtype=np.float64)
     if upstream_r.shape != r.shape:

@@ -20,10 +20,10 @@ import numpy as np
 from .bstep import CodeMatrix
 from .config import HyperParams, TermMask, variant_loss_mask
 from .data import Dataset, LabelPatterns
-from .encoder import EncoderParams, MomentumSGD, backward, forward
+from .encoder import EncoderParams, MomentumSGD, NetOutputs, backward, forward
 from .errors import TrainingError
-from .labelnet import LabelSupervision, iter_batches, pairwise_nll
-from .numerics import check_finite, sigmoid_stable, softplus_stable
+from .labelnet import LabelSupervision, iter_batches, pair_residual, pairwise_nll
+from .numerics import check_finite, softplus_stable
 
 
 @dataclass
@@ -99,30 +99,29 @@ def imgnet_loss(ctx: ImgBatchContext, hp: HyperParams, variant="full") -> ImgLos
 
 
 def imgnet_grads(ctx: ImgBatchContext, hp: HyperParams, variant="full"):
-    """Exact gradients of imgnet_loss w.r.t. the hash pre-activations and
-    the semantic outputs: returns (g_r, g_v)."""
+    """Exact gradients of imgnet_loss w.r.t. the semantic outputs and the
+    hash pre-activations: returns (g_r, g_v). The loss itself is never
+    evaluated; non-finite pair logits raise TrainingError naming the term."""
     mask = variant if isinstance(variant, TermMask) else variant_loss_mask(variant)
     k = ctx.u.shape[1]
+
+    g_r = np.zeros_like(ctx.r_img)
+    if mask.sem_pair:
+        g_lam = pair_residual(ctx.r_sup, ctx.r_img, ctx.sim_binary, "sem_pair")
+        g_r = mask.sem_pair * hp.alpha * 0.5 * (g_lam.T @ ctx.r_sup)
 
     g_u = np.zeros_like(ctx.u)
     if mask.asym:
         fit = ctx.u @ ctx.codes.T - k * ctx.sim_signed
         g_u += mask.asym * 2.0 * (fit @ ctx.codes)
     if mask.code_pair:
-        g_theta = sigmoid_stable(0.5 * (ctx.w_sup @ ctx.u.T)) - ctx.sim_binary
-        np.fill_diagonal(g_theta, 0.0)
+        g_theta = pair_residual(ctx.w_sup, ctx.u, ctx.sim_binary, "code_pair")
         g_u += mask.code_pair * hp.beta * 0.5 * (g_theta.T @ ctx.w_sup)
     if mask.quant:
         g_u += mask.quant * 2.0 * hp.eta * (ctx.u - ctx.codes)
     if mask.balance:
         g_u += mask.balance * 2.0 * hp.nu * ctx.u.sum(axis=0)
     g_v = g_u * (1.0 - ctx.u**2)
-
-    g_r = np.zeros_like(ctx.r_img)
-    if mask.sem_pair:
-        g_lam = sigmoid_stable(0.5 * (ctx.r_sup @ ctx.r_img.T)) - ctx.sim_binary
-        np.fill_diagonal(g_lam, 0.0)
-        g_r = mask.sem_pair * hp.alpha * 0.5 * (g_lam.T @ ctx.r_sup)
 
     for name, g in (("v", g_v), ("r", g_r)):
         if not np.all(np.isfinite(g)):
@@ -132,34 +131,29 @@ def imgnet_grads(ctx: ImgBatchContext, hp: HyperParams, variant="full"):
 
 def wstep_epoch(params: EncoderParams, dataset: Dataset, code_matrix: CodeMatrix,
                 sup: LabelSupervision, hp: HyperParams, variant, *, lr: float, rng,
-                optimizer: MomentumSGD | None = None) -> float:
-    """One epoch of weight updates with the discrete codes held fixed.
-
-    Mutates ``params`` in place; returns the summed batch losses."""
-    if optimizer is None:
-        optimizer = MomentumSGD(params.weights + params.biases, hp.momentum, hp.weight_decay)
-    total = 0.0
+                optimizer: MomentumSGD) -> None:
+    """One epoch of weight updates with the discrete codes held fixed: per
+    step one forward pass and the gradients of imgnet_loss, no loss value.
+    Mutates ``params`` and ``optimizer`` in place."""
     for batch in iter_batches(dataset.n, hp.batch_size, rng):
-        x = dataset.features[batch]
-        outs = forward(params, x)
+        outs = forward(params, dataset.features[batch], keep_hidden=True)
         ctx = make_context(batch, outs, sup, code_matrix, dataset.patterns)
-        total += imgnet_loss(ctx, hp, variant).total
         g_r, g_v = imgnet_grads(ctx, hp, variant)
-        net_grads = backward(params, x, g_r, g_v)
+        net_grads = backward(params, outs, g_r, g_v)
         optimizer.step(params.weights + params.biases,
                        net_grads.weights + net_grads.biases, lr)
-    return total
 
 
-def full_objective(params: EncoderParams, dataset: Dataset, code_matrix: CodeMatrix,
+def full_objective(outs: NetOutputs, dataset: Dataset, code_matrix: CodeMatrix,
                    sup: LabelSupervision, hp: HyperParams, variant) -> ImgLossBreakdown:
-    """Whole-training-set objective (a single batch spanning every item).
+    """Whole-training-set objective (a single batch spanning every item) of
+    the network whose full-set outputs are ``outs``; one forward pass serves
+    every call made with the same weights.
 
     The similarity enters only through per-pattern sums of the dataset's
     label patterns: sum_ij s_ij x_i.y_j = <S_pat, X_pat Y_pat^T>. Only the
     softplus part of the pairwise likelihoods stays dense (n x n)."""
     pat = dataset.patterns
-    outs = forward(params, dataset.features)
     u, codes = outs.u, code_matrix.codes
     n, k = codes.shape
 

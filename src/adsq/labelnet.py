@@ -84,6 +84,15 @@ def pairwise_nll(logits, sim_binary, counts=None):
     return float((weights * per_pair).sum())
 
 
+def pair_residual(a, b, sim_binary, what):
+    """sigma(theta) - s for the pair logits theta = 0.5 a b^T, zero on the
+    diagonal: the upstream of a pairwise likelihood term. Non-finite
+    logits raise TrainingError naming ``what``."""
+    g = sigmoid_stable(check_finite(0.5 * (a @ b.T), f"{what} logits")) - sim_binary
+    np.fill_diagonal(g, 0.0)
+    return g
+
+
 def binary_reg_value(omega, literal: bool, counts=None) -> float:
     """Per-item L1 distance of codes from the discrete target set, row a
     counted ``counts[a]`` times when given."""
@@ -118,7 +127,8 @@ def labelnet_loss(outs: NetOutputs, head: ClassifierHead, sim_binary, labels,
 
 def labelnet_grad(outs: NetOutputs, head: ClassifierHead, sim_binary, labels,
                   hp: HyperParams) -> LabelGrads:
-    """Exact gradients of the label loss w.r.t. r rows, code rows, and head.
+    """Exact gradients of the label loss w.r.t. r rows, code rows, and head;
+    the loss itself is never evaluated here.
 
     The binary regularizer uses the subgradient convention that its slope
     is 0 exactly at |entry| = 1 (and at 0 in the literal form's kink).
@@ -127,13 +137,9 @@ def labelnet_grad(outs: NetOutputs, head: ClassifierHead, sim_binary, labels,
     m = r.shape[0]
     s = np.asarray(sim_binary, dtype=np.float64)
 
-    g_lam = sigmoid_stable(0.5 * (r @ r.T)) - s
-    np.fill_diagonal(g_lam, 0.0)
-    g_r = hp.alpha * (g_lam @ r)  # symmetric pair matrix: both slots fold into one product
-
-    g_theta = sigmoid_stable(0.5 * (omega @ omega.T)) - s
-    np.fill_diagonal(g_theta, 0.0)
-    g_omega = hp.beta * (g_theta @ omega)
+    # symmetric pair matrices: both slots fold into one product
+    g_r = hp.alpha * (pair_residual(r, r, s, "sem_pair") @ r)
+    g_omega = hp.beta * (pair_residual(omega, omega, s, "code_pair") @ omega)
 
     if hp.j3_literal:
         reg_slope = np.sign(omega - 1.0)
@@ -163,39 +169,25 @@ def iter_batches(n, batch_size, rng):
 
 
 def train_labelnet(params: EncoderParams, head: ClassifierHead, dataset: Dataset,
-                   hp: HyperParams, *, epochs: int, lr: float,
-                   rng, opt_net: MomentumSGD | None = None,
-                   opt_head: MomentumSGD | None = None):
-    """Run ``epochs`` of minibatch SGD, then cache supervision from the
-    final parameters over the full training set.
-
-    Mutates ``params`` and ``head`` in place; returns
-    (LabelSupervision, per-epoch loss totals).
-    """
+                   hp: HyperParams, *, epochs: int, lr: float, rng,
+                   opt_net: MomentumSGD, opt_head: MomentumSGD) -> LabelSupervision:
+    """Run ``epochs`` of minibatch SGD (per step one forward pass, the loss
+    gradients, no loss value), then return the supervision cached from the
+    final parameters over the full training set. Mutates ``params``,
+    ``head`` and the optimizers in place."""
     labels_f = dataset.labels.astype(np.float64)
-    if opt_net is None:
-        opt_net = MomentumSGD(params.weights + params.biases, hp.momentum, hp.weight_decay)
-    if opt_head is None:
-        opt_head = MomentumSGD([head.weight, head.bias], hp.momentum, hp.weight_decay)
-
-    epoch_losses = []
     for _ in range(epochs):
-        total = 0.0
         for batch in iter_batches(dataset.n, hp.batch_size, rng):
             x = labels_f[batch]
             s_bin = dataset.patterns.block(batch)
-            outs = forward(params, x)
-            total += labelnet_loss(outs, head, s_bin, x, hp).total
+            outs = forward(params, x, keep_hidden=True)
             grads = labelnet_grad(outs, head, s_bin, x, hp)
             upstream_v = grads.omega * (1.0 - outs.u**2)
-            net_grads = backward(params, x, grads.r, upstream_v)
+            net_grads = backward(params, outs, grads.r, upstream_v)
             opt_net.step(params.weights + params.biases,
                          net_grads.weights + net_grads.biases, lr)
             opt_head.step([head.weight, head.bias],
                           [grads.head_weight, grads.head_bias], lr)
-        epoch_losses.append(total)
 
     outs = forward(params, labels_f)
-    supervision = LabelSupervision(r_l=outs.r, omega_l=outs.u)
-    return supervision, epoch_losses
-
+    return LabelSupervision(r_l=outs.r, omega_l=outs.u)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .bstep import CodeMatrix, bstep_sweep
 from .codes import pack, quantize_sign, write_codes
-from .config import HyperParams, Variant, parse_variant, variant_loss_mask
+from .config import HyperParams, Variant, variant_loss_mask
 from .data import Dataset, validate_dataset
 from .encoder import MomentumSGD, forward, init_params, save_params
 from .errors import DataError, TrainingError
@@ -97,9 +97,9 @@ def _label_breakdown_row(rnd, dataset, params, head, hp) -> LogRow:
                   bd.binary_reg, bd.classify, 0.0)
 
 
-def train(dataset: Dataset, hp: HyperParams, variant=None) -> TrainState:
+def train(dataset: Dataset, hp: HyperParams) -> TrainState:
     """Run the full alternating procedure; see the module docstring."""
-    variant = parse_variant(variant if variant is not None else hp.variant)
+    variant = hp.variant
     mask = variant_loss_mask(variant)
     symmetric = variant is Variant.SYMMETRIC
 
@@ -139,13 +139,13 @@ def train(dataset: Dataset, hp: HyperParams, variant=None) -> TrainState:
             raise TrainingError(f"round {rnd}, phase {phase}: {exc}") from exc
 
     def label_phase(rnd, lr):
-        state.supervision, _ = train_labelnet(label_params, head, dataset, hp,
-                                              epochs=hp.t_label, lr=lr, rng=label_rng,
-                                              opt_net=opt_label, opt_head=opt_head)
+        state.supervision = train_labelnet(label_params, head, dataset, hp,
+                                           epochs=hp.t_label, lr=lr, rng=label_rng,
+                                           opt_net=opt_label, opt_head=opt_head)
         state.log_rows.append(_label_breakdown_row(rnd, dataset, label_params, head, hp))
 
-    def img_row(rnd, phase, params, codes) -> LogRow:
-        bd = full_objective(params, dataset, codes, state.supervision, hp, mask)
+    def img_row(rnd, phase, outs, codes) -> LogRow:
+        bd = full_objective(outs, dataset, codes, state.supervision, hp, mask)
         row = LogRow(rnd, phase, bd.total, bd.sem_pair, bd.code_pair,
                      bd.quant, bd.balance, bd.asym)
         state.log_rows.append(row)
@@ -155,12 +155,13 @@ def train(dataset: Dataset, hp: HyperParams, variant=None) -> TrainState:
         for _ in range(hp.t_img):
             wstep_epoch(params, dataset, codes, state.supervision, hp, mask,
                         lr=lr, rng=rng, optimizer=opt)
-        img_row(rnd, f"wstep_{tag}", params, codes)
+        outs = forward(params, dataset.features)
+        img_row(rnd, f"wstep_{tag}", outs, codes)
+        return outs
 
-    def bstep(rnd, tag, params, codes) -> float:
-        u_full = forward(params, dataset.features).u
-        bstep_sweep(codes, u_full, dataset.patterns, hp, sweeps=1)
-        return img_row(rnd, f"bstep_{tag}", params, codes).loss_total
+    def bstep(rnd, tag, outs, codes) -> float:
+        bstep_sweep(codes, outs.u, dataset.patterns, hp, sweeps=1)
+        return img_row(rnd, f"bstep_{tag}", outs, codes).loss_total
 
     run_phase(0, "label", label_phase, 0, hp.lr_for_round(0))
 
@@ -177,11 +178,12 @@ def train(dataset: Dataset, hp: HyperParams, variant=None) -> TrainState:
         lr = hp.lr_for_round(rnd)
         if rnd > 0 and hp.refresh_labelnet:
             run_phase(rnd, "label", label_phase, rnd, lr)
-        for tag, params, codes, opt, rng in nets:
-            run_phase(rnd, f"wstep_{tag}", wstep, rnd, lr, tag, params, codes, opt, rng)
-        # each bstep row is the full objective of its network after the round
-        totals = [run_phase(rnd, f"bstep_{tag}", bstep, rnd, tag, params, codes)
-                  for tag, params, codes, _, _ in nets]
+        full = [run_phase(rnd, f"wstep_{tag}", wstep, rnd, lr, tag, params, codes, opt, rng)
+                for tag, params, codes, opt, rng in nets]
+        # one full-set forward per network and round serves its wstep row, its
+        # B-step and its bstep row: the weights do not move in between
+        totals = [run_phase(rnd, f"bstep_{tag}", bstep, rnd, tag, outs, codes)
+                  for (tag, _, codes, _, _), outs in zip(nets, full)]
         state.history.append(sum(totals))
         state.rounds_run = rnd + 1
         if convergence_check(state.history):
@@ -189,7 +191,7 @@ def train(dataset: Dataset, hp: HyperParams, variant=None) -> TrainState:
     return state
 
 
-def save_run(state: TrainState, outdir, hp: HyperParams) -> list:
+def save_run(state: TrainState, outdir) -> list:
     """Write model files, per-network training codes, and the log CSV.
     Returns the list of paths written."""
     os.makedirs(outdir, exist_ok=True)

@@ -318,11 +318,10 @@ def test_criterion_8_determinism(fixture_runs, tmp_path):
     """Two identically configured runs write bit-identical model and code
     files."""
     state_a, _, _ = fixture_runs[("full", 7)]
-    hp = HyperParams(seed=7, **FIXTURE_HP)
     state_b, _, _ = run_fixture("full", 7)
     dir_a, dir_b = tmp_path / "a", tmp_path / "b"
-    paths_a = save_run(state_a, dir_a, hp)
-    paths_b = save_run(state_b, dir_b, hp)
+    paths_a = save_run(state_a, dir_a)
+    paths_b = save_run(state_b, dir_b)
     binary = [p for p in map(str, paths_a) if not p.endswith(".csv")]
     identical = all((dir_a / name).read_bytes() == (dir_b / name).read_bytes()
                     for name in (p.rsplit("/", 1)[-1] for p in binary))

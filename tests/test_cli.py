@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -133,6 +134,22 @@ class TestEncode:
                      "--features", str(data / "train.adsqf"),
                      "--out", str(out)]) == 0
         assert out.read_bytes() == (root / "db.adsqb").read_bytes()
+
+    def test_manifest_independent_of_run_directory(self, tmp_path, workspace):
+        """The same encode run from two directories records the same
+        manifest: every path in it is keyed by base name."""
+        _, data, model = workspace
+        manifests = []
+        for run in ("a", "b"):
+            shutil.copytree(model, tmp_path / run / "model")
+            assert main(["encode", "--model", str(tmp_path / run / "model"),
+                         "--features", str(data / "query.adsqf"),
+                         "--out", str(tmp_path / run / "q.adsqb")]) == 0
+            manifest = json.loads((tmp_path / run / "q.adsqb.manifest.json").read_text())
+            del manifest["timings_s"]
+            manifests.append(manifest)
+        assert manifests[0] == manifests[1]
+        assert manifests[0]["config"] == {"model": "model"}
 
     def test_missing_feature_file_fails(self, tmp_path, workspace, capsys):
         _, _, model = workspace

@@ -53,6 +53,14 @@ def test_feature_truncated_payload(tmp_path):
         load_features(path)
 
 
+def test_feature_beyond_float32_rejected_before_writing(tmp_path):
+    """1e39 is finite as a double but inf as float32, the stored width:
+    it must be refused, leaving neither the file nor a temp file."""
+    with pytest.raises(DataError):
+        write_features(tmp_path / "big.adsqf", np.array([[1e39, 0.0]]))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_feature_nan_rejected(tmp_path):
     path = tmp_path / "nan.adsqf"
     blob = FEATURE_MAGIC + np.array([1, 2], dtype="<u4").tobytes()

@@ -72,7 +72,7 @@ class TestBackward:
     def test_zero_upstream_zero_grads(self):
         p = init_params([3, 4, 4, 2], seed=5)
         x = np.random.default_rng(3).normal(size=(6, 3))
-        g = backward(p, x, np.zeros((6, 4)), np.zeros((6, 2)))
+        g = backward(p, forward(p, x, keep_hidden=True), np.zeros((6, 4)), np.zeros((6, 2)))
         assert all(np.all(a == 0) for a in g.weights + g.biases)
 
     @pytest.mark.parametrize("seed", range(20))
@@ -89,7 +89,7 @@ class TestBackward:
         x = rng.normal(size=(5, 3))
         coef_r = rng.normal(size=(5, 4))
         coef_v = rng.normal(size=(5, 2))
-        analytic = backward(p, x, coef_r, coef_v)
+        analytic = backward(p, forward(p, x, keep_hidden=True), coef_r, coef_v)
         for li in range(p.num_layers):
             for arr, ga in ((p.weights[li], analytic.weights[li]),
                             (p.biases[li], analytic.biases[li])):
@@ -103,16 +103,25 @@ class TestBackward:
         rng = np.random.default_rng(7)
         x = rng.normal(size=(6, 3))
         up_r = rng.normal(size=(6, 4))
-        g = backward(p, x, up_r, np.zeros((6, 2)))
+        g = backward(p, forward(p, x, keep_hidden=True), up_r, np.zeros((6, 2)))
         np.testing.assert_allclose(g.weights[0], up_r.T @ x, rtol=1e-12)
         np.testing.assert_allclose(g.biases[0], up_r.sum(axis=0), rtol=1e-12)
         assert np.all(g.weights[1] == 0)
 
+    def test_needs_kept_hidden_activations(self):
+        """A plain forward keeps no hidden activations, so it cannot feed
+        backward."""
+        p = init_params([3, 4, 2], seed=0)
+        outs = forward(p, np.zeros((2, 3)))
+        assert outs.hidden is None
+        with pytest.raises(ValueError, match="keep_hidden"):
+            backward(p, outs, np.zeros((2, 4)), np.zeros((2, 2)))
+
     def test_upstream_shape_mismatch(self):
         p = init_params([3, 4, 2], seed=0)
-        x = np.zeros((2, 3))
+        outs = forward(p, np.zeros((2, 3)), keep_hidden=True)
         with pytest.raises(ValueError):
-            backward(p, x, np.zeros((2, 3)), np.zeros((2, 2)))
+            backward(p, outs, np.zeros((2, 3)), np.zeros((2, 2)))
 
 
 class TestSgd:

@@ -89,7 +89,7 @@ WRITERS = [
     ("manifest", "manifest.json",
      lambda d: cli._write_manifest(d / "manifest.json", "synth", {}, {}, [], [], {"t": 0.0}),
      ()),
-    ("train-log", "train_log.csv", lambda d: save_run(tiny_state(), d, None),
+    ("train-log", "train_log.csv", lambda d: save_run(tiny_state(), d),
      MODEL_FILES + CODE_FILES),
     ("metrics", "metrics.csv", run_eval,
      ("q.adsqb", "db.adsqb", "q.adsql", "db.adsql")),

@@ -205,23 +205,28 @@ def wstep_setup(seed=0, n=30, dim=6, k=3, sem=4):
     return ds, hp, params, sup, codes
 
 
+def sgd(params, hp):
+    return MomentumSGD(params.weights + params.biases, hp.momentum, hp.weight_decay)
+
+
 def test_zero_epochs_no_change():
     ds, hp, params, sup, codes = wstep_setup()
     before = params.copy()
     # no call at all is the 0-epoch case in the trainer; one epoch must move
     assert same_params(params, before)
     wstep_epoch(params, ds, codes, sup, hp, Variant.FULL,
-                lr=1e-5, rng=np.random.default_rng(0))
+                lr=1e-5, rng=np.random.default_rng(0), optimizer=sgd(params, hp))
     assert not same_params(params, before)
 
 
 def test_epoch_descends_full_objective():
     ds, hp, params, sup, codes = wstep_setup(1)
-    before = full_objective(params, ds, codes, sup, hp, Variant.FULL).total
-    opt = MomentumSGD(params.weights + params.biases, hp.momentum, hp.weight_decay)
+    before = full_objective(forward(params, ds.features), ds, codes, sup, hp,
+                            Variant.FULL).total
     wstep_epoch(params, ds, codes, sup, hp, Variant.FULL,
-                lr=1e-6, rng=np.random.default_rng(1), optimizer=opt)
-    after = full_objective(params, ds, codes, sup, hp, Variant.FULL).total
+                lr=1e-6, rng=np.random.default_rng(1), optimizer=sgd(params, hp))
+    after = full_objective(forward(params, ds.features), ds, codes, sup, hp,
+                           Variant.FULL).total
     assert after < before
 
 
@@ -230,7 +235,7 @@ def test_two_networks_diverge_with_different_seeds():
     params_y = init_params([ds.dim, 6, hp.semantic_dim, hp.k_half], seed=999)
     for params, rng_seed in ((params_x, 10), (params_y, 11)):
         wstep_epoch(params, ds, codes, sup, hp, Variant.FULL,
-                    lr=1e-5, rng=np.random.default_rng(rng_seed))
+                    lr=1e-5, rng=np.random.default_rng(rng_seed), optimizer=sgd(params, hp))
     ux = forward(params_x, ds.features).u
     uy = forward(params_y, ds.features).u
     assert not np.allclose(ux, uy)
@@ -282,7 +287,7 @@ def test_full_objective_matches_dense_reference(name, variant):
     sup = LabelSupervision(r_l=rng.normal(0, 1, (n, sem)),
                            omega_l=np.tanh(rng.normal(0, 1, (n, k))))
     codes = CodeMatrix(np.where(rng.random((n, k)) < 0.5, -1.0, 1.0))
-    got = full_objective(params, ds, codes, sup, hp, variant)
+    got = full_objective(forward(params, ds.features), ds, codes, sup, hp, variant)
     for term, want in dense_full_objective(params, ds, codes, sup, hp, variant).items():
         value = getattr(got, term)
         assert type(value) is float, term

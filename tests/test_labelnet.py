@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from adsq.config import HyperParams
-from adsq.data import Dataset
-from adsq.encoder import NetOutputs, init_params
+from adsq.data import Dataset, build_similarity
+from adsq.encoder import MomentumSGD, NetOutputs, forward, init_params
 from adsq.errors import TrainingError
 from adsq.labelnet import (ClassifierHead, binary_reg_value, init_head,
                            labelnet_grad, labelnet_loss, train_labelnet)
@@ -195,13 +195,24 @@ def phase_setup(seed=0):
     return ds, hp, params, head
 
 
+def run_phase(ds, hp, params, head, *, epochs, lr, seed):
+    return train_labelnet(
+        params, head, ds, hp, epochs=epochs, lr=lr, rng=np.random.default_rng(seed),
+        opt_net=MomentumSGD(params.weights + params.biases, hp.momentum, hp.weight_decay),
+        opt_head=MomentumSGD([head.weight, head.bias], hp.momentum, hp.weight_decay))
+
+
+def full_set_loss(ds, hp, params, head):
+    labels = ds.labels.astype(np.float64)
+    return labelnet_loss(forward(params, labels), head, build_similarity(labels),
+                         labels, hp).total
+
+
 def test_zero_epochs_leaves_params_and_still_caches():
     ds, hp, params, head = phase_setup()
     before = params.copy()
-    sup, losses = train_labelnet(params, head, ds, hp, epochs=0, lr=1e-3,
-                                 rng=np.random.default_rng(0))
+    sup = run_phase(ds, hp, params, head, epochs=0, lr=1e-3, seed=0)
     assert same_params(params, before)
-    assert losses == []
     assert sup.r_l.shape == (ds.n, SEM) and sup.omega_l.shape == (ds.n, K)
 
 
@@ -209,15 +220,17 @@ def test_fixed_seed_reproduces_trajectory():
     runs = []
     for _ in range(2):
         ds, hp, params, head = phase_setup(3)
-        _, losses = train_labelnet(params, head, ds, hp, epochs=5, lr=1e-4,
-                                   rng=np.random.default_rng(42))
-        runs.append(losses)
-    assert runs[0] == runs[1]
+        sup = run_phase(ds, hp, params, head, epochs=5, lr=1e-4, seed=42)
+        runs.append((params, head, sup))
+    (pa, ha, sa), (pb, hb, sb) = runs
+    assert same_params(pa, pb)
+    assert np.array_equal(ha.weight, hb.weight) and np.array_equal(ha.bias, hb.bias)
+    assert np.array_equal(sa.r_l, sb.r_l) and np.array_equal(sa.omega_l, sb.omega_l)
 
 
 def test_loss_descends_on_separable_toy():
     ds, hp, params, head = phase_setup(1)
-    _, losses = train_labelnet(params, head, ds, hp, epochs=50, lr=1e-4,
-                               rng=np.random.default_rng(7))
-    assert losses[-1] < losses[0]
+    before = full_set_loss(ds, hp, params, head)
+    run_phase(ds, hp, params, head, epochs=50, lr=1e-4, seed=7)
+    assert full_set_loss(ds, hp, params, head) < before
 

@@ -58,3 +58,28 @@ def test_only_the_file_container_writes_files_or_packs_structs():
     found = [line for path in sorted(SRC.rglob("*.py")) if path != container
              for line in _writes_or_imports_struct(path)]
     assert found == []
+
+
+def _unread_parameters(path):
+    """``name:line:param`` for each parameter of a function in ``path`` that
+    its body (nested functions included) never reads. Dunder protocol
+    methods take their parameters from the protocol and are exempt."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or \
+                (node.name.startswith("__") and node.name.endswith("__")):
+            continue
+        a = node.args
+        params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+                  if p is not None]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        found += [f"{path.relative_to(SRC)}:{node.lineno}:{node.name}({p})"
+                  for p in params if p not in read]
+    return found
+
+
+def test_every_parameter_is_read():
+    """A parameter no body reads misleads every caller that fills it in."""
+    found = [line for path in sorted(SRC.rglob("*.py")) for line in _unread_parameters(path)]
+    assert found == []

@@ -1,9 +1,13 @@
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import adsq.data
+import adsq.encoder
+import adsq.imgnet
+import adsq.labelnet
 from adsq.codes import encode_matrix
 from adsq.config import HyperParams, TermMask, Variant, variant_loss_mask
 from adsq.data import Dataset, build_similarity
@@ -185,6 +189,14 @@ def test_label_row_matches_dense_reference(name, literal):
     assert (row.round, row.phase, row.asym) == (2, "label", 0.0)
 
 
+def patch_everywhere(monkeypatch, name, original, replacement):
+    """Replace ``original`` at every adsq module attribute ``name`` holding it."""
+    for mod_name, module in list(sys.modules.items()):
+        if (mod_name == "adsq" or mod_name.startswith("adsq.")) and \
+                getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, replacement)
+
+
 def test_training_builds_no_similarity_wider_than_patterns(tiny_data, monkeypatch):
     """Every similarity block in training is gathered from the p x p
     pattern table, so build_similarity never sees more than p rows."""
@@ -197,16 +209,59 @@ def test_training_builds_no_similarity_wider_than_patterns(tiny_data, monkeypatc
             rows.append(len(labels_b))
         return original(labels_a, labels_b)
 
-    for name, module in list(sys.modules.items()):
-        if (name == "adsq" or name.startswith("adsq.")) and \
-                getattr(module, "build_similarity", None) is original:
-            monkeypatch.setattr(module, "build_similarity", recording)
+    patch_everywhere(monkeypatch, "build_similarity", original, recording)
     src = tiny_data[0]
     ds = Dataset(features=src.features, labels=src.labels)  # patterns not yet built
     p = np.unique(ds.labels, axis=0).shape[0]
     assert p < HyperParams(**TINY).batch_size < ds.n
     train(ds, HyperParams(**TINY))
     assert rows and max(rows) <= p
+
+
+@pytest.mark.parametrize("variant", ["full", "sym"])
+def test_training_computes_each_quantity_once(tiny_data, monkeypatch, variant):
+    """Over a whole run: one encoder forward per SGD step (backward reuses
+    it), no batch loss, one label loss per label phase (its log row), and
+    one full-set forward per image network per round."""
+    ds, _ = tiny_data
+    calls = Counter()
+    inside = ["train"]
+
+    def counting(key, fn, phase=None):
+        def wrapper(*args, **kwargs):
+            calls[key, inside[-1]] += 1
+            if key == "forward" and args[1] is ds.features:
+                calls["full-set image forward", inside[-1]] += 1
+            inside.append(phase or inside[-1])
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside.pop()
+        return wrapper
+
+    monkeypatch.setattr(adsq.encoder, "_forward_trace",
+                        counting("forward", adsq.encoder._forward_trace))
+    for name, module, phase in (("backward", adsq.encoder, None),
+                                ("imgnet_loss", adsq.imgnet, None),
+                                ("labelnet_loss", adsq.labelnet, None),
+                                ("wstep_epoch", adsq.imgnet, "wstep"),
+                                ("train_labelnet", adsq.labelnet, "label")):
+        original = getattr(module, name)
+        patch_everywhere(monkeypatch, name, original, counting(name, original, phase))
+    state = train(ds, HyperParams(**{**TINY, "variant": variant}))
+
+    label_phases = sum(r.phase == "label" for r in state.log_rows)
+    nets = 1 if variant == "sym" else 2
+    assert calls["backward", "wstep"] > 0 and calls["backward", "label"] > 0
+    assert calls["forward", "wstep"] == calls["backward", "wstep"]
+    # plus the supervision cached at the end of each label phase
+    assert calls["forward", "label"] == calls["backward", "label"] + label_phases
+    assert not any(key == "imgnet_loss" for key, _ in calls)
+    assert calls["labelnet_loss", "train"] == label_phases
+    assert calls["labelnet_loss", "label"] == 0
+    # plus the warm start of the codes before round 0
+    assert sum(n for (key, _), n in calls.items() if key == "full-set image forward") \
+        == nets * (state.rounds_run + 1)
 
 
 class TestLrSchedule:
@@ -228,15 +283,15 @@ class TestLrSchedule:
 
 
 def test_save_run_writes_expected_files(tmp_path, tiny_data):
-    state, hp = run_tiny(tiny_data)
-    paths = save_run(state, tmp_path / "run", hp)
+    state, _ = run_tiny(tiny_data)
+    paths = save_run(state, tmp_path / "run")
     names = sorted(p.split("/")[-1] for p in map(str, paths))
     assert names == sorted(["label.net", "imgx.net", "imgy.net",
                             "codes_x.adsqb", "codes_y.adsqb", "train_log.csv"])
 
 
 def test_training_log_columns(tmp_path, tiny_data):
-    state, hp = run_tiny(tiny_data)
-    save_run(state, tmp_path, hp)
+    state, _ = run_tiny(tiny_data)
+    save_run(state, tmp_path)
     header = (tmp_path / "train_log.csv").read_text().splitlines()[0]
     assert header == "round,phase,loss_total,j1,j2,j3,j4,asym"
