@@ -7,13 +7,13 @@ evaluation toolkit over compact Hamming codes.
 
 __version__ = "0.1.0"
 
-from .config import HyperParams, TermMask, Variant, load_config, variant_loss_mask
+from .config import HyperParams, Variant, load_config
 from .data import Dataset, build_similarity, load_dataset
 from .errors import (AdsqError, ConfigError, DataError, FormatError, TrainingError)
 
 __all__ = [
     "__version__",
     "AdsqError", "ConfigError", "DataError", "FormatError", "TrainingError",
-    "HyperParams", "TermMask", "Variant", "load_config", "variant_loss_mask",
+    "HyperParams", "Variant", "load_config",
     "Dataset", "build_similarity", "load_dataset",
 ]

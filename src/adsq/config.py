@@ -10,12 +10,13 @@ from .errors import ConfigError
 
 
 class Variant(str, enum.Enum):
-    """Ablation switches for the image-network objective.
+    """The one ablation switch of a run, read from ``HyperParams.variant``.
 
     FULL keeps every term. NO_ASYM drops the asymmetric inner-product
     term, NO_SEM drops the semantic pairwise term, NO_BOTH drops both.
     SYMMETRIC keeps all terms but trains a single image network whose
-    weights serve both halves of the final code.
+    weights serve both halves of the final code. The code_pair, quant and
+    balance terms are always kept.
     """
 
     FULL = "full"
@@ -23,6 +24,16 @@ class Variant(str, enum.Enum):
     NO_SEM = "no-sem"
     NO_BOTH = "no-both"
     SYMMETRIC = "sym"
+
+    @property
+    def keeps_sem(self) -> bool:
+        """Whether the semantic pairwise likelihood term is kept."""
+        return self not in (Variant.NO_SEM, Variant.NO_BOTH)
+
+    @property
+    def keeps_asym(self) -> bool:
+        """Whether the asymmetric inner-product term is kept."""
+        return self not in (Variant.NO_ASYM, Variant.NO_BOTH)
 
 
 def parse_variant(value) -> Variant:
@@ -33,25 +44,6 @@ def parse_variant(value) -> Variant:
     except ValueError:
         valid = ", ".join(v.value for v in Variant)
         raise ConfigError(f"unknown variant {value!r} (expected one of: {valid})") from None
-
-
-@dataclass(frozen=True)
-class TermMask:
-    """Per-term multipliers overlaid on the image-network objective."""
-
-    sem_pair: float = 1.0
-    code_pair: float = 1.0
-    quant: float = 1.0
-    balance: float = 1.0
-    asym: float = 1.0
-
-
-def variant_loss_mask(variant) -> TermMask:
-    v = parse_variant(variant)
-    return TermMask(
-        sem_pair=0.0 if v in (Variant.NO_SEM, Variant.NO_BOTH) else 1.0,
-        asym=0.0 if v in (Variant.NO_ASYM, Variant.NO_BOTH) else 1.0,
-    )
 
 
 @dataclass

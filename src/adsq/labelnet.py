@@ -73,15 +73,13 @@ class LabelGrads:
 
 
 def pairwise_nll(logits, sim_binary, counts=None):
-    """Negative log-likelihood sum over ordered off-diagonal pairs. With
-    ``counts``, row a stands for counts[a] items that share its logits, so
-    pair (a, b) weighs counts[a] * counts[b] and (a, a) counts[a] * (counts[a] - 1)."""
+    """Negative log-likelihood sum over ordered pairs of distinct items.
+    Row a stands for counts[a] items that share its logits (one item when
+    ``counts`` is None), so pair (a, b) weighs counts[a] * counts[b] and
+    (a, a) counts[a] * (counts[a] - 1); unit counts zero the diagonal."""
+    counts = np.ones(logits.shape[0]) if counts is None else counts
     per_pair = softplus_stable(logits) - sim_binary * logits
-    if counts is None:
-        np.fill_diagonal(per_pair, 0.0)
-        return float(per_pair.sum())
-    weights = np.outer(counts, counts) - np.diag(counts)
-    return float((weights * per_pair).sum())
+    return float(((np.outer(counts, counts) - np.diag(counts)) * per_pair).sum())
 
 
 def pair_residual(a, b, sim_binary, what):
@@ -95,19 +93,20 @@ def pair_residual(a, b, sim_binary, what):
 
 def binary_reg_value(omega, literal: bool, counts=None) -> float:
     """Per-item L1 distance of codes from the discrete target set, row a
-    counted ``counts[a]`` times when given."""
+    counted ``counts[a]`` times (once when ``counts`` is None)."""
+    counts = np.ones(omega.shape[0]) if counts is None else counts
     dist = np.abs(omega - 1.0) if literal else np.abs(np.abs(omega) - 1.0)
-    return float((dist if counts is None else counts[:, None] * dist).sum())
+    return float((counts[:, None] * dist).sum())
 
 
 def labelnet_loss(outs: NetOutputs, head: ClassifierHead, sim_binary, labels,
                   hp: HyperParams, counts=None) -> LabelLossBreakdown:
-    """Loss over the rows of ``outs``; with ``counts`` (label patterns), row
-    a stands for counts[a] identical items and every term is weighted so."""
+    """Loss over the rows of ``outs``, row a standing for counts[a] identical
+    items (label patterns) and every term weighted so; without ``counts``
+    each row is one item."""
     r, omega = outs.r, outs.u
-    if counts is not None:
-        counts = np.asarray(counts, dtype=np.float64)
-    m = r.shape[0] if counts is None else float(counts.sum())
+    counts = np.ones(r.shape[0]) if counts is None else np.asarray(counts, dtype=np.float64)
+    m = float(counts.sum())
     s = np.asarray(sim_binary, dtype=np.float64)
     lam = check_finite(0.5 * (r @ r.T), "sem_pair logits")
     theta = check_finite(0.5 * (omega @ omega.T), "code_pair logits")
@@ -118,9 +117,8 @@ def labelnet_loss(outs: NetOutputs, head: ClassifierHead, sim_binary, labels,
         hp.gamma * 2.0 * (m - 1) * binary_reg_value(omega, hp.j3_literal, counts),
         "binary_reg term")
     resid2 = (head.predict(omega) - np.asarray(labels, dtype=np.float64))**2
-    classify = check_finite(
-        hp.delta * float((resid2 if counts is None else counts[:, None] * resid2).sum()),
-        "classify term")
+    classify = check_finite(hp.delta * float((counts[:, None] * resid2).sum()),
+                            "classify term")
     return LabelLossBreakdown(sem_pair=sem, code_pair=code, binary_reg=reg,
                               classify=classify)
 

@@ -62,18 +62,6 @@ def _average_precision(rel, hits, r_cutoff: int) -> float:
     return float(precision_at_hits / min(r_cutoff, total))
 
 
-def average_precision(ranked_relevance, r_cutoff: int) -> float:
-    """AP of the top ``r_cutoff`` ranks of one query's full ranking,
-    divided by min(r_cutoff, total relevant). AP is 0 when nothing
-    relevant exists in the database."""
-    rel = np.asarray(ranked_relevance, dtype=bool)
-    if rel.size == 0:
-        raise ValueError("ranking must be nonempty")
-    if r_cutoff < 1:
-        raise ValueError(f"cutoff must be >= 1, got {r_cutoff}")
-    return _average_precision(rel, np.cumsum(rel), r_cutoff)
-
-
 def evaluate(queries: PackedCodes, db: PackedCodes, judge: RelevanceJudge, *,
              map_r: int, recall_grid=DEFAULT_RECALL_GRID, n_list=()) -> Evaluation:
     """Every metric from one distance scan, one stable ranking and one

@@ -16,7 +16,7 @@ import numpy as np
 
 from .bstep import CodeMatrix, bstep_sweep
 from .codes import pack, quantize_sign, write_codes
-from .config import HyperParams, Variant, variant_loss_mask
+from .config import HyperParams, Variant
 from .data import Dataset, validate_dataset
 from .encoder import MomentumSGD, forward, init_params, save_params
 from .errors import DataError, TrainingError
@@ -60,13 +60,11 @@ class LogRow:
 @dataclass
 class TrainState:
     label_params: object
-    head: object
     imgx_params: object
     imgy_params: object
     codes_x: CodeMatrix
     codes_y: CodeMatrix
     supervision: object
-    variant: Variant
     rounds_run: int = 0
     history: list = field(default_factory=list)
     log_rows: list = field(default_factory=list)
@@ -99,9 +97,7 @@ def _label_breakdown_row(rnd, dataset, params, head, hp) -> LogRow:
 
 def train(dataset: Dataset, hp: HyperParams) -> TrainState:
     """Run the full alternating procedure; see the module docstring."""
-    variant = hp.variant
-    mask = variant_loss_mask(variant)
-    symmetric = variant is Variant.SYMMETRIC
+    symmetric = hp.variant is Variant.SYMMETRIC
 
     problems = validate_dataset(dataset, hp)
     if problems:
@@ -128,9 +124,9 @@ def train(dataset: Dataset, hp: HyperParams) -> TrainState:
     opt_y = None if symmetric else MomentumSGD(
         imgy_params.weights + imgy_params.biases, hp.momentum, hp.weight_decay)
 
-    state = TrainState(label_params=label_params, head=head,
-                       imgx_params=imgx_params, imgy_params=imgy_params,
-                       codes_x=None, codes_y=None, supervision=None, variant=variant)
+    state = TrainState(label_params=label_params, imgx_params=imgx_params,
+                       imgy_params=imgy_params, codes_x=None, codes_y=None,
+                       supervision=None)
 
     def run_phase(rnd, phase, fn, *args):
         try:
@@ -145,7 +141,7 @@ def train(dataset: Dataset, hp: HyperParams) -> TrainState:
         state.log_rows.append(_label_breakdown_row(rnd, dataset, label_params, head, hp))
 
     def img_row(rnd, phase, outs, codes) -> LogRow:
-        bd = full_objective(outs, dataset, codes, state.supervision, hp, mask)
+        bd = full_objective(outs, dataset, codes, state.supervision, hp)
         row = LogRow(rnd, phase, bd.total, bd.sem_pair, bd.code_pair,
                      bd.quant, bd.balance, bd.asym)
         state.log_rows.append(row)
@@ -153,7 +149,7 @@ def train(dataset: Dataset, hp: HyperParams) -> TrainState:
 
     def wstep(rnd, lr, tag, params, codes, opt, rng):
         for _ in range(hp.t_img):
-            wstep_epoch(params, dataset, codes, state.supervision, hp, mask,
+            wstep_epoch(params, dataset, codes, state.supervision, hp,
                         lr=lr, rng=rng, optimizer=opt)
         outs = forward(params, dataset.features)
         img_row(rnd, f"wstep_{tag}", outs, codes)

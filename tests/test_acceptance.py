@@ -7,6 +7,7 @@ the end-to-end, ablation, and determinism criteria reuse work.
 
 import itertools
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -85,14 +86,15 @@ def test_criterion_1_imgnet_gradient_fidelity():
         s_bin, s_signed = random_similarity(rng, m)
 
         def ctx():
-            return ImgBatchContext(indices=np.arange(m), u=np.tanh(v), r_img=r_img,
+            return ImgBatchContext(u=np.tanh(v), r_img=r_img,
                                    r_sup=r_sup, w_sup=w_sup, codes=codes,
-                                   sim_binary=s_bin, sim_signed=s_signed)
+                                   sim_binary=s_bin)
 
         for variant in (Variant.FULL, Variant.NO_ASYM, Variant.NO_SEM, Variant.NO_BOTH):
-            g_r, g_v = imgnet_grads(ctx(), hp, variant)
-            fd_v = fd_grad(lambda: imgnet_loss(ctx(), hp, variant).total, v)
-            fd_r = fd_grad(lambda: imgnet_loss(ctx(), hp, variant).total, r_img)
+            hp_v = replace(hp, variant=variant)
+            g_r, g_v = imgnet_grads(ctx(), hp_v)
+            fd_v = fd_grad(lambda: imgnet_loss(ctx(), hp_v).total, v)
+            fd_r = fd_grad(lambda: imgnet_loss(ctx(), hp_v).total, r_img)
             worst = max(worst, max_rel_error(g_v, fd_v))
             if np.any(fd_r) or np.any(g_r):
                 worst = max(worst, max_rel_error(g_r, fd_r))
@@ -344,13 +346,13 @@ def test_criterion_9_numerical_robustness():
     s_bin, s_signed = random_similarity(rng, m)
     codes = np.where(rng.random((m, k)) < 0.5, -1.0, 1.0)
 
-    ctx = ImgBatchContext(indices=np.arange(m), u=np.tanh(big_v), r_img=big_r,
+    ctx = ImgBatchContext(u=np.tanh(big_v), r_img=big_r,
                           r_sup=big_r.copy(), w_sup=np.tanh(big_v.copy()),
-                          codes=codes, sim_binary=s_bin, sim_signed=s_signed)
+                          codes=codes, sim_binary=s_bin)
     fine = True
     for variant in (Variant.FULL, Variant.NO_ASYM, Variant.NO_SEM, Variant.NO_BOTH):
-        bd = imgnet_loss(ctx, hp, variant)
-        g_r, g_v = imgnet_grads(ctx, hp, variant)
+        bd = imgnet_loss(ctx, replace(hp, variant=variant))
+        g_r, g_v = imgnet_grads(ctx, replace(hp, variant=variant))
         fine &= np.isfinite(bd.total)
         fine &= bool(np.all(np.isfinite(g_r)) and np.all(np.isfinite(g_v)))
 

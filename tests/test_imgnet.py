@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from adsq.bstep import CodeMatrix
-from adsq.config import HyperParams, TermMask, Variant, variant_loss_mask
+from adsq.config import HyperParams, Variant
 from adsq.data import Dataset, build_similarity
 from adsq.encoder import MomentumSGD, forward, init_params
 from adsq.errors import TrainingError
@@ -27,35 +29,38 @@ def make_instance(seed, m=4, k=3, sem=5, **hp_kw):
     r_sup = rng.normal(0, 1, (m, sem))
     w_sup = np.tanh(rng.normal(0, 1, (m, k)))
     codes = np.where(rng.random((m, k)) < 0.5, -1.0, 1.0)
-    s_bin, s_signed = random_similarity(rng, m)
-    return hp, v, r_img, r_sup, w_sup, codes, s_bin, s_signed
+    s_bin, _ = random_similarity(rng, m)
+    return hp, v, r_img, r_sup, w_sup, codes, s_bin
 
 
-def ctx_from(v, r_img, r_sup, w_sup, codes, s_bin, s_signed):
-    return ImgBatchContext(indices=np.arange(v.shape[0]), u=np.tanh(v), r_img=r_img,
-                           r_sup=r_sup, w_sup=w_sup, codes=codes,
-                           sim_binary=s_bin, sim_signed=s_signed)
+def ctx_from(v, r_img, r_sup, w_sup, codes, s_bin):
+    return ImgBatchContext(u=np.tanh(v), r_img=r_img, r_sup=r_sup, w_sup=w_sup,
+                           codes=codes, sim_binary=s_bin)
+
+
+def as_variant(hp, variant):
+    return replace(hp, variant=variant)
 
 
 class TestLossValues:
     def test_quant_term_near_codes(self):
         """u = 0.999 B gives a quantization term of batch*k*1e-6 (eta=1)."""
-        hp, *_ = make_instance(0, eta=1.0, alpha=0, beta=0, nu=0)
+        hp, *_ = make_instance(0, eta=1.0, alpha=0, beta=0, nu=0, variant="no-both")
         m, k = 2, 3
         codes = np.ones((m, k))
         v = np.arctanh(0.999 * codes)
         ctx = ctx_from(v, np.zeros((m, 5)), np.zeros((m, 5)), np.zeros((m, k)),
-                       codes, *random_similarity(np.random.default_rng(0), m))
-        bd = imgnet_loss(ctx, hp, Variant.NO_BOTH)
+                       codes, random_similarity(np.random.default_rng(0), m)[0])
+        bd = imgnet_loss(ctx, hp)
         assert bd.quant == pytest.approx(m * k * 1e-6, rel=1e-9)
 
     def test_balance_zero_for_balanced_bits(self):
-        hp, *_ = make_instance(0, nu=1.0, alpha=0, beta=0, eta=0)
+        hp, *_ = make_instance(0, nu=1.0, alpha=0, beta=0, eta=0, variant="no-both")
         u = np.array([[0.9, -0.9], [-0.9, 0.9]])
         ctx = ctx_from(np.arctanh(u), np.zeros((2, 5)), np.zeros((2, 5)),
                        np.zeros((2, 2)), np.ones((2, 2)),
-                       *random_similarity(np.random.default_rng(1), 2))
-        assert imgnet_loss(ctx, hp, Variant.NO_BOTH).balance == 0.0
+                       random_similarity(np.random.default_rng(1), 2)[0])
+        assert imgnet_loss(ctx, hp).balance == 0.0
 
     def test_asym_hand_value(self):
         """Single item, one bit: (0.5*1 - 1*1)^2 = 0.25."""
@@ -63,8 +68,8 @@ class TestLossValues:
                          encoder_hidden=(4,), semantic_dim=2)
         ctx = ctx_from(np.array([[np.arctanh(0.5)]]), np.zeros((1, 2)),
                        np.zeros((1, 2)), np.zeros((1, 1)),
-                       np.array([[1.0]]), np.array([[1.0]]), np.array([[1.0]]))
-        assert imgnet_loss(ctx, hp, Variant.FULL).asym == pytest.approx(0.25, rel=1e-12)
+                       np.array([[1.0]]), np.array([[1.0]]))
+        assert imgnet_loss(ctx, hp).asym == pytest.approx(0.25, rel=1e-12)
 
     def test_signed_target_for_dissimilar_pairs(self):
         """A dissimilar pair is pulled toward inner product -k, not 0."""
@@ -74,14 +79,14 @@ class TestLossValues:
         u = 0.999 * codes
         s_bin = np.eye(2)
         ctx = ctx_from(np.arctanh(u), np.zeros((2, 2)), np.zeros((2, 2)),
-                       np.zeros((2, 2)), codes, s_bin, 2 * s_bin - 1)
+                       np.zeros((2, 2)), codes, s_bin)
         # opposite codes hit the -k target almost exactly
-        assert imgnet_loss(ctx, hp, Variant.FULL).asym < 0.01
+        assert imgnet_loss(ctx, hp).asym < 0.01
 
     @pytest.mark.parametrize("row, logits", [("r", "sem_pair"), ("u", "code_pair")])
     def test_overflowing_logits_raise_training_error(self, row, logits):
-        hp, v, r_img, r_sup, w_sup, codes, s_bin, s_signed = make_instance(7)
-        ctx = ctx_from(v, r_img, r_sup, w_sup, codes, s_bin, s_signed)
+        hp, *inst = make_instance(7)
+        ctx = ctx_from(*inst)
         if row == "r":
             ctx.r_img[1] = 1e200
             ctx.r_sup[1] = 1e200
@@ -90,22 +95,21 @@ class TestLossValues:
             ctx.w_sup[1] = 1e200
         with np.errstate(over="ignore"), \
                 pytest.raises(TrainingError, match=f"non-finite {logits} logits"):
-            imgnet_loss(ctx, hp, Variant.FULL)
+            imgnet_loss(ctx, hp)
 
     def test_breakdown_sums_to_total(self):
-        hp, v, r_img, r_sup, w_sup, codes, s_bin, s_signed = make_instance(5)
+        hp, *inst = make_instance(5)
         for variant in VARIANTS:
-            bd = imgnet_loss(ctx_from(v, r_img, r_sup, w_sup, codes, s_bin, s_signed),
-                             hp, variant)
+            bd = imgnet_loss(ctx_from(*inst), as_variant(hp, variant))
             parts = bd.sem_pair + bd.code_pair + bd.quant + bd.balance + bd.asym
             assert bd.total == pytest.approx(parts, abs=1e-12)
 
     def test_masked_terms_report_zero(self):
-        hp, v, r_img, r_sup, w_sup, codes, s_bin, s_signed = make_instance(6)
-        ctx = ctx_from(v, r_img, r_sup, w_sup, codes, s_bin, s_signed)
-        assert imgnet_loss(ctx, hp, Variant.NO_ASYM).asym == 0.0
-        assert imgnet_loss(ctx, hp, Variant.NO_SEM).sem_pair == 0.0
-        bd = imgnet_loss(ctx, hp, Variant.NO_BOTH)
+        hp, *inst = make_instance(6)
+        ctx = ctx_from(*inst)
+        assert imgnet_loss(ctx, as_variant(hp, Variant.NO_ASYM)).asym == 0.0
+        assert imgnet_loss(ctx, as_variant(hp, Variant.NO_SEM)).sem_pair == 0.0
+        bd = imgnet_loss(ctx, as_variant(hp, Variant.NO_BOTH))
         assert bd.asym == 0.0 and bd.sem_pair == 0.0
 
     def test_exact_codes_make_asym_definitional(self):
@@ -117,22 +121,20 @@ class TestLossValues:
         m, k = 4, 2
         u_exact = np.where(rng.random((m, k)) < 0.5, -1.0, 1.0)
         s_signed = (u_exact @ u_exact.T) / k  # consistent by construction
-        ctx = ImgBatchContext(indices=np.arange(m), u=u_exact, r_img=np.zeros((m, 2)),
+        ctx = ImgBatchContext(u=u_exact, r_img=np.zeros((m, 2)),
                               r_sup=np.zeros((m, 2)), w_sup=np.zeros((m, k)),
-                              codes=u_exact, sim_binary=(s_signed + 1) / 2,
-                              sim_signed=s_signed)
-        assert imgnet_loss(ctx, hp, Variant.FULL).asym == 0.0
+                              codes=u_exact, sim_binary=(s_signed + 1) / 2)
+        assert imgnet_loss(ctx, hp).asym == 0.0
         brute = sum((float(u_exact[i] @ u_exact[j]) - k * s_signed[i, j])**2
                     for i in range(m) for j in range(m))
         assert brute == 0.0
         # flipping one bit breaks the reproduction and the term grows
         u_off = u_exact.copy()
         u_off[0, 0] *= -1
-        ctx_off = ImgBatchContext(indices=np.arange(m), u=u_off,
-                                  r_img=np.zeros((m, 2)), r_sup=np.zeros((m, 2)),
+        ctx_off = ImgBatchContext(u=u_off, r_img=np.zeros((m, 2)), r_sup=np.zeros((m, 2)),
                                   w_sup=np.zeros((m, k)), codes=u_exact,
-                                  sim_binary=(s_signed + 1) / 2, sim_signed=s_signed)
-        off = imgnet_loss(ctx_off, hp, Variant.FULL).asym
+                                  sim_binary=(s_signed + 1) / 2)
+        off = imgnet_loss(ctx_off, hp).asym
         brute_off = sum((float(u_off[i] @ u_exact[j]) - k * s_signed[i, j])**2
                         for i in range(m) for j in range(m))
         assert off > 0.0
@@ -142,46 +144,39 @@ class TestLossValues:
 class TestGradients:
     def test_reduces_to_quant_pull(self):
         """Pairwise and balance terms off: gradient is 2 eta (u-b)(1-u^2)."""
-        hp, *_ = make_instance(0, alpha=0, beta=0, nu=0, eta=10.0)
+        hp, *_ = make_instance(0, alpha=0, beta=0, nu=0, eta=10.0, variant="no-both")
         m, k = 3, 3
         codes = np.where(np.random.default_rng(2).random((m, k)) < 0.5, -1.0, 1.0)
         u = 0.999 * codes
         ctx = ctx_from(np.arctanh(u), np.zeros((m, 5)), np.zeros((m, 5)),
                        np.zeros((m, k)), codes,
-                       *random_similarity(np.random.default_rng(3), m))
-        g = imgnet_grads(ctx, hp, Variant.NO_BOTH)[1]
+                       random_similarity(np.random.default_rng(3), m)[0])
+        g = imgnet_grads(ctx, hp)[1]
         np.testing.assert_allclose(g, 2 * hp.eta * (u - codes) * (1 - u**2), rtol=1e-9)
 
     def test_zero_outputs_pull_toward_codes(self):
-        hp, *_ = make_instance(0, alpha=0, beta=0, nu=0, eta=10.0)
+        hp, *_ = make_instance(0, alpha=0, beta=0, nu=0, eta=10.0, variant="no-both")
         m, k = 3, 3
         codes = np.where(np.random.default_rng(4).random((m, k)) < 0.5, -1.0, 1.0)
         ctx = ctx_from(np.zeros((m, k)), np.zeros((m, 5)), np.zeros((m, 5)),
                        np.zeros((m, k)), codes,
-                       *random_similarity(np.random.default_rng(5), m))
-        np.testing.assert_allclose(imgnet_grads(ctx, hp, Variant.NO_BOTH)[1],
+                       random_similarity(np.random.default_rng(5), m)[0])
+        np.testing.assert_allclose(imgnet_grads(ctx, hp)[1],
                                    -2 * hp.eta * codes, rtol=1e-12)
 
     @pytest.mark.parametrize("variant", VARIANTS, ids=[v.value for v in VARIANTS])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_finite_differences(self, variant, seed):
-        hp, v, r_img, r_sup, w_sup, codes, s_bin, s_signed = make_instance(seed)
-        ctx = ctx_from(v, r_img, r_sup, w_sup, codes, s_bin, s_signed)
-        g_r, g_v = imgnet_grads(ctx, hp, variant)
+        hp, v, r_img, r_sup, w_sup, codes, s_bin = make_instance(seed, variant=variant)
+        ctx = ctx_from(v, r_img, r_sup, w_sup, codes, s_bin)
+        g_r, g_v = imgnet_grads(ctx, hp)
 
         def loss():
-            c = ctx_from(v, r_img, r_sup, w_sup, codes, s_bin, s_signed)
-            return imgnet_loss(c, hp, variant).total
+            return imgnet_loss(ctx_from(v, r_img, r_sup, w_sup, codes, s_bin), hp).total
 
         assert max_rel_error(g_v, fd_grad(loss, v)) <= TOL
         assert max_rel_error(g_r, fd_grad(loss, r_img)) <= TOL
 
-    def test_mask_object_accepted_directly(self):
-        hp, v, r_img, r_sup, w_sup, codes, s_bin, s_signed = make_instance(9)
-        ctx = ctx_from(v, r_img, r_sup, w_sup, codes, s_bin, s_signed)
-        mask = TermMask(sem_pair=0.0, asym=1.0)
-        bd = imgnet_loss(ctx, hp, mask)
-        assert bd.sem_pair == 0.0 and bd.asym > 0.0
 
 
 # ---------------------------------------------------------------- w-step
@@ -214,19 +209,17 @@ def test_zero_epochs_no_change():
     before = params.copy()
     # no call at all is the 0-epoch case in the trainer; one epoch must move
     assert same_params(params, before)
-    wstep_epoch(params, ds, codes, sup, hp, Variant.FULL,
+    wstep_epoch(params, ds, codes, sup, hp,
                 lr=1e-5, rng=np.random.default_rng(0), optimizer=sgd(params, hp))
     assert not same_params(params, before)
 
 
 def test_epoch_descends_full_objective():
     ds, hp, params, sup, codes = wstep_setup(1)
-    before = full_objective(forward(params, ds.features), ds, codes, sup, hp,
-                            Variant.FULL).total
-    wstep_epoch(params, ds, codes, sup, hp, Variant.FULL,
+    before = full_objective(forward(params, ds.features), ds, codes, sup, hp).total
+    wstep_epoch(params, ds, codes, sup, hp,
                 lr=1e-6, rng=np.random.default_rng(1), optimizer=sgd(params, hp))
-    after = full_objective(forward(params, ds.features), ds, codes, sup, hp,
-                           Variant.FULL).total
+    after = full_objective(forward(params, ds.features), ds, codes, sup, hp).total
     assert after < before
 
 
@@ -234,7 +227,7 @@ def test_two_networks_diverge_with_different_seeds():
     ds, hp, params_x, sup, codes = wstep_setup(2)
     params_y = init_params([ds.dim, 6, hp.semantic_dim, hp.k_half], seed=999)
     for params, rng_seed in ((params_x, 10), (params_y, 11)):
-        wstep_epoch(params, ds, codes, sup, hp, Variant.FULL,
+        wstep_epoch(params, ds, codes, sup, hp,
                     lr=1e-5, rng=np.random.default_rng(rng_seed), optimizer=sgd(params, hp))
     ux = forward(params_x, ds.features).u
     uy = forward(params_y, ds.features).u
@@ -249,16 +242,28 @@ def test_make_context_aligns_rows():
     np.testing.assert_array_equal(ctx.codes, codes.codes[batch])
     np.testing.assert_array_equal(ctx.w_sup, sup.omega_l[batch])
     assert ctx.sim_binary.shape == (3, 3)
-    np.testing.assert_array_equal(ctx.sim_signed, 2 * ctx.sim_binary - 1)
+    np.testing.assert_array_equal(ctx.sim_binary, build_similarity(ds.labels[batch]))
+
+
+def test_no_sem_variant_in_hp_drops_sem_term_everywhere():
+    """The variant comes from ``hp`` alone: the batch loss and the full-set
+    objective both drop the semantic term and keep the asymmetric one."""
+    ds, hp, params, sup, codes = wstep_setup(9)
+    hp = as_variant(hp, "no-sem")
+    batch = np.arange(8)
+    outs = forward(params, ds.features[batch])
+    for bd in (imgnet_loss(make_context(batch, outs, sup, codes, ds.patterns), hp),
+               full_objective(forward(params, ds.features), ds, codes, sup, hp)):
+        assert bd.sem_pair == 0.0 and bd.asym > 0.0
 
 
 # ---------------------------------------------------------------- full objective
 
 
-def dense_full_objective(params, ds, codes, sup, hp, variant):
+def dense_full_objective(params, ds, codes, sup, hp):
     """Reference: every term over the n x n similarity, pairs i != j for
     the likelihoods and all pairs for the asymmetric fit."""
-    mask = variant_loss_mask(variant)
+    v = hp.variant
     outs = forward(params, ds.features)
     u, B = outs.u, codes.codes
     s = build_similarity(ds.labels)
@@ -268,11 +273,11 @@ def dense_full_objective(params, ds, codes, sup, hp, variant):
         logits = 0.5 * (sup_rows @ img_rows.T)
         return float((np.logaddexp(0.0, logits) - s * logits)[off].sum())
 
-    return {"sem_pair": mask.sem_pair * hp.alpha * nll(sup.r_l, outs.r),
-            "code_pair": mask.code_pair * hp.beta * nll(sup.omega_l, u),
-            "quant": mask.quant * hp.eta * float(((u - B)**2).sum()),
-            "balance": mask.balance * hp.nu * float((u.sum(axis=0)**2).sum()),
-            "asym": mask.asym * float(((u @ B.T - B.shape[1] * (2 * s - 1))**2).sum())}
+    return {"sem_pair": v.keeps_sem * hp.alpha * nll(sup.r_l, outs.r),
+            "code_pair": hp.beta * nll(sup.omega_l, u),
+            "quant": hp.eta * float(((u - B)**2).sum()),
+            "balance": hp.nu * float((u.sum(axis=0)**2).sum()),
+            "asym": v.keeps_asym * float(((u @ B.T - B.shape[1] * (2 * s - 1))**2).sum())}
 
 
 @pytest.mark.parametrize("variant", list(Variant), ids=[v.value for v in Variant])
@@ -282,13 +287,14 @@ def test_full_objective_matches_dense_reference(name, variant):
     n, k, sem = labels.shape[0], 3, 4
     rng = np.random.default_rng(11)
     ds = Dataset(features=rng.normal(size=(n, 5)), labels=labels)
-    hp = HyperParams(k_half=k, semantic_dim=sem, encoder_hidden=(6,), nu=0.3)
+    hp = HyperParams(k_half=k, semantic_dim=sem, encoder_hidden=(6,), nu=0.3,
+                     variant=variant)
     params = init_params([5, 6, sem, k], seed=4)
     sup = LabelSupervision(r_l=rng.normal(0, 1, (n, sem)),
                            omega_l=np.tanh(rng.normal(0, 1, (n, k))))
     codes = CodeMatrix(np.where(rng.random((n, k)) < 0.5, -1.0, 1.0))
-    got = full_objective(forward(params, ds.features), ds, codes, sup, hp, variant)
-    for term, want in dense_full_objective(params, ds, codes, sup, hp, variant).items():
+    got = full_objective(forward(params, ds.features), ds, codes, sup, hp)
+    for term, want in dense_full_objective(params, ds, codes, sup, hp).items():
         value = getattr(got, term)
         assert type(value) is float, term
         if want == 0.0:

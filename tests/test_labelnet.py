@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -99,6 +100,16 @@ class TestLossValues:
         with np.errstate(over="ignore"), \
                 pytest.raises(TrainingError, match=f"non-finite {logits} logits"):
             labelnet_loss(outputs(r, omega), head, s_bin, labels, hp)
+
+    @pytest.mark.parametrize("literal", [False, True])
+    def test_unit_counts_equal_no_counts(self, literal):
+        """Without counts every row is one item: each term is bit for bit
+        the one that unit counts give."""
+        hp = hp_with(j3_literal=literal)
+        r, omega, labels, head, s_bin = random_instance(3, m=5)
+        bare = labelnet_loss(outputs(r, omega), head, s_bin, labels, hp)
+        unit = labelnet_loss(outputs(r, omega), head, s_bin, labels, hp, counts=np.ones(5))
+        assert astuple(bare) == astuple(unit)
 
     def test_binary_reg_zero_iff_unit_magnitude(self):
         assert binary_reg_value(np.array([[1.0, -1.0], [-1.0, 1.0]]), literal=False) == 0.0

@@ -4,7 +4,7 @@ import pytest
 import adsq.metrics
 from adsq.codes import pack
 from adsq.data import build_similarity
-from adsq.metrics import (RelevanceJudge, average_precision, evaluate, mean_ap,
+from adsq.metrics import (RelevanceJudge, evaluate, mean_ap,
                           mean_precision_at_hamming2, pr_curve, precision_at_n)
 from oracles import (oracle_mean_ap, oracle_ph2, oracle_pn, oracle_pr,
                      random_case)
@@ -38,20 +38,31 @@ class TestRelevanceJudge:
 # ---------------------------------------------------------------- AP
 
 
+def ranked_ap(ranked_relevance, r_cutoff):
+    """AP of one query whose ranking is the database index: every database
+    code equals the query's, so the stable order is the index order, and an
+    item is relevant iff its flag is set."""
+    rel = np.asarray(ranked_relevance, dtype=np.int8)
+    judge = RelevanceJudge(np.array([[1, 0]], dtype=np.int8),
+                           np.stack([rel, 1 - rel], axis=1))
+    return evaluate(pack(np.ones((1, 8))), pack(np.ones((rel.size, 8))), judge,
+                    map_r=r_cutoff).map
+
+
 class TestAveragePrecision:
     def test_worked_example(self):
         # hits at ranks 1, 3, 4: (1 + 2/3 + 3/4) / 3
-        assert average_precision([1, 0, 1, 1], 4) == pytest.approx(29 / 36, abs=1e-12)
+        assert ranked_ap([1, 0, 1, 1], 4) == pytest.approx(29 / 36, abs=1e-12)
 
     def test_all_relevant(self):
-        assert average_precision([1, 1, 1, 1], 4) == 1.0
+        assert ranked_ap([1, 1, 1, 1], 4) == 1.0
 
     def test_no_relevant_defined_zero(self):
-        assert average_precision([0, 0, 0], 3) == 0.0
+        assert ranked_ap([0, 0, 0], 3) == 0.0
 
     def test_empty_ranking_rejected(self):
-        with pytest.raises(ValueError):
-            average_precision([], 1)
+        with pytest.raises(ValueError, match="must be nonempty"):
+            ranked_ap([], 1)
 
     def test_promoting_relevant_item_never_hurts(self):
         rng = np.random.default_rng(0)
@@ -63,7 +74,7 @@ class TestAveragePrecision:
             i = pos[0]
             promoted = flags.copy()
             promoted[i - 1], promoted[i] = promoted[i], promoted[i - 1]
-            assert average_precision(promoted, 12) >= average_precision(flags, 12)
+            assert ranked_ap(promoted, 12) >= ranked_ap(flags, 12)
 
 
 class TestMeanAp:

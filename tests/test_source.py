@@ -83,3 +83,38 @@ def test_every_parameter_is_read():
     """A parameter no body reads misleads every caller that fills it in."""
     found = [line for path in sorted(SRC.rglob("*.py")) for line in _unread_parameters(path)]
     assert found == []
+
+
+ROOT = SRC.parents[1]
+# serialised whole by astuple / asdict, so every field is read without a name
+WHOLE_RECORDS = {"LogRow", "HyperParams", "SynthSpec"}
+
+
+def _is_dataclass(node):
+    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def _dataclass_fields(path):
+    """``(class, field)`` for each annotated field of a ``@dataclass`` in ``path``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [(node.name, stmt.target.id)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+            and node.name not in WHOLE_RECORDS
+            for stmt in node.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+
+
+def test_every_dataclass_field_is_read():
+    """A field nothing reads is state every constructor must still fill in.
+    Each field must be loaded as an attribute somewhere in the library,
+    the tests, the scripts or the benchmark."""
+    sources = [p for d in ("src/adsq", "tests", "scripts", "perfbench")
+               for p in sorted((ROOT / d).rglob("*.py"))]
+    loaded = {n.attr for p in sources
+              for n in ast.walk(ast.parse(p.read_text(encoding="utf-8"), filename=str(p)))
+              if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    fields = [f for path in sorted(SRC.rglob("*.py")) for f in _dataclass_fields(path)]
+    assert len(fields) > 20, "the scan no longer sees the dataclass fields"
+    assert [f"{cls}.{name}" for cls, name in fields if name not in loaded] == []

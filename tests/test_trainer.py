@@ -9,7 +9,7 @@ import adsq.encoder
 import adsq.imgnet
 import adsq.labelnet
 from adsq.codes import encode_matrix
-from adsq.config import HyperParams, TermMask, Variant, variant_loss_mask
+from adsq.config import HyperParams, Variant
 from adsq.data import Dataset, build_similarity
 from adsq.encoder import forward, init_params
 from adsq.errors import DataError, TrainingError
@@ -36,25 +36,17 @@ def run_tiny(tiny_data, **overrides):
     return train(ds, hp), hp
 
 
-class TestVariantMask:
-    def test_full_keeps_everything(self):
-        assert variant_loss_mask(Variant.FULL) == TermMask()
+KEPT_TERMS = {"full": {"sem_pair", "asym"}, "no-asym": {"sem_pair"}, "no-sem": {"asym"},
+              "no-both": set(), "sym": {"sem_pair", "asym"}}
 
-    def test_no_asym_zeroes_only_asym(self):
-        m = variant_loss_mask("no-asym")
-        assert m.asym == 0.0
-        assert (m.sem_pair, m.code_pair, m.quant, m.balance) == (1.0, 1.0, 1.0, 1.0)
 
-    def test_no_sem(self):
-        m = variant_loss_mask("no-sem")
-        assert m.sem_pair == 0.0 and m.asym == 1.0
-
-    def test_no_both(self):
-        m = variant_loss_mask("no-both")
-        assert m.sem_pair == 0.0 and m.asym == 0.0
-
-    def test_symmetric_keeps_terms(self):
-        assert variant_loss_mask("sym") == TermMask()
+@pytest.mark.parametrize("variant", list(Variant), ids=[v.value for v in Variant])
+def test_variant_keeps_terms(variant):
+    """Which optional image terms each variant keeps; code_pair, quant and
+    balance are always on and have no switch."""
+    kept = {name for name, on in (("sem_pair", variant.keeps_sem),
+                                  ("asym", variant.keeps_asym)) if on}
+    assert kept == KEPT_TERMS[variant.value]
 
 
 class TestConvergence:
