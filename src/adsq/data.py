@@ -90,8 +90,9 @@ def pack_label_words(labels) -> np.ndarray:
 class LabelPatterns:
     """The distinct rows of a label matrix (see the module docstring).
 
-    ``rows`` (p x classes), ``ids`` (n, pattern of each item), ``counts``
-    (p) and ``sim`` (p x p float64 {0,1}, from ``build_similarity``)."""
+    ``rows`` (p x classes), ``first`` (p, the first item of each pattern),
+    ``ids`` (n, pattern of each item), ``counts`` (p) and ``sim`` (p x p
+    float64 {0,1}, from ``build_similarity``)."""
 
     def __init__(self, labels):
         lab = np.asarray(labels)
@@ -101,6 +102,7 @@ class LabelPatterns:
         _, first, ids, counts = np.unique(keys, return_index=True, return_inverse=True,
                                           return_counts=True)
         self.rows = _freeze(lab[first])
+        self.first = _freeze(first)
         self.ids = _freeze(ids)
         self.counts = _freeze(counts)
         self.sim = _freeze(build_similarity(self.rows))

@@ -29,6 +29,10 @@ from .errors import TrainingError
 from .labelnet import LabelSupervision, iter_batches, pair_residual, pairwise_nll
 from .numerics import check_finite, softplus_stable
 
+# Entries per block of pattern x item logits in full_objective (32 MB of
+# float64 per temporary); one block whenever p * n fits.
+SOFTPLUS_BLOCK_ELEMS = 1 << 22
+
 
 @dataclass
 class ImgBatchContext:
@@ -61,8 +65,9 @@ class ImgLossBreakdown:
 def make_context(batch, outs, sup: LabelSupervision, code_matrix: CodeMatrix,
                  patterns: LabelPatterns) -> ImgBatchContext:
     """Batch context; ``patterns`` are those of the full training labels."""
-    return ImgBatchContext(u=outs.u, r_img=outs.r, r_sup=sup.r_l[batch],
-                           w_sup=sup.omega_l[batch], codes=code_matrix.codes[batch],
+    pid = patterns.ids[batch]
+    return ImgBatchContext(u=outs.u, r_img=outs.r, r_sup=sup.r_l[pid],
+                           w_sup=sup.omega_l[pid], codes=code_matrix.codes[batch],
                            sim_binary=patterns.block(batch))
 
 
@@ -142,24 +147,36 @@ def full_objective(outs: NetOutputs, dataset: Dataset, code_matrix: CodeMatrix,
     every call made with the same weights.
 
     The similarity enters only through per-pattern sums of the dataset's
-    label patterns: sum_ij s_ij x_i.y_j = <S_pat, X_pat Y_pat^T>. Only the
-    softplus part of the pairwise likelihoods stays dense (n x n)."""
+    label patterns: sum_ij s_ij x_i.y_j = <S_pat, X_pat Y_pat^T>. The
+    supervision side of each pairwise likelihood has one row per pattern,
+    so its softplus part is a count-weighted sum over the p x n pattern-item
+    logits minus each item's own logit, formed in blocks of at most
+    ``SOFTPLUS_BLOCK_ELEMS`` entries: no n x n array is made."""
     pat = dataset.patterns
     u, codes = outs.u, code_matrix.codes
     n, k = codes.shape
+    rows = max(1, SOFTPLUS_BLOCK_ELEMS // n)
 
-    def sim_inner(x, y):
-        return float((pat.sim * (pat.sums(x) @ pat.sums(y).T)).sum())
+    def sim_inner(x_pat, y):
+        return float((pat.sim * (x_pat @ pat.sums(y).T)).sum())
 
-    def nll(sup, img, what):
-        soft = softplus_stable(check_finite(0.5 * (sup @ img.T), f"{what} logits"))
-        np.fill_diagonal(soft, 0.0)
-        # the s_ij logit_ij part over i != j (s_ii = 1)
-        return float(soft.sum()) - 0.5 * (sim_inner(sup, img) - float((sup * img).sum()))
+    def nll(sup_pat, img, what):
+        soft = 0.0
+        for start in range(0, sup_pat.shape[0], rows):
+            logits = check_finite(0.5 * (sup_pat[start:start + rows] @ img.T),
+                                  f"{what} logits")
+            soft += float(pat.counts[start:start + rows] @ softplus_stable(logits).sum(axis=1))
+        # pairs run over i != j: take out each item's own logit (s_ii = 1)
+        own = check_finite(0.5 * np.einsum("ij,ij->i", sup_pat[pat.ids], img),
+                           f"{what} logits")
+        weighted = pat.counts[:, None] * sup_pat
+        return soft - float(softplus_stable(own).sum()) \
+            - (0.5 * sim_inner(weighted, img) - float(own.sum()))
 
     def asym():
         # ||U B^T - k S_signed||^2 with S_signed = 2 S - 1, every entry +-1
-        signed = 2.0 * sim_inner(u, codes) - float(u.sum(axis=0) @ codes.sum(axis=0))
+        signed = 2.0 * sim_inner(pat.sums(u), codes) \
+            - float(u.sum(axis=0) @ codes.sum(axis=0))
         return float(((u.T @ u) * (codes.T @ codes)).sum()) - 2.0 * k * signed \
             + float(k * k) * n * n
 

@@ -44,10 +44,12 @@ def init_head(num_classes: int, k_half: int, seed) -> ClassifierHead:
 
 @dataclass
 class LabelSupervision:
-    """Cached label-network outputs for every training item."""
+    """Cached label-network outputs, one row per label pattern: the network
+    sees only the label row, so every item of pattern a has row a (item i
+    reads row ``patterns.ids[i]`` of its dataset's ``LabelPatterns``)."""
 
-    r_l: np.ndarray      # n x semantic_dim
-    omega_l: np.ndarray  # n x k_half
+    r_l: np.ndarray      # p x semantic_dim
+    omega_l: np.ndarray  # p x k_half
 
 
 @dataclass
@@ -187,5 +189,14 @@ def train_labelnet(params: EncoderParams, head: ClassifierHead, dataset: Dataset
             opt_head.step([head.weight, head.bias],
                           [grads.head_weight, grads.head_bias], lr)
 
-    outs = forward(params, labels_f)
-    return LabelSupervision(r_l=outs.r, omega_l=outs.u)
+    return cache_supervision(params, dataset)
+
+
+def cache_supervision(params: EncoderParams, dataset: Dataset) -> LabelSupervision:
+    """The label network's per-pattern outputs over ``dataset``'s patterns."""
+    # Taken from the n-row forward, whose GEMM gives equal rows for equal
+    # label rows, so a gather by pattern id reproduces it exactly; a forward
+    # over the p pattern rows blocks the GEMM differently and rounds apart.
+    outs = forward(params, dataset.labels.astype(np.float64))
+    first = dataset.patterns.first
+    return LabelSupervision(r_l=outs.r[first], omega_l=outs.u[first])

@@ -18,7 +18,7 @@ from .bstep import CodeMatrix, bstep_sweep
 from .codes import pack, quantize_sign, write_codes
 from .config import HyperParams, Variant
 from .data import Dataset, validate_dataset
-from .encoder import MomentumSGD, forward, init_params, save_params
+from .encoder import MomentumSGD, NetOutputs, forward, init_params, save_params
 from .errors import DataError, TrainingError
 from .fileio import write_csv
 from .imgnet import full_objective, wstep_epoch
@@ -84,13 +84,12 @@ def convergence_check(history, tol: float = CONVERGENCE_TOL,
     return True
 
 
-def _label_breakdown_row(rnd, dataset, params, head, hp) -> LogRow:
-    """Full-set label loss. The label network's input is the label row, so
-    it runs on the distinct patterns, each weighted by its item count."""
+def _label_breakdown_row(rnd, dataset, sup, head, hp) -> LogRow:
+    """Full-set label loss over the per-pattern supervision ``sup``, each
+    pattern weighted by its item count."""
     pat = dataset.patterns
-    rows_f = pat.rows.astype(np.float64)
-    bd = labelnet_loss(forward(params, rows_f), head, pat.sim, rows_f, hp,
-                       counts=pat.counts)
+    bd = labelnet_loss(NetOutputs(r=sup.r_l, v=None, u=sup.omega_l), head, pat.sim,
+                       pat.rows.astype(np.float64), hp, counts=pat.counts)
     return LogRow(rnd, "label", bd.total, bd.sem_pair, bd.code_pair,
                   bd.binary_reg, bd.classify, 0.0)
 
@@ -138,7 +137,7 @@ def train(dataset: Dataset, hp: HyperParams) -> TrainState:
         state.supervision = train_labelnet(label_params, head, dataset, hp,
                                            epochs=hp.t_label, lr=lr, rng=label_rng,
                                            opt_net=opt_label, opt_head=opt_head)
-        state.log_rows.append(_label_breakdown_row(rnd, dataset, label_params, head, hp))
+        state.log_rows.append(_label_breakdown_row(rnd, dataset, state.supervision, head, hp))
 
     def img_row(rnd, phase, outs, codes) -> LogRow:
         bd = full_objective(outs, dataset, codes, state.supervision, hp)

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import adsq.imgnet
 from adsq.bstep import CodeMatrix
 from adsq.config import HyperParams, Variant
 from adsq.data import Dataset, build_similarity
@@ -11,6 +12,7 @@ from adsq.errors import TrainingError
 from adsq.imgnet import (ImgBatchContext, full_objective, imgnet_grads, imgnet_loss,
                          make_context, wstep_epoch)
 from adsq.labelnet import LabelSupervision
+from adsq.numerics import softplus_stable
 from fdcheck import TOL, fd_grad, max_rel_error, random_similarity
 from labelsets import LABEL_SET_NAMES, hand_label_sets
 from netparams import same_params
@@ -194,10 +196,16 @@ def wstep_setup(seed=0, n=30, dim=6, k=3, sem=4):
     hp = HyperParams(k_half=k, semantic_dim=sem, encoder_hidden=(6,),
                      batch_size=10, seed=seed)
     params = init_params([dim, 6, sem, k], seed=seed)
-    sup = LabelSupervision(r_l=rng.normal(0, 1, (n, sem)),
-                           omega_l=np.tanh(rng.normal(0, 1, (n, k))))
+    sup = random_supervision(rng, ds, sem, k)
     codes = CodeMatrix(np.where(rng.random((n, k)) < 0.5, -1.0, 1.0))
     return ds, hp, params, sup, codes
+
+
+def random_supervision(rng, ds, sem, k):
+    """Random label-network outputs, one row per label pattern of ``ds``."""
+    p = ds.patterns.counts.size
+    return LabelSupervision(r_l=rng.normal(0, 1, (p, sem)),
+                            omega_l=np.tanh(rng.normal(0, 1, (p, k))))
 
 
 def sgd(params, hp):
@@ -240,7 +248,8 @@ def test_make_context_aligns_rows():
     outs = forward(params, ds.features[batch])
     ctx = make_context(batch, outs, sup, codes, ds.patterns)
     np.testing.assert_array_equal(ctx.codes, codes.codes[batch])
-    np.testing.assert_array_equal(ctx.w_sup, sup.omega_l[batch])
+    np.testing.assert_array_equal(ctx.r_sup, sup.r_l[ds.patterns.ids[batch]])
+    np.testing.assert_array_equal(ctx.w_sup, sup.omega_l[ds.patterns.ids[batch]])
     assert ctx.sim_binary.shape == (3, 3)
     np.testing.assert_array_equal(ctx.sim_binary, build_similarity(ds.labels[batch]))
 
@@ -280,9 +289,7 @@ def dense_full_objective(params, ds, codes, sup, hp):
             "asym": v.keeps_asym * float(((u @ B.T - B.shape[1] * (2 * s - 1))**2).sum())}
 
 
-@pytest.mark.parametrize("variant", list(Variant), ids=[v.value for v in Variant])
-@pytest.mark.parametrize("name", LABEL_SET_NAMES)
-def test_full_objective_matches_dense_reference(name, variant):
+def assert_matches_dense_reference(name, variant):
     labels = hand_label_sets()[name]
     n, k, sem = labels.shape[0], 3, 4
     rng = np.random.default_rng(11)
@@ -290,14 +297,39 @@ def test_full_objective_matches_dense_reference(name, variant):
     hp = HyperParams(k_half=k, semantic_dim=sem, encoder_hidden=(6,), nu=0.3,
                      variant=variant)
     params = init_params([5, 6, sem, k], seed=4)
-    sup = LabelSupervision(r_l=rng.normal(0, 1, (n, sem)),
-                           omega_l=np.tanh(rng.normal(0, 1, (n, k))))
+    sup = random_supervision(rng, ds, sem, k)
     codes = CodeMatrix(np.where(rng.random((n, k)) < 0.5, -1.0, 1.0))
     got = full_objective(forward(params, ds.features), ds, codes, sup, hp)
-    for term, want in dense_full_objective(params, ds, codes, sup, hp).items():
+    # the reference takes one supervision row per item
+    per_item = LabelSupervision(r_l=sup.r_l[ds.patterns.ids],
+                                omega_l=sup.omega_l[ds.patterns.ids])
+    for term, want in dense_full_objective(params, ds, codes, per_item, hp).items():
         value = getattr(got, term)
         assert type(value) is float, term
         if want == 0.0:
             assert value == 0.0, term
         else:
             assert value == pytest.approx(want, rel=1e-10), term
+
+
+@pytest.mark.parametrize("variant", list(Variant), ids=[v.value for v in Variant])
+@pytest.mark.parametrize("name", LABEL_SET_NAMES)
+def test_full_objective_matches_dense_reference(name, variant):
+    assert_matches_dense_reference(name, variant)
+
+
+@pytest.mark.parametrize("variant", list(Variant), ids=[v.value for v in Variant])
+def test_full_objective_in_row_blocks_matches_dense_reference(variant, monkeypatch):
+    """Every label row distinct (p = n), summed in blocks of 3 pattern rows
+    and a last block of 1."""
+    n = hand_label_sets()["distinct"].shape[0]
+    monkeypatch.setattr(adsq.imgnet, "SOFTPLUS_BLOCK_ELEMS", 3 * n)
+    shapes = []
+
+    def recording(x):
+        shapes.append(np.shape(x))
+        return softplus_stable(x)
+
+    monkeypatch.setattr(adsq.imgnet, "softplus_stable", recording)
+    assert_matches_dense_reference("distinct", variant)
+    assert {s for s in shapes if len(s) == 2} == {(3, n), (1, n)}

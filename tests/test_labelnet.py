@@ -224,7 +224,12 @@ def test_zero_epochs_leaves_params_and_still_caches():
     before = params.copy()
     sup = run_phase(ds, hp, params, head, epochs=0, lr=1e-3, seed=0)
     assert same_params(params, before)
-    assert sup.r_l.shape == (ds.n, SEM) and sup.omega_l.shape == (ds.n, K)
+    p = ds.patterns.counts.size
+    assert sup.r_l.shape == (p, SEM) and sup.omega_l.shape == (p, K)
+    # gathered by pattern id, the rows equal the n-row forward bit for bit
+    outs = forward(params, ds.labels.astype(np.float64))
+    np.testing.assert_array_equal(sup.r_l[ds.patterns.ids], outs.r)
+    np.testing.assert_array_equal(sup.omega_l[ds.patterns.ids], outs.u)
 
 
 def test_fixed_seed_reproduces_trajectory():

@@ -8,12 +8,13 @@ import adsq.data
 import adsq.encoder
 import adsq.imgnet
 import adsq.labelnet
+import adsq.numerics
 from adsq.codes import encode_matrix
 from adsq.config import HyperParams, Variant
 from adsq.data import Dataset, build_similarity
 from adsq.encoder import forward, init_params
 from adsq.errors import DataError, TrainingError
-from adsq.labelnet import init_head
+from adsq.labelnet import cache_supervision, init_head
 from adsq.synth import SynthSpec, generate
 from adsq.trainer import _label_breakdown_row, convergence_check, save_run, subseed, train
 from labelsets import LABEL_SET_NAMES, hand_label_sets
@@ -171,7 +172,7 @@ def test_label_row_matches_dense_reference(name, literal):
     params = init_params([classes, 6, 4, 3], seed=5)
     head = init_head(classes, 3, seed=6)
     ds = Dataset(features=np.zeros((n, 2)), labels=labels)
-    row = _label_breakdown_row(2, ds, params, head, hp)
+    row = _label_breakdown_row(2, ds, cache_supervision(params, ds), head, hp)
     want = dense_label_row(labels, params, head, hp)
     for term, value in want.items():
         assert getattr(row, term) == pytest.approx(value, rel=1e-10), term
@@ -208,6 +209,25 @@ def test_training_builds_no_similarity_wider_than_patterns(tiny_data, monkeypatc
     assert p < HyperParams(**TINY).batch_size < ds.n
     train(ds, HyperParams(**TINY))
     assert rows and max(rows) <= p
+
+
+def test_training_softplus_sees_no_item_pair_array(tiny_data, monkeypatch):
+    """The pairwise likelihoods run over pattern x item logits in the
+    full-set objective and over pattern pairs in the label row, so no
+    array softplus receives holds more than p x n entries."""
+    original = adsq.numerics.softplus_stable
+    sizes = []
+
+    def recording(x):
+        sizes.append(np.size(x))
+        return original(x)
+
+    patch_everywhere(monkeypatch, "softplus_stable", original, recording)
+    ds, _ = tiny_data
+    p = ds.patterns.counts.size
+    assert 2 <= p < ds.n
+    train(ds, HyperParams(**TINY))
+    assert sizes and max(sizes) <= p * ds.n
 
 
 @pytest.mark.parametrize("variant", ["full", "sym"])
