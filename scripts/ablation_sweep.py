@@ -13,7 +13,7 @@ import argparse
 import numpy as np
 
 from adsq.codes import encode_matrix, pack
-from adsq.config import HyperParams
+from adsq.config import HyperParams, make_hyperparams
 from adsq.metrics import RelevanceJudge, mean_ap
 from adsq.synth import SynthSpec, generate
 from adsq.trainer import train
@@ -21,13 +21,19 @@ from adsq.trainer import train
 VARIANTS = ("full", "no-asym", "no-sem", "no-both", "sym")
 
 
+def cell_hyperparams(variant, seed, k_half, extra) -> HyperParams:
+    """Settings of one table cell. ``extra`` maps a field name to a value,
+    which may be a string; it overrides the defaults here and is converted
+    to the field's type, as a config file's value would be."""
+    return make_hyperparams({"k_half": k_half, "encoder_hidden": (64,), "semantic_dim": 32,
+                             "seed": seed, "variant": variant, **extra})
+
+
 def score(variant, seed, k_half, extra):
     spec = SynthSpec(classes=4, dim=32, per_class=100, queries_per_class=25,
                      cluster_spread=0.5, center_scale=1.0, seed=seed)
     train_split, query_split = generate(spec)
-    hp = HyperParams(k_half=k_half, encoder_hidden=(64,), semantic_dim=32,
-                     seed=seed, variant=variant, **extra)
-    state = train(train_split, hp)
+    state = train(train_split, cell_hyperparams(variant, seed, k_half, extra))
     db = pack(encode_matrix(train_split.features, state.imgx_params, state.imgy_params))
     q = pack(encode_matrix(query_split.features, state.imgx_params, state.imgy_params))
     judge = RelevanceJudge(query_labels=query_split.labels,
@@ -45,8 +51,8 @@ def main():
     seeds = [int(s) for s in args.seeds.split(",")]
 
     if args.param:
-        values = [float(v) for v in args.values.split(",")]
-        rows = [(f"{args.param}={v:g}", {args.param: v}, "full") for v in values]
+        values = [v.strip() for v in args.values.split(",")]
+        rows = [(f"{args.param}={v}", {args.param: v}, "full") for v in values]
     else:
         rows = [(v, {}, v) for v in VARIANTS]
 

@@ -11,7 +11,7 @@ minimizer  -sign(2 * B_rest (U_rest^T u_col) + p_col)  where
 P = -2 * k_half * S_signed^T U - 2 * eta * U.
 
 During training the similarity is given as ``LabelPatterns``, and
-S_signed^T U = 2 (S_pat @ per-pattern sums of U)[ids] - colsum(U), in
+S_signed^T U = 2 spread(per-pattern sums of U)[ids] - colsum(U), in
 O(n k + p^2 k) with no n x n array. A dense signed matrix is also
 accepted, for similarities that no label set produces.
 
@@ -57,7 +57,7 @@ def compute_P(U, similarity, hp: HyperParams) -> np.ndarray:
             raise ValueError(f"patterns cover {similarity.ids.size} items, U has "
                              f"{U.shape[0]} rows")
         # S_signed^T U = 2 (S_pat @ per-pattern sums of U)[ids] - colsum(U)
-        s_u = 2.0 * (similarity.sim @ similarity.sums(U))[similarity.ids] - U.sum(axis=0)
+        s_u = 2.0 * similarity.spread(similarity.sums(U))[similarity.ids] - U.sum(axis=0)
     else:
         s = np.asarray(similarity, dtype=np.float64)
         if s.shape != (U.shape[0], U.shape[0]):
@@ -94,20 +94,10 @@ def update_column(code_matrix: CodeMatrix, c: int, ws) -> np.ndarray:
     return B[:, c]
 
 
-def bstep_sweep(code_matrix: CodeMatrix, U, similarity, hp: HyperParams,
-                sweeps: int = 1) -> CodeMatrix:
-    """Cycle columns in ascending order ``sweeps`` times; stop early once a
-    full sweep changes nothing. Every column update checks that the
-    objective does not increase (see ``update_column``)."""
+def bstep_sweep(code_matrix: CodeMatrix, U, similarity, hp: HyperParams) -> CodeMatrix:
+    """Update every column once, in ascending order; each update checks that
+    the objective does not increase (see ``update_column``)."""
     ws = make_workspace(U, similarity, hp)
-    B = code_matrix.codes
-    for _ in range(sweeps):
-        changed = False
-        for c in range(B.shape[1]):
-            before = B[:, c].copy()
-            update_column(code_matrix, c, ws)
-            if not np.array_equal(before, B[:, c]):
-                changed = True
-        if not changed:
-            break
+    for c in range(code_matrix.codes.shape[1]):
+        update_column(code_matrix, c, ws)
     return code_matrix

@@ -135,6 +135,13 @@ def cmd_encode(args) -> int:
 
 def cmd_eval(args) -> int:
     t0 = time.perf_counter()
+    wanted = [m.strip() for m in args.metrics.split(",") if m.strip()]
+    known = {"map", "ph2", "pr", "pn"}
+    if not wanted:
+        raise AdsqError(f"no metric requested (choose from {sorted(known)})")
+    for m in wanted:
+        if m not in known:
+            raise AdsqError(f"unknown metric {m!r} (choose from {sorted(known)})")
     query_codes = load_codes(args.query_codes)
     db_codes = load_codes(args.db_codes)
     if query_codes.k_total != db_codes.k_total:
@@ -148,13 +155,6 @@ def cmd_eval(args) -> int:
     if db_labels.shape[0] != db_codes.n:
         raise AdsqError("database labels and codes disagree on item count")
     judge = RelevanceJudge(query_labels=query_labels, db_labels=db_labels)
-
-    wanted = [m.strip() for m in args.metrics.split(",") if m.strip()]
-    known = {"map", "ph2", "pr", "pn"}
-    for m in wanted:
-        if m not in known:
-            raise AdsqError(f"unknown metric {m!r} (choose from {sorted(known)})")
-
     result = evaluate(query_codes, db_codes, judge, map_r=args.map_r,
                       n_list=[n for n in DEFAULT_TOPN_GRID if n <= db_codes.n])
     # (value, grid) pairs per metric, written in this order whatever --metrics says

@@ -130,8 +130,8 @@ def search_topk(query_row, db: PackedCodes, k: int) -> np.ndarray:
     """Indices of the k nearest database rows, ascending distance; ties
     broken by ascending database index. The result owns its k entries, so
     keeping it does not keep the full n-entry ranking alive."""
-    if k > db.n:
-        raise ValueError(f"k={k} exceeds database size {db.n}")
+    if not 0 <= k <= db.n:
+        raise ValueError(f"k={k} must lie in [0, {db.n}], the database size")
     dist = distances_to_all(query_row, db)
     return np.argsort(dist, kind="stable")[:k].copy()
 

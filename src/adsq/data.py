@@ -1,10 +1,11 @@
 """Datasets, the shared-label similarity rule, label patterns, and the two
 on-disk matrix formats.
 
-Similarity depends only on the label row, so training uses the p distinct
-rows (``LabelPatterns``, keyed by the rows packed into uint64 words): any
-similarity block is a gather from the p x p pattern table, and products
-with the similarity reduce to per-pattern sums, O(n k + p^2 k).
+Two items are similar iff some word of the AND of their packed label words
+is nonzero; ``share_labels`` is the one implementation of this rule. It
+depends only on the label row, so training uses the p distinct rows
+(``LabelPatterns``, which keep their words): blocks come from the kernel,
+and products with the similarity reduce to per-pattern sums, O(n k + p^2 k).
 
 Feature files (``ADSQF001``) hold n, dim and an n x dim float32 matrix;
 label files (``ADSQL001``) hold n, classes and n x classes bytes in {0, 1};
@@ -58,25 +59,6 @@ class Dataset:
         return LabelPatterns(self.labels)
 
 
-def build_similarity(labels_a, labels_b=None) -> np.ndarray:
-    """Pairwise similarity block from multi-hot labels: entry (i, j) is 1.0
-    iff row i of ``labels_a`` and row j of ``labels_b`` (default
-    ``labels_a``) share at least one positive label, else 0.0.
-
-    This is the only place the shared-label rule lives; training consumes
-    the {0,1} block and its signed view ``2s - 1``, evaluation one query
-    row against the database."""
-    a = np.asarray(labels_a, dtype=np.float64)
-    b = a if labels_b is None else np.asarray(labels_b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
-        raise ValueError(f"label blocks must be 2-D with equal widths, got {a.shape} "
-                         f"and {b.shape}")
-    # 0/1 products summed in float64 are exact counts of shared labels
-    shared = a @ b.T
-    np.greater(shared, 0.0, out=shared)
-    return shared
-
-
 def pack_label_words(labels) -> np.ndarray:
     """n x max(1, ceil(classes / 64)) uint64 words of a {0,1} label matrix;
     bit j of word w holds class 64w + j and unused bits are zero."""
@@ -87,12 +69,33 @@ def pack_label_words(labels) -> np.ndarray:
     return packed.view(np.uint64)
 
 
+def share_labels(words_a, words_b) -> np.ndarray:
+    """The shared-label rule: boolean block whose entry (i, j) is True iff
+    rows i of ``words_a`` and j of ``words_b`` (``pack_label_words`` output
+    of equal width) have a nonzero AND in some word."""
+    shared = (words_a[:, 0, None] & words_b[:, 0]) != 0
+    for w in range(1, words_a.shape[1]):
+        shared |= (words_a[:, w, None] & words_b[:, w]) != 0
+    return shared
+
+
+def build_similarity(labels_a, labels_b=None) -> np.ndarray:
+    """Pairwise similarity block from multi-hot labels: entry (i, j) is 1.0
+    iff row i of ``labels_a`` and row j of ``labels_b`` (default
+    ``labels_a``) share at least one positive label, else 0.0."""
+    a, b = np.asarray(labels_a), np.asarray(labels_a if labels_b is None else labels_b)
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
+        raise ValueError(f"label blocks must be 2-D with equal widths, got {a.shape} "
+                         f"and {b.shape}")
+    return share_labels(pack_label_words(a), pack_label_words(b)).astype(np.float64)
+
+
 class LabelPatterns:
     """The distinct rows of a label matrix (see the module docstring).
 
-    ``rows`` (p x classes), ``first`` (p, the first item of each pattern),
-    ``ids`` (n, pattern of each item), ``counts`` (p) and ``sim`` (p x p
-    float64 {0,1}, from ``build_similarity``)."""
+    ``rows`` (p x classes), ``words`` (their packed label words), ``first``
+    (p, the first item of each pattern), ``ids`` (n, pattern of each item)
+    and ``counts`` (p)."""
 
     def __init__(self, labels):
         lab = np.asarray(labels)
@@ -102,10 +105,10 @@ class LabelPatterns:
         _, first, ids, counts = np.unique(keys, return_index=True, return_inverse=True,
                                           return_counts=True)
         self.rows = _freeze(lab[first])
+        self.words = _freeze(words[first])
         self.first = _freeze(first)
         self.ids = _freeze(ids)
         self.counts = _freeze(counts)
-        self.sim = _freeze(build_similarity(self.rows))
         # items grouped by pattern, for per-pattern sums by one reduceat
         self._order = np.argsort(ids, kind="stable")
         self._starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
@@ -113,8 +116,13 @@ class LabelPatterns:
     def block(self, index) -> np.ndarray:
         """{0,1} similarity among the items ``index``, equal to
         ``build_similarity(labels[index])``."""
-        pid = self.ids[index]
-        return self.sim[np.ix_(pid, pid)]
+        words = self.words[self.ids[index]]
+        return share_labels(words, words).astype(np.float64)
+
+    def spread(self, y) -> np.ndarray:
+        """``S_pat @ y`` for the p x p pattern similarity ``S_pat`` and a
+        p-row matrix ``y``."""
+        return share_labels(self.words, self.words).astype(np.float64) @ y
 
     def sums(self, x) -> np.ndarray:
         """Per-pattern sums of the rows of the n-row matrix ``x``."""

@@ -147,7 +147,7 @@ def full_objective(outs: NetOutputs, dataset: Dataset, code_matrix: CodeMatrix,
     every call made with the same weights.
 
     The similarity enters only through per-pattern sums of the dataset's
-    label patterns: sum_ij s_ij x_i.y_j = <S_pat, X_pat Y_pat^T>. The
+    label patterns: sum_ij s_ij x_i.y_j = <X_pat, spread(Y_pat)>. The
     supervision side of each pairwise likelihood has one row per pattern,
     so its softplus part is a count-weighted sum over the p x n pattern-item
     logits minus each item's own logit, formed in blocks of at most
@@ -158,7 +158,7 @@ def full_objective(outs: NetOutputs, dataset: Dataset, code_matrix: CodeMatrix,
     rows = max(1, SOFTPLUS_BLOCK_ELEMS // n)
 
     def sim_inner(x_pat, y):
-        return float((pat.sim * (x_pat @ pat.sums(y).T)).sum())
+        return float((x_pat * pat.spread(pat.sums(y))).sum())
 
     def nll(sup_pat, img, what):
         soft = 0.0

@@ -2,9 +2,10 @@
 
 Relevance follows the similarity rule used for training supervision: a
 database item is relevant to a query iff they share at least one positive
-label. All rankings use the deterministic ascending-distance,
-ascending-index order from the search module. ``evaluate`` ranks each
-query once and derives every metric from that one ranking.
+label, by the one kernel ``adsq.data.share_labels``. All rankings use the
+deterministic ascending-distance, ascending-index order from the search
+module. ``evaluate`` ranks each query once and derives every metric from
+that one ranking.
 """
 
 import math
@@ -15,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .codes import PackedCodes, distances_to_all
-from .data import pack_label_words
+from .data import pack_label_words, share_labels
 
 DEFAULT_RECALL_GRID = tuple(np.round(np.linspace(0.05, 1.0, 20), 4))
 
@@ -24,8 +25,8 @@ DEFAULT_RECALL_GRID = tuple(np.round(np.linspace(0.05, 1.0, 20), 4))
 class RelevanceJudge:
     """Shared-label relevance between a query set and a database.
 
-    Both label sets are packed into uint64 words once; a database item is
-    relevant iff some word of its AND with the query's words is nonzero."""
+    Both label sets are packed into uint64 words once; each query's row
+    comes from the shared-label kernel ``adsq.data.share_labels``."""
 
     query_labels: np.ndarray
     db_labels: np.ndarray
@@ -36,12 +37,12 @@ class RelevanceJudge:
             raise ValueError(f"query and database labels must be 2-D with equal widths, "
                              f"got {q.shape} and {d.shape}")
         object.__setattr__(self, "_query_words", pack_label_words(q))
-        object.__setattr__(self, "_db_columns", np.ascontiguousarray(pack_label_words(d).T))
+        object.__setattr__(self, "_db_words", pack_label_words(d))
 
     def relevance(self, query_index: int) -> np.ndarray:
         """Boolean relevance flags over the database for one query."""
-        words = self._query_words[query_index][:, None]
-        return ((self._db_columns & words) != 0).any(axis=0)
+        query = self._query_words[query_index:query_index + 1]
+        return share_labels(query, self._db_words)[0]
 
 
 class Evaluation(NamedTuple):

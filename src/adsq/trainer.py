@@ -88,7 +88,7 @@ def _label_breakdown_row(rnd, dataset, sup, head, hp) -> LogRow:
     """Full-set label loss over the per-pattern supervision ``sup``, each
     pattern weighted by its item count."""
     pat = dataset.patterns
-    bd = labelnet_loss(NetOutputs(r=sup.r_l, v=None, u=sup.omega_l), head, pat.sim,
+    bd = labelnet_loss(NetOutputs(r=sup.r_l, v=None, u=sup.omega_l), head, pat.block(pat.first),
                        pat.rows.astype(np.float64), hp, counts=pat.counts)
     return LogRow(rnd, "label", bd.total, bd.sem_pair, bd.code_pair,
                   bd.binary_reg, bd.classify, 0.0)
@@ -155,7 +155,7 @@ def train(dataset: Dataset, hp: HyperParams) -> TrainState:
         return outs
 
     def bstep(rnd, tag, outs, codes) -> float:
-        bstep_sweep(codes, outs.u, dataset.patterns, hp, sweeps=1)
+        bstep_sweep(codes, outs.u, dataset.patterns, hp)
         return img_row(rnd, f"bstep_{tag}", outs, codes).loss_total
 
     run_phase(0, "label", label_phase, 0, hp.lr_for_round(0))

@@ -30,6 +30,11 @@ def random_instance(seed, n_max=10, k_max=4):
     return hp, U, s_signed, B
 
 
+def sweep(B, U, similarity, hp, times):
+    for _ in range(times):
+        bstep_sweep(B, U, similarity, hp)
+
+
 class TestComputeP:
     def test_hand_value(self):
         hp = hp_with(k=1, eta=10.0)
@@ -119,14 +124,14 @@ class TestSweep:
         U = 0.999 * signs
         s_signed = np.sign(signs @ signs.T + 0.5)  # consistent similarity
         B = CodeMatrix(signs.copy())
-        bstep_sweep(B, U, s_signed, hp, sweeps=3)
+        sweep(B, U, s_signed, hp, 3)
         np.testing.assert_array_equal(B.codes, signs)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_objective_never_increases(self, seed):
         hp, U, s_signed, B = random_instance(seed, n_max=8, k_max=3)
         start = bstep_objective(U, B.codes, s_signed, hp.k_half, hp.eta)
-        bstep_sweep(B, U, s_signed, hp, sweeps=4)
+        sweep(B, U, s_signed, hp, 4)
         end = bstep_objective(U, B.codes, s_signed, hp.k_half, hp.eta)
         assert end <= start + 1e-9 * max(1.0, abs(start))
 
@@ -138,26 +143,29 @@ class TestSweep:
         U = np.tanh(rng.normal(size=(n, k)))
         start = np.where(rng.random((n, k)) < 0.5, -1.0, 1.0)
         by_patterns, dense = CodeMatrix(start.copy()), CodeMatrix(start.copy())
-        bstep_sweep(by_patterns, U, LabelPatterns(labels), hp_with(k), sweeps=3)
-        bstep_sweep(dense, U, 2.0 * build_similarity(labels) - 1.0, hp_with(k), sweeps=3)
+        sweep(by_patterns, U, LabelPatterns(labels), hp_with(k), 3)
+        sweep(dense, U, 2.0 * build_similarity(labels) - 1.0, hp_with(k), 3)
         np.testing.assert_array_equal(by_patterns.codes, dense.codes)
 
-    def test_zero_sweeps_no_change(self):
+    def test_one_call_updates_each_column_once(self):
         hp, U, s_signed, B = random_instance(3)
-        before = B.codes.copy()
-        bstep_sweep(B, U, s_signed, hp, sweeps=0)
-        np.testing.assert_array_equal(B.codes, before)
+        by_hand = CodeMatrix(B.codes.copy())
+        ws = make_workspace(U, s_signed, hp)
+        for c in range(B.codes.shape[1]):
+            update_column(by_hand, c, ws)
+        bstep_sweep(B, U, s_signed, hp)
+        np.testing.assert_array_equal(B.codes, by_hand.codes)
 
     def test_idempotent_after_convergence(self):
         hp, U, s_signed, B = random_instance(4)
-        bstep_sweep(B, U, s_signed, hp, sweeps=10)  # converges well before 10
+        sweep(B, U, s_signed, hp, 10)  # converges well before 10
         settled = B.codes.copy()
-        bstep_sweep(B, U, s_signed, hp, sweeps=1)
+        bstep_sweep(B, U, s_signed, hp)
         np.testing.assert_array_equal(B.codes, settled)
 
     def test_entries_stay_in_sign_domain(self):
         hp, U, s_signed, B = random_instance(5)
-        bstep_sweep(B, U, s_signed, hp, sweeps=2)
+        sweep(B, U, s_signed, hp, 2)
         assert np.isin(B.codes, (-1.0, 1.0)).all()
 
     def test_nan_output_raises_training_error(self):

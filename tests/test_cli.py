@@ -232,6 +232,18 @@ class TestEval:
         assert code == 1
         assert "equal widths" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("metrics", [",", "", " , "])
+    def test_no_metric_requested_fails_before_loading(self, tmp_path, metrics, capsys):
+        """Checked before any input is read, so the missing files never matter."""
+        missing = tmp_path / "missing"
+        out = tmp_path / "m.csv"
+        code = main(["eval", "--query-codes", str(missing), "--db-codes", str(missing),
+                     "--query-labels", str(missing), "--db-labels", str(missing),
+                     "--metrics", metrics, "--out", str(out)])
+        assert code == 1
+        assert "no metric requested" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_query_set_fails(self, tmp_path, workspace, capsys):
         root, data, _ = workspace
         from adsq.codes import write_codes

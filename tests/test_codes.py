@@ -124,6 +124,11 @@ class TestSearch:
         with pytest.raises(ValueError):
             search_topk(db.row(0), db, 6)
 
+    def test_negative_k_rejected(self):
+        db = pack(random_codes(4, 10, 8))
+        with pytest.raises(ValueError):
+            search_topk(db.row(0), db, -1)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_naive_sort(self, seed):
         codes = random_codes(seed, 50, 12)

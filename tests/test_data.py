@@ -189,7 +189,10 @@ def test_pattern_gather_equals_build_similarity(name):
     lab = hand_label_sets()[name]
     pat = LabelPatterns(lab)
     full = build_similarity(lab)
-    np.testing.assert_array_equal(pat.sim, build_similarity(pat.rows))
+    s_pat = build_similarity(pat.rows)
+    np.testing.assert_array_equal(pat.block(pat.first), s_pat)
+    y = np.random.default_rng(1).normal(size=(pat.rows.shape[0], 3))
+    np.testing.assert_array_equal(pat.spread(y), s_pat @ y)
     np.testing.assert_array_equal(pat.block(np.arange(lab.shape[0])), full)
     rng = np.random.default_rng(0)
     for m in (1, 2, 5, lab.shape[0]):

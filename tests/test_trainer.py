@@ -191,24 +191,29 @@ def patch_everywhere(monkeypatch, name, original, replacement):
 
 
 def test_training_builds_no_similarity_wider_than_patterns(tiny_data, monkeypatch):
-    """Every similarity block in training is gathered from the p x p
-    pattern table, so build_similarity never sees more than p rows."""
-    original = adsq.data.build_similarity
-    rows = []
+    """Training never calls build_similarity: every similarity it uses comes
+    from the shared-label kernel on at most max(batch_size, p) label rows."""
+    kernel, dense = adsq.data.share_labels, adsq.data.build_similarity
+    rows, dense_calls = [], []
 
-    def recording(labels_a, labels_b=None):
-        rows.append(len(labels_a))
-        if labels_b is not None:
-            rows.append(len(labels_b))
-        return original(labels_a, labels_b)
+    def recording(words_a, words_b):
+        rows.extend((len(words_a), len(words_b)))
+        return kernel(words_a, words_b)
 
-    patch_everywhere(monkeypatch, "build_similarity", original, recording)
+    def recording_dense(*args):
+        dense_calls.append(args)
+        return dense(*args)
+
+    patch_everywhere(monkeypatch, "share_labels", kernel, recording)
+    patch_everywhere(monkeypatch, "build_similarity", dense, recording_dense)
     src = tiny_data[0]
     ds = Dataset(features=src.features, labels=src.labels)  # patterns not yet built
+    hp = HyperParams(**TINY)
     p = np.unique(ds.labels, axis=0).shape[0]
-    assert p < HyperParams(**TINY).batch_size < ds.n
-    train(ds, HyperParams(**TINY))
-    assert rows and max(rows) <= p
+    assert p < hp.batch_size < ds.n
+    train(ds, hp)
+    assert dense_calls == []
+    assert rows and max(rows) <= max(hp.batch_size, p)
 
 
 def test_training_softplus_sees_no_item_pair_array(tiny_data, monkeypatch):
