@@ -12,7 +12,7 @@ import argparse
 
 import numpy as np
 
-from adsq.codes import encode_matrix, pack
+from adsq.codes import encode_matrix
 from adsq.config import HyperParams, make_hyperparams
 from adsq.metrics import RelevanceJudge, mean_ap
 from adsq.synth import SynthSpec, generate
@@ -34,8 +34,8 @@ def score(variant, seed, k_half, extra):
                      cluster_spread=0.5, center_scale=1.0, seed=seed)
     train_split, query_split = generate(spec)
     state = train(train_split, cell_hyperparams(variant, seed, k_half, extra))
-    db = pack(encode_matrix(train_split.features, state.imgx_params, state.imgy_params))
-    q = pack(encode_matrix(query_split.features, state.imgx_params, state.imgy_params))
+    db = encode_matrix(train_split.features, state.imgx_params, state.imgy_params)
+    q = encode_matrix(query_split.features, state.imgx_params, state.imgy_params)
     judge = RelevanceJudge(query_labels=query_split.labels,
                            db_labels=train_split.labels)
     return mean_ap(q, db, judge, 100)

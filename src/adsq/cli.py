@@ -14,11 +14,9 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from . import __version__
-from .codes import encode_matrix, load_codes, pack, write_codes
-from .config import load_config, parse_variant
+from .codes import encode_matrix, load_codes, write_codes
+from .config import load_config
 from .data import (load_dataset, load_features, load_labels, write_features,
                    write_labels)
 from .encoder import load_params
@@ -122,8 +120,7 @@ def cmd_encode(args) -> int:
     features = load_features(args.features)
     if features.shape[0] == 0:
         raise AdsqError(f"{args.features}: no rows to encode")
-    codes = encode_matrix(features, imgx, imgy)
-    write_codes(args.out, pack(codes))
+    write_codes(args.out, encode_matrix(features, imgx, imgy))
     _write_manifest(args.out + ".manifest.json", "encode",
                     {"model": os.path.basename(os.path.normpath(args.model))},
                     {}, [args.features,

@@ -1,6 +1,11 @@
 """Sign quantization, asymmetric code concatenation, bit packing, and
 linear-scan Hamming search.
 
+``encode_matrix`` runs both image networks over blocks of
+``ENCODE_BLOCK_ROWS`` feature rows and packs each block's sign bits
+(x-network half first) straight into the n-row payload, so no n-row float
+array is made beyond the features themselves.
+
 Packed layout: one row per item, MSB-first within each byte, bit 1 means
 +1, rows padded to a byte boundary with zero bits. For +-1 codes of equal
 length, popcount distance and inner product are tied by
@@ -25,6 +30,9 @@ from .errors import FormatError
 from .fileio import BinaryReader, write_binary
 
 CODES_MAGIC = b"ADSQB001"
+# Rows per encode block: a fixed row count, not an element budget, since a
+# budget would cut wide layers into blocks too short for efficient GEMMs.
+ENCODE_BLOCK_ROWS = 1024
 
 
 def _as_words(rows: np.ndarray) -> np.ndarray:
@@ -79,12 +87,22 @@ def quantize_sign(values) -> np.ndarray:
     return np.where(arr >= 0, 1.0, -1.0)
 
 
-def encode_matrix(x, imgx_params: EncoderParams, imgy_params: EncoderParams) -> np.ndarray:
-    """Row-wise codes of length 2*k_half for a feature matrix: x-network
-    half first."""
-    half_x = quantize_sign(forward(imgx_params, x).u)
-    half_y = quantize_sign(forward(imgy_params, x).u)
-    return np.concatenate([half_x, half_y], axis=1)
+def encode_matrix(x, imgx_params: EncoderParams, imgy_params: EncoderParams) -> PackedCodes:
+    """Packed row-wise codes of length 2*k_half for a feature matrix:
+    x-network half first, each half ``quantize_sign`` of its network's u."""
+    x = np.asarray(x)
+    n = x.shape[0]
+    k_x = imgx_params.weights[-1].shape[0]
+    k_total = k_x + imgy_params.weights[-1].shape[0]
+    payload = np.empty((n, (k_total + 7) // 8), dtype=np.uint8)
+    bits = np.empty((min(n, ENCODE_BLOCK_ROWS), k_total), dtype=bool)
+    for start in range(0, n, ENCODE_BLOCK_ROWS):
+        block = x[start:start + ENCODE_BLOCK_ROWS]
+        out = bits[:block.shape[0]]
+        np.greater(quantize_sign(forward(imgx_params, block).u), 0, out=out[:, :k_x])
+        np.greater(quantize_sign(forward(imgy_params, block).u), 0, out=out[:, k_x:])
+        payload[start:start + block.shape[0]] = np.packbits(out, axis=1)
+    return PackedCodes(n=n, k_total=k_total, payload=payload)
 
 
 def pack(codes) -> PackedCodes:

@@ -132,6 +132,14 @@ _DEFAULTS = {f.name: f.default for f in dataclasses.fields(HyperParams)}
 _BOOL_STRINGS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
+def _as_int(value) -> int:
+    """``value`` as an int; a float must be integral (2.0 gives 2), never
+    truncated."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def _coerce(key, value):
     """``value`` (JSON or a ``--set`` string) as the type of the key's default."""
     default = _DEFAULTS[key]
@@ -143,7 +151,9 @@ def _coerce(key, value):
         if isinstance(default, tuple):
             if isinstance(value, str):
                 value = [v for v in value.split(",") if v.strip()]
-            return tuple(int(v) for v in value)
+            return tuple(_as_int(v) for v in value)
+        if isinstance(default, int):
+            return _as_int(value)
         return type(default)(value)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for config key {key!r}: {value!r}") from exc

@@ -19,6 +19,8 @@ from .errors import ConfigError, FormatError, TrainingError
 from .fileio import BinaryReader, write_binary
 
 MODEL_MAGIC = b"ADSQW001"
+# Elements per in-place block of an optimizer step (one scratch buffer).
+STEP_BLOCK_ELEMS = 1 << 16
 
 
 @dataclass
@@ -145,25 +147,40 @@ class MomentumSGD:
         param    <- param - lr * velocity
 
     One optimizer instance owns one network's (or head's) velocity state.
+    A step runs in place over blocks of ``STEP_BLOCK_ELEMS`` elements with
+    one scratch buffer, so it makes no full-size temporary.
     """
 
     def __init__(self, arrays, momentum: float, weight_decay: float):
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self.velocity = [np.zeros_like(a) for a in arrays]
+        self.velocity = [np.zeros_like(a, order="C") for a in arrays]
+        self._scratch = np.empty(min(STEP_BLOCK_ELEMS, max((a.size for a in arrays), default=0)))
 
     def step(self, arrays, grads, lr: float):
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
         if len(arrays) != len(self.velocity) or len(grads) != len(self.velocity):
             raise ValueError("array/gradient count does not match optimizer state")
-        for g in grads:
-            if not np.all(np.isfinite(g)):
+        for a, g in zip(arrays, grads):
+            if g.shape != a.shape:
+                raise ValueError(f"gradient shape {g.shape} != parameter shape {a.shape}")
+            if not a.flags.c_contiguous:
+                raise ValueError("parameters must be C-contiguous to update in place")
+            if not np.isfinite(g).all():
                 raise TrainingError("non-finite gradient; aborting epoch")
         for a, g, vel in zip(arrays, grads, self.velocity):
-            vel *= self.momentum
-            vel += g + self.weight_decay * a
-            a -= lr * vel
+            a, g, vel = a.ravel(), g.ravel(), vel.ravel()  # views: a and vel are C-contiguous
+            for i in range(0, a.size, STEP_BLOCK_ELEMS):
+                block = slice(i, i + STEP_BLOCK_ELEMS)
+                ab, gb, vb = a[block], g[block], vel[block]
+                t = self._scratch[:ab.size]
+                np.multiply(ab, self.weight_decay, out=t)
+                t += gb
+                vb *= self.momentum
+                vb += t
+                np.multiply(vb, lr, out=t)
+                ab -= t
 
 
 def save_params(path, params: EncoderParams):

@@ -47,9 +47,8 @@ def run_fixture(variant, seed):
     hp = HyperParams(seed=seed, variant=variant, **FIXTURE_HP)
     t0 = time.perf_counter()
     state = train(train_split, hp)
-    db = pack(encode_matrix(train_split.features, state.imgx_params, state.imgy_params))
-    queries = pack(encode_matrix(query_split.features, state.imgx_params,
-                                 state.imgy_params))
+    db = encode_matrix(train_split.features, state.imgx_params, state.imgy_params)
+    queries = encode_matrix(query_split.features, state.imgx_params, state.imgy_params)
     score = mean_ap(queries, db, judge, 100)
     return state, score, time.perf_counter() - t0
 
@@ -280,8 +279,8 @@ def test_criterion_6_end_to_end_separability(fixture_runs):
     dims = [train_split.dim, *hp.encoder_hidden, hp.semantic_dim, hp.k_half]
     raw_x = init_params(dims, subseed(7, 2))
     raw_y = init_params(dims, subseed(7, 3))
-    db0 = pack(encode_matrix(train_split.features, raw_x, raw_y))
-    q0 = pack(encode_matrix(query_split.features, raw_x, raw_y))
+    db0 = encode_matrix(train_split.features, raw_x, raw_y)
+    q0 = encode_matrix(query_split.features, raw_x, raw_y)
     untrained = mean_ap(q0, db0, judge, 100)
     overhead = time.perf_counter() - t0
 

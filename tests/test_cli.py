@@ -5,10 +5,11 @@ import shutil
 import numpy as np
 import pytest
 
+import adsq.codes
 from adsq.cli import main
-from adsq.codes import encode_matrix, load_codes, pack, unpack
+from adsq.codes import load_codes, pack, unpack
 from adsq.data import load_features
-from adsq.encoder import forward, load_params
+from adsq.encoder import forward, load_params, save_params
 from adsq.metrics import RelevanceJudge, mean_ap
 
 TRAIN_OVERRIDES = [
@@ -119,9 +120,44 @@ class TestEncode:
         imgx = load_params(model / "imgx.net")
         imgy = load_params(model / "imgy.net")
         feats = load_features(data / "train.adsqf")
-        np.testing.assert_array_equal(codes, encode_matrix(feats, imgx, imgy))
-        ux = forward(imgx, feats).u
-        np.testing.assert_array_equal(codes[:, :4], np.where(ux >= 0, 1.0, -1.0))
+        want = np.concatenate([np.where(forward(net, feats).u >= 0, 1.0, -1.0)
+                               for net in (imgx, imgy)], axis=1)
+        np.testing.assert_array_equal(codes, want)
+
+    def test_forward_never_sees_more_than_a_block(self, tmp_path, workspace, monkeypatch):
+        root, data, model = workspace
+        block = 5
+        rows = []
+
+        def recording_forward(params, x, keep_hidden=False):
+            rows.append(np.shape(x)[0])
+            return forward(params, x, keep_hidden)
+
+        monkeypatch.setattr(adsq.codes, "ENCODE_BLOCK_ROWS", block)
+        monkeypatch.setattr(adsq.codes, "forward", recording_forward)
+        out = tmp_path / "blocked.adsqb"
+        assert main(["encode", "--model", str(model),
+                     "--features", str(data / "train.adsqf"), "--out", str(out)]) == 0
+        n = load_features(data / "train.adsqf").shape[0]
+        assert n > 2 * block
+        assert max(rows) <= block and sum(rows) == 2 * n
+        assert out.read_bytes() == (root / "db.adsqb").read_bytes()
+
+    def test_nan_weight_fails_before_any_write(self, tmp_path, workspace, capsys):
+        _, data, model = workspace
+        bad_model = tmp_path / "model"
+        shutil.copytree(model, bad_model)
+        imgy = load_params(bad_model / "imgy.net")
+        imgy.weights[0][0, 0] = np.nan
+        save_params(bad_model / "imgy.net", imgy)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        code = main(["encode", "--model", str(bad_model),
+                     "--features", str(data / "train.adsqf"),
+                     "--out", str(out_dir / "db.adsqb")])
+        assert code == 1
+        assert "finite" in capsys.readouterr().err
+        assert list(out_dir.iterdir()) == []
 
     def test_k_total_recorded(self, workspace):
         root, _, _ = workspace

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import adsq.codes
 from adsq.codes import (PackedCodes, distances_to_all, encode_matrix,
                         hamming_distance, load_codes, pack, quantize_sign,
                         search_topk, unpack, write_codes)
@@ -31,6 +32,13 @@ class TestQuantize:
             quantize_sign([np.nan])
 
 
+def reference_codes(x, px, py) -> PackedCodes:
+    """The unblocked definition: each network over every row, the two sign
+    halves concatenated x half first, then packed."""
+    return pack(np.concatenate([quantize_sign(forward(px, x).u),
+                                quantize_sign(forward(py, x).u)], axis=1))
+
+
 class TestEncode:
     def setup_method(self):
         self.px = init_params([5, 4, 3, 2], seed=10)
@@ -38,20 +46,44 @@ class TestEncode:
 
     def test_x_half_comes_first(self):
         x = np.random.default_rng(2).normal(size=5)
-        code = encode_matrix(x[None, :], self.px, self.py)[0]
+        code = unpack(encode_matrix(x[None, :], self.px, self.py))[0]
         hx = quantize_sign(forward(self.px, x[None, :]).u[0])
         hy = quantize_sign(forward(self.py, x[None, :]).u[0])
         np.testing.assert_array_equal(code[:2], hx)
         np.testing.assert_array_equal(code[2:], hy)
 
     def test_length_is_twice_k_half(self):
-        x = np.zeros(5)
-        assert encode_matrix(x[None, :], self.px, self.py).shape == (1, 4)
+        packed = encode_matrix(np.zeros((1, 5)), self.px, self.py)
+        assert (packed.n, packed.k_total) == (1, 4)
 
     def test_shared_params_give_identical_halves(self):
         x = np.random.default_rng(3).normal(size=(6, 5))
-        codes = encode_matrix(x, self.px, self.px)
+        codes = unpack(encode_matrix(x, self.px, self.px))
         np.testing.assert_array_equal(codes[:, :2], codes[:, 2:])
+
+
+class TestEncodeBlocks:
+    B = 4
+
+    # unequal halves; totals of 3, 9 and 13 bits leave padding bits in the last byte
+    @pytest.mark.parametrize("k_x, k_y", [(1, 2), (3, 6), (8, 5)])
+    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 3])
+    def test_matches_unblocked_reference(self, monkeypatch, n, k_x, k_y):
+        monkeypatch.setattr(adsq.codes, "ENCODE_BLOCK_ROWS", self.B)
+        px = init_params([5, 6, 4, k_x], seed=20)
+        py = init_params([5, 3, k_y], seed=21)
+        x = np.random.default_rng(n).normal(size=(n, 5))
+        got, want = encode_matrix(x, px, py), reference_codes(x, px, py)
+        assert (got.n, got.k_total) == (want.n, want.k_total) == (n, k_x + k_y)
+        np.testing.assert_array_equal(got.payload, want.payload)
+
+    def test_nan_row_in_last_block_raises(self, monkeypatch):
+        monkeypatch.setattr(adsq.codes, "ENCODE_BLOCK_ROWS", self.B)
+        p = init_params([5, 4, 3, 2], seed=10)
+        x = np.random.default_rng(4).normal(size=(2 * self.B + 3, 5))
+        x[-1, 2] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            encode_matrix(x, p, p)
 
 
 class TestPack:

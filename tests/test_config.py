@@ -57,6 +57,26 @@ def test_string_coercion_for_cli_overrides():
     assert hp.refresh_labelnet is False
 
 
+@pytest.mark.parametrize("key, value", [("t_img", 1.5), ("batch_size", 2.9), ("seed", 0.5),
+                                        ("k_half", float("inf")), ("encoder_hidden", [16, 8.5])])
+def test_fractional_int_value_rejected_by_name(key, value):
+    with pytest.raises(ConfigError, match=key):
+        make_hyperparams({key: value})
+
+
+def test_fractional_int_value_in_config_file_rejected(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"t_img": 1.5}))
+    with pytest.raises(ConfigError, match="t_img"):
+        load_config(path)
+
+
+def test_integral_float_is_an_int():
+    hp = make_hyperparams({"batch_size": 2.0, "t_img": 3.0, "encoder_hidden": [16.0, 8]})
+    assert (hp.batch_size, hp.t_img, hp.encoder_hidden) == (2, 3, (16, 8))
+    assert type(hp.batch_size) is int and type(hp.t_img) is int
+
+
 def test_load_config_file_and_overrides(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"k_half": 6, "nu": 2.0}))

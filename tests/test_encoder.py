@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import adsq.encoder
 from adsq.encoder import (EncoderParams, MomentumSGD, backward, forward, init_params,
                           load_params, save_params)
 from adsq.errors import ConfigError, FormatError, TrainingError
@@ -161,6 +162,51 @@ class TestSgd:
         opt = MomentumSGD(p.weights + p.biases, momentum=0.9, weight_decay=0.0)
         with pytest.raises(TrainingError):
             opt.step(p.weights + p.biases, bad, lr=0.1)
+
+    @staticmethod
+    def _multi_block_arrays(seed):
+        # with 7-element blocks: 5 x 6 spans five blocks, 13 two, 2 one, 3 x 5 three
+        rng = np.random.default_rng(seed)
+        return [rng.normal(size=(5, 6)), rng.normal(size=13), rng.normal(size=2),
+                rng.normal(size=(3, 5))]
+
+    def test_blocked_step_is_bit_identical_to_textbook(self, monkeypatch):
+        monkeypatch.setattr(adsq.encoder, "STEP_BLOCK_ELEMS", 7)
+        momentum, wd = 0.9, 5e-4
+        arrays = self._multi_block_arrays(0)
+        ref = [a.copy() for a in arrays]
+        ref_vel = [np.zeros_like(a) for a in arrays]
+        opt = MomentumSGD(arrays, momentum=momentum, weight_decay=wd)
+        rng = np.random.default_rng(1)
+        for lr in (0.1, 0.03, 0.2):
+            grads = [rng.normal(size=a.shape) for a in arrays]
+            opt.step(arrays, grads, lr)
+            for a, g, vel in zip(ref, grads, ref_vel):
+                vel *= momentum
+                vel += g + wd * a
+                a -= lr * vel
+            assert [a.tobytes() for a in arrays] == [a.tobytes() for a in ref]
+            assert [v.tobytes() for v in opt.velocity] == [v.tobytes() for v in ref_vel]
+
+    def test_nan_in_last_block_changes_nothing(self, monkeypatch):
+        monkeypatch.setattr(adsq.encoder, "STEP_BLOCK_ELEMS", 7)
+        arrays = self._multi_block_arrays(2)
+        opt = MomentumSGD(arrays, momentum=0.9, weight_decay=5e-4)
+        opt.step(arrays, [np.ones_like(a) for a in arrays], 0.1)  # nonzero velocity
+        before = [a.copy() for a in arrays + opt.velocity]
+        grads = [np.ones_like(a) for a in arrays]
+        grads[-1][-1, -1] = np.nan
+        with pytest.raises(TrainingError):
+            opt.step(arrays, grads, 0.1)
+        assert [a.tobytes() for a in arrays + opt.velocity] == [b.tobytes() for b in before]
+
+    def test_parameter_that_cannot_update_in_place_changes_nothing(self):
+        arrays = [np.ones(4), np.ones((3, 4)).T]
+        opt = MomentumSGD(arrays, momentum=0.9, weight_decay=0.0)
+        with pytest.raises(ValueError):
+            opt.step(arrays, [np.ones_like(a) for a in arrays], 0.1)
+        assert np.array_equal(arrays[0], np.ones(4))
+        assert not np.any(opt.velocity[0])
 
 
 class TestModelFile:

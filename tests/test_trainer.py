@@ -9,7 +9,7 @@ import adsq.encoder
 import adsq.imgnet
 import adsq.labelnet
 import adsq.numerics
-from adsq.codes import encode_matrix
+from adsq.codes import encode_matrix, unpack
 from adsq.config import HyperParams, Variant
 from adsq.data import Dataset, build_similarity
 from adsq.encoder import forward, init_params
@@ -96,8 +96,8 @@ class TestTrainLoop:
     def test_symmetric_variant_shares_weights(self, tiny_data):
         state, hp = run_tiny(tiny_data, variant="sym")
         assert state.imgx_params is state.imgy_params
-        codes = encode_matrix(tiny_data[0].features, state.imgx_params,
-                              state.imgy_params)
+        codes = unpack(encode_matrix(tiny_data[0].features, state.imgx_params,
+                                     state.imgy_params))
         half = hp.k_half
         np.testing.assert_array_equal(codes[:, :half], codes[:, half:])
 
