@@ -14,7 +14,7 @@ import numpy as np
 
 from adsq.codes import encode_matrix
 from adsq.config import HyperParams, make_hyperparams
-from adsq.metrics import RelevanceJudge, mean_ap
+from adsq.metrics import RelevanceJudge, evaluate
 from adsq.synth import SynthSpec, generate
 from adsq.trainer import train
 
@@ -38,7 +38,7 @@ def score(variant, seed, k_half, extra):
     q = encode_matrix(query_split.features, state.imgx_params, state.imgy_params)
     judge = RelevanceJudge(query_labels=query_split.labels,
                            db_labels=train_split.labels)
-    return mean_ap(q, db, judge, 100)
+    return evaluate(q, db, judge, map_r=100).map
 
 
 def main():

@@ -4,6 +4,7 @@ import dataclasses
 import enum
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -79,7 +80,12 @@ class HyperParams:
     refresh_labelnet: bool = True
 
     def __post_init__(self):
-        self.encoder_hidden = tuple(int(w) for w in self.encoder_hidden)
+        for name, default in _DEFAULTS.items():
+            if isinstance(default, bool):
+                setattr(self, name, _as_bool(name, getattr(self, name)))
+            elif isinstance(default, int):
+                setattr(self, name, _as_int(name, getattr(self, name)))
+        self.encoder_hidden = tuple(_as_int("encoder_hidden", w) for w in self.encoder_hidden)
         self.variant = parse_variant(self.variant)
         self.validate()
 
@@ -132,29 +138,38 @@ _DEFAULTS = {f.name: f.default for f in dataclasses.fields(HyperParams)}
 _BOOL_STRINGS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
-def _as_int(value) -> int:
-    """``value`` as an int; a float must be integral (2.0 gives 2), never
-    truncated."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{value!r} is not an integer")
-    return int(value)
+def _as_int(name, value) -> int:
+    """``value`` of int field ``name`` as an int: an integral number (2.0
+    gives 2), never truncated, never a string or a bool."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and \
+            (isinstance(value, numbers.Integral) or float(value).is_integer()):
+        return int(value)
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def _as_bool(name, value) -> bool:
+    """``value`` of bool field ``name``: a bool, or the integer 0 or 1."""
+    if isinstance(value, bool) or (isinstance(value, int) and value in (0, 1)):
+        return bool(value)
+    raise ConfigError(f"{name} must be true or false, got {value!r}")
 
 
 def _coerce(key, value):
-    """``value`` (JSON or a ``--set`` string) as the type of the key's default."""
+    """``value`` (JSON or a ``--set`` string) as the type of the key's
+    default; ``HyperParams`` itself checks int and bool values."""
     default = _DEFAULTS[key]
     try:
-        if isinstance(default, bool):
-            return _BOOL_STRINGS[value.lower()] if isinstance(value, str) else bool(value)
         if isinstance(default, Variant):
             return parse_variant(value)
         if isinstance(default, tuple):
             if isinstance(value, str):
-                value = [v for v in value.split(",") if v.strip()]
-            return tuple(_as_int(v) for v in value)
-        if isinstance(default, int):
-            return _as_int(value)
-        return type(default)(value)
+                return tuple(int(v) for v in value.split(",") if v.strip())
+            return tuple(value)
+        if isinstance(value, str):
+            if isinstance(default, bool):
+                return _BOOL_STRINGS[value.lower()]
+            return type(default)(value)
+        return value if isinstance(default, int) else float(value)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for config key {key!r}: {value!r}") from exc
 

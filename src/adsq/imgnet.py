@@ -1,13 +1,14 @@
 """Image-network objective with fixed label-network supervision.
 
-Pairing is within-batch. The semantic and code likelihood terms run over
-ordered pairs i != j where the supervision side carries index i and the
-image side index j; the asymmetric inner-product term runs over all batch
-pairs including i = j, anchoring each item's continuous output to its own
-discrete code. The balance term pushes every bit's batch column sum
-toward zero.
+There is one objective, over the whole training set. The semantic and
+code likelihood terms run over ordered pairs i != j where the supervision
+side carries index i and the image side index j; the asymmetric
+inner-product term runs over all pairs including i = j, anchoring each
+item's continuous output to its own discrete code. The balance term
+pushes every bit's column sum toward zero.
 
-Gradients are the exact derivatives of the loss as computed here. They
+``full_objective`` evaluates it for the diagnostics. ``imgnet_grads`` is
+its exact gradient with one batch taken as the whole set; the gradients
 enter the encoder at two points: the hash pre-activation (quantization,
 balance, code-likelihood, and asymmetric terms) and the semantic layer
 (the semantic likelihood term, which never touches the hash head).
@@ -26,7 +27,7 @@ from .config import HyperParams
 from .data import Dataset, LabelPatterns
 from .encoder import EncoderParams, MomentumSGD, NetOutputs, backward, forward
 from .errors import TrainingError
-from .labelnet import LabelSupervision, iter_batches, pair_residual, pairwise_nll
+from .labelnet import LabelSupervision, iter_batches, pair_residual
 from .numerics import check_finite, softplus_stable
 
 # Entries per block of pattern x item logits in full_objective (32 MB of
@@ -71,39 +72,15 @@ def make_context(batch, outs, sup: LabelSupervision, code_matrix: CodeMatrix,
                            sim_binary=patterns.block(batch))
 
 
-def _weighted_terms(hp: HyperParams, u, codes, sem, code, asym) -> ImgLossBreakdown:
-    """Weight and check each term ``hp.variant`` keeps; ``sem``, ``code`` and
-    ``asym`` return the unweighted sums and are called only if kept."""
-    v = hp.variant
-    return ImgLossBreakdown(
-        sem_pair=check_finite(hp.alpha * sem(), "sem_pair term") if v.keeps_sem else 0.0,
-        code_pair=check_finite(hp.beta * code(), "code_pair term"),
-        quant=check_finite(hp.eta * float(((u - codes)**2).sum()), "quant term"),
-        balance=check_finite(hp.nu * float((u.sum(axis=0)**2).sum()), "balance term"),
-        asym=check_finite(asym(), "asym term") if v.keeps_asym else 0.0)
-
-
 def _asym_fit(ctx: ImgBatchContext):
     """U B^T - k S_signed over the batch, with S_signed = 2 S - 1."""
     return ctx.u @ ctx.codes.T - ctx.u.shape[1] * (2.0 * ctx.sim_binary - 1.0)
 
 
-def imgnet_loss(ctx: ImgBatchContext, hp: HyperParams) -> ImgLossBreakdown:
-    """Batch loss: the reference that imgnet_grads is checked against."""
-    def nll(sup, img, what):
-        return pairwise_nll(check_finite(0.5 * (sup @ img.T), f"{what} logits"),
-                            ctx.sim_binary)
-
-    return _weighted_terms(
-        hp, ctx.u, ctx.codes,
-        sem=lambda: nll(ctx.r_sup, ctx.r_img, "sem_pair"),
-        code=lambda: nll(ctx.w_sup, ctx.u, "code_pair"),
-        asym=lambda: float((_asym_fit(ctx)**2).sum()))
-
-
 def imgnet_grads(ctx: ImgBatchContext, hp: HyperParams):
-    """Exact gradients of imgnet_loss w.r.t. the semantic outputs and the
-    hash pre-activations: returns (g_r, g_v). The loss itself is never
+    """Exact gradients of ``full_objective``, with the batch taken as the
+    whole training set, w.r.t. the semantic outputs and the hash
+    pre-activations: returns (g_r, g_v). The objective itself is never
     evaluated; non-finite pair logits raise TrainingError naming the term."""
     g_r = np.zeros_like(ctx.r_img)
     if hp.variant.keeps_sem:
@@ -129,7 +106,7 @@ def wstep_epoch(params: EncoderParams, dataset: Dataset, code_matrix: CodeMatrix
                 sup: LabelSupervision, hp: HyperParams, *, lr: float, rng,
                 optimizer: MomentumSGD) -> None:
     """One epoch of weight updates with the discrete codes held fixed: per
-    step one forward pass and the gradients of imgnet_loss, no loss value.
+    step one forward pass and the batch gradients, no objective value.
     Mutates ``params`` and ``optimizer`` in place."""
     for batch in iter_batches(dataset.n, hp.batch_size, rng):
         outs = forward(params, dataset.features[batch], keep_hidden=True)
@@ -180,6 +157,11 @@ def full_objective(outs: NetOutputs, dataset: Dataset, code_matrix: CodeMatrix,
         return float(((u.T @ u) * (codes.T @ codes)).sum()) - 2.0 * k * signed \
             + float(k * k) * n * n
 
-    return _weighted_terms(hp, u, codes,
-                           sem=lambda: nll(sup.r_l, outs.r, "sem_pair"),
-                           code=lambda: nll(sup.omega_l, u, "code_pair"), asym=asym)
+    v = hp.variant
+    return ImgLossBreakdown(
+        sem_pair=check_finite(hp.alpha * nll(sup.r_l, outs.r, "sem_pair"), "sem_pair term")
+        if v.keeps_sem else 0.0,
+        code_pair=check_finite(hp.beta * nll(sup.omega_l, u, "code_pair"), "code_pair term"),
+        quant=check_finite(hp.eta * float(((u - codes)**2).sum()), "quant term"),
+        balance=check_finite(hp.nu * float((u.sum(axis=0)**2).sum()), "balance term"),
+        asym=check_finite(asym(), "asym term") if v.keeps_asym else 0.0)

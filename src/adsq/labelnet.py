@@ -74,12 +74,11 @@ class LabelGrads:
     head_bias: np.ndarray
 
 
-def pairwise_nll(logits, sim_binary, counts=None):
+def pairwise_nll(logits, sim_binary, counts):
     """Negative log-likelihood sum over ordered pairs of distinct items.
-    Row a stands for counts[a] items that share its logits (one item when
-    ``counts`` is None), so pair (a, b) weighs counts[a] * counts[b] and
-    (a, a) counts[a] * (counts[a] - 1); unit counts zero the diagonal."""
-    counts = np.ones(logits.shape[0]) if counts is None else counts
+    Row a stands for counts[a] items that share its logits, so pair (a, b)
+    weighs counts[a] * counts[b] and (a, a) counts[a] * (counts[a] - 1);
+    unit counts zero the diagonal. The label loss's pairwise terms."""
     per_pair = softplus_stable(logits) - sim_binary * logits
     return float(((np.outer(counts, counts) - np.diag(counts)) * per_pair).sum())
 
@@ -93,10 +92,9 @@ def pair_residual(a, b, sim_binary, what):
     return g
 
 
-def binary_reg_value(omega, literal: bool, counts=None) -> float:
+def binary_reg_value(omega, literal: bool, counts) -> float:
     """Per-item L1 distance of codes from the discrete target set, row a
-    counted ``counts[a]`` times (once when ``counts`` is None)."""
-    counts = np.ones(omega.shape[0]) if counts is None else counts
+    counted ``counts[a]`` times."""
     dist = np.abs(omega - 1.0) if literal else np.abs(np.abs(omega) - 1.0)
     return float((counts[:, None] * dist).sum())
 

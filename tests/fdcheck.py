@@ -1,6 +1,13 @@
-"""Central finite differences used as the gradient oracle in several suites."""
+"""Central finite differences used as the gradient oracle in several suites,
+and the image objective of one batch taken as the whole training set."""
 
 import numpy as np
+
+from adsq.bstep import CodeMatrix
+from adsq.data import Dataset
+from adsq.encoder import NetOutputs
+from adsq.imgnet import full_objective
+from adsq.labelnet import LabelSupervision
 
 STEP = 1e-6
 TOL = 1e-5
@@ -41,3 +48,35 @@ def random_similarity(rng, n):
     s = s + s.T
     np.fill_diagonal(s, 1.0)
     return s, 2.0 * s - 1.0
+
+
+def labels_for_similarity(s):
+    """A label matrix whose shared-label similarity is ``s`` (symmetric
+    {0,1}, unit diagonal): one class per item plus one class per similar
+    pair. Every row is distinct, so each item is its own label pattern."""
+    m = s.shape[0]
+    first, second = np.nonzero(np.triu(s, 1))
+    pair_class = m + np.arange(first.size)
+    labels = np.zeros((m, m + first.size), dtype=np.int8)
+    labels[np.arange(m), np.arange(m)] = 1
+    labels[first, pair_class] = 1
+    labels[second, pair_class] = 1
+    return labels
+
+
+def batch_dataset(s):
+    """A one-batch training set whose similarity is ``s``; the features
+    are never read by ``full_objective``."""
+    return Dataset(features=np.zeros((s.shape[0], 1)), labels=labels_for_similarity(s))
+
+
+def batch_objective(ctx, hp, dataset=None):
+    """``full_objective`` with the batch ``ctx`` (an ``ImgBatchContext``) as
+    the whole training set; ``dataset`` is ``batch_dataset(ctx.sim_binary)``,
+    built here when not given. The supervision is gathered per pattern,
+    as patterns come sorted by key, not in item order."""
+    dataset = batch_dataset(ctx.sim_binary) if dataset is None else dataset
+    first = dataset.patterns.first
+    sup = LabelSupervision(r_l=ctx.r_sup[first], omega_l=ctx.w_sup[first])
+    return full_objective(NetOutputs(r=ctx.r_img, v=None, u=ctx.u), dataset,
+                          CodeMatrix(ctx.codes), sup, hp)

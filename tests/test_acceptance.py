@@ -16,13 +16,12 @@ from adsq.bstep import CodeMatrix, bstep_objective, make_workspace, update_colum
 from adsq.codes import encode_matrix, hamming_distance, pack
 from adsq.config import HyperParams, Variant
 from adsq.encoder import NetOutputs, init_params
-from adsq.imgnet import ImgBatchContext, imgnet_grads, imgnet_loss
+from adsq.imgnet import ImgBatchContext, imgnet_grads
 from adsq.labelnet import ClassifierHead, labelnet_grad, labelnet_loss
-from adsq.metrics import (RelevanceJudge, mean_ap, mean_precision_at_hamming2,
-                          pr_curve, precision_at_n)
+from adsq.metrics import RelevanceJudge, evaluate
 from adsq.synth import SynthSpec, generate
 from adsq.trainer import save_run, subseed, train
-from fdcheck import fd_grad, max_rel_error, random_similarity
+from fdcheck import batch_dataset, batch_objective, fd_grad, max_rel_error, random_similarity
 from oracles import oracle_mean_ap, oracle_ph2, oracle_pn, oracle_pr, random_case
 
 GRAD_TOL = 1e-5
@@ -49,7 +48,7 @@ def run_fixture(variant, seed):
     state = train(train_split, hp)
     db = encode_matrix(train_split.features, state.imgx_params, state.imgy_params)
     queries = encode_matrix(query_split.features, state.imgx_params, state.imgy_params)
-    score = mean_ap(queries, db, judge, 100)
+    score = evaluate(queries, db, judge, map_r=100).map
     return state, score, time.perf_counter() - t0
 
 
@@ -65,8 +64,9 @@ def fixture_runs():
 
 
 def test_criterion_1_imgnet_gradient_fidelity():
-    """Analytic image-objective gradient vs central finite differences,
-    20 seeded instances x 4 ablation variants, within 1e-5, under 10 s."""
+    """Analytic image-objective gradient vs central finite differences of
+    ``full_objective`` with the batch as the whole training set, 20 seeded
+    instances x 4 ablation variants, within 1e-5, under 10 s."""
     t0 = time.perf_counter()
     worst = 0.0
     checks = 0
@@ -83,6 +83,7 @@ def test_criterion_1_imgnet_gradient_fidelity():
         w_sup = np.tanh(rng.normal(0, 1, (m, k)))
         codes = np.where(rng.random((m, k)) < 0.5, -1.0, 1.0)
         s_bin, s_signed = random_similarity(rng, m)
+        dataset = batch_dataset(s_bin)
 
         def ctx():
             return ImgBatchContext(u=np.tanh(v), r_img=r_img,
@@ -92,8 +93,8 @@ def test_criterion_1_imgnet_gradient_fidelity():
         for variant in (Variant.FULL, Variant.NO_ASYM, Variant.NO_SEM, Variant.NO_BOTH):
             hp_v = replace(hp, variant=variant)
             g_r, g_v = imgnet_grads(ctx(), hp_v)
-            fd_v = fd_grad(lambda: imgnet_loss(ctx(), hp_v).total, v)
-            fd_r = fd_grad(lambda: imgnet_loss(ctx(), hp_v).total, r_img)
+            fd_v = fd_grad(lambda: batch_objective(ctx(), hp_v, dataset).total, v)
+            fd_r = fd_grad(lambda: batch_objective(ctx(), hp_v, dataset).total, r_img)
             worst = max(worst, max_rel_error(g_v, fd_v))
             if np.any(fd_r) or np.any(g_r):
                 worst = max(worst, max_rel_error(g_r, fd_r))
@@ -218,18 +219,18 @@ def test_criterion_4_metric_oracles():
         pq, pd = pack(qc), pack(dc)
         r_cut = int(rng.integers(1, n_db + 1))
 
-        worst = max(worst, abs(mean_ap(pq, pd, judge, r_cut)
-                               - oracle_mean_ap(qc, dc, qlab, dlab, r_cut)))
-        worst = max(worst, abs(mean_precision_at_hamming2(pq, pd, judge)
-                               - oracle_ph2(qc, dc, qlab, dlab)))
         grid = (0.25, 0.5, 0.75, 1.0)
-        for (g1, p1), (g2, p2) in zip(pr_curve(pq, pd, judge, grid),
-                                      oracle_pr(qc, dc, qlab, dlab, grid)):
+        n_list = [1, max(1, n_db // 3), n_db]
+        # the one call `adsq eval` makes
+        got = evaluate(pq, pd, judge, map_r=r_cut, recall_grid=grid, n_list=n_list)
+        worst = max(worst, abs(got.map - oracle_mean_ap(qc, dc, qlab, dlab, r_cut)))
+        worst = max(worst, abs(got.ph2 - oracle_ph2(qc, dc, qlab, dlab)))
+        for (g1, p1), (g2, p2) in zip(got.pr, oracle_pr(qc, dc, qlab, dlab, grid),
+                                      strict=True):
             assert g1 == g2
             worst = max(worst, abs(p1 - p2))
-        n_list = [1, max(1, n_db // 3), n_db]
-        for (n1, p1), (n2, p2) in zip(precision_at_n(pq, pd, judge, n_list),
-                                      oracle_pn(qc, dc, qlab, dlab, n_list)):
+        for (n1, p1), (n2, p2) in zip(got.pn, oracle_pn(qc, dc, qlab, dlab, n_list),
+                                      strict=True):
             assert n1 == n2
             worst = max(worst, abs(p1 - p2))
     elapsed = time.perf_counter() - t0
@@ -281,7 +282,7 @@ def test_criterion_6_end_to_end_separability(fixture_runs):
     raw_y = init_params(dims, subseed(7, 3))
     db0 = encode_matrix(train_split.features, raw_x, raw_y)
     q0 = encode_matrix(query_split.features, raw_x, raw_y)
-    untrained = mean_ap(q0, db0, judge, 100)
+    untrained = evaluate(q0, db0, judge, map_r=100).map
     overhead = time.perf_counter() - t0
 
     _, trained, train_seconds = fixture_runs[("full", 7)]
@@ -350,7 +351,7 @@ def test_criterion_9_numerical_robustness():
                           codes=codes, sim_binary=s_bin)
     fine = True
     for variant in (Variant.FULL, Variant.NO_ASYM, Variant.NO_SEM, Variant.NO_BOTH):
-        bd = imgnet_loss(ctx, replace(hp, variant=variant))
+        bd = batch_objective(ctx, replace(hp, variant=variant))
         g_r, g_v = imgnet_grads(ctx, replace(hp, variant=variant))
         fine &= np.isfinite(bd.total)
         fine &= bool(np.all(np.isfinite(g_r)) and np.all(np.isfinite(g_v)))

@@ -77,6 +77,28 @@ def test_integral_float_is_an_int():
     assert type(hp.batch_size) is int and type(hp.t_img) is int
 
 
+@pytest.mark.parametrize("field, value", [("t_img", 1.5), ("encoder_hidden", (64.5,)),
+                                          ("k_half", "8"), ("k_half", True)])
+def test_direct_construction_checks_int_fields_by_name(field, value):
+    """Built directly, not through make_hyperparams, an int field still
+    takes no fractional value, no string and no bool."""
+    with pytest.raises(ConfigError, match=field):
+        HyperParams(**{field: value})
+
+
+@pytest.mark.parametrize("value", [2, -1, 0.5, 1.0, [True]], ids=repr)
+def test_bool_field_takes_only_a_bool_or_zero_or_one(value):
+    with pytest.raises(ConfigError, match="refresh_labelnet"):
+        make_hyperparams({"refresh_labelnet": value})
+    with pytest.raises(ConfigError, match="refresh_labelnet"):
+        HyperParams(refresh_labelnet=value)
+
+
+def test_bool_field_takes_json_zero_and_one():
+    assert make_hyperparams({"refresh_labelnet": 0}).refresh_labelnet is False
+    assert make_hyperparams({"j3_literal": 1}).j3_literal is True
+
+
 def test_load_config_file_and_overrides(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"k_half": 6, "nu": 2.0}))

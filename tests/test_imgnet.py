@@ -6,14 +6,14 @@ import pytest
 import adsq.imgnet
 from adsq.bstep import CodeMatrix
 from adsq.config import HyperParams, Variant
-from adsq.data import Dataset, build_similarity
+from adsq.data import Dataset, LabelPatterns, build_similarity
 from adsq.encoder import MomentumSGD, forward, init_params
 from adsq.errors import TrainingError
-from adsq.imgnet import (ImgBatchContext, full_objective, imgnet_grads, imgnet_loss,
-                         make_context, wstep_epoch)
+from adsq.imgnet import ImgBatchContext, full_objective, imgnet_grads, make_context, wstep_epoch
 from adsq.labelnet import LabelSupervision
 from adsq.numerics import softplus_stable
-from fdcheck import TOL, fd_grad, max_rel_error, random_similarity
+from fdcheck import (TOL, batch_dataset, batch_objective, fd_grad, labels_for_similarity,
+                     max_rel_error, random_similarity)
 from labelsets import LABEL_SET_NAMES, hand_label_sets
 from netparams import same_params
 
@@ -53,7 +53,7 @@ class TestLossValues:
         v = np.arctanh(0.999 * codes)
         ctx = ctx_from(v, np.zeros((m, 5)), np.zeros((m, 5)), np.zeros((m, k)),
                        codes, random_similarity(np.random.default_rng(0), m)[0])
-        bd = imgnet_loss(ctx, hp)
+        bd = batch_objective(ctx, hp)
         assert bd.quant == pytest.approx(m * k * 1e-6, rel=1e-9)
 
     def test_balance_zero_for_balanced_bits(self):
@@ -62,7 +62,7 @@ class TestLossValues:
         ctx = ctx_from(np.arctanh(u), np.zeros((2, 5)), np.zeros((2, 5)),
                        np.zeros((2, 2)), np.ones((2, 2)),
                        random_similarity(np.random.default_rng(1), 2)[0])
-        assert imgnet_loss(ctx, hp).balance == 0.0
+        assert batch_objective(ctx, hp).balance == 0.0
 
     def test_asym_hand_value(self):
         """Single item, one bit: (0.5*1 - 1*1)^2 = 0.25."""
@@ -71,7 +71,7 @@ class TestLossValues:
         ctx = ctx_from(np.array([[np.arctanh(0.5)]]), np.zeros((1, 2)),
                        np.zeros((1, 2)), np.zeros((1, 1)),
                        np.array([[1.0]]), np.array([[1.0]]))
-        assert imgnet_loss(ctx, hp).asym == pytest.approx(0.25, rel=1e-12)
+        assert batch_objective(ctx, hp).asym == pytest.approx(0.25, rel=1e-12)
 
     def test_signed_target_for_dissimilar_pairs(self):
         """A dissimilar pair is pulled toward inner product -k, not 0."""
@@ -83,7 +83,7 @@ class TestLossValues:
         ctx = ctx_from(np.arctanh(u), np.zeros((2, 2)), np.zeros((2, 2)),
                        np.zeros((2, 2)), codes, s_bin)
         # opposite codes hit the -k target almost exactly
-        assert imgnet_loss(ctx, hp).asym < 0.01
+        assert batch_objective(ctx, hp).asym < 0.01
 
     @pytest.mark.parametrize("row, logits", [("r", "sem_pair"), ("u", "code_pair")])
     def test_overflowing_logits_raise_training_error(self, row, logits):
@@ -97,21 +97,21 @@ class TestLossValues:
             ctx.w_sup[1] = 1e200
         with np.errstate(over="ignore"), \
                 pytest.raises(TrainingError, match=f"non-finite {logits} logits"):
-            imgnet_loss(ctx, hp)
+            batch_objective(ctx, hp)
 
     def test_breakdown_sums_to_total(self):
         hp, *inst = make_instance(5)
         for variant in VARIANTS:
-            bd = imgnet_loss(ctx_from(*inst), as_variant(hp, variant))
+            bd = batch_objective(ctx_from(*inst), as_variant(hp, variant))
             parts = bd.sem_pair + bd.code_pair + bd.quant + bd.balance + bd.asym
             assert bd.total == pytest.approx(parts, abs=1e-12)
 
     def test_masked_terms_report_zero(self):
         hp, *inst = make_instance(6)
         ctx = ctx_from(*inst)
-        assert imgnet_loss(ctx, as_variant(hp, Variant.NO_ASYM)).asym == 0.0
-        assert imgnet_loss(ctx, as_variant(hp, Variant.NO_SEM)).sem_pair == 0.0
-        bd = imgnet_loss(ctx, as_variant(hp, Variant.NO_BOTH))
+        assert batch_objective(ctx, as_variant(hp, Variant.NO_ASYM)).asym == 0.0
+        assert batch_objective(ctx, as_variant(hp, Variant.NO_SEM)).sem_pair == 0.0
+        bd = batch_objective(ctx, as_variant(hp, Variant.NO_BOTH))
         assert bd.asym == 0.0 and bd.sem_pair == 0.0
 
     def test_exact_codes_make_asym_definitional(self):
@@ -121,12 +121,14 @@ class TestLossValues:
                          encoder_hidden=(4,), semantic_dim=2)
         rng = np.random.default_rng(8)
         m, k = 4, 2
-        u_exact = np.where(rng.random((m, k)) < 0.5, -1.0, 1.0)
+        # rows drawn from {c, -c}: every inner product is +-k, so S is {0,1}
+        c = np.where(rng.random(k) < 0.5, -1.0, 1.0)
+        u_exact = np.where(rng.random((m, 1)) < 0.5, -1.0, 1.0) * c
         s_signed = (u_exact @ u_exact.T) / k  # consistent by construction
         ctx = ImgBatchContext(u=u_exact, r_img=np.zeros((m, 2)),
                               r_sup=np.zeros((m, 2)), w_sup=np.zeros((m, k)),
                               codes=u_exact, sim_binary=(s_signed + 1) / 2)
-        assert imgnet_loss(ctx, hp).asym == 0.0
+        assert batch_objective(ctx, hp).asym == 0.0
         brute = sum((float(u_exact[i] @ u_exact[j]) - k * s_signed[i, j])**2
                     for i in range(m) for j in range(m))
         assert brute == 0.0
@@ -136,7 +138,7 @@ class TestLossValues:
         ctx_off = ImgBatchContext(u=u_off, r_img=np.zeros((m, 2)), r_sup=np.zeros((m, 2)),
                                   w_sup=np.zeros((m, k)), codes=u_exact,
                                   sim_binary=(s_signed + 1) / 2)
-        off = imgnet_loss(ctx_off, hp).asym
+        off = batch_objective(ctx_off, hp).asym
         brute_off = sum((float(u_off[i] @ u_exact[j]) - k * s_signed[i, j])**2
                         for i in range(m) for j in range(m))
         assert off > 0.0
@@ -172,13 +174,25 @@ class TestGradients:
         hp, v, r_img, r_sup, w_sup, codes, s_bin = make_instance(seed, variant=variant)
         ctx = ctx_from(v, r_img, r_sup, w_sup, codes, s_bin)
         g_r, g_v = imgnet_grads(ctx, hp)
+        ds = batch_dataset(s_bin)
 
         def loss():
-            return imgnet_loss(ctx_from(v, r_img, r_sup, w_sup, codes, s_bin), hp).total
+            return batch_objective(ctx_from(v, r_img, r_sup, w_sup, codes, s_bin), hp, ds).total
 
         assert max_rel_error(g_v, fd_grad(loss, v)) <= TOL
         assert max_rel_error(g_r, fd_grad(loss, r_img)) <= TOL
 
+
+def test_labels_for_similarity_reproduce_it():
+    """Each item is its own label pattern, and the patterns' similarity
+    is the one asked for."""
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        m = int(rng.integers(1, 11))
+        s, _ = random_similarity(rng, m)
+        pat = LabelPatterns(labels_for_similarity(s))
+        assert pat.counts.size == m
+        np.testing.assert_array_equal(pat.block(np.arange(m)), s)
 
 
 # ---------------------------------------------------------------- w-step
@@ -255,13 +269,14 @@ def test_make_context_aligns_rows():
 
 
 def test_no_sem_variant_in_hp_drops_sem_term_everywhere():
-    """The variant comes from ``hp`` alone: the batch loss and the full-set
-    objective both drop the semantic term and keep the asymmetric one."""
+    """The variant comes from ``hp`` alone: the objective of one batch taken
+    as the whole set and that of the full set both drop the semantic term
+    and keep the asymmetric one."""
     ds, hp, params, sup, codes = wstep_setup(9)
     hp = as_variant(hp, "no-sem")
     batch = np.arange(8)
     outs = forward(params, ds.features[batch])
-    for bd in (imgnet_loss(make_context(batch, outs, sup, codes, ds.patterns), hp),
+    for bd in (batch_objective(make_context(batch, outs, sup, codes, ds.patterns), hp),
                full_objective(forward(params, ds.features), ds, codes, sup, hp)):
         assert bd.sem_pair == 0.0 and bd.asym > 0.0
 

@@ -112,13 +112,13 @@ class TestLossValues:
         assert astuple(bare) == astuple(unit)
 
     def test_binary_reg_zero_iff_unit_magnitude(self):
-        assert binary_reg_value(np.array([[1.0, -1.0], [-1.0, 1.0]]), literal=False) == 0.0
-        assert binary_reg_value(np.array([[1.0, -0.5]]), literal=False) > 0.0
+        assert binary_reg_value(np.array([[1.0, -1.0], [-1.0, 1.0]]), False, np.ones(2)) == 0.0
+        assert binary_reg_value(np.array([[1.0, -0.5]]), False, np.ones(1)) > 0.0
 
     def test_literal_form_penalizes_minus_one(self):
         omega = -np.ones((2, K))
-        assert binary_reg_value(omega, literal=False) == 0.0
-        assert binary_reg_value(omega, literal=True) == pytest.approx(2 * 2 * K)
+        assert binary_reg_value(omega, False, np.ones(2)) == 0.0
+        assert binary_reg_value(omega, True, np.ones(2)) == pytest.approx(2 * 2 * K)
 
 
 class TestGradients:

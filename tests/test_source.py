@@ -2,8 +2,12 @@
 
 import ast
 import pathlib
+import sys
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "adsq"
+sys.path.insert(0, str(SRC.parents[1] / "perfbench"))
+
+from tracing import SPANS  # noqa: E402
 
 
 def test_library_has_no_assert_statements():
@@ -118,3 +122,48 @@ def test_every_dataclass_field_is_read():
     fields = [f for path in sorted(SRC.rglob("*.py")) for f in _dataclass_fields(path)]
     assert len(fields) > 20, "the scan no longer sees the dataclass fields"
     assert [f"{cls}.{name}" for cls, name in fields if name not in loaded] == []
+
+# top-level library names the tests may be alone in naming, each with the
+# reason; bstep_objective and build_similarity are also traced spans today
+TEST_REFERENCES = {
+    "bstep_objective": "acceptance 3's dense reference for the B-step",
+    "hamming_distance": "the scalar reference distances_to_all is checked against",
+    "unpack": "the inverse of pack",
+    "build_similarity": "the dense reference for LabelPatterns, and a public export",
+}
+
+
+def _top_level_names(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+
+
+def _loaded_names(path):
+    """``(owner, name)`` for each name loaded in ``path`` as a variable or an
+    attribute; ``owner`` is the top-level definition it sits in, or None."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return {(getattr(top, "name", None), n.id if isinstance(n, ast.Name) else n.attr)
+            for top in tree.body for n in ast.walk(top)
+            if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)}
+
+
+def test_library_names_have_a_non_test_caller():
+    """Every top-level function and class of the library is named outside its
+    own definition by the library, the scripts or the benchmark (the traced
+    attributes in ``SPANS`` included). A name only the tests use is surface
+    kept for them alone; the few that are references are listed."""
+    places = {}
+    for d in ("src/adsq", "scripts", "perfbench"):
+        for path in sorted((ROOT / d).rglob("*.py")):
+            for owner, name in _loaded_names(path):
+                places.setdefault(name, set()).add((path, owner))
+    for span in SPANS:
+        for name in span[2].split("."):
+            places.setdefault(name, set()).add((None, None))
+    defined = [(path, name) for path in sorted(SRC.rglob("*.py"))
+               for name in _top_level_names(path)]
+    assert len(defined) > 50, "the scan no longer sees the library's definitions"
+    assert [f"{path.relative_to(SRC)}:{name}" for path, name in defined
+            if name not in TEST_REFERENCES
+            and not places.get(name, set()) - {(path, name)}] == []

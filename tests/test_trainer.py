@@ -238,8 +238,9 @@ def test_training_softplus_sees_no_item_pair_array(tiny_data, monkeypatch):
 @pytest.mark.parametrize("variant", ["full", "sym"])
 def test_training_computes_each_quantity_once(tiny_data, monkeypatch, variant):
     """Over a whole run: one encoder forward per SGD step (backward reuses
-    it), no batch loss, one label loss per label phase (its log row), and
-    one full-set forward per image network per round."""
+    it), one image objective per log row and none during SGD, one label
+    loss per label phase (its log row), and one full-set forward per image
+    network per round."""
     ds, _ = tiny_data
     calls = Counter()
     inside = ["train"]
@@ -259,7 +260,7 @@ def test_training_computes_each_quantity_once(tiny_data, monkeypatch, variant):
     monkeypatch.setattr(adsq.encoder, "_forward_trace",
                         counting("forward", adsq.encoder._forward_trace))
     for name, module, phase in (("backward", adsq.encoder, None),
-                                ("imgnet_loss", adsq.imgnet, None),
+                                ("full_objective", adsq.imgnet, None),
                                 ("labelnet_loss", adsq.labelnet, None),
                                 ("wstep_epoch", adsq.imgnet, "wstep"),
                                 ("train_labelnet", adsq.labelnet, "label")):
@@ -273,7 +274,10 @@ def test_training_computes_each_quantity_once(tiny_data, monkeypatch, variant):
     assert calls["forward", "wstep"] == calls["backward", "wstep"]
     # plus the supervision cached at the end of each label phase
     assert calls["forward", "label"] == calls["backward", "label"] + label_phases
-    assert not any(key == "imgnet_loss" for key, _ in calls)
+    # a wstep and a bstep row per network and round, none inside an epoch
+    assert calls["full_objective", "train"] == 2 * nets * state.rounds_run
+    assert sum(n for (key, _), n in calls.items() if key == "full_objective") \
+        == calls["full_objective", "train"]
     assert calls["labelnet_loss", "train"] == label_phases
     assert calls["labelnet_loss", "label"] == 0
     # plus the warm start of the codes before round 0
