@@ -10,10 +10,8 @@ the self-interaction term is constant and each column has the closed-form
 minimizer  -sign(2 * B_rest (U_rest^T u_col) + p_col)  where
 P = -2 * k_half * S_signed^T U - 2 * eta * U.
 
-During training the similarity is given as ``LabelPatterns``, and
-S_signed^T U = 2 spread(per-pattern sums of U)[ids] - colsum(U), in
-O(n k + p^2 k) with no n x n array. A dense signed matrix is also
-accepted, for similarities that no label set produces.
+The similarity is given as ``LabelPatterns``: S_signed^T U =
+2 spread(per-pattern sums of U)[ids] - colsum(U), in O(n k + p^2 k).
 
 The objective depends on column c only through <b_c, arg_c>, so an update
 changes it by exactly (b_new - b_old) . arg_c. Each update checks that this
@@ -49,34 +47,21 @@ def bstep_objective(U, B, sim_signed, k_half: int, eta: float) -> float:
     return float((fit**2).sum() + eta * (quant**2).sum())
 
 
-def compute_P(U, similarity, hp: HyperParams) -> np.ndarray:
-    """P for ``similarity`` given as LabelPatterns or as a dense signed matrix."""
+def compute_P(U, patterns: LabelPatterns, hp: HyperParams) -> np.ndarray:
+    """P for the shared-label similarity of ``patterns``."""
     U = np.asarray(U, dtype=np.float64)
-    if isinstance(similarity, LabelPatterns):
-        if similarity.ids.shape != U.shape[:1]:
-            raise ValueError(f"patterns cover {similarity.ids.size} items, U has "
-                             f"{U.shape[0]} rows")
-        # S_signed^T U = 2 (S_pat @ per-pattern sums of U)[ids] - colsum(U)
-        s_u = 2.0 * similarity.spread(similarity.sums(U))[similarity.ids] - U.sum(axis=0)
-    else:
-        s = np.asarray(similarity, dtype=np.float64)
-        if s.shape != (U.shape[0], U.shape[0]):
-            raise ValueError(f"similarity shape {s.shape} does not match U rows {U.shape[0]}")
-        s_u = s.T @ U
+    if patterns.ids.shape != U.shape[:1]:
+        raise ValueError(f"patterns cover {patterns.ids.size} items, U has {U.shape[0]} rows")
+    # S_signed^T U = 2 (S_pat @ per-pattern sums of U)[ids] - colsum(U)
+    s_u = 2.0 * patterns.spread(patterns.sums(U))[patterns.ids] - U.sum(axis=0)
     return -2.0 * hp.k_half * s_u - 2.0 * hp.eta * U
 
 
-def make_workspace(U, similarity, hp: HyperParams):
-    """The (U, P) pair fixed across one sweep."""
-    return np.asarray(U, dtype=np.float64), compute_P(U, similarity, hp)
-
-
-def update_column(code_matrix: CodeMatrix, c: int, ws) -> np.ndarray:
+def update_column(code_matrix: CodeMatrix, c: int, U, P) -> np.ndarray:
     """Replace column c with the exact minimizer over {-1,+1}^n, all other
-    columns fixed, given the ``(U, P)`` workspace. sign(0) = +1, so a zero
+    columns fixed, given ``U`` and the sweep's ``P``. sign(0) = +1, so a zero
     argument lands on -1 after the leading negation. Raises TrainingError if
     the argument is non-finite or the update would raise the objective."""
-    U, P = ws
     B = code_matrix.codes
     k = B.shape[1]
     if not 0 <= c < k:
@@ -94,10 +79,12 @@ def update_column(code_matrix: CodeMatrix, c: int, ws) -> np.ndarray:
     return B[:, c]
 
 
-def bstep_sweep(code_matrix: CodeMatrix, U, similarity, hp: HyperParams) -> CodeMatrix:
+def bstep_sweep(code_matrix: CodeMatrix, U, patterns: LabelPatterns,
+                hp: HyperParams) -> CodeMatrix:
     """Update every column once, in ascending order; each update checks that
     the objective does not increase (see ``update_column``)."""
-    ws = make_workspace(U, similarity, hp)
+    U = np.asarray(U, dtype=np.float64)
+    P = compute_P(U, patterns, hp)
     for c in range(code_matrix.codes.shape[1]):
-        update_column(code_matrix, c, ws)
+        update_column(code_matrix, c, U, P)
     return code_matrix

@@ -81,10 +81,11 @@ class HyperParams:
 
     def __post_init__(self):
         for name, default in _DEFAULTS.items():
-            if isinstance(default, bool):
-                setattr(self, name, _as_bool(name, getattr(self, name)))
-            elif isinstance(default, int):
-                setattr(self, name, _as_int(name, getattr(self, name)))
+            check = _FIELD_CHECKS.get(type(default))
+            if check is not None:
+                setattr(self, name, check(name, getattr(self, name)))
+        if not isinstance(self.encoder_hidden, (list, tuple)):
+            raise ConfigError(f"encoder_hidden must be a list, got {self.encoder_hidden!r}")
         self.encoder_hidden = tuple(_as_int("encoder_hidden", w) for w in self.encoder_hidden)
         self.variant = parse_variant(self.variant)
         self.validate()
@@ -147,6 +148,13 @@ def _as_int(name, value) -> int:
     raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
+def _as_float(name, value) -> float:
+    """``value`` of float field ``name`` as a float: a real number, not a bool."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise ConfigError(f"{name} must be a number, got {value!r}")
+
+
 def _as_bool(name, value) -> bool:
     """``value`` of bool field ``name``: a bool, or the integer 0 or 1."""
     if isinstance(value, bool) or (isinstance(value, int) and value in (0, 1)):
@@ -154,23 +162,22 @@ def _as_bool(name, value) -> bool:
     raise ConfigError(f"{name} must be true or false, got {value!r}")
 
 
+_FIELD_CHECKS = {bool: _as_bool, int: _as_int, float: _as_float}
+
+
 def _coerce(key, value):
-    """``value`` (JSON or a ``--set`` string) as the type of the key's
-    default; ``HyperParams`` itself checks int and bool values."""
+    """A ``--set`` string as the type of the key's default; ``HyperParams``
+    itself checks every value, JSON values as they are."""
     default = _DEFAULTS[key]
+    if not isinstance(value, str) or isinstance(default, Variant):
+        return value
     try:
-        if isinstance(default, Variant):
-            return parse_variant(value)
         if isinstance(default, tuple):
-            if isinstance(value, str):
-                return tuple(int(v) for v in value.split(",") if v.strip())
-            return tuple(value)
-        if isinstance(value, str):
-            if isinstance(default, bool):
-                return _BOOL_STRINGS[value.lower()]
-            return type(default)(value)
-        return value if isinstance(default, int) else float(value)
-    except (KeyError, TypeError, ValueError) as exc:
+            return tuple(int(v) for v in value.split(",") if v.strip())
+        if isinstance(default, bool):
+            return _BOOL_STRINGS[value.lower()]
+        return type(default)(value)
+    except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad value for config key {key!r}: {value!r}") from exc
 
 

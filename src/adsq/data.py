@@ -155,6 +155,8 @@ def write_labels(path, labels):
         raise ValueError(f"label matrix must be 2-D, got shape {lab.shape}")
     if not np.isin(lab, (0, 1)).all():
         raise DataError("label entries must be 0 or 1")
+    if np.any(lab.sum(axis=1) == 0):
+        raise DataError("refusing to write a label matrix with an all-zero row")
     write_binary(path, LABEL_MAGIC, lab.shape, lab.astype(np.uint8))
 
 

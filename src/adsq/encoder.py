@@ -146,7 +146,7 @@ class MomentumSGD:
         velocity <- momentum * velocity + grad + weight_decay * param
         param    <- param - lr * velocity
 
-    One optimizer instance owns one network's (or head's) velocity state.
+    One optimizer instance owns the velocity state of one network (and its head).
     A step runs in place over blocks of ``STEP_BLOCK_ELEMS`` elements with
     one scratch buffer, so it makes no full-size temporary.
     """

@@ -7,11 +7,12 @@ inner-product term runs over all pairs including i = j, anchoring each
 item's continuous output to its own discrete code. The balance term
 pushes every bit's column sum toward zero.
 
-``full_objective`` evaluates it for the diagnostics. ``imgnet_grads`` is
-its exact gradient with one batch taken as the whole set; the gradients
-enter the encoder at two points: the hash pre-activation (quantization,
-balance, code-likelihood, and asymmetric terms) and the semantic layer
-(the semantic likelihood term, which never touches the hash head).
+``full_objective`` evaluates it for the diagnostics, its likelihood terms
+by ``labelnet.pairwise_nll``. ``imgnet_grads`` is its exact gradient with
+one batch taken as the whole set; the gradients enter the encoder at two
+points: the hash pre-activation (quantization, balance, code-likelihood,
+and asymmetric terms) and the semantic layer (the semantic likelihood
+term, which never touches the hash head).
 
 Which terms run is read from ``hp.variant`` alone (``Variant.keeps_sem``,
 ``Variant.keeps_asym``); a dropped term is neither computed nor
@@ -27,12 +28,8 @@ from .config import HyperParams
 from .data import Dataset, LabelPatterns
 from .encoder import EncoderParams, MomentumSGD, NetOutputs, backward, forward
 from .errors import TrainingError
-from .labelnet import LabelSupervision, iter_batches, pair_residual
-from .numerics import check_finite, softplus_stable
-
-# Entries per block of pattern x item logits in full_objective (32 MB of
-# float64 per temporary); one block whenever p * n fits.
-SOFTPLUS_BLOCK_ELEMS = 1 << 22
+from .labelnet import LabelSupervision, iter_batches, pair_residual, pairwise_nll
+from .numerics import check_finite
 
 
 @dataclass
@@ -123,45 +120,27 @@ def full_objective(outs: NetOutputs, dataset: Dataset, code_matrix: CodeMatrix,
     the network whose full-set outputs are ``outs``; one forward pass serves
     every call made with the same weights.
 
-    The similarity enters only through per-pattern sums of the dataset's
-    label patterns: sum_ij s_ij x_i.y_j = <X_pat, spread(Y_pat)>. The
-    supervision side of each pairwise likelihood has one row per pattern,
-    so its softplus part is a count-weighted sum over the p x n pattern-item
-    logits minus each item's own logit, formed in blocks of at most
-    ``SOFTPLUS_BLOCK_ELEMS`` entries: no n x n array is made."""
+    The supervision side of each pairwise likelihood has one row per label
+    pattern (see ``pairwise_nll``). The similarity enters the asymmetric
+    term only through per-pattern sums: sum_ij s_ij x_i.y_j =
+    <sums(X), spread(sums(Y))>. No n x n array is made."""
     pat = dataset.patterns
     u, codes = outs.u, code_matrix.codes
     n, k = codes.shape
-    rows = max(1, SOFTPLUS_BLOCK_ELEMS // n)
-
-    def sim_inner(x_pat, y):
-        return float((x_pat * pat.spread(pat.sums(y))).sum())
-
-    def nll(sup_pat, img, what):
-        soft = 0.0
-        for start in range(0, sup_pat.shape[0], rows):
-            logits = check_finite(0.5 * (sup_pat[start:start + rows] @ img.T),
-                                  f"{what} logits")
-            soft += float(pat.counts[start:start + rows] @ softplus_stable(logits).sum(axis=1))
-        # pairs run over i != j: take out each item's own logit (s_ii = 1)
-        own = check_finite(0.5 * np.einsum("ij,ij->i", sup_pat[pat.ids], img),
-                           f"{what} logits")
-        weighted = pat.counts[:, None] * sup_pat
-        return soft - float(softplus_stable(own).sum()) \
-            - (0.5 * sim_inner(weighted, img) - float(own.sum()))
 
     def asym():
         # ||U B^T - k S_signed||^2 with S_signed = 2 S - 1, every entry +-1
-        signed = 2.0 * sim_inner(pat.sums(u), codes) \
+        signed = 2.0 * float((pat.sums(u) * pat.spread(pat.sums(codes))).sum()) \
             - float(u.sum(axis=0) @ codes.sum(axis=0))
         return float(((u.T @ u) * (codes.T @ codes)).sum()) - 2.0 * k * signed \
             + float(k * k) * n * n
 
     v = hp.variant
     return ImgLossBreakdown(
-        sem_pair=check_finite(hp.alpha * nll(sup.r_l, outs.r, "sem_pair"), "sem_pair term")
-        if v.keeps_sem else 0.0,
-        code_pair=check_finite(hp.beta * nll(sup.omega_l, u, "code_pair"), "code_pair term"),
+        sem_pair=check_finite(hp.alpha * pairwise_nll(sup.r_l, outs.r, pat, "sem_pair"),
+                              "sem_pair term") if v.keeps_sem else 0.0,
+        code_pair=check_finite(hp.beta * pairwise_nll(sup.omega_l, u, pat, "code_pair"),
+                               "code_pair term"),
         quant=check_finite(hp.eta * float(((u - codes)**2).sum()), "quant term"),
         balance=check_finite(hp.nu * float((u.sum(axis=0)**2).sum()), "balance term"),
         asym=check_finite(asym(), "asym term") if v.keeps_asym else 0.0)

@@ -1,7 +1,7 @@
 """Label-network objective, gradients, and training phase.
 
 The label network embeds multi-hot label vectors. Its loss couples four
-terms over all ordered within-batch pairs (i != j):
+terms over all ordered pairs of distinct items (i != j):
 
   sem_pair    pairwise likelihood on semantic features, logits 0.5 * r_i.r_j
   code_pair   same on tanh code outputs, logits 0.5 * w_i.w_j
@@ -9,8 +9,11 @@ terms over all ordered within-batch pairs (i != j):
               toward +1 when ``j3_literal`` is set)
   classify    squared error of the linear classifier readout vs true labels
 
-The trained outputs (semantic rows and code rows for the whole training
-set) are cached and later used as fixed supervision by the image networks.
+``labelnet_loss`` is the loss over the whole training set, one output row
+per label pattern; ``labelnet_grad`` is its exact gradient with one batch
+taken as the whole set. ``pairwise_nll`` is the value of every pairwise
+likelihood term, here and in the image objective. The trained outputs are
+cached per label pattern as fixed supervision for the image networks.
 """
 
 from dataclasses import dataclass
@@ -18,10 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import HyperParams
-from .data import Dataset
-from .encoder import (EncoderParams, MomentumSGD, NetOutputs, backward, forward)
+from .data import Dataset, LabelPatterns, share_labels
+from .encoder import EncoderParams, MomentumSGD, NetOutputs, backward, forward
 from .errors import TrainingError
 from .numerics import check_finite, sigmoid_stable, softplus_stable
+
+# Entries per block of pattern x item logits in pairwise_nll (32 MB of float64)
+SOFTPLUS_BLOCK_ELEMS = 1 << 22
 
 
 @dataclass
@@ -74,13 +80,22 @@ class LabelGrads:
     head_bias: np.ndarray
 
 
-def pairwise_nll(logits, sim_binary, counts):
-    """Negative log-likelihood sum over ordered pairs of distinct items.
-    Row a stands for counts[a] items that share its logits, so pair (a, b)
-    weighs counts[a] * counts[b] and (a, a) counts[a] * (counts[a] - 1);
-    unit counts zero the diagonal. The label loss's pairwise terms."""
-    per_pair = softplus_stable(logits) - sim_binary * logits
-    return float(((np.outer(counts, counts) - np.diag(counts)) * per_pair).sum())
+def pairwise_nll(sup_pat, img, pat: LabelPatterns, what) -> float:
+    """Negative log-likelihood of the shared-label similarity of ``pat`` over
+    ordered item pairs i != j, logits 0.5 sup_pat[ids[i]].img[j], summed over
+    count-weighted pattern x item logits in blocks of at most
+    ``SOFTPLUS_BLOCK_ELEMS`` entries. Non-finite logits raise TrainingError
+    naming ``what``."""
+    rows = max(1, SOFTPLUS_BLOCK_ELEMS // img.shape[0])
+    total = 0.0
+    for start in range(0, sup_pat.shape[0], rows):
+        block = slice(start, start + rows)
+        logits = check_finite(0.5 * (sup_pat[block] @ img.T), f"{what} logits")
+        s = share_labels(pat.words[block], pat.words)[:, pat.ids]
+        total += float(pat.counts[block] @ (softplus_stable(logits) - s * logits).sum(axis=1))
+    # take out each item's own pair (s_ii = 1)
+    own = check_finite(0.5 * np.einsum("ij,ij->i", sup_pat[pat.ids], img), f"{what} logits")
+    return total - float((softplus_stable(own) - own).sum())
 
 
 def pair_residual(a, b, sim_binary, what):
@@ -99,24 +114,19 @@ def binary_reg_value(omega, literal: bool, counts) -> float:
     return float((counts[:, None] * dist).sum())
 
 
-def labelnet_loss(outs: NetOutputs, head: ClassifierHead, sim_binary, labels,
-                  hp: HyperParams, counts=None) -> LabelLossBreakdown:
-    """Loss over the rows of ``outs``, row a standing for counts[a] identical
-    items (label patterns) and every term weighted so; without ``counts``
-    each row is one item."""
-    r, omega = outs.r, outs.u
-    counts = np.ones(r.shape[0]) if counts is None else np.asarray(counts, dtype=np.float64)
-    m = float(counts.sum())
-    s = np.asarray(sim_binary, dtype=np.float64)
-    lam = check_finite(0.5 * (r @ r.T), "sem_pair logits")
-    theta = check_finite(0.5 * (omega @ omega.T), "code_pair logits")
-    sem = check_finite(hp.alpha * pairwise_nll(lam, s, counts), "sem_pair term")
-    code = check_finite(hp.beta * pairwise_nll(theta, s, counts), "code_pair term")
-    # each item appears in 2*(m-1) ordered-pair slots
+def labelnet_loss(sup: LabelSupervision, head: ClassifierHead, patterns: LabelPatterns,
+                  hp: HyperParams) -> LabelLossBreakdown:
+    """Loss over all items of ``patterns`` from the per-pattern outputs ``sup``;
+    pattern a counts counts[a] times and its label row is its target."""
+    r, omega, counts, ids = sup.r_l, sup.omega_l, patterns.counts, patterns.ids
+    sem = check_finite(hp.alpha * pairwise_nll(r, r[ids], patterns, "sem_pair"), "sem_pair term")
+    code = check_finite(hp.beta * pairwise_nll(omega, omega[ids], patterns, "code_pair"),
+                        "code_pair term")
+    # each item appears in 2*(n-1) ordered-pair slots
     reg = check_finite(
-        hp.gamma * 2.0 * (m - 1) * binary_reg_value(omega, hp.j3_literal, counts),
+        hp.gamma * 2.0 * (ids.size - 1) * binary_reg_value(omega, hp.j3_literal, counts),
         "binary_reg term")
-    resid2 = (head.predict(omega) - np.asarray(labels, dtype=np.float64))**2
+    resid2 = (head.predict(omega) - patterns.rows)**2
     classify = check_finite(hp.delta * float((counts[:, None] * resid2).sum()),
                             "classify term")
     return LabelLossBreakdown(sem_pair=sem, code_pair=code, binary_reg=reg,
@@ -125,8 +135,8 @@ def labelnet_loss(outs: NetOutputs, head: ClassifierHead, sim_binary, labels,
 
 def labelnet_grad(outs: NetOutputs, head: ClassifierHead, sim_binary, labels,
                   hp: HyperParams) -> LabelGrads:
-    """Exact gradients of the label loss w.r.t. r rows, code rows, and head;
-    the loss itself is never evaluated here.
+    """Exact gradients of ``labelnet_loss``, the batch taken as the whole set,
+    w.r.t. r rows, code rows, and head; the loss itself is never evaluated.
 
     The binary regularizer uses the subgradient convention that its slope
     is 0 exactly at |entry| = 1 (and at 0 in the literal form's kink).
@@ -168,11 +178,11 @@ def iter_batches(n, batch_size, rng):
 
 def train_labelnet(params: EncoderParams, head: ClassifierHead, dataset: Dataset,
                    hp: HyperParams, *, epochs: int, lr: float, rng,
-                   opt_net: MomentumSGD, opt_head: MomentumSGD) -> LabelSupervision:
+                   optimizer: MomentumSGD) -> LabelSupervision:
     """Run ``epochs`` of minibatch SGD (per step one forward pass, the loss
     gradients, no loss value), then return the supervision cached from the
-    final parameters over the full training set. Mutates ``params``,
-    ``head`` and the optimizers in place."""
+    final parameters over the full training set. Mutates ``params``, ``head``
+    and ``optimizer`` (over the network's, then the head's arrays) in place."""
     labels_f = dataset.labels.astype(np.float64)
     for _ in range(epochs):
         for batch in iter_batches(dataset.n, hp.batch_size, rng):
@@ -182,10 +192,9 @@ def train_labelnet(params: EncoderParams, head: ClassifierHead, dataset: Dataset
             grads = labelnet_grad(outs, head, s_bin, x, hp)
             upstream_v = grads.omega * (1.0 - outs.u**2)
             net_grads = backward(params, outs, grads.r, upstream_v)
-            opt_net.step(params.weights + params.biases,
-                         net_grads.weights + net_grads.biases, lr)
-            opt_head.step([head.weight, head.bias],
-                          [grads.head_weight, grads.head_bias], lr)
+            optimizer.step(params.weights + params.biases + [head.weight, head.bias],
+                           net_grads.weights + net_grads.biases
+                           + [grads.head_weight, grads.head_bias], lr)
 
     return cache_supervision(params, dataset)
 

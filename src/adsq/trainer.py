@@ -18,7 +18,7 @@ from .bstep import CodeMatrix, bstep_sweep
 from .codes import pack, quantize_sign, write_codes
 from .config import HyperParams, Variant
 from .data import Dataset, validate_dataset
-from .encoder import MomentumSGD, NetOutputs, forward, init_params, save_params
+from .encoder import MomentumSGD, forward, init_params, save_params
 from .errors import DataError, TrainingError
 from .fileio import write_csv
 from .imgnet import full_objective, wstep_epoch
@@ -85,11 +85,8 @@ def convergence_check(history, tol: float = CONVERGENCE_TOL,
 
 
 def _label_breakdown_row(rnd, dataset, sup, head, hp) -> LogRow:
-    """Full-set label loss over the per-pattern supervision ``sup``, each
-    pattern weighted by its item count."""
-    pat = dataset.patterns
-    bd = labelnet_loss(NetOutputs(r=sup.r_l, v=None, u=sup.omega_l), head, pat.block(pat.first),
-                       pat.rows.astype(np.float64), hp, counts=pat.counts)
+    """Full-set label loss over the per-pattern supervision ``sup``."""
+    bd = labelnet_loss(sup, head, dataset.patterns, hp)
     return LogRow(rnd, "label", bd.total, bd.sem_pair, bd.code_pair,
                   bd.binary_reg, bd.classify, 0.0)
 
@@ -115,9 +112,8 @@ def train(dataset: Dataset, hp: HyperParams) -> TrainState:
     imgx_rng = np.random.default_rng(subseed(hp.seed, _STREAM_IMGX_BATCH))
     imgy_rng = np.random.default_rng(subseed(hp.seed, _STREAM_IMGY_BATCH))
 
-    opt_label = MomentumSGD(label_params.weights + label_params.biases,
+    opt_label = MomentumSGD(label_params.weights + label_params.biases + [head.weight, head.bias],
                             hp.momentum, hp.weight_decay)
-    opt_head = MomentumSGD([head.weight, head.bias], hp.momentum, hp.weight_decay)
     opt_x = MomentumSGD(imgx_params.weights + imgx_params.biases,
                         hp.momentum, hp.weight_decay)
     opt_y = None if symmetric else MomentumSGD(
@@ -136,7 +132,7 @@ def train(dataset: Dataset, hp: HyperParams) -> TrainState:
     def label_phase(rnd, lr):
         state.supervision = train_labelnet(label_params, head, dataset, hp,
                                            epochs=hp.t_label, lr=lr, rng=label_rng,
-                                           opt_net=opt_label, opt_head=opt_head)
+                                           optimizer=opt_label)
         state.log_rows.append(_label_breakdown_row(rnd, dataset, state.supervision, head, hp))
 
     def img_row(rnd, phase, outs, codes) -> LogRow:

@@ -1,13 +1,14 @@
 """Central finite differences used as the gradient oracle in several suites,
-and the image objective of one batch taken as the whole training set."""
+and the image and label objectives of one batch taken as the whole
+training set."""
 
 import numpy as np
 
 from adsq.bstep import CodeMatrix
-from adsq.data import Dataset
+from adsq.data import Dataset, LabelPatterns
 from adsq.encoder import NetOutputs
 from adsq.imgnet import full_objective
-from adsq.labelnet import LabelSupervision
+from adsq.labelnet import LabelSupervision, labelnet_loss
 
 STEP = 1e-6
 TOL = 1e-5
@@ -80,3 +81,13 @@ def batch_objective(ctx, hp, dataset=None):
     sup = LabelSupervision(r_l=ctx.r_sup[first], omega_l=ctx.w_sup[first])
     return full_objective(NetOutputs(r=ctx.r_img, v=None, u=ctx.u), dataset,
                           CodeMatrix(ctx.codes), sup, hp)
+
+
+def batch_label_loss(r, omega, head, labels, hp):
+    """``labelnet_loss`` with a batch of item rows ``r``, ``omega`` and label
+    matrix ``labels`` (the classifier targets) taken as the whole set; items
+    of one label pattern must share their rows. The supervision is gathered
+    per pattern, as in ``batch_objective``."""
+    pat = LabelPatterns(labels)
+    sup = LabelSupervision(r_l=r[pat.first], omega_l=omega[pat.first])
+    return labelnet_loss(sup, head, pat, hp)

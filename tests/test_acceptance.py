@@ -12,16 +12,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from adsq.bstep import CodeMatrix, bstep_objective, make_workspace, update_column
+from adsq.bstep import CodeMatrix, bstep_objective, compute_P, update_column
 from adsq.codes import encode_matrix, hamming_distance, pack
 from adsq.config import HyperParams, Variant
+from adsq.data import LabelPatterns
 from adsq.encoder import NetOutputs, init_params
 from adsq.imgnet import ImgBatchContext, imgnet_grads
-from adsq.labelnet import ClassifierHead, labelnet_grad, labelnet_loss
+from adsq.labelnet import ClassifierHead, labelnet_grad
 from adsq.metrics import RelevanceJudge, evaluate
 from adsq.synth import SynthSpec, generate
 from adsq.trainer import save_run, subseed, train
-from fdcheck import batch_dataset, batch_objective, fd_grad, max_rel_error, random_similarity
+from fdcheck import (batch_dataset, batch_label_loss, batch_objective, fd_grad,
+                     labels_for_similarity, max_rel_error, random_similarity)
 from oracles import oracle_mean_ap, oracle_ph2, oracle_pn, oracle_pr, random_case
 
 GRAD_TOL = 1e-5
@@ -111,7 +113,9 @@ def test_criterion_1_imgnet_gradient_fidelity():
 
 
 def test_criterion_2_labelnet_gradient_fidelity():
-    """Same protocol for every label-objective term independently."""
+    """Same protocol for every label-objective term independently, against
+    the full-set label loss with the batch as the whole set; the classifier
+    targets are the labels whose shared-label similarity is the batch's."""
     t0 = time.perf_counter()
     term_configs = [dict(alpha=1, beta=0, gamma=0, delta=0),
                     dict(alpha=0, beta=1, gamma=0, delta=0),
@@ -124,23 +128,21 @@ def test_criterion_2_labelnet_gradient_fidelity():
         m = int(rng.integers(2, 9))
         k = int(rng.integers(1, 5))
         sem = int(rng.integers(2, 5))
-        classes = int(rng.integers(2, 4))
         r = rng.normal(0, 1, (m, sem))
         # keep code magnitudes away from the regularizer kinks at 0 and 1
         omega = rng.uniform(0.05, 0.95, (m, k)) * np.where(rng.random((m, k)) < 0.5, -1, 1)
-        labels = np.zeros((m, classes))
-        labels[np.arange(m), rng.integers(0, classes, m)] = 1
+        s_bin, _ = random_similarity(rng, m)
+        labels = labels_for_similarity(s_bin)
+        classes = labels.shape[1]
         head = ClassifierHead(weight=rng.normal(0, 0.4, (classes, k)),
                               bias=rng.normal(0, 0.2, classes))
-        s_bin, _ = random_similarity(rng, m)
         for weights in term_configs:
             hp = HyperParams(k_half=k, semantic_dim=sem, encoder_hidden=(4,), **weights)
             outs = NetOutputs(r=r, v=None, u=omega)
             g = labelnet_grad(outs, head, s_bin, labels, hp)
 
             def loss():
-                return labelnet_loss(NetOutputs(r=r, v=None, u=omega),
-                                     head, s_bin, labels, hp).total
+                return batch_label_loss(r, omega, head, labels, hp).total
 
             for arr, analytic in ((r, g.r), (omega, g.omega),
                                   (head.weight, g.head_weight),
@@ -171,13 +173,13 @@ def test_criterion_3_bstep_optimality():
         hp = HyperParams(k_half=k, eta=float(rng.uniform(0.1, 10.0)),
                          encoder_hidden=(4,), semantic_dim=4)
         U = np.tanh(rng.normal(0, 1, (n, k)))
-        _, s_signed = random_similarity(rng, n)
+        s_bin, s_signed = random_similarity(rng, n)
         B = CodeMatrix(np.where(rng.random((n, k)) < 0.5, -1.0, 1.0))
-        ws = make_workspace(U, s_signed, hp)
+        P = compute_P(U, LabelPatterns(labels_for_similarity(s_bin)), hp)
         prev_obj = bstep_objective(U, B.codes, s_signed, k, hp.eta)
         for sweep in range(2):
             for c in range(k):
-                update_column(B, c, ws)
+                update_column(B, c, U, P)
                 achieved = bstep_objective(U, B.codes, s_signed, k, hp.eta)
                 assert achieved <= prev_obj + 1e-9 * max(1.0, abs(prev_obj)), \
                     "objective increased"
@@ -339,7 +341,7 @@ def test_criterion_9_numerical_robustness():
     """All loss terms stay finite with pre-activations up to 1e3 in
     magnitude, exercising the stable sigmoid/softplus paths."""
     rng = np.random.default_rng(900)
-    m, k, sem, classes = 6, 4, 5, 3
+    m, k, sem = 6, 4, 5
     hp = HyperParams(k_half=k, semantic_dim=sem, encoder_hidden=(4,))
     big_v = rng.choice([-1e3, -10.0, 10.0, 1e3], size=(m, k))
     big_r = rng.choice([-1e3, -1.0, 1.0, 1e3], size=(m, sem))
@@ -356,12 +358,11 @@ def test_criterion_9_numerical_robustness():
         fine &= np.isfinite(bd.total)
         fine &= bool(np.all(np.isfinite(g_r)) and np.all(np.isfinite(g_v)))
 
-    labels = np.zeros((m, classes))
-    labels[np.arange(m), rng.integers(0, classes, m)] = 1
-    head = ClassifierHead(weight=rng.normal(0, 0.4, (classes, k)),
-                          bias=np.zeros(classes))
+    labels = labels_for_similarity(s_bin)
+    head = ClassifierHead(weight=rng.normal(0, 0.4, (labels.shape[1], k)),
+                          bias=np.zeros(labels.shape[1]))
     outs = NetOutputs(r=big_r, v=big_v, u=np.tanh(big_v))
-    bd = labelnet_loss(outs, head, s_bin, labels, hp)
+    bd = batch_label_loss(outs.r, outs.u, head, labels, hp)
     g = labelnet_grad(outs, head, s_bin, labels, hp)
     fine &= np.isfinite(bd.total)
     fine &= bool(all(np.all(np.isfinite(a))

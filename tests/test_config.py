@@ -86,6 +86,28 @@ def test_direct_construction_checks_int_fields_by_name(field, value):
         HyperParams(**{field: value})
 
 
+@pytest.mark.parametrize("field, value", [("alpha", "1"), ("lr_min", "1e-3"),
+                                          ("momentum", None), ("alpha", True),
+                                          ("encoder_hidden", 64)])
+def test_direct_construction_checks_float_fields_by_name(field, value):
+    """Built directly, a float field takes a real number only, never a
+    string, None or a bool, and encoder_hidden must be a list of widths."""
+    with pytest.raises(ConfigError, match=field):
+        HyperParams(**{field: value})
+
+
+@pytest.mark.parametrize("value", [True, None, [1.0]], ids=repr)
+def test_json_float_field_takes_only_a_number(value):
+    with pytest.raises(ConfigError, match="alpha"):
+        make_hyperparams({"alpha": value})
+
+
+def test_float_fields_hold_floats():
+    hp = make_hyperparams({"alpha": 2, "momentum": 0})
+    assert (hp.alpha, hp.momentum) == (2.0, 0.0)
+    assert type(hp.alpha) is float and type(HyperParams(nu=3).nu) is float
+
+
 @pytest.mark.parametrize("value", [2, -1, 0.5, 1.0, [True]], ids=repr)
 def test_bool_field_takes_only_a_bool_or_zero_or_one(value):
     with pytest.raises(ConfigError, match="refresh_labelnet"):

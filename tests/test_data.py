@@ -89,6 +89,14 @@ def test_label_all_zero_row(tmp_path):
         load_labels(path)
 
 
+def test_label_all_zero_row_rejected_before_writing(tmp_path):
+    """The writer refuses what every reader refuses, leaving neither the
+    file nor a temp file."""
+    with pytest.raises(DataError, match="all-zero"):
+        write_labels(tmp_path / "z.adsql", [[1, 0], [0, 0]])
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_label_out_of_range_value(tmp_path):
     path = tmp_path / "v.adsql"
     blob = LABEL_MAGIC + np.array([1, 3], dtype="<u4").tobytes()

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import adsq.imgnet
+import adsq.labelnet
 from adsq.bstep import CodeMatrix
 from adsq.config import HyperParams, Variant
 from adsq.data import Dataset, LabelPatterns, build_similarity
@@ -16,6 +16,7 @@ from fdcheck import (TOL, batch_dataset, batch_objective, fd_grad, labels_for_si
                      max_rel_error, random_similarity)
 from labelsets import LABEL_SET_NAMES, hand_label_sets
 from netparams import same_params
+from test_trainer import assert_label_row_matches_dense_reference
 
 VARIANTS = [Variant.FULL, Variant.NO_ASYM, Variant.NO_SEM, Variant.NO_BOTH]
 
@@ -333,18 +334,23 @@ def test_full_objective_matches_dense_reference(name, variant):
     assert_matches_dense_reference(name, variant)
 
 
-@pytest.mark.parametrize("variant", list(Variant), ids=[v.value for v in Variant])
+@pytest.mark.parametrize("variant", [*Variant, None],
+                         ids=[*(v.value for v in Variant), "label-row"])
 def test_full_objective_in_row_blocks_matches_dense_reference(variant, monkeypatch):
     """Every label row distinct (p = n), summed in blocks of 3 pattern rows
-    and a last block of 1."""
+    and a last block of 1: each image-objective variant, and (``None``) the
+    label loss's log row, which shares the pairwise-likelihood kernel."""
     n = hand_label_sets()["distinct"].shape[0]
-    monkeypatch.setattr(adsq.imgnet, "SOFTPLUS_BLOCK_ELEMS", 3 * n)
+    monkeypatch.setattr(adsq.labelnet, "SOFTPLUS_BLOCK_ELEMS", 3 * n)
     shapes = []
 
     def recording(x):
         shapes.append(np.shape(x))
         return softplus_stable(x)
 
-    monkeypatch.setattr(adsq.imgnet, "softplus_stable", recording)
-    assert_matches_dense_reference("distinct", variant)
+    monkeypatch.setattr(adsq.labelnet, "softplus_stable", recording)
+    if variant is None:
+        assert_label_row_matches_dense_reference("distinct", literal=False)
+    else:
+        assert_matches_dense_reference("distinct", variant)
     assert {s for s in shapes if len(s) == 2} == {(3, n), (1, n)}

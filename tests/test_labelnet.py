@@ -1,16 +1,16 @@
 import math
-from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 from adsq.config import HyperParams
-from adsq.data import Dataset, build_similarity
+from adsq.data import Dataset
 from adsq.encoder import MomentumSGD, NetOutputs, forward, init_params
 from adsq.errors import TrainingError
-from adsq.labelnet import (ClassifierHead, binary_reg_value, init_head,
+from adsq.labelnet import (ClassifierHead, binary_reg_value, cache_supervision, init_head,
                            labelnet_grad, labelnet_loss, train_labelnet)
-from fdcheck import TOL, fd_grad, max_rel_error, random_similarity
+from fdcheck import (TOL, batch_label_loss, fd_grad, labels_for_similarity, max_rel_error,
+                     random_similarity)
 from netparams import same_params
 
 K = 3
@@ -30,34 +30,34 @@ def outputs(r, omega):
                       u=np.asarray(omega, dtype=np.float64))
 
 
-def random_instance(seed, m=4, classes=CLASSES):
-    """Code entries sampled away from the regularizer kinks at 0 and +-1."""
+def random_instance(seed, m=4):
+    """Code entries sampled away from the regularizer kinks at 0 and +-1;
+    the labels are those whose shared-label similarity is ``s_bin``, so
+    every item is its own label pattern."""
     rng = np.random.default_rng(seed)
     r = rng.normal(0, 1, (m, SEM))
     mag = rng.uniform(0.05, 0.95, (m, K))
     omega = mag * np.where(rng.random((m, K)) < 0.5, -1.0, 1.0)
-    labels = np.zeros((m, classes))
-    labels[np.arange(m), rng.integers(0, classes, m)] = 1
+    s_bin, _ = random_similarity(rng, m)
+    labels = labels_for_similarity(s_bin)
+    classes = labels.shape[1]
     head = ClassifierHead(weight=rng.normal(0, 0.4, (classes, K)),
                           bias=rng.normal(0, 0.2, classes))
-    s_bin, _ = random_similarity(rng, m)
     return r, omega, labels, head, s_bin
 
 
 class TestLossValues:
     def test_zero_point_hand_values(self):
-        """Two similar items, all outputs zero, perfect classification:
-        both pairwise terms are 2 ln 2, the regularizer is 2*(k+k), the
-        classification term 0."""
+        """Two items of one label pattern, all outputs zero, perfect
+        classification: both pairwise terms are 2 ln 2, the regularizer is
+        2*(k+k), the classification term 0."""
         hp = hp_with(alpha=1, beta=1, gamma=1, delta=1)
         m = 2
         label_row = np.array([1.0, 0.0])
         labels = np.tile(label_row, (m, 1))
         # zero codes + bias equal to the shared label row => exact readout
         head = ClassifierHead(weight=np.zeros((CLASSES, K)), bias=label_row.copy())
-        s_bin = np.ones((m, m))
-        bd = labelnet_loss(outputs(np.zeros((m, SEM)), np.zeros((m, K))),
-                           head, s_bin, labels, hp)
+        bd = batch_label_loss(np.zeros((m, SEM)), np.zeros((m, K)), head, labels, hp)
         assert bd.sem_pair == pytest.approx(2 * math.log(2), abs=1e-12)
         assert bd.code_pair == pytest.approx(2 * math.log(2), abs=1e-12)
         assert bd.binary_reg == pytest.approx(2 * (K + K), abs=1e-12)
@@ -68,48 +68,43 @@ class TestLossValues:
         hp = hp_with(alpha=1, beta=0, gamma=0, delta=0)
         # r chosen so 0.5 * r_i . r_j = 10 for the off-diagonal pair
         r = np.array([[np.sqrt(20.0)] + [0.0] * (SEM - 1)] * 2)
-        bd = labelnet_loss(outputs(r, np.zeros((2, K))),
-                           ClassifierHead(np.zeros((CLASSES, K)), np.zeros(CLASSES)),
-                           np.ones((2, 2)), np.eye(2), hp)
+        labels = labels_for_similarity(np.ones((2, 2)))
+        classes = labels.shape[1]
+        bd = batch_label_loss(r, np.zeros((2, K)),
+                              ClassifierHead(np.zeros((classes, K)), np.zeros(classes)),
+                              labels, hp)
         expected = 2 * (math.log1p(math.exp(-10.0)))  # two ordered pairs
         assert bd.sem_pair == pytest.approx(expected, rel=1e-9)
         assert bd.sem_pair / 2 == pytest.approx(4.5398e-5, rel=1e-3)
 
     def test_delta_zero_ignores_labels(self):
+        """Reversing the label columns keeps the similarity but moves every
+        classifier target; at delta = 0 the loss does not see it."""
         hp = hp_with(delta=0.0)
-        r, omega, labels, head, s_bin = random_instance(0)
-        a = labelnet_loss(outputs(r, omega), head, s_bin, labels, hp)
-        b = labelnet_loss(outputs(r, omega), head, s_bin, 1 - labels, hp)
-        assert a.total == b.total
+        r, omega, labels, head, _ = random_instance(0)
+        a = batch_label_loss(r, omega, head, labels, hp)
+        b = batch_label_loss(r, omega, head, labels[:, ::-1], hp)
+        assert a.classify == b.classify == 0.0
+        assert a.total == pytest.approx(b.total, rel=1e-12)
 
     def test_breakdown_sums_to_total(self):
         hp = hp_with()
-        r, omega, labels, head, s_bin = random_instance(1)
-        bd = labelnet_loss(outputs(r, omega), head, s_bin, labels, hp)
+        r, omega, labels, head, _ = random_instance(1)
+        bd = batch_label_loss(r, omega, head, labels, hp)
         parts = bd.sem_pair + bd.code_pair + bd.binary_reg + bd.classify
         assert bd.total == pytest.approx(parts, abs=1e-12)
 
     @pytest.mark.parametrize("row, logits", [("r", "sem_pair"), ("u", "code_pair")])
     def test_overflowing_logits_raise_training_error(self, row, logits):
         hp = hp_with()
-        r, omega, labels, head, s_bin = random_instance(2)
+        r, omega, labels, head, _ = random_instance(2)
         if row == "r":
             r[0] = 1e200
         else:
             omega[0] = 1e200
         with np.errstate(over="ignore"), \
                 pytest.raises(TrainingError, match=f"non-finite {logits} logits"):
-            labelnet_loss(outputs(r, omega), head, s_bin, labels, hp)
-
-    @pytest.mark.parametrize("literal", [False, True])
-    def test_unit_counts_equal_no_counts(self, literal):
-        """Without counts every row is one item: each term is bit for bit
-        the one that unit counts give."""
-        hp = hp_with(j3_literal=literal)
-        r, omega, labels, head, s_bin = random_instance(3, m=5)
-        bare = labelnet_loss(outputs(r, omega), head, s_bin, labels, hp)
-        unit = labelnet_loss(outputs(r, omega), head, s_bin, labels, hp, counts=np.ones(5))
-        assert astuple(bare) == astuple(unit)
+            batch_label_loss(r, omega, head, labels, hp)
 
     def test_binary_reg_zero_iff_unit_magnitude(self):
         assert binary_reg_value(np.array([[1.0, -1.0], [-1.0, 1.0]]), False, np.ones(2)) == 0.0
@@ -158,12 +153,14 @@ class TestGradients:
     ], ids=["sem", "code", "reg", "reg-literal", "classify", "all"])
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_matches_finite_differences(self, weights, seed):
+        """The batch gradient is the exact gradient of the full-set loss
+        with the batch as the whole set."""
         hp = hp_with(**weights)
         r, omega, labels, head, s_bin = random_instance(seed)
         g = labelnet_grad(outputs(r, omega), head, s_bin, labels, hp)
 
         def loss():
-            return labelnet_loss(outputs(r, omega), head, s_bin, labels, hp).total
+            return batch_label_loss(r, omega, head, labels, hp).total
 
         for arr, analytic in ((r, g.r), (omega, g.omega),
                               (head.weight, g.head_weight), (head.bias, g.head_bias)):
@@ -177,11 +174,11 @@ def test_pairwise_loss_decreases_as_shared_direction_grows():
     head = ClassifierHead(np.zeros((CLASSES, K)), np.zeros(CLASSES))
     d_r = np.full(SEM, 0.5)
     d_w = np.full(K, 0.2)
-    s_bin = np.ones((3, 3))
+    labels = np.ones((3, CLASSES))
     losses = []
     for t in (1.0, 2.0, 4.0):
-        outs = outputs(np.tile(t * d_r, (3, 1)), np.tile(np.tanh(t * d_w), (3, 1)))
-        losses.append(labelnet_loss(outs, head, s_bin, np.eye(3, CLASSES), hp).total)
+        r, omega = np.tile(t * d_r, (3, 1)), np.tile(np.tanh(t * d_w), (3, 1))
+        losses.append(batch_label_loss(r, omega, head, labels, hp).total)
     assert losses[0] > losses[1] > losses[2]
 
 
@@ -209,14 +206,12 @@ def phase_setup(seed=0):
 def run_phase(ds, hp, params, head, *, epochs, lr, seed):
     return train_labelnet(
         params, head, ds, hp, epochs=epochs, lr=lr, rng=np.random.default_rng(seed),
-        opt_net=MomentumSGD(params.weights + params.biases, hp.momentum, hp.weight_decay),
-        opt_head=MomentumSGD([head.weight, head.bias], hp.momentum, hp.weight_decay))
+        optimizer=MomentumSGD(params.weights + params.biases + [head.weight, head.bias],
+                              hp.momentum, hp.weight_decay))
 
 
 def full_set_loss(ds, hp, params, head):
-    labels = ds.labels.astype(np.float64)
-    return labelnet_loss(forward(params, labels), head, build_similarity(labels),
-                         labels, hp).total
+    return labelnet_loss(cache_supervision(params, ds), head, ds.patterns, hp).total
 
 
 def test_zero_epochs_leaves_params_and_still_caches():

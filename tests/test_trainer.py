@@ -163,9 +163,7 @@ def dense_label_row(labels, params, head, hp):
             "j4": hp.delta * float(((head.predict(u) - lab)**2).sum())}
 
 
-@pytest.mark.parametrize("literal", [False, True])
-@pytest.mark.parametrize("name", LABEL_SET_NAMES)
-def test_label_row_matches_dense_reference(name, literal):
+def assert_label_row_matches_dense_reference(name, literal):
     labels = hand_label_sets()[name]
     n, classes = labels.shape
     hp = HyperParams(k_half=3, semantic_dim=4, encoder_hidden=(6,), j3_literal=literal)
@@ -180,6 +178,12 @@ def test_label_row_matches_dense_reference(name, literal):
     # the log writes repr() of each value, so they must be plain floats
     assert all(type(getattr(row, term)) is float for term in ("loss_total", *want))
     assert (row.round, row.phase, row.asym) == (2, "label", 0.0)
+
+
+@pytest.mark.parametrize("literal", [False, True])
+@pytest.mark.parametrize("name", LABEL_SET_NAMES)
+def test_label_row_matches_dense_reference(name, literal):
+    assert_label_row_matches_dense_reference(name, literal)
 
 
 def patch_everywhere(monkeypatch, name, original, replacement):
@@ -218,8 +222,8 @@ def test_training_builds_no_similarity_wider_than_patterns(tiny_data, monkeypatc
 
 def test_training_softplus_sees_no_item_pair_array(tiny_data, monkeypatch):
     """The pairwise likelihoods run over pattern x item logits in the
-    full-set objective and over pattern pairs in the label row, so no
-    array softplus receives holds more than p x n entries."""
+    full-set objective and in the label row, so no array softplus receives
+    holds more than p x n entries."""
     original = adsq.numerics.softplus_stable
     sizes = []
 
