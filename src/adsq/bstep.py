@@ -10,8 +10,8 @@ the self-interaction term is constant and each column has the closed-form
 minimizer  -sign(2 * B_rest (U_rest^T u_col) + p_col)  where
 P = -2 * k_half * S_signed^T U - 2 * eta * U.
 
-The similarity is given as ``LabelPatterns``: S_signed^T U =
-2 spread(per-pattern sums of U)[ids] - colsum(U), in O(n k + p^2 k).
+The similarity is given as ``LabelPatterns``: S_signed^T U is
+``LabelPatterns.signed(U)``, in O(n k + p^2 k) time and bounded blocks.
 
 The objective depends on column c only through <b_c, arg_c>, so an update
 changes it by exactly (b_new - b_old) . arg_c. Each update checks that this
@@ -52,9 +52,7 @@ def compute_P(U, patterns: LabelPatterns, hp: HyperParams) -> np.ndarray:
     U = np.asarray(U, dtype=np.float64)
     if patterns.ids.shape != U.shape[:1]:
         raise ValueError(f"patterns cover {patterns.ids.size} items, U has {U.shape[0]} rows")
-    # S_signed^T U = 2 (S_pat @ per-pattern sums of U)[ids] - colsum(U)
-    s_u = 2.0 * patterns.spread(patterns.sums(U))[patterns.ids] - U.sum(axis=0)
-    return -2.0 * hp.k_half * s_u - 2.0 * hp.eta * U
+    return -2.0 * hp.k_half * patterns.signed(U) - 2.0 * hp.eta * U
 
 
 def update_column(code_matrix: CodeMatrix, c: int, U, P) -> np.ndarray:

@@ -58,6 +58,8 @@ class PackedCodes:
     payload: np.ndarray  # n x ceil(k_total/8), uint8
 
     def __post_init__(self):
+        if self.k_total < 1:
+            raise ValueError(f"k_total must be at least 1, got {self.k_total}")
         payload = self.payload
         if not (isinstance(payload, np.ndarray) and payload.dtype == np.uint8
                 and payload.ndim == 2):
@@ -111,14 +113,12 @@ def pack(codes) -> PackedCodes:
         raise ValueError(f"code matrix must be 2-D, got shape {arr.shape}")
     if not np.isin(arr, (-1.0, 1.0)).all():
         raise ValueError("pack requires entries exactly -1 or +1")
-    bits = (arr > 0).astype(np.uint8)
-    payload = np.packbits(bits, axis=1)
-    return PackedCodes(n=arr.shape[0], k_total=arr.shape[1], payload=payload)
+    return PackedCodes(n=arr.shape[0], k_total=arr.shape[1],
+                       payload=np.packbits(arr > 0, axis=1))
 
 
 def unpack(packed: PackedCodes) -> np.ndarray:
-    bits = np.unpackbits(packed.payload, axis=1, count=packed.k_total)
-    return bits.astype(np.float64) * 2.0 - 1.0
+    return np.unpackbits(packed.payload, axis=1, count=packed.k_total) * 2.0 - 1.0
 
 
 def hamming_distance(a, b) -> int:

@@ -4,8 +4,8 @@ on-disk matrix formats.
 Two items are similar iff some word of the AND of their packed label words
 is nonzero; ``share_labels`` is the one implementation of this rule. It
 depends only on the label row, so training uses the p distinct rows
-(``LabelPatterns``, which keep their words): blocks come from the kernel,
-and products with the similarity reduce to per-pattern sums, O(n k + p^2 k).
+(``LabelPatterns``): batch blocks come from the kernel, and products with the
+similarity from per-pattern sums over bounded ``row_blocks``, O(n k + p^2 k).
 
 Feature files (``ADSQF001``) hold n, dim and an n x dim float32 matrix;
 label files (``ADSQL001``) hold n, classes and n x classes bytes in {0, 1};
@@ -14,7 +14,7 @@ so features are widened to float64 on load.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .fileio import BinaryReader, write_binary
 
 FEATURE_MAGIC = b"ADSQF001"
 LABEL_MAGIC = b"ADSQL001"
+BLOCK_ELEMS = 1 << 22  # entries per block of pattern rows (32 MB of float64)
 
 
 def _freeze(arr):
@@ -119,10 +120,21 @@ class LabelPatterns:
         words = self.words[self.ids[index]]
         return share_labels(words, words).astype(np.float64)
 
-    def spread(self, y) -> np.ndarray:
-        """``S_pat @ y`` for the p x p pattern similarity ``S_pat`` and a
-        p-row matrix ``y``."""
-        return share_labels(self.words, self.words).astype(np.float64) @ y
+    def row_blocks(self, width):
+        """(rows, similar) per slice of at most max(1, BLOCK_ELEMS // width)
+        pattern rows; ``similar()`` forms its boolean block against all p."""
+        step = max(1, BLOCK_ELEMS // width)
+        for start in range(0, self.counts.size, step):
+            rows = slice(start, start + step)
+            yield rows, partial(share_labels, self.words[rows], self.words)
+
+    def signed(self, y) -> np.ndarray:
+        """``S_signed @ y`` over items for an n-row ``y``, S_signed = 2 S - 1:
+        2 (S_pat @ sums(y))[ids] - colsum(y), one row block at a time."""
+        y_pat = self.sums(y)
+        s_y = np.concatenate([similar().astype(np.float64) @ y_pat
+                              for _, similar in self.row_blocks(len(y_pat))])
+        return 2.0 * s_y[self.ids] - np.asarray(y, dtype=np.float64).sum(axis=0)
 
     def sums(self, x) -> np.ndarray:
         """Per-pattern sums of the rows of the n-row matrix ``x``."""

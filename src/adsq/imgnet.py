@@ -7,12 +7,12 @@ inner-product term runs over all pairs including i = j, anchoring each
 item's continuous output to its own discrete code. The balance term
 pushes every bit's column sum toward zero.
 
-``full_objective`` evaluates it for the diagnostics, its likelihood terms
-by ``labelnet.pairwise_nll``. ``imgnet_grads`` is its exact gradient with
-one batch taken as the whole set; the gradients enter the encoder at two
-points: the hash pre-activation (quantization, balance, code-likelihood,
-and asymmetric terms) and the semantic layer (the semantic likelihood
-term, which never touches the hash head).
+``full_objective`` evaluates it for the diagnostics: its likelihood terms by
+``labelnet.pairwise_nll``, its asymmetric term by ``LabelPatterns.signed``.
+``imgnet_grads`` is its exact gradient with one batch taken as the whole
+set; it enters the encoder at the hash pre-activation (quantization,
+balance, code-likelihood and asymmetric terms) and at the semantic layer
+(the semantic likelihood term, which never touches the hash head).
 
 Which terms run is read from ``hp.variant`` alone (``Variant.keeps_sem``,
 ``Variant.keeps_asym``); a dropped term is neither computed nor
@@ -122,18 +122,16 @@ def full_objective(outs: NetOutputs, dataset: Dataset, code_matrix: CodeMatrix,
 
     The supervision side of each pairwise likelihood has one row per label
     pattern (see ``pairwise_nll``). The similarity enters the asymmetric
-    term only through per-pattern sums: sum_ij s_ij x_i.y_j =
-    <sums(X), spread(sums(Y))>. No n x n array is made."""
+    term only through <U, S_signed B> = <U, ``pat.signed(B)``>. No n x n
+    array is made."""
     pat = dataset.patterns
     u, codes = outs.u, code_matrix.codes
     n, k = codes.shape
 
     def asym():
         # ||U B^T - k S_signed||^2 with S_signed = 2 S - 1, every entry +-1
-        signed = 2.0 * float((pat.sums(u) * pat.spread(pat.sums(codes))).sum()) \
-            - float(u.sum(axis=0) @ codes.sum(axis=0))
-        return float(((u.T @ u) * (codes.T @ codes)).sum()) - 2.0 * k * signed \
-            + float(k * k) * n * n
+        return float(((u.T @ u) * (codes.T @ codes)).sum()) \
+            - 2.0 * k * float((u * pat.signed(codes)).sum()) + float(k * k) * n * n
 
     v = hp.variant
     return ImgLossBreakdown(

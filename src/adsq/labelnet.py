@@ -12,7 +12,8 @@ terms over all ordered pairs of distinct items (i != j):
 ``labelnet_loss`` is the loss over the whole training set, one output row
 per label pattern; ``labelnet_grad`` is its exact gradient with one batch
 taken as the whole set. ``pairwise_nll`` is the value of every pairwise
-likelihood term, here and in the image objective. The trained outputs are
+likelihood term, here and in the image objective, summed over the row
+blocks of ``LabelPatterns.row_blocks``. The trained outputs are
 cached per label pattern as fixed supervision for the image networks.
 """
 
@@ -21,13 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import HyperParams
-from .data import Dataset, LabelPatterns, share_labels
+from .data import Dataset, LabelPatterns
 from .encoder import EncoderParams, MomentumSGD, NetOutputs, backward, forward
 from .errors import TrainingError
 from .numerics import check_finite, sigmoid_stable, softplus_stable
-
-# Entries per block of pattern x item logits in pairwise_nll (32 MB of float64)
-SOFTPLUS_BLOCK_ELEMS = 1 << 22
 
 
 @dataclass
@@ -83,16 +81,14 @@ class LabelGrads:
 def pairwise_nll(sup_pat, img, pat: LabelPatterns, what) -> float:
     """Negative log-likelihood of the shared-label similarity of ``pat`` over
     ordered item pairs i != j, logits 0.5 sup_pat[ids[i]].img[j], summed over
-    count-weighted pattern x item logits in blocks of at most
-    ``SOFTPLUS_BLOCK_ELEMS`` entries. Non-finite logits raise TrainingError
-    naming ``what``."""
-    rows = max(1, SOFTPLUS_BLOCK_ELEMS // img.shape[0])
+    count-weighted pattern x item logits in the row blocks of
+    ``pat.row_blocks``. Non-finite logits raise TrainingError naming
+    ``what``."""
     total = 0.0
-    for start in range(0, sup_pat.shape[0], rows):
-        block = slice(start, start + rows)
-        logits = check_finite(0.5 * (sup_pat[block] @ img.T), f"{what} logits")
-        s = share_labels(pat.words[block], pat.words)[:, pat.ids]
-        total += float(pat.counts[block] @ (softplus_stable(logits) - s * logits).sum(axis=1))
+    for rows, similar in pat.row_blocks(img.shape[0]):
+        logits = check_finite(0.5 * (sup_pat[rows] @ img.T), f"{what} logits")
+        s = similar()[:, pat.ids]
+        total += float(pat.counts[rows] @ (softplus_stable(logits) - s * logits).sum(axis=1))
     # take out each item's own pair (s_ii = 1)
     own = check_finite(0.5 * np.einsum("ij,ij->i", sup_pat[pat.ids], img), f"{what} logits")
     return total - float((softplus_stable(own) - own).sum())

@@ -22,8 +22,9 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.classes < 2:
-            raise ValueError("need at least 2 classes")
+        for name, low in (("classes", 2), ("dim", 1), ("per_class", 1), ("queries_per_class", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
         if self.cluster_spread <= 0:
             raise ValueError("cluster_spread must be positive")
         if not 0 <= self.multilabel_overlap <= 1:

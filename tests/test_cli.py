@@ -65,6 +65,16 @@ class TestSynth:
         db = json.loads((tmp_path / "b" / "manifest.json").read_text())
         assert da["outputs"] == db["outputs"]
 
+    @pytest.mark.parametrize("flag, value", [("--per-class", "0"), ("--per-class", "-1"),
+                                             ("--dim", "0"), ("--queries-per-class", "0")])
+    def test_size_below_one_exits_1_and_writes_nothing(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "data"
+        args = synth_args(out)
+        args[args.index(flag) + 1] = value
+        assert main(args) == 1
+        assert f"{flag[2:].replace('-', '_')} must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_out_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["synth", "--classes", "3"])

@@ -250,6 +250,12 @@ class TestWordScan:
             PackedCodes(n=4, k_total=16, payload=payload)
 
 
+    def test_zero_bit_codes_rejected(self):
+        with pytest.raises(ValueError, match="k_total must be at least 1"):
+            PackedCodes(n=3, k_total=0, payload=np.zeros((3, 0), dtype=np.uint8))
+        with pytest.raises(ValueError, match="k_total must be at least 1"):
+            pack(np.ones((3, 0)))
+
     def test_nonzero_padding_bits_rejected(self):
         # both rows read ++++ in 4 bits; the second has its 4 padding bits set
         payload = np.array([[0b11110000], [0b11111111]], dtype=np.uint8)
@@ -278,6 +284,12 @@ class TestCodesFile:
         write_codes(path, packed)
         path.write_bytes(path.read_bytes()[:-1])
         with pytest.raises(FormatError):
+            load_codes(path)
+
+    def test_zero_bit_file_rejected(self, tmp_path):
+        path = tmp_path / "z.adsqb"
+        path.write_bytes(b"ADSQB001" + np.array([3, 0], dtype="<u4").tobytes())
+        with pytest.raises(FormatError, match="k_total must be at least 1"):
             load_codes(path)
 
     def test_nonzero_padding_rejected(self, tmp_path):

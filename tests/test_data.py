@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import adsq.data
 from adsq.config import HyperParams
 from adsq.data import (Dataset, LabelPatterns, build_similarity, load_features,
                        load_labels, pack_label_words, validate_dataset, write_features,
@@ -193,14 +194,20 @@ def test_patterns_rebuild_labels(name):
 
 
 @pytest.mark.parametrize("name", LABEL_SET_NAMES)
-def test_pattern_gather_equals_build_similarity(name):
+def test_pattern_gather_equals_build_similarity(name, monkeypatch):
     lab = hand_label_sets()[name]
     pat = LabelPatterns(lab)
     full = build_similarity(lab)
-    s_pat = build_similarity(pat.rows)
-    np.testing.assert_array_equal(pat.block(pat.first), s_pat)
-    y = np.random.default_rng(1).normal(size=(pat.rows.shape[0], 3))
-    np.testing.assert_array_equal(pat.spread(y), s_pat @ y)
+    p = pat.counts.size
+    np.testing.assert_array_equal(pat.block(pat.first), build_similarity(pat.rows))
+    y = np.random.default_rng(1).normal(size=(lab.shape[0], 3))
+    want = (2.0 * full - 1.0) @ y
+    # one block at the default budget, then 3-row blocks, then a budget
+    # below the width: 1-row blocks
+    for budget, rows in ((adsq.data.BLOCK_ELEMS, p), (3 * p, min(3, p)), (p - 1, 1)):
+        monkeypatch.setattr(adsq.data, "BLOCK_ELEMS", budget)
+        assert max(len(range(p)[block]) for block, _ in pat.row_blocks(p)) == rows
+        np.testing.assert_allclose(pat.signed(y), want, rtol=1e-12, atol=1e-12)
     np.testing.assert_array_equal(pat.block(np.arange(lab.shape[0])), full)
     rng = np.random.default_rng(0)
     for m in (1, 2, 5, lab.shape[0]):

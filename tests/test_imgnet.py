@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import adsq.data
 import adsq.labelnet
 from adsq.bstep import CodeMatrix
 from adsq.config import HyperParams, Variant
@@ -341,7 +342,7 @@ def test_full_objective_in_row_blocks_matches_dense_reference(variant, monkeypat
     and a last block of 1: each image-objective variant, and (``None``) the
     label loss's log row, which shares the pairwise-likelihood kernel."""
     n = hand_label_sets()["distinct"].shape[0]
-    monkeypatch.setattr(adsq.labelnet, "SOFTPLUS_BLOCK_ELEMS", 3 * n)
+    monkeypatch.setattr(adsq.data, "BLOCK_ELEMS", 3 * n)
     shapes = []
 
     def recording(x):

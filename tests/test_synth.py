@@ -67,6 +67,13 @@ def test_tiny_spread_clusters_at_centers():
     np.testing.assert_array_equal(assigned, truth)
 
 
+@pytest.mark.parametrize("field", ["dim", "per_class", "queries_per_class"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_sizes_below_one_rejected_by_name(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be at least 1"):
+        spec_with(**{field: value})
+
+
 def test_invalid_specs_rejected():
     with pytest.raises(ValueError):
         spec_with(classes=1)

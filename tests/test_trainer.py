@@ -239,6 +239,34 @@ def test_training_softplus_sees_no_item_pair_array(tiny_data, monkeypatch):
     assert sizes and max(sizes) <= p * ds.n
 
 
+def test_training_similarity_and_softplus_blocks_stay_within_budget(monkeypatch):
+    """Every label row distinct (p = n) and a budget of three pattern rows:
+    no similarity block and no array softplus receives during training
+    holds more than max(BLOCK_ELEMS, batch_size^2) entries."""
+    labels = hand_label_sets()["distinct"]
+    n = labels.shape[0]
+    monkeypatch.setattr(adsq.data, "BLOCK_ELEMS", 3 * n)
+    kernel, softplus = adsq.data.share_labels, adsq.numerics.softplus_stable
+    sizes = []
+
+    def recording_kernel(words_a, words_b):
+        block = kernel(words_a, words_b)
+        sizes.append(block.size)
+        return block
+
+    def recording_softplus(x):
+        sizes.append(np.size(x))
+        return softplus(x)
+
+    patch_everywhere(monkeypatch, "share_labels", kernel, recording_kernel)
+    patch_everywhere(monkeypatch, "softplus_stable", softplus, recording_softplus)
+    ds = Dataset(features=np.random.default_rng(0).normal(size=(n, 5)), labels=labels)
+    hp = HyperParams(**TINY)
+    assert ds.patterns.counts.size == n and hp.batch_size**2 < n * n
+    train(ds, hp)
+    assert sizes and max(sizes) <= max(adsq.data.BLOCK_ELEMS, hp.batch_size**2)
+
+
 @pytest.mark.parametrize("variant", ["full", "sym"])
 def test_training_computes_each_quantity_once(tiny_data, monkeypatch, variant):
     """Over a whole run: one encoder forward per SGD step (backward reuses
