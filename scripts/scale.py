@@ -2,16 +2,23 @@
 """Training time and peak memory as the training set grows.
 
 Each point (label kind, n) runs in a subprocess of its own, which makes n
-items, trains one round at the train-pairwise widths (k_half 16, hidden
-128, semantic 64, t_label 5, lr 3e-7, seed 1) and reports its train wall
-time, the number p of distinct label rows, and its own peak RSS
-(``ru_maxrss``). BLAS threads default to 1. Label kinds:
+items, trains one round (lr 3e-7, seed 1) and reports its train wall time,
+the number p of distinct label rows, and its own peak RSS (``ru_maxrss``).
+BLAS threads default to 1. Label kinds:
 
   synth    adsq.synth clusters: 10 classes, 30 % multi-label overlap (p ~ 55)
   diverse  the same features with 40 random classes at 10 % density (p ~ n)
 
+Widths (``WIDTHS``):
+
+  pairwise  the train-pairwise workload's: k_half 16, hidden 128, semantic 64,
+            t_label 5 (the default)
+  default   HyperParams' own: k_half 8, hidden 4096 x 2, semantic 512, with
+            t_label = t_img = 1; a point needs over 1 GB even at small n
+
     PYTHONPATH=src python scripts/scale.py                # n = 2k, 4k, 8k, 16k
     PYTHONPATH=src python scripts/scale.py --n 2000 8000
+    PYTHONPATH=src python scripts/scale.py --widths default --n 2000 8000
 
 Not a benchmark workload: a probe for how training scales with n and p.
 """
@@ -35,6 +42,12 @@ KINDS = ("synth", "diverse")
 DEFAULT_N = (2000, 4000, 8000, 16000)
 CLASSES = 10
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# HyperParams overrides per --widths setting
+WIDTHS = {
+    "pairwise": dict(k_half=16, encoder_hidden=(128,), semantic_dim=64, t_label=5),
+    "default": dict(k_half=8, encoder_hidden=(4096, 4096), semantic_dim=512,
+                    t_label=1, t_img=1),
+}
 
 
 def make_dataset(kind, n, seed) -> Dataset:
@@ -51,11 +64,10 @@ def make_dataset(kind, n, seed) -> Dataset:
     return Dataset(features=features, labels=labels)
 
 
-def run_point(kind, n, seed=1) -> dict:
+def run_point(kind, n, widths="pairwise", seed=1) -> dict:
     """Train one point in this process; returns its measurements."""
     ds = make_dataset(kind, n, seed)
-    hp = HyperParams(k_half=16, encoder_hidden=(128,), semantic_dim=64, t_label=5,
-                     outer_rounds=1, lr_min=3e-7, lr_max=3e-7, seed=seed)
+    hp = HyperParams(**WIDTHS[widths], outer_rounds=1, lr_min=3e-7, lr_max=3e-7, seed=seed)
     t0 = time.perf_counter()
     train(ds, hp)
     return {"kind": kind, "n": n, "p": int(ds.patterns.counts.size),
@@ -63,12 +75,13 @@ def run_point(kind, n, seed=1) -> dict:
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}
 
 
-def measure(kind, n) -> dict:
+def measure(kind, n, widths="pairwise") -> dict:
     """``run_point`` in a fresh subprocess, so each peak RSS is its own."""
     env = dict(os.environ)
     for name in BLAS_ENV:
         env.setdefault(name, "1")
-    out = subprocess.run([sys.executable, os.path.abspath(__file__), "--point", kind, str(n)],
+    out = subprocess.run([sys.executable, os.path.abspath(__file__), "--point", kind, str(n),
+                          "--widths", widths],
                          env=env, check=True, capture_output=True, text=True).stdout
     return json.loads(out)
 
@@ -77,18 +90,20 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--n", type=int, nargs="+", default=DEFAULT_N, help="training set sizes")
+    ap.add_argument("--widths", choices=WIDTHS, default="pairwise",
+                    help="encoder widths and epochs (default: pairwise)")
     ap.add_argument("--point", nargs=2, metavar=("KIND", "N"), help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.point:
-        print(json.dumps(run_point(args.point[0], int(args.point[1]))))
+        print(json.dumps(run_point(args.point[0], int(args.point[1]), args.widths)))
         return
-    print(f"BLAS threads: {os.environ.get('OPENBLAS_NUM_THREADS', '1')}, "
-          f"numpy {np.__version__}")
+    print(f"widths: {args.widths}, BLAS threads: "
+          f"{os.environ.get('OPENBLAS_NUM_THREADS', '1')}, numpy {np.__version__}")
     print("| labels | n | p | train s | peak RSS MB |")
     print("| --- | --- | --- | --- | --- |")
     for kind in KINDS:
         for n in args.n:
-            r = measure(kind, n)
+            r = measure(kind, n, args.widths)
             print(f"| {kind} | {n} | {r['p']} | {r['train_s']:.2f} | {r['peak_rss_mb']:.0f} |",
                   flush=True)
 

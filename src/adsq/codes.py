@@ -1,8 +1,8 @@
 """Sign quantization, asymmetric code concatenation, bit packing, and
 linear-scan Hamming search.
 
-``encode_matrix`` runs both image networks over blocks of
-``ENCODE_BLOCK_ROWS`` feature rows and packs each block's sign bits
+``encode_matrix`` runs both image networks over the row blocks of
+``adsq.encoder.forward_blocks`` and packs each block's sign bits
 (x-network half first) straight into the n-row payload, so no n-row float
 array is made beyond the features themselves.
 
@@ -25,14 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import EncoderParams, forward
+from .encoder import EncoderParams, forward_blocks
 from .errors import FormatError
 from .fileio import BinaryReader, write_binary
 
 CODES_MAGIC = b"ADSQB001"
-# Rows per encode block: a fixed row count, not an element budget, since a
-# budget would cut wide layers into blocks too short for efficient GEMMs.
-ENCODE_BLOCK_ROWS = 1024
 
 
 def _as_words(rows: np.ndarray) -> np.ndarray:
@@ -92,18 +89,13 @@ def quantize_sign(values) -> np.ndarray:
 def encode_matrix(x, imgx_params: EncoderParams, imgy_params: EncoderParams) -> PackedCodes:
     """Packed row-wise codes of length 2*k_half for a feature matrix:
     x-network half first, each half ``quantize_sign`` of its network's u."""
-    x = np.asarray(x)
-    n = x.shape[0]
-    k_x = imgx_params.weights[-1].shape[0]
-    k_total = k_x + imgy_params.weights[-1].shape[0]
+    n = len(x)
+    k_total = imgx_params.weights[-1].shape[0] + imgy_params.weights[-1].shape[0]
     payload = np.empty((n, (k_total + 7) // 8), dtype=np.uint8)
-    bits = np.empty((min(n, ENCODE_BLOCK_ROWS), k_total), dtype=bool)
-    for start in range(0, n, ENCODE_BLOCK_ROWS):
-        block = x[start:start + ENCODE_BLOCK_ROWS]
-        out = bits[:block.shape[0]]
-        np.greater(quantize_sign(forward(imgx_params, block).u), 0, out=out[:, :k_x])
-        np.greater(quantize_sign(forward(imgy_params, block).u), 0, out=out[:, k_x:])
-        payload[start:start + block.shape[0]] = np.packbits(out, axis=1)
+    for (rows, outs_x), (_, outs_y) in zip(forward_blocks(imgx_params, x),
+                                           forward_blocks(imgy_params, x)):
+        signs = np.concatenate([quantize_sign(outs_x.u), quantize_sign(outs_y.u)], axis=1)
+        payload[rows] = np.packbits(signs > 0, axis=1)
     return PackedCodes(n=n, k_total=k_total, payload=payload)
 
 

@@ -7,8 +7,10 @@ topology but never the weights.
 
 Gradients flow in through two injection points: ``upstream_r`` at the
 semantic-layer output and ``upstream_v`` at the hash-layer pre-activation.
-Model files (``ADSQW001``) are ``adsq.fileio`` containers: the layer
-count, then per layer rows, cols, float64 weights and float64 biases.
+Only an SGD batch's ``forward`` keeps the activations ``backward`` reads;
+every many-row forward runs in ``forward_blocks`` of ``FORWARD_BLOCK_ROWS``
+rows. Model files (``ADSQW001``) are ``adsq.fileio`` containers: the layer
+count, then per layer rows, cols (both nonzero), float64 weights and biases.
 """
 
 from dataclasses import dataclass
@@ -19,6 +21,9 @@ from .errors import ConfigError, FormatError, TrainingError
 from .fileio import BinaryReader, write_binary
 
 MODEL_MAGIC = b"ADSQW001"
+# Rows per block of a many-row forward: a row count, not an element budget,
+# since a budget would cut wide layers into blocks too short for fast GEMMs.
+FORWARD_BLOCK_ROWS = 1024
 # Elements per in-place block of an optimizer step (one scratch buffer).
 STEP_BLOCK_ELEMS = 1 << 16
 
@@ -84,25 +89,38 @@ def init_params(dims, seed) -> EncoderParams:
     return EncoderParams(weights=weights, biases=biases)
 
 
-def _forward_trace(params: EncoderParams, x: np.ndarray):
-    """Hidden activations plus (r, v)."""
+def forward(params: EncoderParams, x, keep_hidden: bool = False) -> NetOutputs:
+    """Outputs for the rows of ``x``. Only ``keep_hidden`` keeps the input and
+    each rectifier output (for ``backward``); else each is dropped after use."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.in_dim:
         raise ValueError(
             f"input shape {x.shape} does not match encoder input width {params.in_dim}")
-    hidden = [x]
+    hidden = [x] if keep_hidden else None
     h = x
     for w, b in zip(params.weights[:-2], params.biases[:-2]):
         h = np.maximum(h @ w.T + b, 0.0)
-        hidden.append(h)
+        if keep_hidden:
+            hidden.append(h)
     r = h @ params.weights[-2].T + params.biases[-2]
     v = r @ params.weights[-1].T + params.biases[-1]
-    return hidden, r, v
+    return NetOutputs(r=r, v=v, u=np.tanh(v), hidden=hidden)
 
 
-def forward(params: EncoderParams, x, keep_hidden: bool = False) -> NetOutputs:
-    hidden, r, v = _forward_trace(params, x)
-    return NetOutputs(r=r, v=v, u=np.tanh(v), hidden=hidden if keep_hidden else None)
+def forward_blocks(params: EncoderParams, x):
+    """``(rows, forward(params, x[rows]))`` per slice of ``FORWARD_BLOCK_ROWS`` rows or less."""
+    for start in range(0, len(x), FORWARD_BLOCK_ROWS):
+        rows = slice(start, start + FORWARD_BLOCK_ROWS)
+        yield rows, forward(params, x[rows])
+
+
+def forward_rows(params: EncoderParams, x) -> NetOutputs:
+    """``forward(params, x)`` without hidden layers, one ``forward_blocks`` block at a time."""
+    n, sem, k = len(x), params.weights[-2].shape[0], params.weights[-1].shape[0]
+    outs = NetOutputs(np.empty((n, sem)), np.empty((n, k)), np.empty((n, k)))
+    for rows, block in forward_blocks(params, x):
+        outs.r[rows], outs.v[rows], outs.u[rows] = block.r, block.v, block.u
+    return outs
 
 
 def backward(params: EncoderParams, outs: NetOutputs, upstream_r, upstream_v) -> EncoderGrads:
@@ -196,6 +214,8 @@ def load_params(path) -> EncoderParams:
         (n_layers,) = r.header(1)
         for i in range(n_layers):
             rows, cols = r.header(2)
+            if not rows or not cols:
+                raise FormatError(f"{path}: layer {i} has zero width ({rows} x {cols})")
             if weights and cols != weights[-1].shape[0]:
                 raise FormatError(f"{path}: layer {i} takes {cols} inputs but layer {i - 1} "
                                   f"gives {weights[-1].shape[0]}")

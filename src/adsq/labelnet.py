@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import HyperParams
 from .data import Dataset, LabelPatterns
-from .encoder import EncoderParams, MomentumSGD, NetOutputs, backward, forward
+from .encoder import EncoderParams, MomentumSGD, NetOutputs, backward, forward, forward_rows
 from .errors import TrainingError
 from .numerics import check_finite, sigmoid_stable, softplus_stable
 
@@ -197,9 +197,9 @@ def train_labelnet(params: EncoderParams, head: ClassifierHead, dataset: Dataset
 
 def cache_supervision(params: EncoderParams, dataset: Dataset) -> LabelSupervision:
     """The label network's per-pattern outputs over ``dataset``'s patterns."""
-    # Taken from the n-row forward, whose GEMM gives equal rows for equal
-    # label rows, so a gather by pattern id reproduces it exactly; a forward
-    # over the p pattern rows blocks the GEMM differently and rounds apart.
-    outs = forward(params, dataset.labels.astype(np.float64))
+    # Taken from the blocked n-row forward, whose GEMMs give equal rows for
+    # equal label rows, so a gather by pattern id reproduces it exactly; a
+    # forward over the p pattern rows blocks the GEMM differently and rounds apart.
+    outs = forward_rows(params, dataset.labels)
     first = dataset.patterns.first
     return LabelSupervision(r_l=outs.r[first], omega_l=outs.u[first])

@@ -18,7 +18,7 @@ from .bstep import CodeMatrix, bstep_sweep
 from .codes import pack, quantize_sign, write_codes
 from .config import HyperParams, Variant
 from .data import Dataset, validate_dataset
-from .encoder import MomentumSGD, forward, init_params, save_params
+from .encoder import MomentumSGD, forward_rows, init_params, save_params
 from .errors import DataError, TrainingError
 from .fileio import write_csv
 from .imgnet import full_objective, wstep_epoch
@@ -146,7 +146,7 @@ def train(dataset: Dataset, hp: HyperParams) -> TrainState:
         for _ in range(hp.t_img):
             wstep_epoch(params, dataset, codes, state.supervision, hp,
                         lr=lr, rng=rng, optimizer=opt)
-        outs = forward(params, dataset.features)
+        outs = forward_rows(params, dataset.features)
         img_row(rnd, f"wstep_{tag}", outs, codes)
         return outs
 
@@ -157,9 +157,9 @@ def train(dataset: Dataset, hp: HyperParams) -> TrainState:
     run_phase(0, "label", label_phase, 0, hp.lr_for_round(0))
 
     # warm-start codes from the current (still untrained) networks
-    state.codes_x = CodeMatrix(quantize_sign(forward(imgx_params, dataset.features).u))
+    state.codes_x = CodeMatrix(quantize_sign(forward_rows(imgx_params, dataset.features).u))
     state.codes_y = state.codes_x if symmetric else CodeMatrix(
-        quantize_sign(forward(imgy_params, dataset.features).u))
+        quantize_sign(forward_rows(imgy_params, dataset.features).u))
 
     nets = [("x", imgx_params, state.codes_x, opt_x, imgx_rng)]
     if not symmetric:

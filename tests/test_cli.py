@@ -5,11 +5,11 @@ import shutil
 import numpy as np
 import pytest
 
-import adsq.codes
+import adsq.encoder
 from adsq.cli import main
 from adsq.codes import load_codes, pack, unpack
 from adsq.data import load_features
-from adsq.encoder import forward, load_params, save_params
+from adsq.encoder import EncoderParams, forward, load_params, save_params
 from adsq.metrics import RelevanceJudge, mean_ap
 
 TRAIN_OVERRIDES = [
@@ -143,8 +143,8 @@ class TestEncode:
             rows.append(np.shape(x)[0])
             return forward(params, x, keep_hidden)
 
-        monkeypatch.setattr(adsq.codes, "ENCODE_BLOCK_ROWS", block)
-        monkeypatch.setattr(adsq.codes, "forward", recording_forward)
+        monkeypatch.setattr(adsq.encoder, "FORWARD_BLOCK_ROWS", block)
+        monkeypatch.setattr(adsq.encoder, "forward", recording_forward)
         out = tmp_path / "blocked.adsqb"
         assert main(["encode", "--model", str(model),
                      "--features", str(data / "train.adsqf"), "--out", str(out)]) == 0
@@ -168,6 +168,22 @@ class TestEncode:
         assert code == 1
         assert "finite" in capsys.readouterr().err
         assert list(out_dir.iterdir()) == []
+
+    def test_zero_width_hash_layer_fails_before_any_write(self, tmp_path, workspace, capsys):
+        _, data, model = workspace
+        bad_model = tmp_path / "model"
+        shutil.copytree(model, bad_model)
+        imgy = load_params(bad_model / "imgy.net")
+        sem = imgy.weights[-1].shape[1]
+        save_params(bad_model / "imgy.net",
+                    EncoderParams(weights=imgy.weights[:-1] + [np.zeros((0, sem))],
+                                  biases=imgy.biases[:-1] + [np.zeros(0)]))
+        out = tmp_path / "db.adsqb"
+        code = main(["encode", "--model", str(bad_model),
+                     "--features", str(data / "train.adsqf"), "--out", str(out)])
+        assert code == 1
+        assert f"layer {len(imgy.weights) - 1} has zero width" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_k_total_recorded(self, workspace):
         root, _, _ = workspace

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import adsq.codes
+import adsq.encoder
 from adsq.codes import (PackedCodes, distances_to_all, encode_matrix,
                         hamming_distance, load_codes, pack, quantize_sign,
                         search_topk, unpack, write_codes)
@@ -69,7 +69,7 @@ class TestEncodeBlocks:
     @pytest.mark.parametrize("k_x, k_y", [(1, 2), (3, 6), (8, 5)])
     @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 3])
     def test_matches_unblocked_reference(self, monkeypatch, n, k_x, k_y):
-        monkeypatch.setattr(adsq.codes, "ENCODE_BLOCK_ROWS", self.B)
+        monkeypatch.setattr(adsq.encoder, "FORWARD_BLOCK_ROWS", self.B)
         px = init_params([5, 6, 4, k_x], seed=20)
         py = init_params([5, 3, k_y], seed=21)
         x = np.random.default_rng(n).normal(size=(n, 5))
@@ -78,7 +78,7 @@ class TestEncodeBlocks:
         np.testing.assert_array_equal(got.payload, want.payload)
 
     def test_nan_row_in_last_block_raises(self, monkeypatch):
-        monkeypatch.setattr(adsq.codes, "ENCODE_BLOCK_ROWS", self.B)
+        monkeypatch.setattr(adsq.encoder, "FORWARD_BLOCK_ROWS", self.B)
         p = init_params([5, 4, 3, 2], seed=10)
         x = np.random.default_rng(4).normal(size=(2 * self.B + 3, 5))
         x[-1, 2] = np.nan

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,17 @@ from adsq.encoder import (EncoderParams, MomentumSGD, backward, forward, init_pa
 from adsq.errors import ConfigError, FormatError, TrainingError
 from fdcheck import TOL, fd_grad, max_rel_error
 from netparams import same_params
+
+
+def zero_width_model(layer, rows, cols) -> bytes:
+    """A hand-written two-layer model file (3 -> 4 -> 3) whose ``layer`` is
+    ``rows`` x ``cols`` instead, with matching weight and bias bytes."""
+    shapes = [(4, 3), (3, 4)]
+    shapes[layer] = (rows, cols)
+    blob = b"ADSQW001" + struct.pack("<I", len(shapes))
+    for r, c in shapes:
+        blob += struct.pack("<II", r, c) + np.zeros(r * c + r, dtype="<f8").tobytes()
+    return blob
 
 
 def probe_loss(params, x, coef_r, coef_v):
@@ -240,4 +253,11 @@ class TestModelFile:
         path = tmp_path / "w.net"
         save_params(path, p)
         with pytest.raises(FormatError, match="layer 1 takes 5 inputs"):
+            load_params(path)
+
+    @pytest.mark.parametrize("layer, rows, cols", [(1, 0, 4), (0, 4, 0), (0, 0, 0)])
+    def test_zero_width_layer(self, tmp_path, layer, rows, cols):
+        path = tmp_path / "z.net"
+        path.write_bytes(zero_width_model(layer, rows, cols))
+        with pytest.raises(FormatError, match=f"z.net: layer {layer} has zero width"):
             load_params(path)

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import pytest
 
+from adsq.config import HyperParams
+
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "scale.py"
 
 
@@ -25,3 +27,13 @@ def test_point_runs_in_a_subprocess_and_reports(scale, kind):
     assert (r["p"] <= 55) if kind == "synth" else (r["p"] > 150)
     assert r["train_s"] > 0 and math.isfinite(r["train_s"])
     assert r["peak_rss_mb"] > 0 and math.isfinite(r["peak_rss_mb"])
+
+
+def test_default_widths_are_the_hyperparams_defaults(scale):
+    """``--widths default`` trains HyperParams' own widths, one epoch per
+    phase; checked without training, which needs over 1 GB at these widths."""
+    defaults = HyperParams()
+    widths = scale.WIDTHS["default"]
+    for name in ("k_half", "encoder_hidden", "semantic_dim"):
+        assert widths[name] == getattr(defaults, name), name
+    assert (widths["t_label"], widths["t_img"]) == (1, 1)

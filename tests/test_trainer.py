@@ -280,7 +280,7 @@ def test_training_computes_each_quantity_once(tiny_data, monkeypatch, variant):
     def counting(key, fn, phase=None):
         def wrapper(*args, **kwargs):
             calls[key, inside[-1]] += 1
-            if key == "forward" and args[1] is ds.features:
+            if key == "forward_rows" and args[1] is ds.features:
                 calls["full-set image forward", inside[-1]] += 1
             inside.append(phase or inside[-1])
             try:
@@ -289,9 +289,9 @@ def test_training_computes_each_quantity_once(tiny_data, monkeypatch, variant):
                 inside.pop()
         return wrapper
 
-    monkeypatch.setattr(adsq.encoder, "_forward_trace",
-                        counting("forward", adsq.encoder._forward_trace))
-    for name, module, phase in (("backward", adsq.encoder, None),
+    for name, module, phase in (("forward", adsq.encoder, None),
+                                ("forward_rows", adsq.encoder, None),
+                                ("backward", adsq.encoder, None),
                                 ("full_objective", adsq.imgnet, None),
                                 ("labelnet_loss", adsq.labelnet, None),
                                 ("wstep_epoch", adsq.imgnet, "wstep"),
@@ -315,6 +315,30 @@ def test_training_computes_each_quantity_once(tiny_data, monkeypatch, variant):
     # plus the warm start of the codes before round 0
     assert sum(n for (key, _), n in calls.items() if key == "full-set image forward") \
         == nets * (state.rounds_run + 1)
+
+
+def test_training_forwards_never_see_more_than_a_block(tiny_data, monkeypatch):
+    """With blocks of five rows, no forward during training gets more rows
+    than a block or an SGD batch, and the run equals the unblocked one."""
+    ds, _ = tiny_data
+    hp = HyperParams(**TINY)
+    want = train(ds, hp)
+    block, original, rows = 5, adsq.encoder.forward, []
+
+    def recording(params, x, keep_hidden=False):
+        rows.append(np.shape(x)[0])
+        return original(params, x, keep_hidden)
+
+    monkeypatch.setattr(adsq.encoder, "FORWARD_BLOCK_ROWS", block)
+    patch_everywhere(monkeypatch, "forward", original, recording)
+    got = train(ds, hp)
+    assert ds.n > 2 * block
+    assert rows and max(rows) <= max(block, hp.batch_size)
+    for name in ("label_params", "imgx_params", "imgy_params"):
+        assert same_params(getattr(got, name), getattr(want, name)), name
+    for name in ("codes_x", "codes_y"):
+        np.testing.assert_array_equal(getattr(got, name).codes, getattr(want, name).codes)
+    assert got.log_rows == want.log_rows
 
 
 class TestLrSchedule:
