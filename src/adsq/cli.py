@@ -24,7 +24,7 @@ from .errors import AdsqError, ConfigError
 from .fileio import atomic_open, write_csv
 from .metrics import RelevanceJudge, evaluate
 from .synth import SynthSpec, generate
-from .trainer import save_run, train
+from .trainer import MODEL_FILES, save_run, train
 
 DEFAULT_TOPN_GRID = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000)
 
@@ -115,18 +115,16 @@ def cmd_train(args) -> int:
 
 def cmd_encode(args) -> int:
     t0 = time.perf_counter()
-    imgx = load_params(os.path.join(args.model, "imgx.net"))
-    imgy = load_params(os.path.join(args.model, "imgy.net"))
+    img_paths = [os.path.join(args.model, name) for name in MODEL_FILES[1:]]
+    imgx, imgy = map(load_params, img_paths)
     features = load_features(args.features)
     if features.shape[0] == 0:
         raise AdsqError(f"{args.features}: no rows to encode")
     write_codes(args.out, encode_matrix(features, imgx, imgy))
     _write_manifest(args.out + ".manifest.json", "encode",
                     {"model": os.path.basename(os.path.normpath(args.model))},
-                    {}, [args.features,
-                         os.path.join(args.model, "imgx.net"),
-                         os.path.join(args.model, "imgy.net")],
-                    [args.out], {"encode": time.perf_counter() - t0})
+                    {}, [args.features, *img_paths], [args.out],
+                    {"encode": time.perf_counter() - t0})
     return 0
 
 

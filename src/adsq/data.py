@@ -14,7 +14,7 @@ so features are widened to float64 on load.
 """
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -122,17 +122,17 @@ class LabelPatterns:
 
     def row_blocks(self, width):
         """(rows, similar) per slice of at most max(1, BLOCK_ELEMS // width)
-        pattern rows; ``similar()`` forms its boolean block against all p."""
+        pattern rows; ``similar`` is its boolean block against all p."""
         step = max(1, BLOCK_ELEMS // width)
         for start in range(0, self.counts.size, step):
             rows = slice(start, start + step)
-            yield rows, partial(share_labels, self.words[rows], self.words)
+            yield rows, share_labels(self.words[rows], self.words)
 
     def signed(self, y) -> np.ndarray:
         """``S_signed @ y`` over items for an n-row ``y``, S_signed = 2 S - 1:
         2 (S_pat @ sums(y))[ids] - colsum(y), one row block at a time."""
         y_pat = self.sums(y)
-        s_y = np.concatenate([similar().astype(np.float64) @ y_pat
+        s_y = np.concatenate([similar.astype(np.float64) @ y_pat
                               for _, similar in self.row_blocks(len(y_pat))])
         return 2.0 * s_y[self.ids] - np.asarray(y, dtype=np.float64).sum(axis=0)
 

@@ -43,6 +43,11 @@ class EncoderParams:
     def in_dim(self) -> int:
         return self.weights[0].shape[1]
 
+    @property
+    def arrays(self) -> list:
+        """Every array, in the one order of ``backward``'s gradients and of optimizer state."""
+        return self.weights + self.biases
+
     def copy(self) -> "EncoderParams":
         return EncoderParams([w.copy() for w in self.weights],
                              [b.copy() for b in self.biases])
@@ -58,14 +63,6 @@ class NetOutputs:
     v: np.ndarray
     u: np.ndarray
     hidden: list | None = None
-
-
-@dataclass
-class EncoderGrads:
-    """Parameter gradients mirroring EncoderParams layer order."""
-
-    weights: list
-    biases: list
 
 
 def init_params(dims, seed) -> EncoderParams:
@@ -116,6 +113,8 @@ def forward_blocks(params: EncoderParams, x):
 
 def forward_rows(params: EncoderParams, x) -> NetOutputs:
     """``forward(params, x)`` without hidden layers, one ``forward_blocks`` block at a time."""
+    if len(x) <= FORWARD_BLOCK_ROWS:
+        return forward(params, x)
     n, sem, k = len(x), params.weights[-2].shape[0], params.weights[-1].shape[0]
     outs = NetOutputs(np.empty((n, sem)), np.empty((n, k)), np.empty((n, k)))
     for rows, block in forward_blocks(params, x):
@@ -123,10 +122,11 @@ def forward_rows(params: EncoderParams, x) -> NetOutputs:
     return outs
 
 
-def backward(params: EncoderParams, outs: NetOutputs, upstream_r, upstream_v) -> EncoderGrads:
+def backward(params: EncoderParams, outs: NetOutputs, upstream_r, upstream_v) -> list:
     """Exact reverse-mode parameter gradients for the two injected upstreams,
-    from the activations of ``forward(params, x, keep_hidden=True)``; the
-    forward pass is never recomputed."""
+    in ``params.arrays`` order, from the activations of
+    ``forward(params, x, keep_hidden=True)``; the forward pass is never
+    recomputed."""
     hidden, r, v = outs.hidden, outs.r, outs.v
     if hidden is None:
         raise ValueError("backward needs the outputs of forward(..., keep_hidden=True)")
@@ -155,39 +155,43 @@ def backward(params: EncoderParams, outs: NetOutputs, upstream_r, upstream_v) ->
         gb[i] = g.sum(axis=0)
         if i > 0:
             g = g @ params.weights[i]
-    return EncoderGrads(weights=gw, biases=gb)
+    return gw + gb
 
 
 class MomentumSGD:
-    """Classic momentum SGD over a fixed list of parameter arrays:
+    """Classic momentum SGD over the parameter arrays it is built with:
 
         velocity <- momentum * velocity + grad + weight_decay * param
         param    <- param - lr * velocity
 
-    One optimizer instance owns the velocity state of one network (and its head).
-    A step runs in place over blocks of ``STEP_BLOCK_ELEMS`` elements with
-    one scratch buffer, so it makes no full-size temporary.
+    One optimizer owns the arrays and velocity of one network (and its head).
+    ``step`` takes their gradients in that order and is the one gradient guard:
+    a non-finite one raises TrainingError before any array moves. Each array is
+    updated in place, never replaced, so it must be C-contiguous; a step runs
+    over blocks of ``STEP_BLOCK_ELEMS`` elements with one scratch buffer.
     """
 
     def __init__(self, arrays, momentum: float, weight_decay: float):
+        self.arrays = list(arrays)
+        if not all(a.flags.c_contiguous for a in self.arrays):
+            raise ValueError("parameters must be C-contiguous to update in place")
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self.velocity = [np.zeros_like(a, order="C") for a in arrays]
-        self._scratch = np.empty(min(STEP_BLOCK_ELEMS, max((a.size for a in arrays), default=0)))
+        self.velocity = [np.zeros_like(a) for a in self.arrays]
+        self._scratch = np.empty(min(STEP_BLOCK_ELEMS,
+                                     max((a.size for a in self.arrays), default=0)))
 
-    def step(self, arrays, grads, lr: float):
+    def step(self, grads, lr: float):
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
-        if len(arrays) != len(self.velocity) or len(grads) != len(self.velocity):
-            raise ValueError("array/gradient count does not match optimizer state")
-        for a, g in zip(arrays, grads):
+        if len(grads) != len(self.arrays):
+            raise ValueError(f"{len(grads)} gradients for {len(self.arrays)} parameter arrays")
+        for a, g in zip(self.arrays, grads):
             if g.shape != a.shape:
                 raise ValueError(f"gradient shape {g.shape} != parameter shape {a.shape}")
-            if not a.flags.c_contiguous:
-                raise ValueError("parameters must be C-contiguous to update in place")
             if not np.isfinite(g).all():
                 raise TrainingError("non-finite gradient; aborting epoch")
-        for a, g, vel in zip(arrays, grads, self.velocity):
+        for a, g, vel in zip(self.arrays, grads, self.velocity):
             a, g, vel = a.ravel(), g.ravel(), vel.ravel()  # views: a and vel are C-contiguous
             for i in range(0, a.size, STEP_BLOCK_ELEMS):
                 block = slice(i, i + STEP_BLOCK_ELEMS)

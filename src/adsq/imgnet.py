@@ -27,7 +27,6 @@ from .bstep import CodeMatrix
 from .config import HyperParams
 from .data import Dataset, LabelPatterns
 from .encoder import EncoderParams, MomentumSGD, NetOutputs, backward, forward
-from .errors import TrainingError
 from .labelnet import LabelSupervision, iter_batches, pair_residual, pairwise_nll
 from .numerics import check_finite
 
@@ -92,10 +91,6 @@ def imgnet_grads(ctx: ImgBatchContext, hp: HyperParams):
     g_u += 2.0 * hp.eta * (ctx.u - ctx.codes)
     g_u += 2.0 * hp.nu * ctx.u.sum(axis=0)
     g_v = g_u * (1.0 - ctx.u**2)
-
-    for name, g in (("v", g_v), ("r", g_r)):
-        if not np.all(np.isfinite(g)):
-            raise TrainingError(f"non-finite gradient ({name}) in image-network loss")
     return g_r, g_v
 
 
@@ -104,14 +99,11 @@ def wstep_epoch(params: EncoderParams, dataset: Dataset, code_matrix: CodeMatrix
                 optimizer: MomentumSGD) -> None:
     """One epoch of weight updates with the discrete codes held fixed: per
     step one forward pass and the batch gradients, no objective value.
-    Mutates ``params`` and ``optimizer`` in place."""
+    ``optimizer`` owns ``params.arrays`` and updates them in place."""
     for batch in iter_batches(dataset.n, hp.batch_size, rng):
         outs = forward(params, dataset.features[batch], keep_hidden=True)
         ctx = make_context(batch, outs, sup, code_matrix, dataset.patterns)
-        g_r, g_v = imgnet_grads(ctx, hp)
-        net_grads = backward(params, outs, g_r, g_v)
-        optimizer.step(params.weights + params.biases,
-                       net_grads.weights + net_grads.biases, lr)
+        optimizer.step(backward(params, outs, *imgnet_grads(ctx, hp)), lr)
 
 
 def full_objective(outs: NetOutputs, dataset: Dataset, code_matrix: CodeMatrix,

@@ -24,7 +24,6 @@ import numpy as np
 from .config import HyperParams
 from .data import Dataset, LabelPatterns
 from .encoder import EncoderParams, MomentumSGD, NetOutputs, backward, forward, forward_rows
-from .errors import TrainingError
 from .numerics import check_finite, sigmoid_stable, softplus_stable
 
 
@@ -87,7 +86,7 @@ def pairwise_nll(sup_pat, img, pat: LabelPatterns, what) -> float:
     total = 0.0
     for rows, similar in pat.row_blocks(img.shape[0]):
         logits = check_finite(0.5 * (sup_pat[rows] @ img.T), f"{what} logits")
-        s = similar()[:, pat.ids]
+        s = similar[:, pat.ids]
         total += float(pat.counts[rows] @ (softplus_stable(logits) - s * logits).sum(axis=1))
     # take out each item's own pair (s_ii = 1)
     own = check_finite(0.5 * np.einsum("ij,ij->i", sup_pat[pat.ids], img), f"{what} logits")
@@ -156,10 +155,6 @@ def labelnet_grad(outs: NetOutputs, head: ClassifierHead, sim_binary, labels,
     g_omega = g_omega + d @ head.weight
     g_head_w = d.T @ omega
     g_head_b = d.sum(axis=0)
-
-    for name, g in (("r", g_r), ("omega", g_omega), ("head", g_head_w)):
-        if not np.all(np.isfinite(g)):
-            raise TrainingError(f"non-finite gradient ({name}) in label-network loss")
     return LabelGrads(r=g_r, omega=g_omega, head_weight=g_head_w, head_bias=g_head_b)
 
 
@@ -177,8 +172,8 @@ def train_labelnet(params: EncoderParams, head: ClassifierHead, dataset: Dataset
                    optimizer: MomentumSGD) -> LabelSupervision:
     """Run ``epochs`` of minibatch SGD (per step one forward pass, the loss
     gradients, no loss value), then return the supervision cached from the
-    final parameters over the full training set. Mutates ``params``, ``head``
-    and ``optimizer`` (over the network's, then the head's arrays) in place."""
+    final parameters over the full training set. ``optimizer`` owns
+    ``params.arrays + [head.weight, head.bias]`` and updates them in place."""
     labels_f = dataset.labels.astype(np.float64)
     for _ in range(epochs):
         for batch in iter_batches(dataset.n, hp.batch_size, rng):
@@ -187,9 +182,7 @@ def train_labelnet(params: EncoderParams, head: ClassifierHead, dataset: Dataset
             outs = forward(params, x, keep_hidden=True)
             grads = labelnet_grad(outs, head, s_bin, x, hp)
             upstream_v = grads.omega * (1.0 - outs.u**2)
-            net_grads = backward(params, outs, grads.r, upstream_v)
-            optimizer.step(params.weights + params.biases + [head.weight, head.bias],
-                           net_grads.weights + net_grads.biases
+            optimizer.step(backward(params, outs, grads.r, upstream_v)
                            + [grads.head_weight, grads.head_bias], lr)
 
     return cache_supervision(params, dataset)

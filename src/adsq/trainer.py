@@ -112,12 +112,11 @@ def train(dataset: Dataset, hp: HyperParams) -> TrainState:
     imgx_rng = np.random.default_rng(subseed(hp.seed, _STREAM_IMGX_BATCH))
     imgy_rng = np.random.default_rng(subseed(hp.seed, _STREAM_IMGY_BATCH))
 
-    opt_label = MomentumSGD(label_params.weights + label_params.biases + [head.weight, head.bias],
+    opt_label = MomentumSGD(label_params.arrays + [head.weight, head.bias],
                             hp.momentum, hp.weight_decay)
-    opt_x = MomentumSGD(imgx_params.weights + imgx_params.biases,
-                        hp.momentum, hp.weight_decay)
-    opt_y = None if symmetric else MomentumSGD(
-        imgy_params.weights + imgy_params.biases, hp.momentum, hp.weight_decay)
+    opt_x = MomentumSGD(imgx_params.arrays, hp.momentum, hp.weight_decay)
+    opt_y = None if symmetric else MomentumSGD(imgy_params.arrays, hp.momentum,
+                                               hp.weight_decay)
 
     state = TrainState(label_params=label_params, imgx_params=imgx_params,
                        imgy_params=imgy_params, codes_x=None, codes_y=None,

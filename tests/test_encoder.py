@@ -87,7 +87,7 @@ class TestBackward:
         p = init_params([3, 4, 4, 2], seed=5)
         x = np.random.default_rng(3).normal(size=(6, 3))
         g = backward(p, forward(p, x, keep_hidden=True), np.zeros((6, 4)), np.zeros((6, 2)))
-        assert all(np.all(a == 0) for a in g.weights + g.biases)
+        assert len(g) == 2 * p.num_layers and all(np.all(a == 0) for a in g)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_finite_differences(self, seed):
@@ -105,8 +105,8 @@ class TestBackward:
         coef_v = rng.normal(size=(5, 2))
         analytic = backward(p, forward(p, x, keep_hidden=True), coef_r, coef_v)
         for li in range(p.num_layers):
-            for arr, ga in ((p.weights[li], analytic.weights[li]),
-                            (p.biases[li], analytic.biases[li])):
+            for arr, ga in ((p.weights[li], analytic[li]),
+                            (p.biases[li], analytic[p.num_layers + li])):
                 numeric = fd_grad(lambda: probe_loss(p, x, coef_r, coef_v), arr)
                 assert max_rel_error(ga, numeric) <= TOL
 
@@ -118,9 +118,9 @@ class TestBackward:
         x = rng.normal(size=(6, 3))
         up_r = rng.normal(size=(6, 4))
         g = backward(p, forward(p, x, keep_hidden=True), up_r, np.zeros((6, 2)))
-        np.testing.assert_allclose(g.weights[0], up_r.T @ x, rtol=1e-12)
-        np.testing.assert_allclose(g.biases[0], up_r.sum(axis=0), rtol=1e-12)
-        assert np.all(g.weights[1] == 0)
+        np.testing.assert_allclose(g[0], up_r.T @ x, rtol=1e-12)
+        np.testing.assert_allclose(g[p.num_layers], up_r.sum(axis=0), rtol=1e-12)
+        assert np.all(g[1] == 0)
 
     def test_needs_kept_hidden_activations(self):
         """A plain forward keeps no hidden activations, so it cannot feed
@@ -141,10 +141,9 @@ class TestBackward:
 class TestSgd:
     @staticmethod
     def _step(p, fill, lr, momentum, optimizer=None):
-        arrays = p.weights + p.biases
         if optimizer is None:
-            optimizer = MomentumSGD(arrays, momentum=momentum, weight_decay=0.0)
-        optimizer.step(arrays, [np.full_like(a, fill) for a in arrays], lr)
+            optimizer = MomentumSGD(p.arrays, momentum=momentum, weight_decay=0.0)
+        optimizer.step([np.full_like(a, fill) for a in p.arrays], lr)
 
     def test_vanilla_step(self):
         p = init_params([3, 4, 2], seed=0)
@@ -163,18 +162,29 @@ class TestSgd:
         p = init_params([3, 4, 2], seed=2)
         before = p.copy()
         g = 0.25
-        opt = MomentumSGD(p.weights + p.biases, momentum=0.9, weight_decay=0.0)
+        opt = MomentumSGD(p.arrays, momentum=0.9, weight_decay=0.0)
         for _ in range(2):
             self._step(p, g, lr=1.0, momentum=0.9, optimizer=opt)
         np.testing.assert_allclose(before.weights[0] - p.weights[0], 2.9 * g, rtol=1e-12)
 
     def test_nonfinite_gradient_aborts(self):
         p = init_params([3, 4, 2], seed=3)
-        bad = [np.ones_like(a) for a in p.weights + p.biases]
+        bad = [np.ones_like(a) for a in p.arrays]
         bad[0][0, 0] = np.nan
-        opt = MomentumSGD(p.weights + p.biases, momentum=0.9, weight_decay=0.0)
+        opt = MomentumSGD(p.arrays, momentum=0.9, weight_decay=0.0)
         with pytest.raises(TrainingError):
-            opt.step(p.weights + p.biases, bad, lr=0.1)
+            opt.step(bad, lr=0.1)
+
+    def test_wrong_gradient_count_changes_nothing(self):
+        p = init_params([3, 4, 2], seed=4)
+        before = p.copy()
+        opt = MomentumSGD(p.arrays, momentum=0.9, weight_decay=0.0)
+        for grads in ([np.ones_like(a) for a in p.arrays[:-1]],
+                      [np.ones_like(a) for a in p.arrays + [p.biases[-1]]]):
+            with pytest.raises(ValueError, match="gradients for 4 parameter arrays"):
+                opt.step(grads, lr=0.1)
+        assert same_params(p, before)
+        assert not any(np.any(v) for v in opt.velocity)
 
     @staticmethod
     def _multi_block_arrays(seed):
@@ -193,7 +203,7 @@ class TestSgd:
         rng = np.random.default_rng(1)
         for lr in (0.1, 0.03, 0.2):
             grads = [rng.normal(size=a.shape) for a in arrays]
-            opt.step(arrays, grads, lr)
+            opt.step(grads, lr)
             for a, g, vel in zip(ref, grads, ref_vel):
                 vel *= momentum
                 vel += g + wd * a
@@ -205,21 +215,19 @@ class TestSgd:
         monkeypatch.setattr(adsq.encoder, "STEP_BLOCK_ELEMS", 7)
         arrays = self._multi_block_arrays(2)
         opt = MomentumSGD(arrays, momentum=0.9, weight_decay=5e-4)
-        opt.step(arrays, [np.ones_like(a) for a in arrays], 0.1)  # nonzero velocity
+        opt.step([np.ones_like(a) for a in arrays], 0.1)  # nonzero velocity
         before = [a.copy() for a in arrays + opt.velocity]
         grads = [np.ones_like(a) for a in arrays]
         grads[-1][-1, -1] = np.nan
         with pytest.raises(TrainingError):
-            opt.step(arrays, grads, 0.1)
+            opt.step(grads, 0.1)
         assert [a.tobytes() for a in arrays + opt.velocity] == [b.tobytes() for b in before]
 
     def test_parameter_that_cannot_update_in_place_changes_nothing(self):
         arrays = [np.ones(4), np.ones((3, 4)).T]
-        opt = MomentumSGD(arrays, momentum=0.9, weight_decay=0.0)
-        with pytest.raises(ValueError):
-            opt.step(arrays, [np.ones_like(a) for a in arrays], 0.1)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            MomentumSGD(arrays, momentum=0.9, weight_decay=0.0)
         assert np.array_equal(arrays[0], np.ones(4))
-        assert not np.any(opt.velocity[0])
 
 
 class TestModelFile:

@@ -225,7 +225,7 @@ def random_supervision(rng, ds, sem, k):
 
 
 def sgd(params, hp):
-    return MomentumSGD(params.weights + params.biases, hp.momentum, hp.weight_decay)
+    return MomentumSGD(params.arrays, hp.momentum, hp.weight_decay)
 
 
 def test_zero_epochs_no_change():

@@ -206,7 +206,7 @@ def phase_setup(seed=0):
 def run_phase(ds, hp, params, head, *, epochs, lr, seed):
     return train_labelnet(
         params, head, ds, hp, epochs=epochs, lr=lr, rng=np.random.default_rng(seed),
-        optimizer=MomentumSGD(params.weights + params.biases + [head.weight, head.bias],
+        optimizer=MomentumSGD(params.arrays + [head.weight, head.bias],
                               hp.momentum, hp.weight_decay))
 
 

@@ -9,12 +9,14 @@ import adsq.encoder
 import adsq.imgnet
 import adsq.labelnet
 import adsq.numerics
-from adsq.codes import encode_matrix, unpack
+from adsq.bstep import CodeMatrix
+from adsq.codes import encode_matrix, quantize_sign, unpack
 from adsq.config import HyperParams, Variant
 from adsq.data import Dataset, build_similarity
-from adsq.encoder import forward, init_params
+from adsq.encoder import MomentumSGD, forward, init_params
 from adsq.errors import DataError, TrainingError
-from adsq.labelnet import cache_supervision, init_head
+from adsq.imgnet import wstep_epoch
+from adsq.labelnet import cache_supervision, init_head, train_labelnet
 from adsq.synth import SynthSpec, generate
 from adsq.trainer import _label_breakdown_row, convergence_check, save_run, subseed, train
 from labelsets import LABEL_SET_NAMES, hand_label_sets
@@ -143,6 +145,55 @@ class TestTrainLoop:
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(TrainingError, match="round 0, phase wstep_x: non-finite"):
             train(huge, HyperParams(**TINY))
+
+
+def one_epoch(phase, ds, hp):
+    """An optimizer over fresh networks and a call that runs one epoch of
+    ``phase`` ("label" or "wstep_x") with it over ``ds``."""
+    label = init_params([ds.num_classes, *hp.encoder_hidden, hp.semantic_dim, hp.k_half], 0)
+    lr, rng = hp.lr_for_round(0), np.random.default_rng(0)
+    if phase == "label":
+        head = init_head(ds.num_classes, hp.k_half, 1)
+        opt = MomentumSGD(label.arrays + [head.weight, head.bias], hp.momentum, hp.weight_decay)
+        return opt, lambda: train_labelnet(label, head, ds, hp, epochs=1, lr=lr, rng=rng,
+                                           optimizer=opt)
+    img = init_params([ds.dim, *hp.encoder_hidden, hp.semantic_dim, hp.k_half], 2)
+    codes = CodeMatrix(quantize_sign(forward(img, ds.features).u))
+    sup = cache_supervision(label, ds)
+    opt = MomentumSGD(img.arrays, hp.momentum, hp.weight_decay)
+    return opt, lambda: wstep_epoch(img, ds, codes, sup, hp, lr=lr, rng=rng, optimizer=opt)
+
+
+def _nan_head_weight(grads):
+    grads.head_weight[0, 0] = np.nan
+    return grads
+
+
+def _nan_g_r(grads):
+    grads[0][0, 0] = np.nan
+    return grads
+
+
+@pytest.mark.parametrize("module, name, poison, phase", [
+    (adsq.labelnet, "labelnet_grad", _nan_head_weight, "label"),
+    (adsq.imgnet, "imgnet_grads", _nan_g_r, "wstep_x")], ids=["label", "wstep_x"])
+def test_nonfinite_gradient_stops_at_the_optimizer_step(tiny_data, monkeypatch, module, name,
+                                                        poison, phase):
+    """The optimizer step is the one finite check on gradients: a NaN from
+    either objective fails training naming the round and phase, and the
+    step that sees it moves no parameter and no velocity."""
+    ds, _ = tiny_data
+    hp = HyperParams(**TINY)
+    opt, run_epoch = one_epoch(phase, ds, hp)
+    run_epoch()  # with true gradients, so the velocity is not all zero
+    before = [a.tobytes() for a in opt.arrays + opt.velocity]
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: poison(real(*args)))
+    with pytest.raises(TrainingError, match="non-finite gradient"):
+        run_epoch()
+    assert [a.tobytes() for a in opt.arrays + opt.velocity] == before
+    with pytest.raises(TrainingError, match=f"round 0, phase {phase}: non-finite gradient"):
+        train(ds, hp)
 
 
 def dense_label_row(labels, params, head, hp):
