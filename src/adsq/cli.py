@@ -2,8 +2,9 @@
 
 Every command writes a manifest JSON recording the resolved
 configuration, seeds, SHA-256 digests of inputs and outputs, tool
-version, and wall-clock per phase. Exit codes: 0 success, 1 runtime or
-data error, 2 usage error.
+version, and wall-clock per phase; ``eval`` adds the seconds of its
+scans, rankings, relevance rows and metric arithmetic, each summed over
+queries. Exit codes: 0 success, 1 runtime or data error, 2 usage error.
 """
 
 import argparse
@@ -163,7 +164,7 @@ def cmd_eval(args) -> int:
                     {"metrics": wanted, "map_r": args.map_r}, {},
                     [args.query_codes, args.db_codes, args.query_labels,
                      args.db_labels],
-                    [args.out], {"eval": time.perf_counter() - t0})
+                    [args.out], {"eval": time.perf_counter() - t0, **result.seconds})
     return 0
 
 

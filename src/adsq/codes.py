@@ -4,7 +4,8 @@ linear-scan Hamming search.
 ``encode_matrix`` runs both image networks over the row blocks of
 ``adsq.encoder.forward_blocks`` and packs each block's sign bits
 (x-network half first) straight into the n-row payload, so no n-row float
-array is made beyond the features themselves.
+array is made beyond the features themselves. Each network's block is
+reduced to its sign bits before the other network runs.
 
 Packed layout: one row per item, MSB-first within each byte, bit 1 means
 +1, rows padded to a byte boundary with zero bits. For +-1 codes of equal
@@ -92,11 +93,20 @@ def encode_matrix(x, imgx_params: EncoderParams, imgy_params: EncoderParams) -> 
     n = len(x)
     k_total = imgx_params.weights[-1].shape[0] + imgy_params.weights[-1].shape[0]
     payload = np.empty((n, (k_total + 7) // 8), dtype=np.uint8)
-    for (rows, outs_x), (_, outs_y) in zip(forward_blocks(imgx_params, x),
-                                           forward_blocks(imgy_params, x)):
-        signs = np.concatenate([quantize_sign(outs_x.u), quantize_sign(outs_y.u)], axis=1)
-        payload[rows] = np.packbits(signs > 0, axis=1)
+    for (rows, bits_x), (_, bits_y) in zip(_sign_bits(imgx_params, x),
+                                           _sign_bits(imgy_params, x)):
+        payload[rows] = np.packbits(np.concatenate([bits_x, bits_y], axis=1), axis=1)
     return PackedCodes(n=n, k_total=k_total, payload=payload)
+
+
+def _sign_bits(params: EncoderParams, x):
+    """``(rows, quantize_sign(u) > 0)`` per ``forward_blocks`` block. The
+    block's outputs are released before yielding, so a consumer zipping two
+    networks holds only one network's block outputs at a time."""
+    for rows, outs in forward_blocks(params, x):
+        bits = quantize_sign(outs.u) > 0
+        del outs
+        yield rows, bits
 
 
 def pack(codes) -> PackedCodes:

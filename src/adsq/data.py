@@ -165,9 +165,9 @@ def write_labels(path, labels):
     lab = np.asarray(labels)
     if lab.ndim != 2:
         raise ValueError(f"label matrix must be 2-D, got shape {lab.shape}")
-    if not np.isin(lab, (0, 1)).all():
+    if not ((lab == 0) | (lab == 1)).all():
         raise DataError("label entries must be 0 or 1")
-    if np.any(lab.sum(axis=1) == 0):
+    if not lab.any(axis=1).all():
         raise DataError("refusing to write a label matrix with an all-zero row")
     write_binary(path, LABEL_MAGIC, lab.shape, lab.astype(np.uint8))
 
@@ -175,9 +175,9 @@ def write_labels(path, labels):
 def load_labels(path) -> np.ndarray:
     with BinaryReader(path, LABEL_MAGIC, "label") as r:
         lab = r.array(np.uint8, r.header(2))
-    if not np.isin(lab, (0, 1)).all():
+    if lab.size and lab.max() > 1:  # uint8: nothing lies below 0
         raise FormatError(f"{path}: label payload contains values outside {{0, 1}}")
-    if np.any(lab.sum(axis=1) == 0):
+    if not lab.any(axis=1).all():
         raise DataError(f"{path}: label matrix has an all-zero row")
     return lab.astype(np.int8)
 

@@ -4,11 +4,14 @@ Relevance follows the similarity rule used for training supervision: a
 database item is relevant to a query iff they share at least one positive
 label, by the one kernel ``adsq.data.share_labels``. All rankings use the
 deterministic ascending-distance, ascending-index order from the search
-module. ``evaluate`` ranks each query once and derives every metric from
-that one ranking.
+module. ``evaluate`` makes one scan, one stable ranking, one relevance row
+and the ranks of its relevant items per query, and derives every metric
+from those ranks: the j-th relevant item in the ranking holds exactly j
+hits, so no n-length hit count is formed.
 """
 
-import math
+import time
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -46,31 +49,28 @@ class RelevanceJudge:
 
 
 class Evaluation(NamedTuple):
-    """mAP@R, P@H<=2, PR points (recall, precision), P@N points (N, precision)."""
+    """mAP@R, P@H<=2, PR points (recall, precision), P@N points (N, precision),
+    and ``seconds``: wall time of the scans, rankings, relevance rows and
+    metric arithmetic, each summed over queries."""
 
     map: float
     ph2: float
     pr: list
     pn: list
-
-
-def _average_precision(rel, hits, r_cutoff: int) -> float:
-    total = int(hits[-1])
-    if total == 0:
-        return 0.0
-    top = rel[:r_cutoff]
-    precision_at_hits = (hits[:r_cutoff][top] / (np.flatnonzero(top) + 1)).sum()
-    return float(precision_at_hits / min(r_cutoff, total))
+    seconds: dict
 
 
 def evaluate(queries: PackedCodes, db: PackedCodes, judge: RelevanceJudge, *,
              map_r: int, recall_grid=DEFAULT_RECALL_GRID, n_list=()) -> Evaluation:
-    """Every metric from one distance scan, one stable ranking and one
-    relevance row per query. P@H<=2 is 0.0 for a query with an empty
-    radius. A PR level is the precision at the smallest rank with
-    ceil(level * total) hits, in exact arithmetic on the level's decimal
-    form (0.55 of 100 relevant items is 55 hits); PR skips queries with no
-    relevant item."""
+    """Every metric from one scan, one stable ranking, one relevance row and
+    the ranks of its relevant items per query. ``ranks`` holds the sorted
+    1-based positions of the relevant items, so the hits within the first
+    m items are ``searchsorted(ranks, m, "right")`` and the j-th hit falls at
+    ``ranks[j - 1]``. P@H<=2 is 0.0 for a query with an empty radius. A PR
+    level is the precision at the smallest rank with ceil(level * total)
+    hits, in exact integer arithmetic on the level's decimal form (0.55 of
+    100 relevant items is 55 hits); PR skips queries with no relevant
+    item."""
     if queries.n == 0 or db.n == 0:
         raise ValueError(f"query set and database must be nonempty, got {queries.n} "
                          f"queries and {db.n} database rows")
@@ -79,32 +79,47 @@ def evaluate(queries: PackedCodes, db: PackedCodes, judge: RelevanceJudge, *,
     grid = [float(g) for g in recall_grid]
     if any(not 0 < g <= 1 for g in grid):
         raise ValueError("recall grid points must lie in (0, 1]")
-    levels = [Fraction(str(g)) for g in grid]
+    levels = [Fraction(str(g)).as_integer_ratio() for g in grid]
     n_arr = np.array([int(n) for n in n_list], dtype=np.int64)
     if np.any((n_arr < 1) | (n_arr > db.n)):
         raise ValueError(f"every N must lie in [1, {db.n}], got {n_arr.tolist()}")
 
     aps, ph2s, pr_rows = [], [], []
     pn_sums = np.zeros(n_arr.size)
+    seconds = dict.fromkeys(("scan", "rank", "relevance", "metrics"), 0.0)
     for qi in range(queries.n):
+        t0 = time.perf_counter()
         dist = distances_to_all(queries.row(qi), db)
+        t1 = time.perf_counter()
         order = np.argsort(dist, kind="stable")
+        t2 = time.perf_counter()
         rel = judge.relevance(qi)[order]
-        hits = np.cumsum(rel)
-        total = int(hits[-1])
-        aps.append(_average_precision(rel, hits, map_r))
-        # the radius-2 items are a prefix of the ranking
-        within = int(np.count_nonzero(dist <= 2))
-        ph2s.append(float(rel[:within].mean()) if within else 0.0)
+        t3 = time.perf_counter()
+        ranks = np.flatnonzero(rel) + 1
+        total = ranks.size
         if total:
-            at = np.searchsorted(hits, [math.ceil(level * total) for level in levels])
-            pr_rows.append(hits[at] / (at + 1))
-        pn_sums += hits[n_arr - 1] / n_arr
+            top = np.searchsorted(ranks, map_r, "right")
+            aps.append(float((np.arange(1, top + 1) / ranks[:top]).sum()
+                             / min(map_r, total)))
+            # exact ceil(level * total), in Python ints: no int64 overflow
+            need = np.array([-(-num * total // den) for num, den in levels],
+                            dtype=np.int64)
+            pr_rows.append(need / ranks[need - 1])
+        else:
+            aps.append(0.0)
+        # the radius-2 items are a prefix of the ranking: bisect it, no n-length mask
+        within = bisect_right(order, 2, key=dist.__getitem__)
+        ph2s.append(np.searchsorted(ranks, within, "right") / within if within else 0.0)
+        pn_sums += np.searchsorted(ranks, n_arr, "right") / n_arr
+        t4 = time.perf_counter()
+        for key, span in zip(seconds, (t1 - t0, t2 - t1, t3 - t2, t4 - t3)):
+            seconds[key] += span
     return Evaluation(
         map=float(np.mean(aps)),
         ph2=float(np.mean(ph2s)),
         pr=[(g, float(np.mean(vals))) for g, vals in zip(grid, zip(*pr_rows))],
-        pn=[(int(n), float(s / queries.n)) for n, s in zip(n_arr, pn_sums)])
+        pn=[(int(n), float(s / queries.n)) for n, s in zip(n_arr, pn_sums)],
+        seconds=seconds)
 
 
 def mean_ap(queries: PackedCodes, db: PackedCodes, judge: RelevanceJudge,

@@ -244,6 +244,17 @@ class TestEval:
         assert got["map"]["grid"] == "20"
         assert got["map"]["k_total"] == "8"
 
+    def test_manifest_splits_eval_time(self, tmp_path, workspace):
+        """Scan, rank, relevance and metric seconds, each summed over
+        queries, are finite and together within the whole command's time."""
+        root, data, _ = workspace
+        out = tmp_path / "metrics.csv"
+        assert main(self.eval_args(root, data, out)) == 0
+        timings = json.loads((tmp_path / "metrics.csv.manifest.json").read_text())["timings_s"]
+        parts = [timings[key] for key in ("scan", "rank", "relevance", "metrics")]
+        assert all(np.isfinite(t) and t >= 0 for t in parts)
+        assert sum(parts) <= timings["eval"]
+
     def test_self_retrieval_beats_chance(self, tmp_path, workspace):
         """Database queried with itself: every item is its own nearest hit."""
         root, data, _ = workspace

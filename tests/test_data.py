@@ -107,6 +107,38 @@ def test_label_out_of_range_value(tmp_path):
         load_labels(path)
 
 
+def label_blob(n, c, payload):
+    return LABEL_MAGIC + np.array([n, c], dtype="<u4").tobytes() + bytes(payload)
+
+
+def test_label_byte_255_rejected(tmp_path):
+    path = tmp_path / "v.adsql"
+    path.write_bytes(label_blob(2, 2, [1, 0, 255, 1]))
+    with pytest.raises(FormatError, match="outside"):
+        load_labels(path)
+
+
+@pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan])
+def test_label_value_outside_0_1_rejected_before_writing(tmp_path, bad):
+    lab = np.array([[1.0, 0.0], [0.0, 1.0]])
+    lab[1, 0] = bad
+    with pytest.raises(DataError, match="must be 0 or 1"):
+        write_labels(tmp_path / "v.adsql", lab)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_label_matrix_without_classes_is_all_zero(tmp_path):
+    """An n x 0 matrix has no positive label in any row: both the writer
+    and the reader refuse it as all-zero."""
+    with pytest.raises(DataError, match="all-zero"):
+        write_labels(tmp_path / "w.adsql", np.zeros((3, 0), dtype=np.int8))
+    assert list(tmp_path.iterdir()) == []
+    path = tmp_path / "r.adsql"
+    path.write_bytes(label_blob(3, 0, []))
+    with pytest.raises(DataError, match="all-zero"):
+        load_labels(path)
+
+
 # ---------------------------------------------------------------- similarity
 
 

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -208,6 +210,23 @@ class TestPrCurve:
         assert [p for _, p in pts] == expect
         assert oracle_pr(q, dc, qlab, dlab, [g for g, _ in pts]) == pts
 
+    def test_17_digit_level_needs_exact_hit_count(self):
+        """384 relevant items: 191, then 1 irrelevant, then 193. In double
+        arithmetic level * 384 is exactly 191.0, but the level's decimal form
+        times 384 lies just above 191, so the level needs 192 hits, reached
+        past the irrelevant item. Its numerator times 384 exceeds 2**63."""
+        level = 0.49739583333333337
+        assert level * 384 == 191.0 and len(repr(level)) == len("0.") + 17
+        assert Fraction(repr(level)).numerator * 384 > 2 ** 63
+        flags = np.array([1] * 191 + [0] + [1] * 193)
+        q = np.ones((1, 8))
+        dc = np.ones((flags.size, 8))
+        qlab = np.array([[1, 0]], dtype=np.int8)
+        dlab = np.stack([flags, 1 - flags], axis=1).astype(np.int8)
+        pts = pr_curve(pack(q), pack(dc), RelevanceJudge(qlab, dlab), (level, 1.0))
+        assert pts == [(level, 192 / 193), (1.0, 384 / 385)]
+        assert oracle_pr(q, dc, qlab, dlab, (level, 1.0)) == pts
+
     def test_grid_outside_unit_interval_rejected(self):
         qc, dc, qlab, dlab = random_case(0)
         with pytest.raises(ValueError):
@@ -265,10 +284,32 @@ class TestPrecisionAtN:
 # ---------------------------------------------------------------- one pass
 
 
+def cutoffs(n_db):
+    """mAP cutoffs: one item, part of the database, all of it (as the
+    benchmark evaluates), and beyond it."""
+    return 1, 12, n_db, n_db + 7
+
+
 class TestEvaluate:
     @pytest.mark.parametrize("seed", range(4))
     def test_every_metric_matches_oracle(self, seed):
-        self.assert_matches_oracle(*random_case(seed, k=6))
+        case = random_case(seed, k=6)
+        for map_r in cutoffs(len(case[1])):
+            self.assert_matches_oracle(*case, map_r)
+
+    def test_query_with_no_relevant_item_matches_oracle(self):
+        """Query 0 holds a class no database row holds: its AP is 0 and PR
+        skips it."""
+        qc, dc, qlab, dlab = random_case(6, k=6)
+        qlab, dlab = (np.pad(lab, ((0, 0), (0, 1))) for lab in (qlab, dlab))
+        qlab[0] = [0, 0, 0, 1]
+        judge = RelevanceJudge(qlab, dlab)
+        assert not judge.relevance(0).any() and judge.relevance(1).any()
+        alone = evaluate(pack(qc[:1]), pack(dc), RelevanceJudge(qlab[:1], dlab), map_r=12,
+                         recall_grid=(0.5, 1.0))
+        assert (alone.map, alone.pr) == (0.0, [])
+        for map_r in cutoffs(len(dc)):
+            self.assert_matches_oracle(qc, dc, qlab, dlab, map_r)
 
     def test_two_word_rows_match_oracle(self):
         # 72-bit rows fill one word and part of a zero-padded second; the
@@ -280,14 +321,16 @@ class TestEvaluate:
         qc = dc[rng.integers(0, len(dc), len(qc))]
         for q in qc:
             q[rng.choice(72, size=rng.integers(0, 3), replace=False)] *= -1
-        self.assert_matches_oracle(qc, dc, qlab, dlab)
+        for map_r in cutoffs(len(dc)):
+            self.assert_matches_oracle(qc, dc, qlab, dlab, map_r)
 
     @staticmethod
-    def assert_matches_oracle(qc, dc, qlab, dlab):
+    def assert_matches_oracle(qc, dc, qlab, dlab, map_r):
         grid, n_list = (0.25, 0.5, 1.0), [1, 7, 40]
-        got = evaluate(pack(qc), pack(dc), RelevanceJudge(qlab, dlab), map_r=12,
+        got = evaluate(pack(qc), pack(dc), RelevanceJudge(qlab, dlab), map_r=map_r,
                        recall_grid=grid, n_list=n_list)
-        assert got.map == pytest.approx(oracle_mean_ap(qc, dc, qlab, dlab, 12), abs=1e-12)
+        assert got.map == pytest.approx(oracle_mean_ap(qc, dc, qlab, dlab, map_r),
+                                        abs=1e-12)
         assert got.ph2 == pytest.approx(oracle_ph2(qc, dc, qlab, dlab), abs=1e-12)
         for got_points, expect in ((got.pr, oracle_pr(qc, dc, qlab, dlab, grid)),
                                    (got.pn, oracle_pn(qc, dc, qlab, dlab, n_list))):
