@@ -96,11 +96,15 @@ def forward(params: EncoderParams, x, keep_hidden: bool = False) -> NetOutputs:
     hidden = [x] if keep_hidden else None
     h = x
     for w, b in zip(params.weights[:-2], params.biases[:-2]):
-        h = np.maximum(h @ w.T + b, 0.0)
+        h = h @ w.T
+        h += b
+        np.maximum(h, 0.0, out=h)
         if keep_hidden:
             hidden.append(h)
-    r = h @ params.weights[-2].T + params.biases[-2]
-    v = r @ params.weights[-1].T + params.biases[-1]
+    r = h @ params.weights[-2].T
+    r += params.biases[-2]
+    v = r @ params.weights[-1].T
+    v += params.biases[-1]
     return NetOutputs(r=r, v=v, u=np.tanh(v), hidden=hidden)
 
 

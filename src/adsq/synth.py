@@ -42,8 +42,7 @@ def _make_split(rng, centers, spec: SynthSpec, per_class: int) -> Dataset:
             gains = rng.random(per_class) < spec.multilabel_overlap
             extra = rng.integers(0, spec.classes - 1, size=per_class)
             extra = np.where(extra >= cls, extra + 1, extra)  # never the own class
-            for i in np.flatnonzero(gains):
-                lab[i, extra[i]] = 1
+            lab[gains, extra[gains]] = 1
         feats.append(pts)
         labels.append(lab)
     return Dataset(features=np.vstack(feats), labels=np.vstack(labels))

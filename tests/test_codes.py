@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import adsq.codes
 import adsq.encoder
 from adsq.codes import (PackedCodes, distances_to_all, encode_matrix,
                         hamming_distance, load_codes, pack, quantize_sign,
@@ -55,6 +56,13 @@ class TestEncode:
     def test_length_is_twice_k_half(self):
         packed = encode_matrix(np.zeros((1, 5)), self.px, self.py)
         assert (packed.n, packed.k_total) == (1, 4)
+
+    def test_zero_output_encodes_as_plus_one(self):
+        # zero weights and biases make every u exactly 0, which is sign +1
+        zero = init_params([5, 4, 3, 2], seed=12)
+        zero.weights = [np.zeros_like(w) for w in zero.weights]
+        codes = unpack(encode_matrix(np.ones((3, 5)), zero, self.py))
+        np.testing.assert_array_equal(codes[:, :2], 1.0)
 
     def test_shared_params_give_identical_halves(self):
         x = np.random.default_rng(3).normal(size=(6, 5))
@@ -261,6 +269,63 @@ class TestWordScan:
         payload = np.array([[0b11110000], [0b11111111]], dtype=np.uint8)
         with pytest.raises(ValueError, match="padding"):
             PackedCodes(n=2, k_total=4, payload=payload)
+
+    @pytest.mark.parametrize("k_total", [7, 65])
+    def test_query_padding_bits_rejected(self, k_total):
+        # a set padding bit would count as one more mismatch against every row
+        db = pack(random_codes(k_total, 5, k_total))
+        query = db.row(2).copy()
+        query[-1] |= 1
+        for scan in (lambda: distances_to_all(query, db), lambda: search_topk(query, db, 3)):
+            with pytest.raises(ValueError, match="padding bits in query row"):
+                scan()
+
+
+def cut_path_always(monkeypatch):
+    """Send every search_topk call, whatever n and k, down the cut path."""
+    monkeypatch.setattr(adsq.codes, "FULL_SORT_MAX_ROWS", 0)
+    monkeypatch.setattr(adsq.codes, "CUT_ROWS_PER_K", 0)
+
+
+class TestSearchByCut(TestSearch):
+    """Every ``TestSearch`` case again, with every search on the cut path."""
+
+    @pytest.fixture(autouse=True)
+    def cut_always(self, monkeypatch):
+        cut_path_always(monkeypatch)
+
+
+class TestCutSelection:
+    @pytest.mark.parametrize("k_total", [7, 64, 65, 300])
+    def test_matches_lexsort_with_heavy_ties(self, monkeypatch, k_total):
+        cut_path_always(monkeypatch)
+        n = 500
+        codes = tied_codes(k_total, n, k_total, distinct=6)
+        db = pack(codes)
+        for query in (codes[3], random_codes(k_total + 5, 1, k_total)[0]):
+            expect = (k_total - (codes @ query).astype(np.int64)) // 2
+            order = np.lexsort((np.arange(n), expect))
+            qrow = pack(query[None, :]).row(0)
+            for k in (0, 1, 100, n):
+                got = search_topk(qrow, db, k)
+                np.testing.assert_array_equal(got, order[:k])
+                assert got.base is None
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_matches_lexsort_at_the_row_crossover(self, offset):
+        n = adsq.codes.FULL_SORT_MAX_ROWS + offset
+        codes = tied_codes(n, n, 64, distinct=40)
+        db = pack(codes)
+        query = random_codes(offset + 2, 1, 64)[0]
+        expect = (64 - (codes @ query).astype(np.int64)) // 2
+        order = np.lexsort((np.arange(n), expect))
+        qrow = pack(query[None, :]).row(0)
+        # n // CUT_ROWS_PER_K is the largest k on the cut path above the row crossover
+        per_k = adsq.codes.CUT_ROWS_PER_K
+        for k in (0, 1, 100, n // per_k, n // per_k + 1, n):
+            got = search_topk(qrow, db, k)
+            np.testing.assert_array_equal(got, order[:k])
+            assert got.shape == (k,) and got.base is None
 
 
 class TestCodesFile:

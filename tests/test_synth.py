@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from adsq.data import build_similarity
+from adsq.data import Dataset, build_similarity
 from adsq.synth import SynthSpec, generate
 
 
@@ -81,3 +81,38 @@ def test_invalid_specs_rejected():
         spec_with(cluster_spread=0.0)
     with pytest.raises(ValueError):
         spec_with(multilabel_overlap=1.5)
+
+
+def reference_generate(spec):
+    """``generate`` with one extra label set per item in a Python loop; the
+    same random draws in the same order."""
+    rng = np.random.default_rng(spec.seed)
+    centers = rng.uniform(-spec.center_scale, spec.center_scale, size=(spec.classes, spec.dim))
+    splits = []
+    for per_class in (spec.per_class, spec.queries_per_class):
+        feats, labels = [], []
+        for cls in range(spec.classes):
+            feats.append(centers[cls] + rng.normal(0.0, spec.cluster_spread,
+                                                   size=(per_class, spec.dim)))
+            lab = np.zeros((per_class, spec.classes), dtype=np.int8)
+            lab[:, cls] = 1
+            if spec.multilabel_overlap > 0:
+                gains = rng.random(per_class) < spec.multilabel_overlap
+                extra = rng.integers(0, spec.classes - 1, size=per_class)
+                for i in range(per_class):
+                    if gains[i]:
+                        lab[i, extra[i] + (extra[i] >= cls)] = 1
+            labels.append(lab)
+        splits.append(Dataset(features=np.vstack(feats), labels=np.vstack(labels)))
+    return tuple(splits)
+
+
+@pytest.mark.parametrize("seed", [0, 17])
+@pytest.mark.parametrize("overlap", [0.0, 0.3, 1.0])
+def test_matches_per_item_reference(seed, overlap):
+    spec = spec_with(classes=5, per_class=40, queries_per_class=9,
+                     multilabel_overlap=overlap, seed=seed)
+    for got, want in zip(generate(spec), reference_generate(spec)):
+        np.testing.assert_array_equal(got.features, want.features)
+        np.testing.assert_array_equal(got.labels, want.labels)
+        assert got.labels.dtype == want.labels.dtype
