@@ -1,30 +1,20 @@
 """Sign quantization, asymmetric code concatenation, bit packing, and
 linear-scan Hamming search.
 
-``encode_matrix`` runs both image networks over the row blocks of
-``adsq.encoder.forward_blocks``. Each network writes its block's sign bits
-into its half of one reused bool block (x-network half first) and drops
-its outputs before the other network runs; one ``packbits`` per block puts
-the rows straight into the n-row payload, so no n-row float array is made
-beyond the features themselves.
-
 Packed layout: one row per item, MSB-first within each byte, bit 1 means
 +1, rows padded to a byte boundary with zero bits. For +-1 codes of equal
 length, popcount distance and inner product are tied by
-dist = (k_total - <a, b>) / 2.
+dist = (k_total - <a, b>) / 2. Code files (``ADSQB001``, an ``adsq.fileio``
+container) hold n, k_total and the packed rows.
 
-In memory, each code set also keeps a read-only uint64 word view of its
-rows, zero-padded to a multiple of 8 bytes (no copy when the rows already
-are contiguous whole words, as 64-bit codes are). The scan XORs a query's
-words against it and popcounts each word column; distances come back as
-the narrowest unsigned dtype that holds k_total (uint8 up to 255 bits,
-uint16 up to 65535), so a stable argsort takes numpy's radix sort. A
+In memory, the payload is read-only and each code set keeps a read-only
+uint64 word view of its rows, zero-padded to whole words (no copy for
+64-bit codes), so the view never goes stale. The scan XORs a query's words
+against it and popcounts each word column into the narrowest unsigned
+dtype that holds k_total, so a stable argsort takes numpy's radix sort. A
 query row, like every stored row, must have zero padding bits, so no
-distance exceeds k_total. ``search_topk`` sorts every row only for a small
-database or a large k; otherwise it bisects ``[0, k_total]`` for the k-th
-smallest distance and sorts only the rows within it. The word view never
-reaches a file: code files (``ADSQB001``, an ``adsq.fileio`` container)
-hold n, k_total and the packed rows.
+distance exceeds k_total. ``search_topk`` sorts only the rows within a
+distance cut, unless the database is small or k large.
 """
 
 from dataclasses import dataclass
@@ -37,9 +27,7 @@ from .errors import FormatError
 from .fileio import BinaryReader, write_binary
 
 CODES_MAGIC = b"ADSQB001"
-# search_topk ranks by one full stable argsort up to this many database rows,
-# or when k is more than 1/CUT_ROWS_PER_K of them; a distance cut wins
-# otherwise (both set at the measured crossovers, see search_topk).
+# search_topk sorts every row up to this many rows or for k > n / CUT_ROWS_PER_K
 FULL_SORT_MAX_ROWS = 8192
 CUT_ROWS_PER_K = 8
 
@@ -64,8 +52,8 @@ def _pad_mask(k_total: int) -> int:
 
 @dataclass(frozen=True)
 class PackedCodes:
-    """Bit-packed +-1 code matrix. ``words`` is the read-only uint64 view
-    of the rows that the scan reads, built once per code set."""
+    """Bit-packed +-1 code matrix with a read-only payload. ``words`` is the
+    read-only uint64 view of its rows that the scan reads, built once."""
 
     n: int
     k_total: int
@@ -87,6 +75,7 @@ class PackedCodes:
         pad = _pad_mask(self.k_total)
         if pad and np.any(payload[:, -1] & pad):
             raise ValueError("nonzero padding bits in packed payload")
+        payload.flags.writeable = False
         words = _as_words(payload)
         words.flags.writeable = False
         object.__setattr__(self, "words", words)
@@ -106,8 +95,10 @@ def quantize_sign(values) -> np.ndarray:
 def encode_matrix(x, imgx_params: EncoderParams, imgy_params: EncoderParams) -> PackedCodes:
     """Packed row-wise codes of length 2*k_half for a feature matrix:
     x-network half first, each half ``quantize_sign`` of its network's u.
-    Per block, each network's sign bits go into one reused bool block, and
-    its outputs are released before the other network runs."""
+    Per ``forward_blocks`` block, each network's sign bits go into its half
+    of one reused bool block, and its outputs are released before the other
+    network runs; one ``packbits`` puts the block into the n-row payload, so
+    no n-row float array is made beyond the features themselves."""
     n = len(x)
     k_x = imgx_params.weights[-1].shape[0]
     k_total = k_x + imgy_params.weights[-1].shape[0]
@@ -142,19 +133,6 @@ def pack(codes) -> PackedCodes:
                        payload=np.packbits(arr > 0, axis=1))
 
 
-def unpack(packed: PackedCodes) -> np.ndarray:
-    return np.unpackbits(packed.payload, axis=1, count=packed.k_total) * 2.0 - 1.0
-
-
-def hamming_distance(a, b) -> int:
-    """Popcount of XOR over two packed rows of equal width."""
-    a = np.asarray(a, dtype=np.uint8)
-    b = np.asarray(b, dtype=np.uint8)
-    if a.shape != b.shape:
-        raise ValueError(f"packed rows differ in length: {a.shape} vs {b.shape}")
-    return int(np.bitwise_count(np.bitwise_xor(a, b)).sum())
-
-
 def distances_to_all(query_row, db: PackedCodes) -> np.ndarray:
     """Hamming distances from one packed query row to every database row,
     as the narrowest unsigned dtype that holds ``db.k_total``."""
@@ -176,31 +154,50 @@ def search_topk(query_row, db: PackedCodes, k: int) -> np.ndarray:
     broken by ascending database index. The result owns its k entries, so
     keeping it does not keep the full n-entry ranking alive.
 
-    Up to ``FULL_SORT_MAX_ROWS`` database rows, or for k above
-    1/``CUT_ROWS_PER_K`` of them, the whole ranking is one stable argsort.
-    Otherwise a bisection over the distances ``[0, k_total]`` finds the cut,
-    the k-th smallest distance (the padding check keeps every distance
-    within ``k_total``), and only the rows within the cut are stable-sorted:
-    the same (distance, index) order, ties at the cut included.
+    Up to ``FULL_SORT_MAX_ROWS`` rows, or for k above 1/``CUT_ROWS_PER_K``
+    of them, the ranking is one stable argsort. Otherwise the k-th smallest
+    distance, the cut, is found by galloping up from the nearest distance
+    (probes at min, min + 1, min + 3, min + 7, ..., none past ``k_total``),
+    then bisecting the last step: about 2 log2(cut - min + 1) + 1 passes
+    over the n distances. The rows in the last passing probe's mask are
+    stable-sorted. Per call in us, full argsort / the bisection of
+    [0, k_total] this replaced / gallop, on 64-bit random codes and on
+    clustered ones (16 centres, 4 % of bits flipped, like trained codes);
+    gap is the median cut - min (2-vCPU Intel Xeon, numpy 2.4, warmed):
 
-    The whole call per query in us, full argsort / cut, on 64-bit random
-    codes (one 2-vCPU Intel Xeon, numpy 2.4, warmed): k = 100 at 1k rows
-    15 / 32, 2k 13 / 24, 4k 22 / 44, 6.4k 44 / 50, 8192 51 / 54, 10k
-    44 / 39, 20k 94 / 52, 50k 182 / 100, 100k 468 / 190; at 100k rows,
-    k = n/8 388 / 309, n/4 383 / 360, n 394 / 1113."""
+        rows  k     gap  random              gap  clustered
+        1k    100    9    18 /   38 /   46    23    17 /   37 /   51
+        2k    100    7    25 /   46 /   50     4    22 /   39 /   37
+        4k    100    7    38 /   52 /   55     3    34 /   49 /   44
+        6.4k  100    6    33 /   35 /   37     2    49 /   57 /   50
+        8192  100    6    58 /   63 /   67     2    62 /   65 /   57
+        10k   100    6    71 /   70 /   73     2    75 /   74 /   65
+        20k   100    6   130 /   97 /   99     1   124 /   94 /   69
+        50k   100    5   314 /  190 /  193     1   195 /  119 /   99
+        100k  100    5   412 /  215 /  214     2   733 /  411 /  357
+        100k  n/8   12   633 /  527 /  570    24   688 /  574 /  677
+        100k  n/4   14   696 /  670 /  723    27   711 /  707 /  805
+        100k  n     34   673 / 1308 / 1420    43   746 / 1437 / 1574"""
     if not 0 <= k <= db.n:
         raise ValueError(f"k={k} must lie in [0, {db.n}], the database size")
     dist = distances_to_all(query_row, db)
     if db.n <= FULL_SORT_MAX_ROWS or k * CUT_ROWS_PER_K > db.n:
         return np.argsort(dist, kind="stable")[:k].copy()
-    lo, hi = 0, db.k_total  # the cut is the least c with k rows at distance <= c
+    # the cut, the least c with k rows at distance <= c, lies in [lo, hi] once
+    # the gallop stops; ``within`` is the mask of dist <= hi
+    lo = hi = int(dist.min())
+    within, step = dist <= hi, 1
+    while np.count_nonzero(within) < k:
+        lo, hi, step = hi + 1, min(hi + step, db.k_total), 2 * step
+        within = dist <= hi
     while lo < hi:
         mid = (lo + hi) // 2
-        if np.count_nonzero(dist <= mid) >= k:
-            hi = mid
+        below = dist <= mid
+        if np.count_nonzero(below) >= k:
+            hi, within = mid, below
         else:
             lo = mid + 1
-    near = np.flatnonzero(dist <= lo)
+    near = np.flatnonzero(within)
     return near[np.argsort(dist[near], kind="stable")[:k]]
 
 

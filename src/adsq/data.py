@@ -65,8 +65,11 @@ def pack_label_words(labels) -> np.ndarray:
     bit j of word w holds class 64w + j and unused bits are zero."""
     lab = np.asarray(labels)
     n, c = lab.shape
+    row_bytes = (c + 7) // 8
+    bits = np.zeros((n, 8 * row_bytes), dtype=bool)  # one flat packbits beats axis=1
+    np.not_equal(lab, 0, out=bits[:, :c])
     packed = np.zeros((n, 8 * max(1, -(-c // 64))), dtype=np.uint8)
-    packed[:, :(c + 7) // 8] = np.packbits(lab != 0, axis=1, bitorder="little")
+    packed[:, :row_bytes] = np.packbits(bits, axis=None, bitorder="little").reshape(n, row_bytes)
     return packed.view(np.uint64)
 
 

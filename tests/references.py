@@ -1,0 +1,21 @@
+"""Plain references for the packed-code layout, used only by the tests.
+
+``unpack`` inverts ``adsq.codes.pack``; ``hamming_distance`` is the scalar
+distance that ``adsq.codes.distances_to_all``'s word scan is checked against.
+"""
+
+import numpy as np
+
+
+def unpack(packed) -> np.ndarray:
+    """The +-1 float matrix of a ``PackedCodes``."""
+    return np.unpackbits(packed.payload, axis=1, count=packed.k_total) * 2.0 - 1.0
+
+
+def hamming_distance(a, b) -> int:
+    """Popcount of XOR over two packed rows of equal width."""
+    a = np.asarray(a, dtype=np.uint8)
+    b = np.asarray(b, dtype=np.uint8)
+    if a.shape != b.shape:
+        raise ValueError(f"packed rows differ in length: {a.shape} vs {b.shape}")
+    return int(np.bitwise_count(np.bitwise_xor(a, b)).sum())

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from adsq.bstep import CodeMatrix, bstep_objective, compute_P, update_column
-from adsq.codes import encode_matrix, hamming_distance, pack
+from adsq.codes import encode_matrix, pack
 from adsq.config import HyperParams, Variant
 from adsq.data import LabelPatterns
 from adsq.encoder import NetOutputs, init_params
@@ -25,6 +25,7 @@ from adsq.trainer import save_run, subseed, train
 from fdcheck import (batch_dataset, batch_label_loss, batch_objective, fd_grad,
                      labels_for_similarity, max_rel_error, random_similarity)
 from oracles import oracle_mean_ap, oracle_ph2, oracle_pn, oracle_pr, random_case
+from references import hamming_distance
 
 GRAD_TOL = 1e-5
 ORACLE_TOL = 1e-12

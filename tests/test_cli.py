@@ -7,10 +7,11 @@ import pytest
 
 import adsq.encoder
 from adsq.cli import main
-from adsq.codes import load_codes, pack, unpack
+from adsq.codes import load_codes, pack
 from adsq.data import load_features
 from adsq.encoder import EncoderParams, forward, load_params, save_params
 from adsq.metrics import RelevanceJudge, mean_ap
+from references import unpack
 
 TRAIN_OVERRIDES = [
     "--set", "encoder_hidden=8",

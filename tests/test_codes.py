@@ -5,11 +5,11 @@ from hypothesis import strategies as st
 
 import adsq.codes
 import adsq.encoder
-from adsq.codes import (PackedCodes, distances_to_all, encode_matrix,
-                        hamming_distance, load_codes, pack, quantize_sign,
-                        search_topk, unpack, write_codes)
+from adsq.codes import (PackedCodes, distances_to_all, encode_matrix, load_codes, pack,
+                        quantize_sign, search_topk, write_codes)
 from adsq.encoder import forward, init_params
 from adsq.errors import FormatError
+from references import hamming_distance, unpack
 
 
 def random_codes(seed, n, k):
@@ -242,6 +242,13 @@ class TestWordScan:
         assert db.words.shape == (10, 1) and np.shares_memory(db.words, db.payload)
         assert not db.words.flags.writeable
 
+    @pytest.mark.parametrize("k_total", [16, 64])
+    def test_payload_is_read_only(self, k_total):
+        # 16-bit rows scan a padded copy, which an edit of the payload would not reach
+        db = pack(random_codes(k_total, 4, k_total))
+        with pytest.raises(ValueError, match="read-only"):
+            db.payload[1] = db.payload[0]
+
     def test_partial_word_rows_are_zero_padded(self):
         db = pack(np.ones((3, 72)))
         assert db.words.shape == (3, 2)
@@ -326,6 +333,90 @@ class TestCutSelection:
             got = search_topk(qrow, db, k)
             np.testing.assert_array_equal(got, order[:k])
             assert got.shape == (k,) and got.base is None
+
+
+def assert_search_matches_lexsort(query, codes, ks):
+    """search_topk on the packed ``codes`` gives the (distance, index) order
+    of the +-1 ``codes`` for each k in ``ks``, in an array it owns."""
+    n, k_total = codes.shape
+    expect = (k_total - (codes @ query).astype(np.int64)) // 2
+    order = np.lexsort((np.arange(n), expect))
+    db, qrow = pack(codes), pack(query[None, :]).row(0)
+    for k in ks:
+        got = search_topk(qrow, db, k)
+        np.testing.assert_array_equal(got, order[:k])
+        assert got.base is None
+
+
+def flipped(query, counts, seed):
+    """One row per entry of ``counts``: ``query`` with that many of its bits
+    negated, at random positions."""
+    rng = np.random.default_rng(seed)
+    rows = np.tile(query, (len(counts), 1))
+    for row, count in zip(rows, counts):
+        row[rng.permutation(query.size)[:count]] *= -1
+    return rows
+
+
+class TestGallopingCut:
+    """The cut path gallops up from the nearest distance, then bisects."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 40), k_total=st.integers(1, 300),
+           distinct=st.sampled_from([None, 1, 2, 4]), query_row=st.booleans())
+    def test_matches_lexsort_for_every_k(self, seed, n, k_total, distinct, query_row):
+        codes = (random_codes(seed, n, k_total) if distinct is None
+                 else tied_codes(seed, n, k_total, distinct))
+        query = codes[seed % n] if query_row else random_codes(seed + 1, 1, k_total)[0]
+        with pytest.MonkeyPatch.context() as mp:
+            cut_path_always(mp)
+            assert_search_matches_lexsort(query, codes, range(n + 1))
+
+    @pytest.mark.parametrize("d0", [1, 5, 40])
+    def test_every_row_far_from_the_query(self, monkeypatch, d0):
+        cut_path_always(monkeypatch)
+        query = random_codes(d0, 1, 64)[0]
+        codes = flipped(query, d0 + np.random.default_rng(d0).integers(0, 64 - d0, 50), d0)
+        assert_search_matches_lexsort(query, codes, range(51))
+
+    @pytest.mark.parametrize("k_total", [8, 64, 65])
+    def test_k_at_the_count_of_nearest_rows(self, monkeypatch, k_total):
+        cut_path_always(monkeypatch)
+        query = random_codes(k_total, 1, k_total)[0]
+        codes = flipped(query, [3, 2, 5, 2, 4, 2, 7, 3], k_total)  # three rows at the minimum, 2
+        assert_search_matches_lexsort(query, codes, [3, 4])
+
+    @pytest.mark.parametrize("d", [0, 3, 64])
+    def test_all_rows_tied(self, monkeypatch, d):
+        cut_path_always(monkeypatch)
+        query = random_codes(d, 1, 64)[0]
+        codes = np.tile(flipped(query, [d], d), (30, 1))
+        assert_search_matches_lexsort(query, codes, range(31))
+
+    @pytest.mark.parametrize("k_total", [1, 7, 64, 300])
+    def test_cut_at_k_total(self, monkeypatch, k_total):
+        # the last rows are the query's complement, so k = n cuts at k_total
+        cut_path_always(monkeypatch)
+        query = random_codes(k_total, 1, k_total)[0]
+        codes = np.concatenate([flipped(query, [0, 1 % k_total, 0], k_total),
+                                np.tile(-query, (4, 1))])
+        assert_search_matches_lexsort(query, codes, [3, 4, 6, 7])
+
+    def test_clustered_codes_at_the_real_constants(self):
+        """100k rows of 64-bit codes around a few centres, like trained
+        codes: the cut sits a few bits above the nearest row."""
+        rng = np.random.default_rng(3)
+        n = 100_000
+        centres = rng.random((6, 64)) < 0.5
+        bits = centres[rng.integers(0, 6, n + 1)] ^ (rng.random((n + 1, 64)) < 0.05)
+        db = PackedCodes(n=n, k_total=64, payload=np.packbits(bits[:n], axis=1))
+        for q in (bits[7], bits[n], rng.random(64) < 0.5):
+            dist = np.count_nonzero(bits[:n] != q, axis=1)
+            order = np.lexsort((np.arange(n), dist))
+            for k in (1, 100, n // adsq.codes.CUT_ROWS_PER_K):
+                got = search_topk(np.packbits(q), db, k)
+                np.testing.assert_array_equal(got, order[:k])
+                assert got.base is None
 
 
 class TestCodesFile:

@@ -214,6 +214,17 @@ def test_label_words_hold_one_bit_per_class(classes):
     assert not bits[:, classes:].any()
 
 
+@pytest.mark.parametrize("classes", [0, 1, 7, 8, 21, 63, 64, 65, 130])
+@pytest.mark.parametrize("n", [0, 1, 37])
+def test_label_words_match_per_row_packing(classes, n):
+    lab = np.random.default_rng(classes + n).integers(0, 2, (n, classes)).astype(np.int8)
+    want = np.zeros((n, 8 * max(1, -(-classes // 64))), dtype=np.uint8)
+    for i in range(n):
+        want[i, :(classes + 7) // 8] = np.packbits(lab[i] != 0, bitorder="little")
+    for labels in (lab, lab.astype(bool), np.asfortranarray(lab)):
+        np.testing.assert_array_equal(pack_label_words(labels), want.view(np.uint64))
+
+
 @pytest.mark.parametrize("name", LABEL_SET_NAMES)
 def test_patterns_rebuild_labels(name):
     lab = hand_label_sets()[name]

@@ -124,11 +124,9 @@ def test_every_dataclass_field_is_read():
     assert [f"{cls}.{name}" for cls, name in fields if name not in loaded] == []
 
 # top-level library names the tests may be alone in naming, each with the
-# reason; bstep_objective and build_similarity are also traced spans today
+# reason; both are also traced spans today, so they stay in the library
 TEST_REFERENCES = {
     "bstep_objective": "acceptance 3's dense reference for the B-step",
-    "hamming_distance": "the scalar reference distances_to_all is checked against",
-    "unpack": "the inverse of pack",
     "build_similarity": "the dense reference for LabelPatterns, and a public export",
 }
 

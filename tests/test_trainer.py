@@ -10,7 +10,7 @@ import adsq.imgnet
 import adsq.labelnet
 import adsq.numerics
 from adsq.bstep import CodeMatrix
-from adsq.codes import encode_matrix, quantize_sign, unpack
+from adsq.codes import encode_matrix, quantize_sign
 from adsq.config import HyperParams, Variant
 from adsq.data import Dataset, build_similarity
 from adsq.encoder import MomentumSGD, forward, init_params
@@ -21,6 +21,7 @@ from adsq.synth import SynthSpec, generate
 from adsq.trainer import _label_breakdown_row, convergence_check, save_run, subseed, train
 from labelsets import LABEL_SET_NAMES, hand_label_sets
 from netparams import same_params
+from references import unpack
 
 TINY = dict(k_half=4, encoder_hidden=(8,), semantic_dim=6, batch_size=8,
             t_label=4, t_img=2, outer_rounds=2, seed=3)
