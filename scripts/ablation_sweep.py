@@ -13,12 +13,12 @@ import argparse
 import numpy as np
 
 from adsq.codes import encode_matrix
-from adsq.config import HyperParams, make_hyperparams
+from adsq.config import HyperParams, Variant, make_hyperparams
 from adsq.metrics import RelevanceJudge, evaluate
 from adsq.synth import SynthSpec, generate
 from adsq.trainer import train
 
-VARIANTS = ("full", "no-asym", "no-sem", "no-both", "sym")
+VARIANTS = tuple(v.value for v in Variant)
 
 
 def cell_hyperparams(variant, seed, k_half, extra) -> HyperParams:

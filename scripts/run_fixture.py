@@ -14,6 +14,27 @@ import sys
 import time
 
 from adsq.cli import main as adsq_main
+from adsq.config import Variant
+
+
+def pipeline(out, seed, k_half=8, variant="full"):
+    """The ``adsq`` argument lists of the demo, in order; every output goes
+    under ``out``."""
+    data, model = os.path.join(out, "data"), os.path.join(out, "model")
+    return [
+        ["synth", "--classes", "4", "--dim", "32", "--per-class", "100",
+         "--queries-per-class", "25", "--spread", "0.5", "--seed", str(seed), "--out", data],
+        ["train", "--features", f"{data}/train.adsqf", "--labels", f"{data}/train.adsql",
+         "--out", model, "--k-half", str(k_half), "--seed", str(seed), "--variant", variant,
+         "--set", "encoder_hidden=64", "--set", "semantic_dim=32"],
+        ["encode", "--model", model, "--features", f"{data}/train.adsqf",
+         "--out", f"{out}/db.adsqb"],
+        ["encode", "--model", model, "--features", f"{data}/query.adsqf",
+         "--out", f"{out}/query.adsqb"],
+        ["eval", "--query-codes", f"{out}/query.adsqb", "--db-codes", f"{out}/db.adsqb",
+         "--query-labels", f"{data}/query.adsql", "--db-labels", f"{data}/train.adsql",
+         "--map-r", "100", "--out", f"{out}/metrics.csv"],
+    ]
 
 
 def run(argv):
@@ -27,29 +48,12 @@ def main():
     ap.add_argument("--out", default="runs/fixture")
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--k-half", type=int, default=8)
-    ap.add_argument("--variant", default="full",
-                    choices=["full", "no-asym", "no-sem", "no-both", "sym"])
+    ap.add_argument("--variant", default="full", choices=[v.value for v in Variant])
     args = ap.parse_args()
 
-    data = os.path.join(args.out, "data")
-    model = os.path.join(args.out, "model")
     t0 = time.perf_counter()
-
-    run(["synth", "--classes", "4", "--dim", "32", "--per-class", "100",
-         "--queries-per-class", "25", "--spread", "0.5", "--seed", str(args.seed),
-         "--out", data])
-    run(["train", "--features", f"{data}/train.adsqf", "--labels", f"{data}/train.adsql",
-         "--out", model, "--k-half", str(args.k_half), "--seed", str(args.seed),
-         "--variant", args.variant,
-         "--set", "encoder_hidden=64", "--set", "semantic_dim=32"])
-    run(["encode", "--model", model, "--features", f"{data}/train.adsqf",
-         "--out", f"{args.out}/db.adsqb"])
-    run(["encode", "--model", model, "--features", f"{data}/query.adsqf",
-         "--out", f"{args.out}/query.adsqb"])
-    run(["eval", "--query-codes", f"{args.out}/query.adsqb",
-         "--db-codes", f"{args.out}/db.adsqb",
-         "--query-labels", f"{data}/query.adsql", "--db-labels", f"{data}/train.adsql",
-         "--map-r", "100", "--out", f"{args.out}/metrics.csv"])
+    for argv in pipeline(args.out, args.seed, args.k_half, args.variant):
+        run(argv)
 
     print(f"\nfinished in {time.perf_counter() - t0:.1f}s; outputs under {args.out}/")
     with open(f"{args.out}/metrics.csv") as fh:
@@ -57,7 +61,7 @@ def main():
             metric = line.split(",")[0]
             if metric in ("metric", "map", "ph2"):
                 print(" ", line)
-    manifest = json.load(open(f"{model}/manifest.json"))
+    manifest = json.load(open(f"{args.out}/model/manifest.json"))
     print("  train wall-clock:", manifest["timings_s"]["train"], "s")
 
 

@@ -17,7 +17,7 @@ import time
 
 from . import __version__
 from .codes import encode_matrix, load_codes, write_codes
-from .config import load_config
+from .config import Variant, load_config
 from .data import (load_dataset, load_features, load_labels, write_features,
                    write_labels)
 from .encoder import load_params
@@ -192,8 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None, help="JSON config file")
-    p.add_argument("--variant", choices=["full", "no-asym", "no-sem", "no-both", "sym"],
-                   default=None)
+    p.add_argument("--variant", choices=[v.value for v in Variant], default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--k-half", type=int, default=None)
     p.add_argument("--set", action="append", metavar="KEY=VALUE",

@@ -1,5 +1,6 @@
 """Sign quantization, asymmetric code concatenation, bit packing, and
-linear-scan Hamming search.
+linear-scan Hamming search. ``sign_bits`` is the one sign kernel: the
+trainer's ``quantize_sign`` and ``encode_matrix`` both take it.
 
 Packed layout: one row per item, MSB-first within each byte, bit 1 means
 +1, rows padded to a byte boundary with zero bits. For +-1 codes of equal
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import encoder
-from .encoder import EncoderParams, forward_blocks
+from .encoder import EncoderParams
 from .errors import FormatError
 from .fileio import BinaryReader, write_binary
 
@@ -84,43 +85,34 @@ class PackedCodes:
         return self.payload[i]
 
 
-def quantize_sign(values) -> np.ndarray:
-    """Elementwise sign with sign(0) = +1."""
+def sign_bits(values) -> np.ndarray:
+    """Elementwise ``values >= 0`` as bools, the bit 1 of sign(0) = +1;
+    raises ValueError on a NaN or infinite entry."""
     arr = np.asarray(values, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
-        raise ValueError("quantize_sign requires finite input")
-    return np.where(arr >= 0, 1.0, -1.0)
+        raise ValueError("sign_bits requires finite input")
+    return arr >= 0
+
+
+def quantize_sign(values) -> np.ndarray:
+    """Elementwise sign with sign(0) = +1."""
+    return np.where(sign_bits(values), 1.0, -1.0)
 
 
 def encode_matrix(x, imgx_params: EncoderParams, imgy_params: EncoderParams) -> PackedCodes:
     """Packed row-wise codes of length 2*k_half for a feature matrix:
-    x-network half first, each half ``quantize_sign`` of its network's u.
-    Per ``forward_blocks`` block, each network's sign bits go into its half
-    of one reused bool block, and its outputs are released before the other
-    network runs; one ``packbits`` puts the block into the n-row payload, so
-    no n-row float array is made beyond the features themselves."""
+    x-network half first, each half the ``sign_bits`` of its network's u.
+    Per ``encoder.row_slices`` block, the two networks' sign bits are joined
+    and one ``packbits`` puts them into the n-row payload, so no n-row
+    float array is made beyond the features themselves."""
     n = len(x)
-    k_x = imgx_params.weights[-1].shape[0]
-    k_total = k_x + imgy_params.weights[-1].shape[0]
+    k_total = imgx_params.weights[-1].shape[0] + imgy_params.weights[-1].shape[0]
     payload = np.empty((n, (k_total + 7) // 8), dtype=np.uint8)
-    bits = np.empty((min(n, encoder.FORWARD_BLOCK_ROWS), k_total), dtype=bool)
-    blocks_y = forward_blocks(imgy_params, x)
-    for rows, outs in forward_blocks(imgx_params, x):
-        block = bits[:len(outs.u)]
-        _sign_bits_into(outs.u, block[:, :k_x])
-        del outs
-        _, outs = next(blocks_y)
-        _sign_bits_into(outs.u, block[:, k_x:])
-        del outs
-        payload[rows] = np.packbits(block, axis=1)
+    for rows in encoder.row_slices(n):
+        bits = np.hstack([sign_bits(encoder.forward(p, x[rows]).u)
+                          for p in (imgx_params, imgy_params)])
+        payload[rows] = np.packbits(bits, axis=1)
     return PackedCodes(n=n, k_total=k_total, payload=payload)
-
-
-def _sign_bits_into(u, out):
-    """Write ``quantize_sign(u) > 0`` into the bool array ``out``."""
-    if not np.all(np.isfinite(u)):
-        raise ValueError("quantize_sign requires finite input")
-    np.greater_equal(u, 0.0, out=out)
 
 
 def pack(codes) -> PackedCodes:

@@ -6,11 +6,13 @@ label network and one serves each image network; the image pair shares the
 topology but never the weights.
 
 Gradients flow in through two injection points: ``upstream_r`` at the
-semantic-layer output and ``upstream_v`` at the hash-layer pre-activation.
-Only an SGD batch's ``forward`` keeps the activations ``backward`` reads;
-every many-row forward runs in ``forward_blocks`` of ``FORWARD_BLOCK_ROWS``
+semantic-layer output and ``upstream_v`` at the hash-layer pre-activation,
+which ``forward`` does not keep: it takes tanh in place. Only an SGD
+batch's ``forward`` keeps the activations ``backward`` reads; every
+many-row forward runs over the ``row_slices`` of ``FORWARD_BLOCK_ROWS``
 rows. Model files (``ADSQW001``) are ``adsq.fileio`` containers: the layer
-count, then per layer rows, cols (both nonzero), float64 weights and biases.
+count, then per layer rows, cols (both nonzero), float64 weights and biases,
+all finite.
 """
 
 from dataclasses import dataclass
@@ -48,19 +50,14 @@ class EncoderParams:
         """Every array, in the one order of ``backward``'s gradients and of optimizer state."""
         return self.weights + self.biases
 
-    def copy(self) -> "EncoderParams":
-        return EncoderParams([w.copy() for w in self.weights],
-                             [b.copy() for b in self.biases])
-
 
 @dataclass
 class NetOutputs:
-    """Per-item activations: semantic features r, hash pre-activations v,
-    binary-like codes u = tanh(v), and (for backward() only) the input and
+    """Per-item activations: semantic features r, binary-like codes u, the
+    tanh of the hash pre-activations, and (for backward() only) the input and
     each rectifier output."""
 
     r: np.ndarray
-    v: np.ndarray
     u: np.ndarray
     hidden: list | None = None
 
@@ -103,26 +100,27 @@ def forward(params: EncoderParams, x, keep_hidden: bool = False) -> NetOutputs:
             hidden.append(h)
     r = h @ params.weights[-2].T
     r += params.biases[-2]
-    v = r @ params.weights[-1].T
-    v += params.biases[-1]
-    return NetOutputs(r=r, v=v, u=np.tanh(v), hidden=hidden)
+    u = r @ params.weights[-1].T
+    u += params.biases[-1]
+    np.tanh(u, out=u)
+    return NetOutputs(r=r, u=u, hidden=hidden)
 
 
-def forward_blocks(params: EncoderParams, x):
-    """``(rows, forward(params, x[rows]))`` per slice of ``FORWARD_BLOCK_ROWS`` rows or less."""
-    for start in range(0, len(x), FORWARD_BLOCK_ROWS):
-        rows = slice(start, start + FORWARD_BLOCK_ROWS)
-        yield rows, forward(params, x[rows])
+def row_slices(n: int):
+    """The slices of ``FORWARD_BLOCK_ROWS`` rows or less that cover n rows."""
+    for start in range(0, n, FORWARD_BLOCK_ROWS):
+        yield slice(start, start + FORWARD_BLOCK_ROWS)
 
 
 def forward_rows(params: EncoderParams, x) -> NetOutputs:
-    """``forward(params, x)`` without hidden layers, one ``forward_blocks`` block at a time."""
+    """``forward(params, x)`` without hidden layers, one ``row_slices`` block at a time."""
     if len(x) <= FORWARD_BLOCK_ROWS:
         return forward(params, x)
     n, sem, k = len(x), params.weights[-2].shape[0], params.weights[-1].shape[0]
-    outs = NetOutputs(np.empty((n, sem)), np.empty((n, k)), np.empty((n, k)))
-    for rows, block in forward_blocks(params, x):
-        outs.r[rows], outs.v[rows], outs.u[rows] = block.r, block.v, block.u
+    outs = NetOutputs(np.empty((n, sem)), np.empty((n, k)))
+    for rows in row_slices(n):
+        block = forward(params, x[rows])
+        outs.r[rows], outs.u[rows] = block.r, block.u
     return outs
 
 
@@ -131,15 +129,15 @@ def backward(params: EncoderParams, outs: NetOutputs, upstream_r, upstream_v) ->
     in ``params.arrays`` order, from the activations of
     ``forward(params, x, keep_hidden=True)``; the forward pass is never
     recomputed."""
-    hidden, r, v = outs.hidden, outs.r, outs.v
+    hidden, r, u = outs.hidden, outs.r, outs.u
     if hidden is None:
         raise ValueError("backward needs the outputs of forward(..., keep_hidden=True)")
     upstream_r = np.asarray(upstream_r, dtype=np.float64)
     upstream_v = np.asarray(upstream_v, dtype=np.float64)
     if upstream_r.shape != r.shape:
         raise ValueError(f"upstream_r shape {upstream_r.shape} != r shape {r.shape}")
-    if upstream_v.shape != v.shape:
-        raise ValueError(f"upstream_v shape {upstream_v.shape} != v shape {v.shape}")
+    if upstream_v.shape != u.shape:
+        raise ValueError(f"upstream_v shape {upstream_v.shape} != u shape {u.shape}")
 
     n_layers = params.num_layers
     gw = [None] * n_layers
@@ -229,6 +227,9 @@ def load_params(path) -> EncoderParams:
                                   f"gives {weights[-1].shape[0]}")
             weights.append(r.array("<f8", (rows, cols)).astype(np.float64))
             biases.append(r.array("<f8", (rows,)).astype(np.float64))
+            for kind, a in (("weights", weights[-1]), ("biases", biases[-1])):
+                if not np.isfinite(a).all():
+                    raise FormatError(f"{path}: layer {i} {kind} are not all finite")
     if len(weights) < 2:
         raise FormatError(f"{path}: model must have at least semantic and hash layers")
     return EncoderParams(weights=weights, biases=biases)

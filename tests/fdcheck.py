@@ -79,7 +79,7 @@ def batch_objective(ctx, hp, dataset=None):
     dataset = batch_dataset(ctx.sim_binary) if dataset is None else dataset
     first = dataset.patterns.first
     sup = LabelSupervision(r_l=ctx.r_sup[first], omega_l=ctx.w_sup[first])
-    return full_objective(NetOutputs(r=ctx.r_img, v=None, u=ctx.u), dataset,
+    return full_objective(NetOutputs(r=ctx.r_img, u=ctx.u), dataset,
                           CodeMatrix(ctx.codes), sup, hp)
 
 

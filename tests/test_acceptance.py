@@ -139,7 +139,7 @@ def test_criterion_2_labelnet_gradient_fidelity():
                               bias=rng.normal(0, 0.2, classes))
         for weights in term_configs:
             hp = HyperParams(k_half=k, semantic_dim=sem, encoder_hidden=(4,), **weights)
-            outs = NetOutputs(r=r, v=None, u=omega)
+            outs = NetOutputs(r=r, u=omega)
             g = labelnet_grad(outs, head, s_bin, labels, hp)
 
             def loss():
@@ -362,7 +362,7 @@ def test_criterion_9_numerical_robustness():
     labels = labels_for_similarity(s_bin)
     head = ClassifierHead(weight=rng.normal(0, 0.4, (labels.shape[1], k)),
                           bias=np.zeros(labels.shape[1]))
-    outs = NetOutputs(r=big_r, v=big_v, u=np.tanh(big_v))
+    outs = NetOutputs(r=big_r, u=np.tanh(big_v))
     bd = batch_label_loss(outs.r, outs.u, head, labels, hp)
     g = labelnet_grad(outs, head, s_bin, labels, hp)
     fine &= np.isfinite(bd.total)

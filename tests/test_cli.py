@@ -170,6 +170,24 @@ class TestEncode:
         assert "finite" in capsys.readouterr().err
         assert list(out_dir.iterdir()) == []
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("kind, layer", [("weights", 1), ("biases", 0)])
+    def test_nonfinite_model_value_names_the_file(self, tmp_path, workspace, capsys,
+                                                  kind, layer, value):
+        _, data, model = workspace
+        bad_model = tmp_path / "model"
+        shutil.copytree(model, bad_model)
+        imgx = load_params(bad_model / "imgx.net")
+        getattr(imgx, kind)[layer][0] = value
+        save_params(bad_model / "imgx.net", imgx)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        assert main(["encode", "--model", str(bad_model),
+                     "--features", str(data / "train.adsqf"),
+                     "--out", str(out_dir / "db.adsqb")]) == 1
+        assert f"imgx.net: layer {layer} {kind} are not all finite" in capsys.readouterr().err
+        assert list(out_dir.iterdir()) == []
+
     def test_zero_width_hash_layer_fails_before_any_write(self, tmp_path, workspace, capsys):
         _, data, model = workspace
         bad_model = tmp_path / "model"

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import adsq.codes
 import adsq.encoder
 from adsq.codes import (PackedCodes, distances_to_all, encode_matrix, load_codes, pack,
-                        quantize_sign, search_topk, write_codes)
+                        quantize_sign, search_topk, sign_bits, write_codes)
 from adsq.encoder import forward, init_params
 from adsq.errors import FormatError
 from references import hamming_distance, unpack
@@ -31,6 +31,21 @@ class TestQuantize:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             quantize_sign([np.nan])
+
+
+class TestSignBits:
+    def test_matches_quantize_sign(self):
+        v = np.random.default_rng(3).normal(size=(50, 7))
+        v[0, :3] = 0.0
+        np.testing.assert_array_equal(sign_bits(v), quantize_sign(v) > 0)
+
+    def test_both_zeros_give_plus_one(self):
+        np.testing.assert_array_equal(sign_bits([0.0, -0.0]), [True, True])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            sign_bits(np.array([[0.5, bad]]))
 
 
 def reference_codes(x, px, py) -> PackedCodes:

@@ -8,7 +8,7 @@ from adsq.encoder import (EncoderParams, MomentumSGD, backward, forward, init_pa
                           load_params, save_params)
 from adsq.errors import ConfigError, FormatError, TrainingError
 from fdcheck import TOL, fd_grad, max_rel_error
-from netparams import same_params
+from netparams import copy_params, same_params
 
 
 def zero_width_model(layer, rows, cols) -> bytes:
@@ -25,7 +25,8 @@ def zero_width_model(layer, rows, cols) -> bytes:
 def probe_loss(params, x, coef_r, coef_v):
     """Scalar probe whose gradient enters exactly through the two slots."""
     outs = forward(params, x)
-    return float((coef_r * outs.r).sum() + (coef_v * outs.v).sum())
+    v = outs.r @ params.weights[-1].T + params.biases[-1]
+    return float((coef_r * outs.r).sum() + (coef_v * v).sum())
 
 
 class TestInit:
@@ -68,7 +69,7 @@ class TestForward:
         p = init_params([3, 6, 4, 2], seed=2)
         outs = forward(p, np.random.default_rng(1).normal(size=(20, 3)))
         assert np.all(np.abs(outs.u) < 1)
-        np.testing.assert_array_equal(outs.u, np.tanh(outs.v))
+        np.testing.assert_array_equal(outs.u, np.tanh(outs.r @ p.weights[-1].T + p.biases[-1]))
 
     def test_bitwise_repeatable(self):
         p = init_params([3, 5, 2], seed=3)
@@ -147,20 +148,20 @@ class TestSgd:
 
     def test_vanilla_step(self):
         p = init_params([3, 4, 2], seed=0)
-        before = p.copy()
+        before = copy_params(p)
         self._step(p, 0.5, lr=0.1, momentum=0.0)
         np.testing.assert_allclose(p.weights[0], before.weights[0] - 0.05, rtol=1e-12)
 
     def test_zero_grad_zero_velocity_no_change(self):
         p = init_params([3, 4, 2], seed=1)
-        before = p.copy()
+        before = copy_params(p)
         self._step(p, 0.0, lr=0.5, momentum=0.9)
         assert same_params(p, before)
 
     def test_two_momentum_steps_displace_2_9g(self):
         # v1 = g, v2 = 0.9 g + g; total displacement 2.9 g at lr = 1
         p = init_params([3, 4, 2], seed=2)
-        before = p.copy()
+        before = copy_params(p)
         g = 0.25
         opt = MomentumSGD(p.arrays, momentum=0.9, weight_decay=0.0)
         for _ in range(2):
@@ -177,7 +178,7 @@ class TestSgd:
 
     def test_wrong_gradient_count_changes_nothing(self):
         p = init_params([3, 4, 2], seed=4)
-        before = p.copy()
+        before = copy_params(p)
         opt = MomentumSGD(p.arrays, momentum=0.9, weight_decay=0.0)
         for grads in ([np.ones_like(a) for a in p.arrays[:-1]],
                       [np.ones_like(a) for a in p.arrays + [p.biases[-1]]]):
@@ -268,4 +269,14 @@ class TestModelFile:
         path = tmp_path / "z.net"
         path.write_bytes(zero_width_model(layer, rows, cols))
         with pytest.raises(FormatError, match=f"z.net: layer {layer} has zero width"):
+            load_params(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kind, layer", [("weights", 0), ("biases", 1)])
+    def test_nonfinite_value_names_file_and_layer(self, tmp_path, kind, layer, value):
+        p = init_params([3, 5, 4, 2], seed=12)
+        getattr(p, kind)[layer].flat[-1] = value
+        path = tmp_path / "bad.net"
+        save_params(path, p)
+        with pytest.raises(FormatError, match=f"bad.net: layer {layer} {kind} are not all finite"):
             load_params(path)

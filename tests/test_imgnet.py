@@ -16,7 +16,7 @@ from adsq.numerics import softplus_stable
 from fdcheck import (TOL, batch_dataset, batch_objective, fd_grad, labels_for_similarity,
                      max_rel_error, random_similarity)
 from labelsets import LABEL_SET_NAMES, hand_label_sets
-from netparams import same_params
+from netparams import copy_params, same_params
 from test_trainer import assert_label_row_matches_dense_reference
 
 VARIANTS = [Variant.FULL, Variant.NO_ASYM, Variant.NO_SEM, Variant.NO_BOTH]
@@ -230,7 +230,7 @@ def sgd(params, hp):
 
 def test_zero_epochs_no_change():
     ds, hp, params, sup, codes = wstep_setup()
-    before = params.copy()
+    before = copy_params(params)
     # no call at all is the 0-epoch case in the trainer; one epoch must move
     assert same_params(params, before)
     wstep_epoch(params, ds, codes, sup, hp,

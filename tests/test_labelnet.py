@@ -11,7 +11,7 @@ from adsq.labelnet import (ClassifierHead, binary_reg_value, cache_supervision, 
                            labelnet_grad, labelnet_loss, train_labelnet)
 from fdcheck import (TOL, batch_label_loss, fd_grad, labels_for_similarity, max_rel_error,
                      random_similarity)
-from netparams import same_params
+from netparams import copy_params, same_params
 
 K = 3
 SEM = 4
@@ -26,7 +26,7 @@ def hp_with(**kw):
 
 
 def outputs(r, omega):
-    return NetOutputs(r=np.asarray(r, dtype=np.float64), v=None,
+    return NetOutputs(r=np.asarray(r, dtype=np.float64),
                       u=np.asarray(omega, dtype=np.float64))
 
 
@@ -216,7 +216,7 @@ def full_set_loss(ds, hp, params, head):
 
 def test_zero_epochs_leaves_params_and_still_caches():
     ds, hp, params, head = phase_setup()
-    before = params.copy()
+    before = copy_params(params)
     sup = run_phase(ds, hp, params, head, epochs=0, lr=1e-3, seed=0)
     assert same_params(params, before)
     p = ds.patterns.counts.size

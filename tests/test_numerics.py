@@ -33,12 +33,6 @@ class TestSigmoid:
         x = np.linspace(-30, 30, 2001)
         assert np.all(np.diff(sigmoid_stable(x)) >= 0)
 
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError):
-            sigmoid_stable(float("nan"))
-        with pytest.raises(ValueError):
-            sigmoid_stable(np.array([1.0, np.inf]))
-
     @given(st.floats(-50, 50))
     def test_symmetry(self, x):
         """sigma(x) + sigma(-x) = 1."""
@@ -55,10 +49,6 @@ class TestSoftplus:
     def test_large_negative_asymptote(self):
         v = softplus_stable(-1000.0)
         assert 0.0 <= v <= 1e-300
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            softplus_stable(float("inf"))
 
     @settings(max_examples=200)
     @given(st.floats(-30, 30))
