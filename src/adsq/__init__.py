@@ -8,12 +8,12 @@ evaluation toolkit over compact Hamming codes.
 __version__ = "0.1.0"
 
 from .config import HyperParams, Variant, load_config
-from .data import Dataset, build_similarity, load_dataset
+from .data import Dataset, load_dataset
 from .errors import (AdsqError, ConfigError, DataError, FormatError, TrainingError)
 
 __all__ = [
     "__version__",
     "AdsqError", "ConfigError", "DataError", "FormatError", "TrainingError",
     "HyperParams", "Variant", "load_config",
-    "Dataset", "build_similarity", "load_dataset",
+    "Dataset", "load_dataset",
 ]

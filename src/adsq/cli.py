@@ -121,7 +121,8 @@ def cmd_encode(args) -> int:
     features = load_features(args.features)
     if features.shape[0] == 0:
         raise AdsqError(f"{args.features}: no rows to encode")
-    write_codes(args.out, encode_matrix(features, imgx, imgy))
+    names = [f"{path} on {args.features}" for path in img_paths]
+    write_codes(args.out, encode_matrix(features, imgx, imgy, names))
     _write_manifest(args.out + ".manifest.json", "encode",
                     {"model": os.path.basename(os.path.normpath(args.model))},
                     {}, [args.features, *img_paths], [args.out],

@@ -99,19 +99,28 @@ def quantize_sign(values) -> np.ndarray:
     return np.where(sign_bits(values), 1.0, -1.0)
 
 
-def encode_matrix(x, imgx_params: EncoderParams, imgy_params: EncoderParams) -> PackedCodes:
+def encode_matrix(x, imgx_params: EncoderParams, imgy_params: EncoderParams,
+                  names=("the x network", "the y network")) -> PackedCodes:
     """Packed row-wise codes of length 2*k_half for a feature matrix:
     x-network half first, each half the ``sign_bits`` of its network's u.
     Per ``encoder.row_slices`` block, the two networks' sign bits are joined
     and one ``packbits`` puts them into the n-row payload, so no n-row
-    float array is made beyond the features themselves."""
+    float array is made beyond the features themselves. Finite weights can
+    still overflow: an output that is not finite raises ValueError naming
+    its network by ``names``, with no numpy warning."""
     n = len(x)
     k_total = imgx_params.weights[-1].shape[0] + imgy_params.weights[-1].shape[0]
     payload = np.empty((n, (k_total + 7) // 8), dtype=np.uint8)
-    for rows in encoder.row_slices(n):
-        bits = np.hstack([sign_bits(encoder.forward(p, x[rows]).u)
-                          for p in (imgx_params, imgy_params)])
-        payload[rows] = np.packbits(bits, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows in encoder.row_slices(n):
+            bits = []
+            for name, p in zip(names, (imgx_params, imgy_params)):
+                u = encoder.forward(p, x[rows]).u
+                try:
+                    bits.append(sign_bits(u))
+                except ValueError as exc:
+                    raise ValueError(f"outputs of {name} are not finite") from exc
+            payload[rows] = np.packbits(np.hstack(bits), axis=1)
     return PackedCodes(n=n, k_total=k_total, payload=payload)
 
 
@@ -152,24 +161,23 @@ def search_topk(query_row, db: PackedCodes, k: int) -> np.ndarray:
     (probes at min, min + 1, min + 3, min + 7, ..., none past ``k_total``),
     then bisecting the last step: about 2 log2(cut - min + 1) + 1 passes
     over the n distances. The rows in the last passing probe's mask are
-    stable-sorted. Per call in us, full argsort / the bisection of
-    [0, k_total] this replaced / gallop, on 64-bit random codes and on
-    clustered ones (16 centres, 4 % of bits flipped, like trained codes);
-    gap is the median cut - min (2-vCPU Intel Xeon, numpy 2.4, warmed):
+    stable-sorted. Per call in us, full argsort / gallop, on 64-bit random
+    codes and on clustered ones (16 centres, 4 % of bits flipped, like trained
+    codes); gap is the median cut - min (2-vCPU Intel Xeon, numpy 2.4, warmed):
 
-        rows  k     gap  random              gap  clustered
-        1k    100    9    18 /   38 /   46    23    17 /   37 /   51
-        2k    100    7    25 /   46 /   50     4    22 /   39 /   37
-        4k    100    7    38 /   52 /   55     3    34 /   49 /   44
-        6.4k  100    6    33 /   35 /   37     2    49 /   57 /   50
-        8192  100    6    58 /   63 /   67     2    62 /   65 /   57
-        10k   100    6    71 /   70 /   73     2    75 /   74 /   65
-        20k   100    6   130 /   97 /   99     1   124 /   94 /   69
-        50k   100    5   314 /  190 /  193     1   195 /  119 /   99
-        100k  100    5   412 /  215 /  214     2   733 /  411 /  357
-        100k  n/8   12   633 /  527 /  570    24   688 /  574 /  677
-        100k  n/4   14   696 /  670 /  723    27   711 /  707 /  805
-        100k  n     34   673 / 1308 / 1420    43   746 / 1437 / 1574"""
+        rows  k     gap  random       gap  clustered
+        1k    100    9    18 /   46    23    17 /   51
+        2k    100    7    25 /   50     4    22 /   37
+        4k    100    7    38 /   55     3    34 /   44
+        6.4k  100    6    33 /   37     2    49 /   50
+        8192  100    6    58 /   67     2    62 /   57
+        10k   100    6    71 /   73     2    75 /   65
+        20k   100    6   130 /   99     1   124 /   69
+        50k   100    5   314 /  193     1   195 /   99
+        100k  100    5   412 /  214     2   733 /  357
+        100k  n/8   12   633 /  570    24   688 /  677
+        100k  n/4   14   696 /  723    27   711 /  805
+        100k  n     34   673 / 1420    43   746 / 1574"""
     if not 0 <= k <= db.n:
         raise ValueError(f"k={k} must lie in [0, {db.n}], the database size")
     dist = distances_to_all(query_row, db)

@@ -1,5 +1,5 @@
 """Datasets, the shared-label similarity rule, label patterns, and the two
-on-disk matrix formats.
+on-disk matrix formats. A ``Dataset`` checks its own values when made.
 
 Two items are similar iff some word of the AND of their packed label words
 is nonzero; ``share_labels`` is the one implementation of this rule. It
@@ -33,14 +33,32 @@ def _freeze(arr):
 
 @dataclass(frozen=True)
 class Dataset:
-    """Feature matrix plus aligned multi-hot label matrix."""
+    """Feature matrix plus aligned multi-hot label matrix, read-only. One
+    DataError names every fault of the values as given: unequal row counts,
+    a non-finite feature, a label not exactly 0 or 1, an all-zero label row."""
 
     features: np.ndarray  # n x dim, float64
     labels: np.ndarray    # n x classes, int8 in {0,1}
 
     def __post_init__(self):
-        object.__setattr__(self, "features", _freeze(np.asarray(self.features, dtype=np.float64)))
-        object.__setattr__(self, "labels", _freeze(np.asarray(self.labels, dtype=np.int8)))
+        features, labels = np.asarray(self.features, dtype=np.float64), np.asarray(self.labels)
+        n, problems = len(features), []
+        if n != len(labels):
+            problems.append(f"feature and label row counts differ: {n} vs {len(labels)}")
+        if not np.isfinite(features).all():
+            problems.append("features contain NaN or Inf")
+        binary = (labels == 0) | (labels == 1)
+        if not binary.all():
+            problems.append(f"labels contain entries outside {{0, 1}}: "
+                            f"{np.unique(labels[~binary]).tolist()[:10]}")
+        # any over each column of a transposed copy: numpy reduces short rows slowly
+        zero_rows = np.flatnonzero(~np.ascontiguousarray(labels.T).any(axis=0))
+        if zero_rows.size:
+            problems.append(f"all-zero label rows at indices {zero_rows.tolist()[:10]}")
+        if problems:
+            raise DataError("; ".join(problems))
+        object.__setattr__(self, "features", _freeze(features))
+        object.__setattr__(self, "labels", _freeze(np.asarray(labels, dtype=np.int8)))
 
     @property
     def n(self) -> int:
@@ -186,29 +204,4 @@ def load_labels(path) -> np.ndarray:
 
 
 def load_dataset(feature_path, label_path) -> Dataset:
-    features = load_features(feature_path)
-    labels = load_labels(label_path)
-    if features.shape[0] != labels.shape[0]:
-        raise DataError(
-            f"feature/label row mismatch: {features.shape[0]} vs {labels.shape[0]}")
-    return Dataset(features=features, labels=labels)
-
-
-def validate_dataset(dataset: Dataset, hp=None) -> list:
-    """Collect every invariant violation; never aborts on the first."""
-    report = []
-    n = dataset.n
-    if n < 2:
-        report.append(f"n >= 2 required, got n={n}")
-    if dataset.labels.shape[0] != n:
-        report.append("feature and label row counts differ")
-    if not np.all(np.isfinite(dataset.features)):
-        report.append("features contain NaN or Inf")
-    if not np.isin(dataset.labels, (0, 1)).all():
-        report.append("labels contain entries outside {0, 1}")
-    elif np.any(dataset.labels.sum(axis=1) == 0):
-        rows = np.flatnonzero(dataset.labels.sum(axis=1) == 0)
-        report.append(f"all-zero label rows at indices {rows.tolist()[:10]}")
-    if hp is not None and n < hp.batch_size:
-        report.append(f"n >= batch_size required, got n={n} < batch_size={hp.batch_size}")
-    return report
+    return Dataset(features=load_features(feature_path), labels=load_labels(label_path))

@@ -27,7 +27,7 @@ from .bstep import CodeMatrix
 from .config import HyperParams
 from .data import Dataset, LabelPatterns
 from .encoder import EncoderParams, MomentumSGD, NetOutputs, backward, forward
-from .labelnet import LabelSupervision, iter_batches, pair_residual, pairwise_nll
+from .labelnet import iter_batches, pair_residual, pairwise_nll
 from .numerics import check_finite
 
 
@@ -59,12 +59,12 @@ class ImgLossBreakdown:
         return self.sem_pair + self.code_pair + self.quant + self.balance + self.asym
 
 
-def make_context(batch, outs, sup: LabelSupervision, code_matrix: CodeMatrix,
+def make_context(batch, outs, sup: NetOutputs, code_matrix: CodeMatrix,
                  patterns: LabelPatterns) -> ImgBatchContext:
     """Batch context; ``patterns`` are those of the full training labels."""
     pid = patterns.ids[batch]
-    return ImgBatchContext(u=outs.u, r_img=outs.r, r_sup=sup.r_l[pid],
-                           w_sup=sup.omega_l[pid], codes=code_matrix.codes[batch],
+    return ImgBatchContext(u=outs.u, r_img=outs.r, r_sup=sup.r[pid],
+                           w_sup=sup.u[pid], codes=code_matrix.codes[batch],
                            sim_binary=patterns.block(batch))
 
 
@@ -95,7 +95,7 @@ def imgnet_grads(ctx: ImgBatchContext, hp: HyperParams):
 
 
 def wstep_epoch(params: EncoderParams, dataset: Dataset, code_matrix: CodeMatrix,
-                sup: LabelSupervision, hp: HyperParams, *, lr: float, rng,
+                sup: NetOutputs, hp: HyperParams, *, lr: float, rng,
                 optimizer: MomentumSGD) -> None:
     """One epoch of weight updates with the discrete codes held fixed: per
     step one forward pass and the batch gradients, no objective value.
@@ -107,7 +107,7 @@ def wstep_epoch(params: EncoderParams, dataset: Dataset, code_matrix: CodeMatrix
 
 
 def full_objective(outs: NetOutputs, dataset: Dataset, code_matrix: CodeMatrix,
-                   sup: LabelSupervision, hp: HyperParams) -> ImgLossBreakdown:
+                   sup: NetOutputs, hp: HyperParams) -> ImgLossBreakdown:
     """Whole-training-set objective (a single batch spanning every item) of
     the network whose full-set outputs are ``outs``; one forward pass serves
     every call made with the same weights.
@@ -127,9 +127,9 @@ def full_objective(outs: NetOutputs, dataset: Dataset, code_matrix: CodeMatrix,
 
     v = hp.variant
     return ImgLossBreakdown(
-        sem_pair=check_finite(hp.alpha * pairwise_nll(sup.r_l, outs.r, pat, "sem_pair"),
+        sem_pair=check_finite(hp.alpha * pairwise_nll(sup.r, outs.r, pat, "sem_pair"),
                               "sem_pair term") if v.keeps_sem else 0.0,
-        code_pair=check_finite(hp.beta * pairwise_nll(sup.omega_l, u, pat, "code_pair"),
+        code_pair=check_finite(hp.beta * pairwise_nll(sup.u, u, pat, "code_pair"),
                                "code_pair term"),
         quant=check_finite(hp.eta * float(((u - codes)**2).sum()), "quant term"),
         balance=check_finite(hp.nu * float((u.sum(axis=0)**2).sum()), "balance term"),

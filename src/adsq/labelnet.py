@@ -13,7 +13,7 @@ terms over all ordered pairs of distinct items (i != j):
 per label pattern; ``labelnet_grad`` is its exact gradient with one batch
 taken as the whole set. ``pairwise_nll`` is the value of every pairwise
 likelihood term, here and in the image objective, summed over the row
-blocks of ``LabelPatterns.row_blocks``. The trained outputs are
+blocks of ``LabelPatterns.row_blocks``. The trained ``NetOutputs`` are
 cached per label pattern as fixed supervision for the image networks.
 """
 
@@ -46,16 +46,6 @@ def init_head(num_classes: int, k_half: int, seed) -> ClassifierHead:
 
 
 @dataclass
-class LabelSupervision:
-    """Cached label-network outputs, one row per label pattern: the network
-    sees only the label row, so every item of pattern a has row a (item i
-    reads row ``patterns.ids[i]`` of its dataset's ``LabelPatterns``)."""
-
-    r_l: np.ndarray      # p x semantic_dim
-    omega_l: np.ndarray  # p x k_half
-
-
-@dataclass
 class LabelLossBreakdown:
     """Weighted term contributions; they sum to ``total``."""
 
@@ -67,14 +57,6 @@ class LabelLossBreakdown:
     @property
     def total(self) -> float:
         return self.sem_pair + self.code_pair + self.binary_reg + self.classify
-
-
-@dataclass
-class LabelGrads:
-    r: np.ndarray
-    omega: np.ndarray
-    head_weight: np.ndarray
-    head_bias: np.ndarray
 
 
 def pairwise_nll(sup_pat, img, pat: LabelPatterns, what) -> float:
@@ -109,11 +91,11 @@ def binary_reg_value(omega, literal: bool, counts) -> float:
     return float((counts[:, None] * dist).sum())
 
 
-def labelnet_loss(sup: LabelSupervision, head: ClassifierHead, patterns: LabelPatterns,
+def labelnet_loss(sup: NetOutputs, head: ClassifierHead, patterns: LabelPatterns,
                   hp: HyperParams) -> LabelLossBreakdown:
     """Loss over all items of ``patterns`` from the per-pattern outputs ``sup``;
     pattern a counts counts[a] times and its label row is its target."""
-    r, omega, counts, ids = sup.r_l, sup.omega_l, patterns.counts, patterns.ids
+    r, omega, counts, ids = sup.r, sup.u, patterns.counts, patterns.ids
     sem = check_finite(hp.alpha * pairwise_nll(r, r[ids], patterns, "sem_pair"), "sem_pair term")
     code = check_finite(hp.beta * pairwise_nll(omega, omega[ids], patterns, "code_pair"),
                         "code_pair term")
@@ -128,10 +110,9 @@ def labelnet_loss(sup: LabelSupervision, head: ClassifierHead, patterns: LabelPa
                               classify=classify)
 
 
-def labelnet_grad(outs: NetOutputs, head: ClassifierHead, sim_binary, labels,
-                  hp: HyperParams) -> LabelGrads:
-    """Exact gradients of ``labelnet_loss``, the batch taken as the whole set,
-    w.r.t. r rows, code rows, and head; the loss itself is never evaluated.
+def labelnet_grad(outs: NetOutputs, head: ClassifierHead, sim_binary, labels, hp: HyperParams):
+    """Exact gradients of ``labelnet_loss``, the batch taken as the whole set:
+    (g_r, g_omega, [g_head_weight, g_head_bias]); the loss is never evaluated.
 
     The binary regularizer uses the subgradient convention that its slope
     is 0 exactly at |entry| = 1 (and at 0 in the literal form's kink).
@@ -153,9 +134,7 @@ def labelnet_grad(outs: NetOutputs, head: ClassifierHead, sim_binary, labels,
     resid = head.predict(omega) - np.asarray(labels, dtype=np.float64)
     d = 2.0 * hp.delta * resid
     g_omega = g_omega + d @ head.weight
-    g_head_w = d.T @ omega
-    g_head_b = d.sum(axis=0)
-    return LabelGrads(r=g_r, omega=g_omega, head_weight=g_head_w, head_bias=g_head_b)
+    return g_r, g_omega, [d.T @ omega, d.sum(axis=0)]
 
 
 def iter_batches(n, batch_size, rng):
@@ -169,30 +148,28 @@ def iter_batches(n, batch_size, rng):
 
 def train_labelnet(params: EncoderParams, head: ClassifierHead, dataset: Dataset,
                    hp: HyperParams, *, epochs: int, lr: float, rng,
-                   optimizer: MomentumSGD) -> LabelSupervision:
+                   optimizer: MomentumSGD) -> NetOutputs:
     """Run ``epochs`` of minibatch SGD (per step one forward pass, the loss
     gradients, no loss value), then return the supervision cached from the
     final parameters over the full training set. ``optimizer`` owns
     ``params.arrays + [head.weight, head.bias]`` and updates them in place."""
-    labels_f = dataset.labels.astype(np.float64)
     for _ in range(epochs):
         for batch in iter_batches(dataset.n, hp.batch_size, rng):
-            x = labels_f[batch]
-            s_bin = dataset.patterns.block(batch)
+            x = dataset.labels[batch]
             outs = forward(params, x, keep_hidden=True)
-            grads = labelnet_grad(outs, head, s_bin, x, hp)
-            upstream_v = grads.omega * (1.0 - outs.u**2)
-            optimizer.step(backward(params, outs, grads.r, upstream_v)
-                           + [grads.head_weight, grads.head_bias], lr)
+            g_r, g_omega, g_head = labelnet_grad(outs, head, dataset.patterns.block(batch), x, hp)
+            optimizer.step(backward(params, outs, g_r, g_omega * (1.0 - outs.u**2)) + g_head, lr)
 
     return cache_supervision(params, dataset)
 
 
-def cache_supervision(params: EncoderParams, dataset: Dataset) -> LabelSupervision:
-    """The label network's per-pattern outputs over ``dataset``'s patterns."""
+def cache_supervision(params: EncoderParams, dataset: Dataset) -> NetOutputs:
+    """The image networks' supervision: the label network's outputs, one row
+    per label pattern, as the network sees only the label row (item i reads
+    row ``patterns.ids[i]`` of ``dataset``'s ``LabelPatterns``)."""
     # Taken from the blocked n-row forward, whose GEMMs give equal rows for
     # equal label rows, so a gather by pattern id reproduces it exactly; a
     # forward over the p pattern rows blocks the GEMM differently and rounds apart.
     outs = forward_rows(params, dataset.labels)
     first = dataset.patterns.first
-    return LabelSupervision(r_l=outs.r[first], omega_l=outs.u[first])
+    return NetOutputs(r=outs.r[first], u=outs.u[first])

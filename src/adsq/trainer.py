@@ -17,7 +17,7 @@ import numpy as np
 from .bstep import CodeMatrix, bstep_sweep
 from .codes import pack, quantize_sign, write_codes
 from .config import HyperParams, Variant
-from .data import Dataset, validate_dataset
+from .data import Dataset
 from .encoder import MomentumSGD, forward_rows, init_params, save_params
 from .errors import DataError, TrainingError
 from .fileio import write_csv
@@ -95,9 +95,9 @@ def train(dataset: Dataset, hp: HyperParams) -> TrainState:
     """Run the full alternating procedure; see the module docstring."""
     symmetric = hp.variant is Variant.SYMMETRIC
 
-    problems = validate_dataset(dataset, hp)
-    if problems:
-        raise DataError("; ".join(problems))
+    if dataset.n < hp.batch_size:
+        raise DataError(f"n >= batch_size required, got n={dataset.n} < "
+                        f"batch_size={hp.batch_size}")
 
     label_dims = [dataset.num_classes, *hp.encoder_hidden, hp.semantic_dim, hp.k_half]
     img_dims = [dataset.dim, *hp.encoder_hidden, hp.semantic_dim, hp.k_half]

@@ -8,7 +8,7 @@ from adsq.bstep import CodeMatrix
 from adsq.data import Dataset, LabelPatterns
 from adsq.encoder import NetOutputs
 from adsq.imgnet import full_objective
-from adsq.labelnet import LabelSupervision, labelnet_loss
+from adsq.labelnet import labelnet_loss
 
 STEP = 1e-6
 TOL = 1e-5
@@ -78,7 +78,7 @@ def batch_objective(ctx, hp, dataset=None):
     as patterns come sorted by key, not in item order."""
     dataset = batch_dataset(ctx.sim_binary) if dataset is None else dataset
     first = dataset.patterns.first
-    sup = LabelSupervision(r_l=ctx.r_sup[first], omega_l=ctx.w_sup[first])
+    sup = NetOutputs(r=ctx.r_sup[first], u=ctx.w_sup[first])
     return full_objective(NetOutputs(r=ctx.r_img, u=ctx.u), dataset,
                           CodeMatrix(ctx.codes), sup, hp)
 
@@ -89,5 +89,5 @@ def batch_label_loss(r, omega, head, labels, hp):
     of one label pattern must share their rows. The supervision is gathered
     per pattern, as in ``batch_objective``."""
     pat = LabelPatterns(labels)
-    sup = LabelSupervision(r_l=r[pat.first], omega_l=omega[pat.first])
+    sup = NetOutputs(r=r[pat.first], u=omega[pat.first])
     return labelnet_loss(sup, head, pat, hp)

@@ -140,14 +140,13 @@ def test_criterion_2_labelnet_gradient_fidelity():
         for weights in term_configs:
             hp = HyperParams(k_half=k, semantic_dim=sem, encoder_hidden=(4,), **weights)
             outs = NetOutputs(r=r, u=omega)
-            g = labelnet_grad(outs, head, s_bin, labels, hp)
+            g_r, g_omega, g_head = labelnet_grad(outs, head, s_bin, labels, hp)
 
             def loss():
                 return batch_label_loss(r, omega, head, labels, hp).total
 
-            for arr, analytic in ((r, g.r), (omega, g.omega),
-                                  (head.weight, g.head_weight),
-                                  (head.bias, g.head_bias)):
+            for arr, analytic in zip((r, omega, head.weight, head.bias),
+                                     (g_r, g_omega, *g_head), strict=True):
                 fd = fd_grad(loss, arr)
                 if np.any(fd) or np.any(analytic):
                     worst = max(worst, max_rel_error(analytic, fd))
@@ -364,10 +363,9 @@ def test_criterion_9_numerical_robustness():
                           bias=np.zeros(labels.shape[1]))
     outs = NetOutputs(r=big_r, u=np.tanh(big_v))
     bd = batch_label_loss(outs.r, outs.u, head, labels, hp)
-    g = labelnet_grad(outs, head, s_bin, labels, hp)
+    g_r, g_omega, g_head = labelnet_grad(outs, head, s_bin, labels, hp)
     fine &= np.isfinite(bd.total)
-    fine &= bool(all(np.all(np.isfinite(a))
-                     for a in (g.r, g.omega, g.head_weight, g.head_bias)))
+    fine &= bool(all(np.all(np.isfinite(a)) for a in (g_r, g_omega, *g_head)))
     report(9, "numerical robustness", bool(fine),
            "all loss terms and gradients finite at |pre-activation| = 1e3")
     assert fine

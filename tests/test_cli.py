@@ -1,6 +1,7 @@
 import csv
 import json
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -187,6 +188,29 @@ class TestEncode:
                      "--out", str(out_dir / "db.adsqb")]) == 1
         assert f"imgx.net: layer {layer} {kind} are not all finite" in capsys.readouterr().err
         assert list(out_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("name", ["imgx.net", "imgy.net"])
+    def test_overflowing_model_names_the_file(self, tmp_path, workspace, capsys, name):
+        """Finite weights that overflow in use fail naming the model file and
+        the features file, with no numpy warning and nothing written."""
+        _, data, model = workspace
+        bad_model = tmp_path / "model"
+        shutil.copytree(model, bad_model)
+        params = load_params(bad_model / name)
+        params.weights[0][0] = 1e308
+        save_params(bad_model / name, params)
+        out = tmp_path / "db.adsqb"
+        features = data / "train.adsqf"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["encode", "--model", str(bad_model), "--features", str(features),
+                         "--out", str(out)])
+        assert code == 1
+        assert caught == []
+        err = capsys.readouterr().err
+        assert f"outputs of {bad_model / name} on {features} are not finite" in err
+        assert "RuntimeWarning" not in err
+        assert list(tmp_path.glob("db.adsqb*")) == []
 
     def test_zero_width_hash_layer_fails_before_any_write(self, tmp_path, workspace, capsys):
         _, data, model = workspace

@@ -5,10 +5,11 @@ from hypothesis import strategies as st
 
 import adsq.data
 from adsq.config import HyperParams
-from adsq.data import (Dataset, LabelPatterns, build_similarity, load_features,
-                       load_labels, pack_label_words, validate_dataset, write_features,
+from adsq.data import (Dataset, LabelPatterns, build_similarity, load_dataset,
+                       load_features, load_labels, pack_label_words, write_features,
                        write_labels, FEATURE_MAGIC, LABEL_MAGIC)
 from adsq.errors import DataError, FormatError
+from adsq.trainer import train
 from labelsets import LABEL_SET_NAMES, hand_label_sets
 
 
@@ -286,29 +287,55 @@ def _tiny_hp(**kw):
 
 
 def test_validate_clean_dataset():
-    ds = Dataset(features=np.random.default_rng(0).normal(size=(10, 3)),
-                 labels=random_labels(0, 10, 2))
-    assert validate_dataset(ds, _tiny_hp(batch_size=4)) == []
+    feats = np.random.default_rng(0).normal(size=(10, 3))
+    labels = random_labels(0, 10, 2)
+    ds = Dataset(features=feats, labels=labels.astype(np.float64))
+    assert ds.labels.dtype == np.int8 and ds.features.dtype == np.float64
+    np.testing.assert_array_equal(ds.labels, labels)
+    np.testing.assert_array_equal(ds.features, feats)
 
 
 def test_validate_single_item():
+    """One item is a legal Dataset (the objective can be evaluated on it),
+    but too few rows to train on."""
     ds = Dataset(features=np.zeros((1, 3)), labels=np.ones((1, 2), dtype=np.int8))
-    report = validate_dataset(ds)
-    assert any("n >= 2" in v for v in report)
+    assert ds.n == 1
+    with pytest.raises(DataError, match=r"n >= batch_size required, got n=1 < batch_size=2"):
+        train(ds, _tiny_hp(batch_size=2))
 
 
 def test_validate_batch_larger_than_n():
     ds = Dataset(features=np.zeros((10, 3)), labels=random_labels(1, 10, 2))
-    report = validate_dataset(ds, _tiny_hp(batch_size=32))
-    assert any("batch_size" in v for v in report)
+    with pytest.raises(DataError, match=r"got n=10 < batch_size=32"):
+        train(ds, _tiny_hp(batch_size=32))
 
 
 def test_validate_collects_multiple_violations():
-    feats = np.zeros((1, 3))
+    """Five faults, one DataError that names each of them."""
+    feats = np.zeros((2, 3))
     feats[0, 0] = np.nan
-    ds = Dataset(features=feats, labels=np.zeros((1, 2), dtype=np.int8))
-    report = validate_dataset(ds, _tiny_hp(batch_size=8))
-    assert len(report) >= 3  # n, NaN, zero row (and batch) all reported
+    labels = [[257, 0], [0.5, 1], [0, 0]]
+    with pytest.raises(DataError) as err:
+        Dataset(features=feats, labels=labels)
+    problems = str(err.value).split("; ")
+    assert problems == ["feature and label row counts differ: 2 vs 3",
+                        "features contain NaN or Inf",
+                        "labels contain entries outside {0, 1}: [0.5, 257.0]",
+                        "all-zero label rows at indices [2]"]
+
+
+@pytest.mark.parametrize("bad", [257, 0.5, -1, 2], ids=["257", "0.5", "-1", "2"])
+def test_labels_are_checked_before_their_int8_cast(bad):
+    """Cast to int8, an int64 257 would wrap to 1 and 0.5 would truncate to 0."""
+    with pytest.raises(DataError, match=r"labels contain entries outside \{0, 1\}"):
+        Dataset(features=np.zeros((3, 1)), labels=np.array([[bad, 0], [0, 1], [1, 1]]))
+
+
+def test_load_dataset_refuses_row_mismatch(tmp_path):
+    write_features(tmp_path / "f.adsqf", np.zeros((4, 2)))
+    write_labels(tmp_path / "l.adsql", np.ones((5, 2), dtype=np.uint8))
+    with pytest.raises(DataError, match="^feature and label row counts differ: 4 vs 5$"):
+        load_dataset(tmp_path / "f.adsqf", tmp_path / "l.adsql")
 
 
 def test_dataset_arrays_read_only():

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -16,8 +17,11 @@ def digests():
 
 
 def test_fixture_digests_repeat_and_compare_flags_a_change(digests, tmp_path, capsys):
-    first = digests.digests(tmp_path / "a", ["fixture"])
-    second = digests.digests(tmp_path / "b", ["fixture"])
+    # the normal synth -> train -> encode -> eval path raises no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        first = digests.digests(tmp_path / "a", ["fixture"])
+        second = digests.digests(tmp_path / "b", ["fixture"])
     assert first == second
     assert "fixture-7/model/train_log.csv" in first
     assert "fixture-7/db.adsqb" in first

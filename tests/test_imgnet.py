@@ -8,10 +8,9 @@ import adsq.labelnet
 from adsq.bstep import CodeMatrix
 from adsq.config import HyperParams, Variant
 from adsq.data import Dataset, LabelPatterns, build_similarity
-from adsq.encoder import MomentumSGD, forward, init_params
+from adsq.encoder import MomentumSGD, NetOutputs, forward, init_params
 from adsq.errors import TrainingError
 from adsq.imgnet import ImgBatchContext, full_objective, imgnet_grads, make_context, wstep_epoch
-from adsq.labelnet import LabelSupervision
 from adsq.numerics import softplus_stable
 from fdcheck import (TOL, batch_dataset, batch_objective, fd_grad, labels_for_similarity,
                      max_rel_error, random_similarity)
@@ -220,8 +219,7 @@ def wstep_setup(seed=0, n=30, dim=6, k=3, sem=4):
 def random_supervision(rng, ds, sem, k):
     """Random label-network outputs, one row per label pattern of ``ds``."""
     p = ds.patterns.counts.size
-    return LabelSupervision(r_l=rng.normal(0, 1, (p, sem)),
-                            omega_l=np.tanh(rng.normal(0, 1, (p, k))))
+    return NetOutputs(r=rng.normal(0, 1, (p, sem)), u=np.tanh(rng.normal(0, 1, (p, k))))
 
 
 def sgd(params, hp):
@@ -264,8 +262,8 @@ def test_make_context_aligns_rows():
     outs = forward(params, ds.features[batch])
     ctx = make_context(batch, outs, sup, codes, ds.patterns)
     np.testing.assert_array_equal(ctx.codes, codes.codes[batch])
-    np.testing.assert_array_equal(ctx.r_sup, sup.r_l[ds.patterns.ids[batch]])
-    np.testing.assert_array_equal(ctx.w_sup, sup.omega_l[ds.patterns.ids[batch]])
+    np.testing.assert_array_equal(ctx.r_sup, sup.r[ds.patterns.ids[batch]])
+    np.testing.assert_array_equal(ctx.w_sup, sup.u[ds.patterns.ids[batch]])
     assert ctx.sim_binary.shape == (3, 3)
     np.testing.assert_array_equal(ctx.sim_binary, build_similarity(ds.labels[batch]))
 
@@ -299,8 +297,8 @@ def dense_full_objective(params, ds, codes, sup, hp):
         logits = 0.5 * (sup_rows @ img_rows.T)
         return float((np.logaddexp(0.0, logits) - s * logits)[off].sum())
 
-    return {"sem_pair": v.keeps_sem * hp.alpha * nll(sup.r_l, outs.r),
-            "code_pair": hp.beta * nll(sup.omega_l, u),
+    return {"sem_pair": v.keeps_sem * hp.alpha * nll(sup.r, outs.r),
+            "code_pair": hp.beta * nll(sup.u, u),
             "quant": hp.eta * float(((u - B)**2).sum()),
             "balance": hp.nu * float((u.sum(axis=0)**2).sum()),
             "asym": v.keeps_asym * float(((u @ B.T - B.shape[1] * (2 * s - 1))**2).sum())}
@@ -318,8 +316,7 @@ def assert_matches_dense_reference(name, variant):
     codes = CodeMatrix(np.where(rng.random((n, k)) < 0.5, -1.0, 1.0))
     got = full_objective(forward(params, ds.features), ds, codes, sup, hp)
     # the reference takes one supervision row per item
-    per_item = LabelSupervision(r_l=sup.r_l[ds.patterns.ids],
-                                omega_l=sup.omega_l[ds.patterns.ids])
+    per_item = NetOutputs(r=sup.r[ds.patterns.ids], u=sup.u[ds.patterns.ids])
     for term, want in dense_full_objective(params, ds, codes, per_item, hp).items():
         value = getattr(got, term)
         assert type(value) is float, term

@@ -122,26 +122,27 @@ class TestGradients:
         hp = hp_with(gamma=0.0, delta=0.0)
         head = ClassifierHead(np.zeros((CLASSES, K)), np.zeros(CLASSES))
         s_bin, _ = random_similarity(np.random.default_rng(0), 4)
-        g = labelnet_grad(outputs(np.zeros((4, SEM)), np.zeros((4, K))),
-                          head, s_bin, np.eye(4, CLASSES), hp)
-        assert np.all(g.r == 0)
-        assert np.all(g.omega == 0)
+        g_r, g_omega, _ = labelnet_grad(outputs(np.zeros((4, SEM)), np.zeros((4, K))),
+                                        head, s_bin, np.eye(4, CLASSES), hp)
+        assert np.all(g_r == 0)
+        assert np.all(g_omega == 0)
 
     def test_classify_gradient_is_linear_residual(self):
         hp = hp_with(alpha=0, beta=0, gamma=0, delta=1.0)
         r, omega, labels, head, s_bin = random_instance(2)
-        g = labelnet_grad(outputs(r, omega), head, s_bin, labels, hp)
+        _, _, (g_head_weight, g_head_bias) = labelnet_grad(outputs(r, omega), head, s_bin,
+                                                           labels, hp)
         resid = head.predict(omega) - labels
-        np.testing.assert_allclose(g.head_bias, 2 * resid.sum(axis=0), rtol=1e-12)
-        np.testing.assert_allclose(g.head_weight, 2 * resid.T @ omega, rtol=1e-12)
+        np.testing.assert_allclose(g_head_bias, 2 * resid.sum(axis=0), rtol=1e-12)
+        np.testing.assert_allclose(g_head_weight, 2 * resid.T @ omega, rtol=1e-12)
 
     def test_subgradient_zero_at_unit_codes(self):
         hp = hp_with(alpha=0, beta=0, gamma=1.0, delta=0)
         omega = np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, -1.0]])
-        g = labelnet_grad(outputs(np.zeros((2, SEM)), omega),
-                          ClassifierHead(np.zeros((CLASSES, K)), np.zeros(CLASSES)),
-                          np.ones((2, 2)), np.eye(2), hp)
-        assert np.all(g.omega == 0)
+        _, g_omega, _ = labelnet_grad(outputs(np.zeros((2, SEM)), omega),
+                                      ClassifierHead(np.zeros((CLASSES, K)), np.zeros(CLASSES)),
+                                      np.ones((2, 2)), np.eye(2), hp)
+        assert np.all(g_omega == 0)
 
     @pytest.mark.parametrize("weights", [
         dict(alpha=1, beta=0, gamma=0, delta=0),
@@ -157,13 +158,13 @@ class TestGradients:
         with the batch as the whole set."""
         hp = hp_with(**weights)
         r, omega, labels, head, s_bin = random_instance(seed)
-        g = labelnet_grad(outputs(r, omega), head, s_bin, labels, hp)
+        g_r, g_omega, g_head = labelnet_grad(outputs(r, omega), head, s_bin, labels, hp)
 
         def loss():
             return batch_label_loss(r, omega, head, labels, hp).total
 
-        for arr, analytic in ((r, g.r), (omega, g.omega),
-                              (head.weight, g.head_weight), (head.bias, g.head_bias)):
+        for arr, analytic in zip((r, omega, head.weight, head.bias), (g_r, g_omega, *g_head),
+                                 strict=True):
             assert max_rel_error(analytic, fd_grad(loss, arr)) <= TOL
 
 
@@ -220,11 +221,11 @@ def test_zero_epochs_leaves_params_and_still_caches():
     sup = run_phase(ds, hp, params, head, epochs=0, lr=1e-3, seed=0)
     assert same_params(params, before)
     p = ds.patterns.counts.size
-    assert sup.r_l.shape == (p, SEM) and sup.omega_l.shape == (p, K)
+    assert sup.r.shape == (p, SEM) and sup.u.shape == (p, K)
     # gathered by pattern id, the rows equal the n-row forward bit for bit
     outs = forward(params, ds.labels.astype(np.float64))
-    np.testing.assert_array_equal(sup.r_l[ds.patterns.ids], outs.r)
-    np.testing.assert_array_equal(sup.omega_l[ds.patterns.ids], outs.u)
+    np.testing.assert_array_equal(sup.r[ds.patterns.ids], outs.r)
+    np.testing.assert_array_equal(sup.u[ds.patterns.ids], outs.u)
 
 
 def test_fixed_seed_reproduces_trajectory():
@@ -236,7 +237,7 @@ def test_fixed_seed_reproduces_trajectory():
     (pa, ha, sa), (pb, hb, sb) = runs
     assert same_params(pa, pb)
     assert np.array_equal(ha.weight, hb.weight) and np.array_equal(ha.bias, hb.bias)
-    assert np.array_equal(sa.r_l, sb.r_l) and np.array_equal(sa.omega_l, sb.omega_l)
+    assert np.array_equal(sa.r, sb.r) and np.array_equal(sa.u, sb.u)
 
 
 def test_loss_descends_on_separable_toy():

@@ -127,7 +127,7 @@ def test_every_dataclass_field_is_read():
 # reason; both are also traced spans today, so they stay in the library
 TEST_REFERENCES = {
     "bstep_objective": "acceptance 3's dense reference for the B-step",
-    "build_similarity": "the dense reference for LabelPatterns, and a public export",
+    "build_similarity": "the dense reference for LabelPatterns",
 }
 
 

@@ -166,7 +166,7 @@ def one_epoch(phase, ds, hp):
 
 
 def _nan_head_weight(grads):
-    grads.head_weight[0, 0] = np.nan
+    grads[2][0][0, 0] = np.nan
     return grads
 
 
