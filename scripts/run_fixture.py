@@ -61,7 +61,8 @@ def main():
             metric = line.split(",")[0]
             if metric in ("metric", "map", "ph2"):
                 print(" ", line)
-    manifest = json.load(open(f"{args.out}/model/manifest.json"))
+    with open(f"{args.out}/model/manifest.json") as fh:
+        manifest = json.load(fh)
     print("  train wall-clock:", manifest["timings_s"]["train"], "s")
 
 

@@ -1,7 +1,7 @@
 """Discrete code optimization by cyclic coordinate descent over columns.
 
-With network outputs U fixed, the code matrix B (entries exactly +-1)
-minimizes
+With network outputs U fixed, the code matrix B, a plain n x k_half float64
+array with entries exactly +-1 updated in place, minimizes
 
     || U B^T - k_half * S_signed ||_F^2 + eta * || U - B ||_F^2
 
@@ -19,25 +19,11 @@ change is finite and non-positive, in O(n), instead of recomputing the
 O(n^2 k) objective; ``bstep_objective`` remains as the reference.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .config import HyperParams
 from .data import LabelPatterns
 from .errors import TrainingError
-
-
-@dataclass
-class CodeMatrix:
-    """Discrete codes, one row per training item; entries exactly +-1."""
-
-    codes: np.ndarray  # n x k_half, float64
-
-    def __post_init__(self):
-        self.codes = np.asarray(self.codes, dtype=np.float64)
-        if not np.isin(self.codes, (-1.0, 1.0)).all():
-            raise ValueError("code matrix entries must be exactly -1 or +1")
 
 
 def bstep_objective(U, B, sim_signed, k_half: int, eta: float) -> float:
@@ -55,12 +41,11 @@ def compute_P(U, patterns: LabelPatterns, hp: HyperParams) -> np.ndarray:
     return -2.0 * hp.k_half * patterns.signed(U) - 2.0 * hp.eta * U
 
 
-def update_column(code_matrix: CodeMatrix, c: int, U, P) -> np.ndarray:
-    """Replace column c with the exact minimizer over {-1,+1}^n, all other
-    columns fixed, given ``U`` and the sweep's ``P``. sign(0) = +1, so a zero
-    argument lands on -1 after the leading negation. Raises TrainingError if
-    the argument is non-finite or the update would raise the objective."""
-    B = code_matrix.codes
+def update_column(B, c: int, U, P) -> np.ndarray:
+    """Replace column c of ``B`` in place with the exact minimizer over {-1,+1}^n,
+    all other columns fixed, given ``U`` and the sweep's ``P``. sign(0) = +1, so
+    a zero argument lands on -1 after the leading negation. Raises TrainingError
+    if the argument is non-finite or the update would raise the objective."""
     k = B.shape[1]
     if not 0 <= c < k:
         raise IndexError(f"column index {c} out of range for {k} columns")
@@ -77,12 +62,12 @@ def update_column(code_matrix: CodeMatrix, c: int, U, P) -> np.ndarray:
     return B[:, c]
 
 
-def bstep_sweep(code_matrix: CodeMatrix, U, patterns: LabelPatterns,
-                hp: HyperParams) -> CodeMatrix:
-    """Update every column once, in ascending order; each update checks that
-    the objective does not increase (see ``update_column``)."""
+def bstep_sweep(B, U, patterns: LabelPatterns, hp: HyperParams) -> np.ndarray:
+    """Update every column of ``B`` once, in place and in ascending order;
+    each update checks that the objective does not increase (see
+    ``update_column``)."""
     U = np.asarray(U, dtype=np.float64)
     P = compute_P(U, patterns, hp)
-    for c in range(code_matrix.codes.shape[1]):
-        update_column(code_matrix, c, U, P)
-    return code_matrix
+    for c in range(B.shape[1]):
+        update_column(B, c, U, P)
+    return B

@@ -33,16 +33,23 @@ def _freeze(arr):
 
 @dataclass(frozen=True)
 class Dataset:
-    """Feature matrix plus aligned multi-hot label matrix, read-only. One
-    DataError names every fault of the values as given: unequal row counts,
-    a non-finite feature, a label not exactly 0 or 1, an all-zero label row."""
+    """Feature matrix plus aligned multi-hot label matrix. One DataError
+    names every fault of the values as given: an array that is not 2-D (then
+    nothing more), unequal row counts, a non-finite feature, a label not
+    exactly 0 or 1, an all-zero label row. Arrays already float64 / int8 are
+    kept without a copy and made read-only; a caller that keeps writing to
+    its arrays passes copies."""
 
     features: np.ndarray  # n x dim, float64
     labels: np.ndarray    # n x classes, int8 in {0,1}
 
     def __post_init__(self):
         features, labels = np.asarray(self.features, dtype=np.float64), np.asarray(self.labels)
-        n, problems = len(features), []
+        problems = [f"{name} must be 2-D, got shape {arr.shape}"
+                    for name, arr in (("features", features), ("labels", labels)) if arr.ndim != 2]
+        if problems:
+            raise DataError("; ".join(problems))
+        n = len(features)
         if n != len(labels):
             problems.append(f"feature and label row counts differ: {n} vs {len(labels)}")
         if not np.isfinite(features).all():

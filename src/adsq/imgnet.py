@@ -7,8 +7,10 @@ inner-product term runs over all pairs including i = j, anchoring each
 item's continuous output to its own discrete code. The balance term
 pushes every bit's column sum toward zero.
 
-``full_objective`` evaluates it for the diagnostics: its likelihood terms by
-``labelnet.pairwise_nll``, its asymmetric term by ``LabelPatterns.signed``.
+``full_objective`` evaluates it for the diagnostics and returns its weighted
+terms by name: its likelihood terms by ``labelnet.pairwise_nll``, its
+asymmetric term by ``LabelPatterns.signed``. The codes are the trainer's
+plain n x k_half float64 array of +-1.
 ``imgnet_grads`` is its exact gradient with one batch taken as the whole
 set; it enters the encoder at the hash pre-activation (quantization,
 balance, code-likelihood and asymmetric terms) and at the semantic layer
@@ -23,12 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bstep import CodeMatrix
 from .config import HyperParams
 from .data import Dataset, LabelPatterns
 from .encoder import EncoderParams, MomentumSGD, NetOutputs, backward, forward
 from .labelnet import iter_batches, pair_residual, pairwise_nll
-from .numerics import check_finite
+from .numerics import finite_terms
 
 
 @dataclass
@@ -43,28 +44,11 @@ class ImgBatchContext:
     sim_binary: np.ndarray  # batch x batch in {0,1}
 
 
-@dataclass
-class ImgLossBreakdown:
-    """Weighted term contributions; they sum to ``total``. Terms the
-    variant drops are reported as exactly 0.0 and are never computed."""
-
-    sem_pair: float
-    code_pair: float
-    quant: float
-    balance: float
-    asym: float
-
-    @property
-    def total(self) -> float:
-        return self.sem_pair + self.code_pair + self.quant + self.balance + self.asym
-
-
-def make_context(batch, outs, sup: NetOutputs, code_matrix: CodeMatrix,
-                 patterns: LabelPatterns) -> ImgBatchContext:
+def make_context(batch, outs, sup: NetOutputs, codes, patterns: LabelPatterns) -> ImgBatchContext:
     """Batch context; ``patterns`` are those of the full training labels."""
     pid = patterns.ids[batch]
     return ImgBatchContext(u=outs.u, r_img=outs.r, r_sup=sup.r[pid],
-                           w_sup=sup.u[pid], codes=code_matrix.codes[batch],
+                           w_sup=sup.u[pid], codes=codes[batch],
                            sim_binary=patterns.block(batch))
 
 
@@ -94,20 +78,19 @@ def imgnet_grads(ctx: ImgBatchContext, hp: HyperParams):
     return g_r, g_v
 
 
-def wstep_epoch(params: EncoderParams, dataset: Dataset, code_matrix: CodeMatrix,
-                sup: NetOutputs, hp: HyperParams, *, lr: float, rng,
-                optimizer: MomentumSGD) -> None:
+def wstep_epoch(params: EncoderParams, dataset: Dataset, codes, sup: NetOutputs,
+                hp: HyperParams, *, lr: float, rng, optimizer: MomentumSGD) -> None:
     """One epoch of weight updates with the discrete codes held fixed: per
     step one forward pass and the batch gradients, no objective value.
     ``optimizer`` owns ``params.arrays`` and updates them in place."""
     for batch in iter_batches(dataset.n, hp.batch_size, rng):
         outs = forward(params, dataset.features[batch], keep_hidden=True)
-        ctx = make_context(batch, outs, sup, code_matrix, dataset.patterns)
+        ctx = make_context(batch, outs, sup, codes, dataset.patterns)
         optimizer.step(backward(params, outs, *imgnet_grads(ctx, hp)), lr)
 
 
-def full_objective(outs: NetOutputs, dataset: Dataset, code_matrix: CodeMatrix,
-                   sup: NetOutputs, hp: HyperParams) -> ImgLossBreakdown:
+def full_objective(outs: NetOutputs, dataset: Dataset, codes, sup: NetOutputs,
+                   hp: HyperParams) -> dict:
     """Whole-training-set objective (a single batch spanning every item) of
     the network whose full-set outputs are ``outs``; one forward pass serves
     every call made with the same weights.
@@ -115,9 +98,9 @@ def full_objective(outs: NetOutputs, dataset: Dataset, code_matrix: CodeMatrix,
     The supervision side of each pairwise likelihood has one row per label
     pattern (see ``pairwise_nll``). The similarity enters the asymmetric
     term only through <U, S_signed B> = <U, ``pat.signed(B)``>. No n x n
-    array is made."""
-    pat = dataset.patterns
-    u, codes = outs.u, code_matrix.codes
+    array is made. Returns the weighted terms by name, in log-column order;
+    a term the variant drops is 0.0 and is never computed."""
+    pat, u = dataset.patterns, outs.u
     n, k = codes.shape
 
     def asym():
@@ -126,11 +109,9 @@ def full_objective(outs: NetOutputs, dataset: Dataset, code_matrix: CodeMatrix,
             - 2.0 * k * float((u * pat.signed(codes)).sum()) + float(k * k) * n * n
 
     v = hp.variant
-    return ImgLossBreakdown(
-        sem_pair=check_finite(hp.alpha * pairwise_nll(sup.r, outs.r, pat, "sem_pair"),
-                              "sem_pair term") if v.keeps_sem else 0.0,
-        code_pair=check_finite(hp.beta * pairwise_nll(sup.u, u, pat, "code_pair"),
-                               "code_pair term"),
-        quant=check_finite(hp.eta * float(((u - codes)**2).sum()), "quant term"),
-        balance=check_finite(hp.nu * float((u.sum(axis=0)**2).sum()), "balance term"),
-        asym=check_finite(asym(), "asym term") if v.keeps_asym else 0.0)
+    return finite_terms(
+        sem_pair=hp.alpha * pairwise_nll(sup.r, outs.r, pat, "sem_pair") if v.keeps_sem else 0.0,
+        code_pair=hp.beta * pairwise_nll(sup.u, u, pat, "code_pair"),
+        quant=hp.eta * float(((u - codes)**2).sum()),
+        balance=hp.nu * float((u.sum(axis=0)**2).sum()),
+        asym=asym() if v.keeps_asym else 0.0)

@@ -10,7 +10,7 @@ terms over all ordered pairs of distinct items (i != j):
   classify    squared error of the linear classifier readout vs true labels
 
 ``labelnet_loss`` is the loss over the whole training set, one output row
-per label pattern; ``labelnet_grad`` is its exact gradient with one batch
+per label pattern, returned as the four weighted terms by name; ``labelnet_grad`` is its exact gradient with one batch
 taken as the whole set. ``pairwise_nll`` is the value of every pairwise
 likelihood term, here and in the image objective, summed over the row
 blocks of ``LabelPatterns.row_blocks``. The trained ``NetOutputs`` are
@@ -24,7 +24,7 @@ import numpy as np
 from .config import HyperParams
 from .data import Dataset, LabelPatterns
 from .encoder import EncoderParams, MomentumSGD, NetOutputs, backward, forward, forward_rows
-from .numerics import check_finite, sigmoid_stable, softplus_stable
+from .numerics import check_finite, finite_terms, sigmoid_stable, softplus_stable
 
 
 @dataclass
@@ -43,20 +43,6 @@ def init_head(num_classes: int, k_half: int, seed) -> ClassifierHead:
     bound = np.sqrt(6.0 / (num_classes + k_half))
     return ClassifierHead(weight=rng.uniform(-bound, bound, size=(num_classes, k_half)),
                           bias=np.zeros(num_classes))
-
-
-@dataclass
-class LabelLossBreakdown:
-    """Weighted term contributions; they sum to ``total``."""
-
-    sem_pair: float
-    code_pair: float
-    binary_reg: float
-    classify: float
-
-    @property
-    def total(self) -> float:
-        return self.sem_pair + self.code_pair + self.binary_reg + self.classify
 
 
 def pairwise_nll(sup_pat, img, pat: LabelPatterns, what) -> float:
@@ -92,22 +78,18 @@ def binary_reg_value(omega, literal: bool, counts) -> float:
 
 
 def labelnet_loss(sup: NetOutputs, head: ClassifierHead, patterns: LabelPatterns,
-                  hp: HyperParams) -> LabelLossBreakdown:
+                  hp: HyperParams) -> dict:
     """Loss over all items of ``patterns`` from the per-pattern outputs ``sup``;
-    pattern a counts counts[a] times and its label row is its target."""
+    pattern a counts counts[a] times and its label row is its target. Returns
+    the weighted terms by name, in log-column order."""
     r, omega, counts, ids = sup.r, sup.u, patterns.counts, patterns.ids
-    sem = check_finite(hp.alpha * pairwise_nll(r, r[ids], patterns, "sem_pair"), "sem_pair term")
-    code = check_finite(hp.beta * pairwise_nll(omega, omega[ids], patterns, "code_pair"),
-                        "code_pair term")
-    # each item appears in 2*(n-1) ordered-pair slots
-    reg = check_finite(
-        hp.gamma * 2.0 * (ids.size - 1) * binary_reg_value(omega, hp.j3_literal, counts),
-        "binary_reg term")
     resid2 = (head.predict(omega) - patterns.rows)**2
-    classify = check_finite(hp.delta * float((counts[:, None] * resid2).sum()),
-                            "classify term")
-    return LabelLossBreakdown(sem_pair=sem, code_pair=code, binary_reg=reg,
-                              classify=classify)
+    return finite_terms(
+        sem_pair=hp.alpha * pairwise_nll(r, r[ids], patterns, "sem_pair"),
+        code_pair=hp.beta * pairwise_nll(omega, omega[ids], patterns, "code_pair"),
+        # each item appears in 2*(n-1) ordered-pair slots
+        binary_reg=hp.gamma * 2.0 * (ids.size - 1) * binary_reg_value(omega, hp.j3_literal, counts),
+        classify=hp.delta * float((counts[:, None] * resid2).sum()))
 
 
 def labelnet_grad(outs: NetOutputs, head: ClassifierHead, sim_binary, labels, hp: HyperParams):

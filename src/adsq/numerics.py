@@ -1,10 +1,11 @@
-"""Numerically stable elementwise kernels and the finiteness guard shared by
-all loss terms.
+"""Numerically stable elementwise kernels and the finiteness guards shared
+by all loss terms.
 
 The kernels take float64 arrays that ``check_finite`` has passed, as every
 loss term's logits do, and check nothing themselves. Outputs stay finite
 for any finite input, including |x| in the thousands where the naive
-formulas overflow.
+formulas overflow. ``finite_terms`` checks an objective's weighted terms,
+given by name in log-column order.
 """
 
 import numpy as np
@@ -24,6 +25,14 @@ def check_finite(value, what):
     if not np.all(np.isfinite(value)):
         raise TrainingError(f"non-finite {what}")
     return value
+
+
+def finite_terms(**terms):
+    """Return ``terms``; raise TrainingError("non-finite <name> term") for
+    the first term, in the given order, that is NaN or Inf."""
+    for name, value in terms.items():
+        check_finite(value, f"{name} term")
+    return terms
 
 
 def sigmoid_stable(x):

@@ -4,9 +4,11 @@ updates and discrete code updates for both image networks.
 Per outer round: (optionally) refresh the label network and its cached
 supervision, run ``t_img`` weight epochs per image network with codes
 fixed, then one coordinate-descent sweep of each code matrix with weights
-fixed. The learning rate walks a geometric grid, one point per round,
-clamped at the last point. In the symmetric variant a single image
-network backs both halves of the final code.
+fixed; each code matrix is a plain float64 array of +-1, updated in place.
+Each phase logs one ``log_row`` of the terms its objective returns by name.
+The learning rate walks a geometric grid, one point per round, clamped at
+the last point. In the symmetric variant a single image network backs both
+halves of the final code.
 """
 
 import os
@@ -14,7 +16,7 @@ from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
-from .bstep import CodeMatrix, bstep_sweep
+from .bstep import bstep_sweep
 from .codes import pack, quantize_sign, write_codes
 from .config import HyperParams, Variant
 from .data import Dataset
@@ -54,7 +56,13 @@ class LogRow:
     j2: float
     j3: float
     j4: float
-    asym: float
+    asym: float = 0.0
+
+
+def log_row(rnd, phase, terms) -> LogRow:
+    """One log row from an objective's weighted terms, given in log-column
+    order (``labelnet_loss`` fills j1..j4, ``full_objective`` also asym)."""
+    return LogRow(rnd, phase, sum(terms.values()), *terms.values())
 
 
 @dataclass
@@ -62,8 +70,8 @@ class TrainState:
     label_params: object
     imgx_params: object
     imgy_params: object
-    codes_x: CodeMatrix
-    codes_y: CodeMatrix
+    codes_x: np.ndarray  # n x k_half float64, entries +-1
+    codes_y: np.ndarray
     supervision: object
     rounds_run: int = 0
     history: list = field(default_factory=list)
@@ -82,13 +90,6 @@ def convergence_check(history, tol: float = CONVERGENCE_TOL,
         if rel >= tol:
             return False
     return True
-
-
-def _label_breakdown_row(rnd, dataset, sup, head, hp) -> LogRow:
-    """Full-set label loss over the per-pattern supervision ``sup``."""
-    bd = labelnet_loss(sup, head, dataset.patterns, hp)
-    return LogRow(rnd, "label", bd.total, bd.sem_pair, bd.code_pair,
-                  bd.binary_reg, bd.classify, 0.0)
 
 
 def train(dataset: Dataset, hp: HyperParams) -> TrainState:
@@ -132,12 +133,11 @@ def train(dataset: Dataset, hp: HyperParams) -> TrainState:
         state.supervision = train_labelnet(label_params, head, dataset, hp,
                                            epochs=hp.t_label, lr=lr, rng=label_rng,
                                            optimizer=opt_label)
-        state.log_rows.append(_label_breakdown_row(rnd, dataset, state.supervision, head, hp))
+        state.log_rows.append(log_row(rnd, "label", labelnet_loss(
+            state.supervision, head, dataset.patterns, hp)))
 
     def img_row(rnd, phase, outs, codes) -> LogRow:
-        bd = full_objective(outs, dataset, codes, state.supervision, hp)
-        row = LogRow(rnd, phase, bd.total, bd.sem_pair, bd.code_pair,
-                     bd.quant, bd.balance, bd.asym)
+        row = log_row(rnd, phase, full_objective(outs, dataset, codes, state.supervision, hp))
         state.log_rows.append(row)
         return row
 
@@ -156,9 +156,9 @@ def train(dataset: Dataset, hp: HyperParams) -> TrainState:
     run_phase(0, "label", label_phase, 0, hp.lr_for_round(0))
 
     # warm-start codes from the current (still untrained) networks
-    state.codes_x = CodeMatrix(quantize_sign(forward_rows(imgx_params, dataset.features).u))
-    state.codes_y = state.codes_x if symmetric else CodeMatrix(
-        quantize_sign(forward_rows(imgy_params, dataset.features).u))
+    state.codes_x = quantize_sign(forward_rows(imgx_params, dataset.features).u)
+    state.codes_y = state.codes_x if symmetric else quantize_sign(
+        forward_rows(imgy_params, dataset.features).u)
 
     nets = [("x", imgx_params, state.codes_x, opt_x, imgx_rng)]
     if not symmetric:
@@ -193,7 +193,7 @@ def save_run(state: TrainState, outdir) -> list:
         paths.append(path)
     for name, codes in zip(CODE_FILES, (state.codes_x, state.codes_y)):
         path = os.path.join(outdir, name)
-        write_codes(path, pack(codes.codes))
+        write_codes(path, pack(codes))
         paths.append(path)
     log_path = os.path.join(outdir, LOG_FILE)
     write_csv(log_path, [f.name for f in fields(LogRow)], map(astuple, state.log_rows))

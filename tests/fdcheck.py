@@ -4,7 +4,6 @@ training set."""
 
 import numpy as np
 
-from adsq.bstep import CodeMatrix
 from adsq.data import Dataset, LabelPatterns
 from adsq.encoder import NetOutputs
 from adsq.imgnet import full_objective
@@ -79,8 +78,7 @@ def batch_objective(ctx, hp, dataset=None):
     dataset = batch_dataset(ctx.sim_binary) if dataset is None else dataset
     first = dataset.patterns.first
     sup = NetOutputs(r=ctx.r_sup[first], u=ctx.w_sup[first])
-    return full_objective(NetOutputs(r=ctx.r_img, u=ctx.u), dataset,
-                          CodeMatrix(ctx.codes), sup, hp)
+    return full_objective(NetOutputs(r=ctx.r_img, u=ctx.u), dataset, ctx.codes, sup, hp)
 
 
 def batch_label_loss(r, omega, head, labels, hp):

@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from adsq.bstep import CodeMatrix, bstep_objective, compute_P, update_column
+from adsq.bstep import bstep_objective, compute_P, update_column
 from adsq.codes import encode_matrix, pack
 from adsq.config import HyperParams, Variant
 from adsq.data import LabelPatterns
@@ -96,8 +96,8 @@ def test_criterion_1_imgnet_gradient_fidelity():
         for variant in (Variant.FULL, Variant.NO_ASYM, Variant.NO_SEM, Variant.NO_BOTH):
             hp_v = replace(hp, variant=variant)
             g_r, g_v = imgnet_grads(ctx(), hp_v)
-            fd_v = fd_grad(lambda: batch_objective(ctx(), hp_v, dataset).total, v)
-            fd_r = fd_grad(lambda: batch_objective(ctx(), hp_v, dataset).total, r_img)
+            fd_v = fd_grad(lambda: sum(batch_objective(ctx(), hp_v, dataset).values()), v)
+            fd_r = fd_grad(lambda: sum(batch_objective(ctx(), hp_v, dataset).values()), r_img)
             worst = max(worst, max_rel_error(g_v, fd_v))
             if np.any(fd_r) or np.any(g_r):
                 worst = max(worst, max_rel_error(g_r, fd_r))
@@ -143,7 +143,7 @@ def test_criterion_2_labelnet_gradient_fidelity():
             g_r, g_omega, g_head = labelnet_grad(outs, head, s_bin, labels, hp)
 
             def loss():
-                return batch_label_loss(r, omega, head, labels, hp).total
+                return sum(batch_label_loss(r, omega, head, labels, hp).values())
 
             for arr, analytic in zip((r, omega, head.weight, head.bias),
                                      (g_r, g_omega, *g_head), strict=True):
@@ -174,19 +174,19 @@ def test_criterion_3_bstep_optimality():
                          encoder_hidden=(4,), semantic_dim=4)
         U = np.tanh(rng.normal(0, 1, (n, k)))
         s_bin, s_signed = random_similarity(rng, n)
-        B = CodeMatrix(np.where(rng.random((n, k)) < 0.5, -1.0, 1.0))
+        B = np.where(rng.random((n, k)) < 0.5, -1.0, 1.0)
         P = compute_P(U, LabelPatterns(labels_for_similarity(s_bin)), hp)
-        prev_obj = bstep_objective(U, B.codes, s_signed, k, hp.eta)
+        prev_obj = bstep_objective(U, B, s_signed, k, hp.eta)
         for sweep in range(2):
             for c in range(k):
                 update_column(B, c, U, P)
-                achieved = bstep_objective(U, B.codes, s_signed, k, hp.eta)
+                achieved = bstep_objective(U, B, s_signed, k, hp.eta)
                 assert achieved <= prev_obj + 1e-9 * max(1.0, abs(prev_obj)), \
                     "objective increased"
                 prev_obj = achieved
                 best = min(
                     bstep_objective(U, cand_B, s_signed, k, hp.eta)
-                    for cand_B in _column_candidates(B.codes, c, n))
+                    for cand_B in _column_candidates(B, c, n))
                 assert achieved <= best + 1e-9 * max(1.0, abs(best)), \
                     f"column update misses enumeration minimum: {achieved} > {best}"
                 column_checks += 1
@@ -355,7 +355,7 @@ def test_criterion_9_numerical_robustness():
     for variant in (Variant.FULL, Variant.NO_ASYM, Variant.NO_SEM, Variant.NO_BOTH):
         bd = batch_objective(ctx, replace(hp, variant=variant))
         g_r, g_v = imgnet_grads(ctx, replace(hp, variant=variant))
-        fine &= np.isfinite(bd.total)
+        fine &= np.isfinite(sum(bd.values()))
         fine &= bool(np.all(np.isfinite(g_r)) and np.all(np.isfinite(g_v)))
 
     labels = labels_for_similarity(s_bin)
@@ -364,7 +364,7 @@ def test_criterion_9_numerical_robustness():
     outs = NetOutputs(r=big_r, u=np.tanh(big_v))
     bd = batch_label_loss(outs.r, outs.u, head, labels, hp)
     g_r, g_omega, g_head = labelnet_grad(outs, head, s_bin, labels, hp)
-    fine &= np.isfinite(bd.total)
+    fine &= np.isfinite(sum(bd.values()))
     fine &= bool(all(np.all(np.isfinite(a)) for a in (g_r, g_omega, *g_head)))
     report(9, "numerical robustness", bool(fine),
            "all loss terms and gradients finite at |pre-activation| = 1e3")

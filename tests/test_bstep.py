@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from adsq.bstep import CodeMatrix, bstep_objective, bstep_sweep, compute_P, update_column
+from adsq.bstep import bstep_objective, bstep_sweep, compute_P, update_column
 from adsq.config import HyperParams
 from adsq.data import LabelPatterns, build_similarity
 from adsq.errors import TrainingError
@@ -30,7 +30,7 @@ def random_instance(seed, n_max=10, k_max=4):
     hp = hp_with(k, eta=float(rng.uniform(0.1, 10.0)))
     U = np.tanh(rng.normal(0, 1, (n, k)))
     _, s_signed = random_similarity(rng, n)
-    B = CodeMatrix(np.where(rng.random((n, k)) < 0.5, -1.0, 1.0))
+    B = np.where(rng.random((n, k)) < 0.5, -1.0, 1.0)
     return hp, U, s_signed, B
 
 
@@ -78,16 +78,16 @@ class TestComputeP:
 
 class TestUpdateColumn:
     def test_hand_signs(self):
-        B = CodeMatrix(np.ones((2, 1)))
+        B = np.ones((2, 1))
         col = update_column(B, 0, np.zeros((2, 1)), np.array([[-11.0], [3.0]]))
         np.testing.assert_array_equal(col, [1.0, -1.0])
 
     def test_zero_argument_maps_to_minus_one(self):
-        B = CodeMatrix(np.ones((1, 1)))
+        B = np.ones((1, 1))
         assert update_column(B, 0, np.zeros((1, 1)), np.zeros((1, 1)))[0] == -1.0
 
     def test_out_of_range_column(self):
-        B = CodeMatrix(np.ones((2, 2)))
+        B = np.ones((2, 2))
         with pytest.raises(IndexError):
             update_column(B, 5, np.zeros((2, 2)), np.zeros((2, 2)))
 
@@ -95,13 +95,13 @@ class TestUpdateColumn:
     def test_column_attains_enumeration_minimum(self, seed):
         """Every updated column ties or beats all 2^n candidate columns."""
         hp, U, s_signed, B = random_instance(seed)
-        n, k = B.codes.shape
+        n, k = B.shape
         P = compute_P(U, patterns_for(s_signed), hp)
         for c in range(k):
             update_column(B, c, U, P)
-            achieved = bstep_objective(U, B.codes, s_signed, hp.k_half, hp.eta)
+            achieved = bstep_objective(U, B, s_signed, hp.k_half, hp.eta)
             best = min(
-                bstep_objective(U, _with_column(B.codes, c, cand), s_signed,
+                bstep_objective(U, _with_column(B, c, cand), s_signed,
                                 hp.k_half, hp.eta)
                 for cand in itertools.product((-1.0, 1.0), repeat=n))
             assert achieved <= best + 1e-9 * max(1.0, abs(best))
@@ -122,16 +122,16 @@ class TestSweep:
         signs = np.where(rng.random((5, k)) < 0.5, -1.0, 1.0)
         U = 0.999 * signs
         s_signed = np.sign(signs @ signs.T + 0.5)  # consistent similarity
-        B = CodeMatrix(signs.copy())
+        B = signs.copy()
         sweep(B, U, patterns_for(s_signed), hp, 3)
-        np.testing.assert_array_equal(B.codes, signs)
+        np.testing.assert_array_equal(B, signs)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_objective_never_increases(self, seed):
         hp, U, s_signed, B = random_instance(seed, n_max=8, k_max=3)
-        start = bstep_objective(U, B.codes, s_signed, hp.k_half, hp.eta)
+        start = bstep_objective(U, B, s_signed, hp.k_half, hp.eta)
         sweep(B, U, patterns_for(s_signed), hp, 4)
-        end = bstep_objective(U, B.codes, s_signed, hp.k_half, hp.eta)
+        end = bstep_objective(U, B, s_signed, hp.k_half, hp.eta)
         assert end <= start + 1e-9 * max(1.0, abs(start))
 
     @pytest.mark.parametrize("name", LABEL_SET_NAMES)
@@ -143,36 +143,36 @@ class TestSweep:
         rng = np.random.default_rng(3)
         U = np.tanh(rng.normal(size=(n, k)))
         start = np.where(rng.random((n, k)) < 0.5, -1.0, 1.0)
-        by_patterns, dense = CodeMatrix(start.copy()), CodeMatrix(start.copy())
+        by_patterns, dense = start.copy(), start.copy()
         sweep(by_patterns, U, LabelPatterns(labels), hp_with(k), 3)
         P = dense_P(U, 2.0 * build_similarity(labels) - 1.0, hp_with(k))
         for _ in range(3):
             for c in range(k):
                 update_column(dense, c, U, P)
-        np.testing.assert_array_equal(by_patterns.codes, dense.codes)
+        np.testing.assert_array_equal(by_patterns, dense)
 
     def test_one_call_updates_each_column_once(self):
         hp, U, s_signed, B = random_instance(3)
-        by_hand = CodeMatrix(B.codes.copy())
+        by_hand = B.copy()
         patterns = patterns_for(s_signed)
         P = compute_P(U, patterns, hp)
-        for c in range(B.codes.shape[1]):
+        for c in range(B.shape[1]):
             update_column(by_hand, c, U, P)
         bstep_sweep(B, U, patterns, hp)
-        np.testing.assert_array_equal(B.codes, by_hand.codes)
+        np.testing.assert_array_equal(B, by_hand)
 
     def test_idempotent_after_convergence(self):
         hp, U, s_signed, B = random_instance(4)
         patterns = patterns_for(s_signed)
         sweep(B, U, patterns, hp, 10)  # converges well before 10
-        settled = B.codes.copy()
+        settled = B.copy()
         bstep_sweep(B, U, patterns, hp)
-        np.testing.assert_array_equal(B.codes, settled)
+        np.testing.assert_array_equal(B, settled)
 
     def test_entries_stay_in_sign_domain(self):
         hp, U, s_signed, B = random_instance(5)
         sweep(B, U, patterns_for(s_signed), hp, 2)
-        assert np.isin(B.codes, (-1.0, 1.0)).all()
+        assert np.isin(B, (-1.0, 1.0)).all()
 
     def test_nan_output_raises_training_error(self):
         hp, U, s_signed, B = random_instance(6)
@@ -184,14 +184,14 @@ class TestSweep:
         """The column guard is a raise, not an assert, so -O keeps it."""
         script = (
             "import numpy as np\n"
-            "from adsq.bstep import CodeMatrix, bstep_sweep\n"
+            "from adsq.bstep import bstep_sweep\n"
             "from adsq.config import HyperParams\n"
             "from adsq.data import LabelPatterns\n"
             "from adsq.errors import TrainingError\n"
             "U = np.full((3, 2), np.nan)\n"
             "hp = HyperParams(k_half=2, encoder_hidden=(4,), semantic_dim=4)\n"
             "try:\n"
-            "    bstep_sweep(CodeMatrix(np.ones((3, 2))), U, LabelPatterns(np.ones((3, 1))), hp)\n"
+            "    bstep_sweep(np.ones((3, 2)), U, LabelPatterns(np.ones((3, 1))), hp)\n"
             "except TrainingError:\n"
             "    print('raised')\n")
         paths = [os.path.join(os.path.dirname(__file__), os.pardir, "src"),
@@ -200,8 +200,3 @@ class TestSweep:
         out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                              capture_output=True, text=True, timeout=60, check=True)
         assert out.stdout.strip() == "raised"
-
-
-def test_code_matrix_rejects_non_sign_entries():
-    with pytest.raises(ValueError):
-        CodeMatrix(np.array([[0.5, 1.0]]))

@@ -276,7 +276,7 @@ class TestEval:
         root, data, _ = workspace
         out = tmp_path / "metrics.csv"
         assert main(self.eval_args(root, data, out)) == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = list(csv.DictReader(out.read_text().splitlines()))
         got = {r["metric"]: r for r in rows if r["metric"] in ("map", "ph2")}
         from adsq.data import load_labels
         judge = RelevanceJudge(load_labels(data / "query.adsql"),
@@ -308,14 +308,14 @@ class TestEval:
                      "--db-labels", str(data / "train.adsql"),
                      "--metrics", "map", "--map-r", "10",
                      "--out", str(out)]) == 0
-        row = next(csv.DictReader(out.open()))
+        row = next(csv.DictReader(out.read_text().splitlines()))
         assert float(row["value"]) > 1 / 3  # 3 balanced classes -> chance ~ 1/3
 
     def test_curve_rows_present(self, tmp_path, workspace):
         root, data, _ = workspace
         out = tmp_path / "curves.csv"
         assert main(self.eval_args(root, data, out, extra=["--metrics", "pr,pn"])) == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = list(csv.DictReader(out.read_text().splitlines()))
         kinds = {r["metric"] for r in rows}
         assert kinds == {"pr", "pn"}
         assert all(r["grid"] != "" for r in rows)

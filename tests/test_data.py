@@ -324,6 +324,17 @@ def test_validate_collects_multiple_violations():
                         "all-zero label rows at indices [2]"]
 
 
+@pytest.mark.parametrize("features, labels, problem", [
+    (np.zeros(4), np.ones((4, 2)), "features must be 2-D, got shape (4,)"),
+    (np.zeros((4, 2, 1)), np.ones((4, 2)), "features must be 2-D, got shape (4, 2, 1)"),
+    (np.zeros((4, 2)), np.ones(4), "labels must be 2-D, got shape (4,)")],
+    ids=["1-D features", "3-D features", "1-D labels"])
+def test_dataset_refuses_arrays_not_2d(features, labels, problem):
+    with pytest.raises(DataError) as err:
+        Dataset(features=features, labels=labels)
+    assert str(err.value) == problem
+
+
 @pytest.mark.parametrize("bad", [257, 0.5, -1, 2], ids=["257", "0.5", "-1", "2"])
 def test_labels_are_checked_before_their_int8_cast(bad):
     """Cast to int8, an int64 257 would wrap to 1 and 0.5 would truncate to 0."""
@@ -336,6 +347,15 @@ def test_load_dataset_refuses_row_mismatch(tmp_path):
     write_labels(tmp_path / "l.adsql", np.ones((5, 2), dtype=np.uint8))
     with pytest.raises(DataError, match="^feature and label row counts differ: 4 vs 5$"):
         load_dataset(tmp_path / "f.adsqf", tmp_path / "l.adsql")
+
+
+def test_dataset_takes_stored_dtype_arrays_without_a_copy():
+    """Documented: arrays already float64 / int8 are kept and frozen in
+    place; a caller that writes on passes copies."""
+    features, labels = np.zeros((2, 2)), np.ones((2, 1), dtype=np.int8)
+    ds = Dataset(features=features, labels=labels)
+    assert ds.features is features and ds.labels is labels
+    assert not features.flags.writeable and not labels.flags.writeable
 
 
 def test_dataset_arrays_read_only():

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from adsq import cli, fileio
-from adsq.bstep import CodeMatrix
 from adsq.codes import load_codes, pack, write_codes
 from adsq.data import load_features, load_labels, write_features, write_labels
 from adsq.encoder import init_params, load_params, save_params
@@ -56,7 +55,7 @@ def fail_writes_to(monkeypatch, target):
 
 def tiny_state():
     params = init_params([3, 4, 2], seed=0)
-    codes = CodeMatrix(np.ones((2, 2)))
+    codes = np.ones((2, 2))
     rows = [LogRow(0, "label", 1.0, 0.5, 0.25, 0.125, 0.125, 0.0)] * 2
     return TrainState(label_params=params, imgx_params=params,
                       imgy_params=params, codes_x=codes, codes_y=codes, supervision=None,

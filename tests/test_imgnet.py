@@ -5,7 +5,6 @@ import pytest
 
 import adsq.data
 import adsq.labelnet
-from adsq.bstep import CodeMatrix
 from adsq.config import HyperParams, Variant
 from adsq.data import Dataset, LabelPatterns, build_similarity
 from adsq.encoder import MomentumSGD, NetOutputs, forward, init_params
@@ -55,7 +54,7 @@ class TestLossValues:
         ctx = ctx_from(v, np.zeros((m, 5)), np.zeros((m, 5)), np.zeros((m, k)),
                        codes, random_similarity(np.random.default_rng(0), m)[0])
         bd = batch_objective(ctx, hp)
-        assert bd.quant == pytest.approx(m * k * 1e-6, rel=1e-9)
+        assert bd["quant"] == pytest.approx(m * k * 1e-6, rel=1e-9)
 
     def test_balance_zero_for_balanced_bits(self):
         hp, *_ = make_instance(0, nu=1.0, alpha=0, beta=0, eta=0, variant="no-both")
@@ -63,7 +62,7 @@ class TestLossValues:
         ctx = ctx_from(np.arctanh(u), np.zeros((2, 5)), np.zeros((2, 5)),
                        np.zeros((2, 2)), np.ones((2, 2)),
                        random_similarity(np.random.default_rng(1), 2)[0])
-        assert batch_objective(ctx, hp).balance == 0.0
+        assert batch_objective(ctx, hp)["balance"] == 0.0
 
     def test_asym_hand_value(self):
         """Single item, one bit: (0.5*1 - 1*1)^2 = 0.25."""
@@ -72,7 +71,7 @@ class TestLossValues:
         ctx = ctx_from(np.array([[np.arctanh(0.5)]]), np.zeros((1, 2)),
                        np.zeros((1, 2)), np.zeros((1, 1)),
                        np.array([[1.0]]), np.array([[1.0]]))
-        assert batch_objective(ctx, hp).asym == pytest.approx(0.25, rel=1e-12)
+        assert batch_objective(ctx, hp)["asym"] == pytest.approx(0.25, rel=1e-12)
 
     def test_signed_target_for_dissimilar_pairs(self):
         """A dissimilar pair is pulled toward inner product -k, not 0."""
@@ -84,7 +83,7 @@ class TestLossValues:
         ctx = ctx_from(np.arctanh(u), np.zeros((2, 2)), np.zeros((2, 2)),
                        np.zeros((2, 2)), codes, s_bin)
         # opposite codes hit the -k target almost exactly
-        assert batch_objective(ctx, hp).asym < 0.01
+        assert batch_objective(ctx, hp)["asym"] < 0.01
 
     @pytest.mark.parametrize("row, logits", [("r", "sem_pair"), ("u", "code_pair")])
     def test_overflowing_logits_raise_training_error(self, row, logits):
@@ -100,20 +99,50 @@ class TestLossValues:
                 pytest.raises(TrainingError, match=f"non-finite {logits} logits"):
             batch_objective(ctx, hp)
 
+    @pytest.mark.parametrize("term, weight", [("sem_pair", "alpha"), ("code_pair", "beta"),
+                                              ("quant", "eta"), ("balance", "nu")])
+    def test_overflowing_term_is_named(self, term, weight):
+        """A finite weight of 1e308 overflows its term; the error names it."""
+        hp, *inst = make_instance(7, **{weight: 1e308})
+        ctx = ctx_from(*inst)
+        ctx.u[:] = 0.9  # bit column sums of 3.6, so the balance term exceeds 1
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(TrainingError, match=f"^non-finite {term} term$"):
+            batch_objective(ctx, hp)
+
+    def test_overflowing_asym_term_is_named(self):
+        """The asymmetric term has no weight: outputs equal to codes of size
+        1e160 whose bit columns sum to zero overflow it alone."""
+        hp, *inst = make_instance(7)
+        ctx = ctx_from(*inst)
+        ctx.codes[:] = 1e160 * np.array([[1.0], [-1.0], [1.0], [-1.0]])
+        ctx.u[:] = ctx.codes
+        ctx.w_sup[:] = 0.0
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(TrainingError, match="^non-finite asym term$"):
+            batch_objective(ctx, hp)
+
+    def test_first_bad_term_in_column_order_is_named(self):
+        hp, *inst = make_instance(7, alpha=1e308, eta=1e308)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(TrainingError, match="^non-finite sem_pair term$"):
+            batch_objective(ctx_from(*inst), hp)
+
     def test_breakdown_sums_to_total(self):
         hp, *inst = make_instance(5)
         for variant in VARIANTS:
             bd = batch_objective(ctx_from(*inst), as_variant(hp, variant))
-            parts = bd.sem_pair + bd.code_pair + bd.quant + bd.balance + bd.asym
-            assert bd.total == pytest.approx(parts, abs=1e-12)
+            assert list(bd) == ["sem_pair", "code_pair", "quant", "balance", "asym"]
+            parts = bd["sem_pair"] + bd["code_pair"] + bd["quant"] + bd["balance"] + bd["asym"]
+            assert sum(bd.values()) == pytest.approx(parts, abs=1e-12)
 
     def test_masked_terms_report_zero(self):
         hp, *inst = make_instance(6)
         ctx = ctx_from(*inst)
-        assert batch_objective(ctx, as_variant(hp, Variant.NO_ASYM)).asym == 0.0
-        assert batch_objective(ctx, as_variant(hp, Variant.NO_SEM)).sem_pair == 0.0
+        assert batch_objective(ctx, as_variant(hp, Variant.NO_ASYM))["asym"] == 0.0
+        assert batch_objective(ctx, as_variant(hp, Variant.NO_SEM))["sem_pair"] == 0.0
         bd = batch_objective(ctx, as_variant(hp, Variant.NO_BOTH))
-        assert bd.asym == 0.0 and bd.sem_pair == 0.0
+        assert bd["asym"] == 0.0 and bd["sem_pair"] == 0.0
 
     def test_exact_codes_make_asym_definitional(self):
         """With u forced to +-1 the term equals the double sum of squared
@@ -129,7 +158,7 @@ class TestLossValues:
         ctx = ImgBatchContext(u=u_exact, r_img=np.zeros((m, 2)),
                               r_sup=np.zeros((m, 2)), w_sup=np.zeros((m, k)),
                               codes=u_exact, sim_binary=(s_signed + 1) / 2)
-        assert batch_objective(ctx, hp).asym == 0.0
+        assert batch_objective(ctx, hp)["asym"] == 0.0
         brute = sum((float(u_exact[i] @ u_exact[j]) - k * s_signed[i, j])**2
                     for i in range(m) for j in range(m))
         assert brute == 0.0
@@ -139,7 +168,7 @@ class TestLossValues:
         ctx_off = ImgBatchContext(u=u_off, r_img=np.zeros((m, 2)), r_sup=np.zeros((m, 2)),
                                   w_sup=np.zeros((m, k)), codes=u_exact,
                                   sim_binary=(s_signed + 1) / 2)
-        off = batch_objective(ctx_off, hp).asym
+        off = batch_objective(ctx_off, hp)["asym"]
         brute_off = sum((float(u_off[i] @ u_exact[j]) - k * s_signed[i, j])**2
                         for i in range(m) for j in range(m))
         assert off > 0.0
@@ -178,7 +207,8 @@ class TestGradients:
         ds = batch_dataset(s_bin)
 
         def loss():
-            return batch_objective(ctx_from(v, r_img, r_sup, w_sup, codes, s_bin), hp, ds).total
+            terms = batch_objective(ctx_from(v, r_img, r_sup, w_sup, codes, s_bin), hp, ds)
+            return sum(terms.values())
 
         assert max_rel_error(g_v, fd_grad(loss, v)) <= TOL
         assert max_rel_error(g_r, fd_grad(loss, r_img)) <= TOL
@@ -212,7 +242,7 @@ def wstep_setup(seed=0, n=30, dim=6, k=3, sem=4):
                      batch_size=10, seed=seed)
     params = init_params([dim, 6, sem, k], seed=seed)
     sup = random_supervision(rng, ds, sem, k)
-    codes = CodeMatrix(np.where(rng.random((n, k)) < 0.5, -1.0, 1.0))
+    codes = np.where(rng.random((n, k)) < 0.5, -1.0, 1.0)
     return ds, hp, params, sup, codes
 
 
@@ -238,10 +268,10 @@ def test_zero_epochs_no_change():
 
 def test_epoch_descends_full_objective():
     ds, hp, params, sup, codes = wstep_setup(1)
-    before = full_objective(forward(params, ds.features), ds, codes, sup, hp).total
+    before = sum(full_objective(forward(params, ds.features), ds, codes, sup, hp).values())
     wstep_epoch(params, ds, codes, sup, hp,
                 lr=1e-6, rng=np.random.default_rng(1), optimizer=sgd(params, hp))
-    after = full_objective(forward(params, ds.features), ds, codes, sup, hp).total
+    after = sum(full_objective(forward(params, ds.features), ds, codes, sup, hp).values())
     assert after < before
 
 
@@ -261,7 +291,7 @@ def test_make_context_aligns_rows():
     batch = np.array([4, 7, 19])
     outs = forward(params, ds.features[batch])
     ctx = make_context(batch, outs, sup, codes, ds.patterns)
-    np.testing.assert_array_equal(ctx.codes, codes.codes[batch])
+    np.testing.assert_array_equal(ctx.codes, codes[batch])
     np.testing.assert_array_equal(ctx.r_sup, sup.r[ds.patterns.ids[batch]])
     np.testing.assert_array_equal(ctx.w_sup, sup.u[ds.patterns.ids[batch]])
     assert ctx.sim_binary.shape == (3, 3)
@@ -278,7 +308,7 @@ def test_no_sem_variant_in_hp_drops_sem_term_everywhere():
     outs = forward(params, ds.features[batch])
     for bd in (batch_objective(make_context(batch, outs, sup, codes, ds.patterns), hp),
                full_objective(forward(params, ds.features), ds, codes, sup, hp)):
-        assert bd.sem_pair == 0.0 and bd.asym > 0.0
+        assert bd["sem_pair"] == 0.0 and bd["asym"] > 0.0
 
 
 # ---------------------------------------------------------------- full objective
@@ -289,7 +319,7 @@ def dense_full_objective(params, ds, codes, sup, hp):
     the likelihoods and all pairs for the asymmetric fit."""
     v = hp.variant
     outs = forward(params, ds.features)
-    u, B = outs.u, codes.codes
+    u, B = outs.u, codes
     s = build_similarity(ds.labels)
     off = ~np.eye(ds.n, dtype=bool)
 
@@ -313,12 +343,12 @@ def assert_matches_dense_reference(name, variant):
                      variant=variant)
     params = init_params([5, 6, sem, k], seed=4)
     sup = random_supervision(rng, ds, sem, k)
-    codes = CodeMatrix(np.where(rng.random((n, k)) < 0.5, -1.0, 1.0))
+    codes = np.where(rng.random((n, k)) < 0.5, -1.0, 1.0)
     got = full_objective(forward(params, ds.features), ds, codes, sup, hp)
     # the reference takes one supervision row per item
     per_item = NetOutputs(r=sup.r[ds.patterns.ids], u=sup.u[ds.patterns.ids])
     for term, want in dense_full_objective(params, ds, codes, per_item, hp).items():
-        value = getattr(got, term)
+        value = got[term]
         assert type(value) is float, term
         if want == 0.0:
             assert value == 0.0, term

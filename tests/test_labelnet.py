@@ -58,10 +58,10 @@ class TestLossValues:
         # zero codes + bias equal to the shared label row => exact readout
         head = ClassifierHead(weight=np.zeros((CLASSES, K)), bias=label_row.copy())
         bd = batch_label_loss(np.zeros((m, SEM)), np.zeros((m, K)), head, labels, hp)
-        assert bd.sem_pair == pytest.approx(2 * math.log(2), abs=1e-12)
-        assert bd.code_pair == pytest.approx(2 * math.log(2), abs=1e-12)
-        assert bd.binary_reg == pytest.approx(2 * (K + K), abs=1e-12)
-        assert bd.classify == 0.0
+        assert bd["sem_pair"] == pytest.approx(2 * math.log(2), abs=1e-12)
+        assert bd["code_pair"] == pytest.approx(2 * math.log(2), abs=1e-12)
+        assert bd["binary_reg"] == pytest.approx(2 * (K + K), abs=1e-12)
+        assert bd["classify"] == 0.0
 
     def test_confident_similar_pair_contribution(self):
         """A similar pair at logit 10 contributes softplus(10) - 10."""
@@ -74,8 +74,8 @@ class TestLossValues:
                               ClassifierHead(np.zeros((classes, K)), np.zeros(classes)),
                               labels, hp)
         expected = 2 * (math.log1p(math.exp(-10.0)))  # two ordered pairs
-        assert bd.sem_pair == pytest.approx(expected, rel=1e-9)
-        assert bd.sem_pair / 2 == pytest.approx(4.5398e-5, rel=1e-3)
+        assert bd["sem_pair"] == pytest.approx(expected, rel=1e-9)
+        assert bd["sem_pair"] / 2 == pytest.approx(4.5398e-5, rel=1e-3)
 
     def test_delta_zero_ignores_labels(self):
         """Reversing the label columns keeps the similarity but moves every
@@ -84,15 +84,16 @@ class TestLossValues:
         r, omega, labels, head, _ = random_instance(0)
         a = batch_label_loss(r, omega, head, labels, hp)
         b = batch_label_loss(r, omega, head, labels[:, ::-1], hp)
-        assert a.classify == b.classify == 0.0
-        assert a.total == pytest.approx(b.total, rel=1e-12)
+        assert a["classify"] == b["classify"] == 0.0
+        assert sum(a.values()) == pytest.approx(sum(b.values()), rel=1e-12)
 
     def test_breakdown_sums_to_total(self):
         hp = hp_with()
         r, omega, labels, head, _ = random_instance(1)
         bd = batch_label_loss(r, omega, head, labels, hp)
-        parts = bd.sem_pair + bd.code_pair + bd.binary_reg + bd.classify
-        assert bd.total == pytest.approx(parts, abs=1e-12)
+        assert list(bd) == ["sem_pair", "code_pair", "binary_reg", "classify"]
+        parts = bd["sem_pair"] + bd["code_pair"] + bd["binary_reg"] + bd["classify"]
+        assert sum(bd.values()) == pytest.approx(parts, abs=1e-12)
 
     @pytest.mark.parametrize("row, logits", [("r", "sem_pair"), ("u", "code_pair")])
     def test_overflowing_logits_raise_training_error(self, row, logits):
@@ -105,6 +106,15 @@ class TestLossValues:
         with np.errstate(over="ignore"), \
                 pytest.raises(TrainingError, match=f"non-finite {logits} logits"):
             batch_label_loss(r, omega, head, labels, hp)
+
+    @pytest.mark.parametrize("term, weight", [("sem_pair", "alpha"), ("code_pair", "beta"),
+                                              ("binary_reg", "gamma"), ("classify", "delta")])
+    def test_overflowing_term_is_named(self, term, weight):
+        """A finite weight of 1e308 overflows its term; the error names it."""
+        r, omega, labels, head, _ = random_instance(2)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(TrainingError, match=f"^non-finite {term} term$"):
+            batch_label_loss(r, omega, head, labels, hp_with(**{weight: 1e308}))
 
     def test_binary_reg_zero_iff_unit_magnitude(self):
         assert binary_reg_value(np.array([[1.0, -1.0], [-1.0, 1.0]]), False, np.ones(2)) == 0.0
@@ -161,7 +171,7 @@ class TestGradients:
         g_r, g_omega, g_head = labelnet_grad(outputs(r, omega), head, s_bin, labels, hp)
 
         def loss():
-            return batch_label_loss(r, omega, head, labels, hp).total
+            return sum(batch_label_loss(r, omega, head, labels, hp).values())
 
         for arr, analytic in zip((r, omega, head.weight, head.bias), (g_r, g_omega, *g_head),
                                  strict=True):
@@ -179,7 +189,7 @@ def test_pairwise_loss_decreases_as_shared_direction_grows():
     losses = []
     for t in (1.0, 2.0, 4.0):
         r, omega = np.tile(t * d_r, (3, 1)), np.tile(np.tanh(t * d_w), (3, 1))
-        losses.append(batch_label_loss(r, omega, head, labels, hp).total)
+        losses.append(sum(batch_label_loss(r, omega, head, labels, hp).values()))
     assert losses[0] > losses[1] > losses[2]
 
 
@@ -212,7 +222,7 @@ def run_phase(ds, hp, params, head, *, epochs, lr, seed):
 
 
 def full_set_loss(ds, hp, params, head):
-    return labelnet_loss(cache_supervision(params, ds), head, ds.patterns, hp).total
+    return sum(labelnet_loss(cache_supervision(params, ds), head, ds.patterns, hp).values())
 
 
 def test_zero_epochs_leaves_params_and_still_caches():

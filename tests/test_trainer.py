@@ -9,16 +9,15 @@ import adsq.encoder
 import adsq.imgnet
 import adsq.labelnet
 import adsq.numerics
-from adsq.bstep import CodeMatrix
 from adsq.codes import encode_matrix, quantize_sign
 from adsq.config import HyperParams, Variant
 from adsq.data import Dataset, build_similarity
 from adsq.encoder import MomentumSGD, forward, init_params
 from adsq.errors import DataError, TrainingError
 from adsq.imgnet import wstep_epoch
-from adsq.labelnet import cache_supervision, init_head, train_labelnet
+from adsq.labelnet import cache_supervision, init_head, labelnet_loss, train_labelnet
 from adsq.synth import SynthSpec, generate
-from adsq.trainer import _label_breakdown_row, convergence_check, save_run, subseed, train
+from adsq.trainer import convergence_check, log_row, save_run, subseed, train
 from labelsets import LABEL_SET_NAMES, hand_label_sets
 from netparams import same_params
 from references import unpack
@@ -92,8 +91,8 @@ class TestTrainLoop:
                      (s1.label_params, s2.label_params)):
             assert all(np.array_equal(x, y) for x, y in zip(a.weights, b.weights))
             assert all(np.array_equal(x, y) for x, y in zip(a.biases, b.biases))
-        np.testing.assert_array_equal(s1.codes_x.codes, s2.codes_x.codes)
-        np.testing.assert_array_equal(s1.codes_y.codes, s2.codes_y.codes)
+        np.testing.assert_array_equal(s1.codes_x, s2.codes_x)
+        np.testing.assert_array_equal(s1.codes_y, s2.codes_y)
         assert s1.history == s2.history
 
     def test_symmetric_variant_shares_weights(self, tiny_data):
@@ -110,8 +109,8 @@ class TestTrainLoop:
 
     def test_codes_stay_sign_valued(self, tiny_data):
         state, _ = run_tiny(tiny_data)
-        assert np.isin(state.codes_x.codes, (-1.0, 1.0)).all()
-        assert np.isin(state.codes_y.codes, (-1.0, 1.0)).all()
+        assert np.isin(state.codes_x, (-1.0, 1.0)).all()
+        assert np.isin(state.codes_y, (-1.0, 1.0)).all()
 
     def test_history_one_entry_per_round(self, tiny_data):
         state, hp = run_tiny(tiny_data)
@@ -159,7 +158,7 @@ def one_epoch(phase, ds, hp):
         return opt, lambda: train_labelnet(label, head, ds, hp, epochs=1, lr=lr, rng=rng,
                                            optimizer=opt)
     img = init_params([ds.dim, *hp.encoder_hidden, hp.semantic_dim, hp.k_half], 2)
-    codes = CodeMatrix(quantize_sign(forward(img, ds.features).u))
+    codes = quantize_sign(forward(img, ds.features).u)
     sup = cache_supervision(label, ds)
     opt = MomentumSGD(img.arrays, hp.momentum, hp.weight_decay)
     return opt, lambda: wstep_epoch(img, ds, codes, sup, hp, lr=lr, rng=rng, optimizer=opt)
@@ -222,7 +221,8 @@ def assert_label_row_matches_dense_reference(name, literal):
     params = init_params([classes, 6, 4, 3], seed=5)
     head = init_head(classes, 3, seed=6)
     ds = Dataset(features=np.zeros((n, 2)), labels=labels)
-    row = _label_breakdown_row(2, ds, cache_supervision(params, ds), head, hp)
+    row = log_row(2, "label",
+                  labelnet_loss(cache_supervision(params, ds), head, ds.patterns, hp))
     want = dense_label_row(labels, params, head, hp)
     for term, value in want.items():
         assert getattr(row, term) == pytest.approx(value, rel=1e-10), term
@@ -389,7 +389,7 @@ def test_training_forwards_never_see_more_than_a_block(tiny_data, monkeypatch):
     for name in ("label_params", "imgx_params", "imgy_params"):
         assert same_params(getattr(got, name), getattr(want, name)), name
     for name in ("codes_x", "codes_y"):
-        np.testing.assert_array_equal(getattr(got, name).codes, getattr(want, name).codes)
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
     assert got.log_rows == want.log_rows
 
 
