@@ -18,8 +18,7 @@ import time
 from . import __version__
 from .codes import encode_matrix, load_codes, write_codes
 from .config import Variant, load_config
-from .data import (load_dataset, load_features, load_labels, write_features,
-                   write_labels)
+from .data import FeatureRows, load_dataset, load_labels, write_features, write_labels
 from .encoder import load_params
 from .errors import AdsqError, ConfigError
 from .fileio import atomic_open, write_csv
@@ -31,10 +30,11 @@ DEFAULT_TOPN_GRID = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000)
 
 
 def _sha256(path) -> str:
-    h = hashlib.sha256()
+    h, chunk = hashlib.sha256(), bytearray(1 << 18)  # one reused chunk buffer
+    view = memoryview(chunk)
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
+        while size := fh.readinto(chunk):
+            h.update(view[:size])
     return h.hexdigest()
 
 
@@ -118,11 +118,12 @@ def cmd_encode(args) -> int:
     t0 = time.perf_counter()
     img_paths = [os.path.join(args.model, name) for name in MODEL_FILES[1:]]
     imgx, imgy = map(load_params, img_paths)
-    features = load_features(args.features)
-    if features.shape[0] == 0:
-        raise AdsqError(f"{args.features}: no rows to encode")
-    names = [f"{path} on {args.features}" for path in img_paths]
-    write_codes(args.out, encode_matrix(features, imgx, imgy, names))
+    with FeatureRows(args.features) as features:
+        if len(features) == 0:
+            raise AdsqError(f"{args.features}: no rows to encode")
+        names = [f"{path} on {args.features}" for path in img_paths]
+        packed = encode_matrix(features, imgx, imgy, names)
+    write_codes(args.out, packed)
     _write_manifest(args.out + ".manifest.json", "encode",
                     {"model": os.path.basename(os.path.normpath(args.model))},
                     {}, [args.features, *img_paths], [args.out],

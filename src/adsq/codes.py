@@ -6,7 +6,9 @@ Packed layout: one row per item, MSB-first within each byte, bit 1 means
 +1, rows padded to a byte boundary with zero bits. For +-1 codes of equal
 length, popcount distance and inner product are tied by
 dist = (k_total - <a, b>) / 2. Code files (``ADSQB001``, an ``adsq.fileio``
-container) hold n, k_total and the packed rows.
+container) hold n, k_total and the packed rows. ``encode_matrix`` takes
+its features one ``encoder.row_slices`` block at a time, from an array or
+from ``adsq.data.FeatureRows``, which reads them from the file.
 
 In memory, the payload is read-only and each code set keeps a read-only
 uint64 word view of its rows, zero-padded to whole words (no copy for
@@ -101,27 +103,34 @@ def quantize_sign(values) -> np.ndarray:
 
 def encode_matrix(x, imgx_params: EncoderParams, imgy_params: EncoderParams,
                   names=("the x network", "the y network")) -> PackedCodes:
-    """Packed row-wise codes of length 2*k_half for a feature matrix:
+    """Packed row-wise codes of length 2*k_half for the n rows of ``x``:
     x-network half first, each half the ``sign_bits`` of its network's u.
-    Per ``encoder.row_slices`` block, the two networks' sign bits are joined
-    and one ``packbits`` puts them into the n-row payload, so no n-row
-    float array is made beyond the features themselves. Finite weights can
-    still overflow: an output that is not finite raises ValueError naming
-    its network by ``names``, with no numpy warning."""
+    ``x`` is a feature array or a ``FeatureRows``; it is read once, as
+    ``x[rows]`` for each ``encoder.row_slices`` block in order. Per block,
+    the two networks' sign bits are joined and one ``packbits`` puts them
+    into the n-row payload, so no n-row float array is made: from a
+    ``FeatureRows``, memory is the payload plus a few blocks. Finite
+    weights can still overflow: an output that is not finite raises
+    ValueError naming its network by ``names``, with no numpy warning."""
     n = len(x)
     k_total = imgx_params.weights[-1].shape[0] + imgy_params.weights[-1].shape[0]
     payload = np.empty((n, (k_total + 7) // 8), dtype=np.uint8)
     with np.errstate(over="ignore", invalid="ignore"):
         for rows in encoder.row_slices(n):
-            bits = []
-            for name, p in zip(names, (imgx_params, imgy_params)):
-                u = encoder.forward(p, x[rows]).u
-                try:
-                    bits.append(sign_bits(u))
-                except ValueError as exc:
-                    raise ValueError(f"outputs of {name} are not finite") from exc
+            block = x[rows]
+            bits = [_output_bits(name, p, block)
+                    for name, p in zip(names, (imgx_params, imgy_params))]
             payload[rows] = np.packbits(np.hstack(bits), axis=1)
     return PackedCodes(n=n, k_total=k_total, payload=payload)
+
+
+def _output_bits(name, params: EncoderParams, block) -> np.ndarray:
+    """``sign_bits`` of one network's u for ``block``; u is dropped on return."""
+    u = encoder.forward(params, block).u
+    try:
+        return sign_bits(u)
+    except ValueError as exc:
+        raise ValueError(f"outputs of {name} are not finite") from exc
 
 
 def pack(codes) -> PackedCodes:
@@ -208,7 +217,7 @@ def write_codes(path, packed: PackedCodes):
 def load_codes(path) -> PackedCodes:
     with BinaryReader(path, CODES_MAGIC, "codes") as r:
         n, k_total = r.header(2)
-        payload = r.array(np.uint8, (n, (k_total + 7) // 8)).copy()
+        payload = r.array(np.uint8, (n, (k_total + 7) // 8))
     try:
         return PackedCodes(n=n, k_total=k_total, payload=payload)
     except ValueError as exc:

@@ -10,7 +10,13 @@ similarity from per-pattern sums over bounded ``row_blocks``, O(n k + p^2 k).
 Feature files (``ADSQF001``) hold n, dim and an n x dim float32 matrix;
 label files (``ADSQL001``) hold n, classes and n x classes bytes in {0, 1};
 both are ``adsq.fileio`` containers. Training math is double precision,
-so features are widened to float64 on load.
+so features are widened to float64 on load. Feature matrices move one
+``encoder.row_slices`` block at a time: ``write_features`` casts, checks
+and writes each block in turn, and ``FeatureRows``, the one feature
+reader, refuses a payload that does not end exactly at the end of the
+file before it reads any block, then gives each block in float64.
+``load_features`` fills one float64 array from it; ``adsq encode``
+encodes from it directly, so it never holds the whole matrix.
 """
 
 from dataclasses import dataclass
@@ -18,6 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .encoder import row_slices
 from .errors import DataError, FormatError
 from .fileio import BinaryReader, write_binary
 
@@ -170,22 +177,73 @@ class LabelPatterns:
                                axis=0)
 
 
+def _float32_blocks(x):
+    """The ``row_slices`` blocks of ``x`` in float32, each checked finite."""
+    for rows in row_slices(len(x)):
+        with np.errstate(over="ignore"):
+            block = np.asarray(x[rows], dtype=np.float64).astype("<f4")
+        if not np.isfinite(block).all():
+            raise DataError("refusing to write feature values that are not finite in float32")
+        yield block
+
+
 def write_features(path, features):
-    x = np.asarray(features, dtype=np.float64)
+    """Write ``features`` one float32 row block at a time; a value that is
+    not finite in float32 raises ``DataError`` and leaves no file."""
+    x = np.asarray(features)
     if x.ndim != 2:
         raise ValueError(f"feature matrix must be 2-D, got shape {x.shape}")
-    with np.errstate(over="ignore"):
-        x32 = x.astype("<f4")
-    if not np.all(np.isfinite(x32)):
-        raise DataError("refusing to write feature values that are not finite in float32")
-    write_binary(path, FEATURE_MAGIC, x.shape, x32)
+    write_binary(path, FEATURE_MAGIC, x.shape, _float32_blocks(x))
+
+
+class FeatureRows:
+    """The rows of one feature file, read front to back: a context manager
+    with ``len``, ``dim`` and ``x[rows]`` for consecutive row slices, which
+    gives that block in float64. Truncated and trailing bytes are refused
+    on opening; each block is read into one reused float32 buffer and
+    checked finite, a fault raising ``DataError`` naming the file."""
+
+    def __init__(self, path):
+        self.path = path
+        self._reader = BinaryReader(path, FEATURE_MAGIC, "feature")
+        try:
+            self._n, self.dim = self._reader.header(2)
+            self._reader.expect_rest(4 * self._n * self.dim)
+        except BaseException:
+            self._reader.close()
+            raise
+        self._next = 0
+        self._buf = np.empty((0, self.dim), dtype="<f4")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        self._reader.close()  # the payload's size was checked on opening
+
+    def __len__(self):
+        return self._n
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        start, stop, _ = rows.indices(self._n)
+        if start != self._next:
+            raise ValueError(f"{self.path}: rows are read front to back, from row "
+                             f"{self._next}, not {start}")
+        if stop - start > len(self._buf):
+            self._buf = np.empty((stop - start, self.dim), dtype="<f4")
+        block = self._reader.read_into(self._buf[:stop - start])
+        if not np.isfinite(block).all():
+            raise DataError(f"{self.path}: feature payload contains NaN or Inf")
+        self._next = stop
+        return block.astype(np.float64)
 
 
 def load_features(path) -> np.ndarray:
-    with BinaryReader(path, FEATURE_MAGIC, "feature") as r:
-        out = r.array("<f4", r.header(2)).astype(np.float64)
-    if not np.all(np.isfinite(out)):
-        raise DataError(f"{path}: feature payload contains NaN or Inf")
+    """The whole feature file as one float64 array, filled block by block."""
+    with FeatureRows(path) as src:
+        out = np.empty((len(src), src.dim))
+        for rows in row_slices(len(src)):
+            out[rows] = src[rows]
     return out
 
 

@@ -225,8 +225,8 @@ def load_params(path) -> EncoderParams:
             if weights and cols != weights[-1].shape[0]:
                 raise FormatError(f"{path}: layer {i} takes {cols} inputs but layer {i - 1} "
                                   f"gives {weights[-1].shape[0]}")
-            weights.append(r.array("<f8", (rows, cols)).astype(np.float64))
-            biases.append(r.array("<f8", (rows,)).astype(np.float64))
+            weights.append(r.array("<f8", (rows, cols)).astype(np.float64, copy=False))
+            biases.append(r.array("<f8", (rows,)).astype(np.float64, copy=False))
             for kind, a in (("weights", weights[-1]), ("biases", biases[-1])):
                 if not np.isfinite(a).all():
                     raise FormatError(f"{path}: layer {i} {kind} are not all finite")

@@ -1,7 +1,10 @@
 """Seeded synthetic benchmark: Gaussian class clusters with optional
 multi-label overlap. Items are emitted class-sorted, so with zero overlap
 the similarity matrix is block diagonal. Train and query splits come from
-the same distribution but are separate draws."""
+the same distribution but are separate draws. Each split's features and
+labels are filled class by class into one preallocated array each, with
+the draws per class in a fixed order: normal, then random, then
+integers."""
 
 from dataclasses import dataclass
 
@@ -32,20 +35,21 @@ class SynthSpec:
 
 
 def _make_split(rng, centers, spec: SynthSpec, per_class: int) -> Dataset:
-    feats, labels = [], []
+    n = spec.classes * per_class
+    feats = np.empty((n, spec.dim))
+    labels = np.zeros((n, spec.classes), dtype=np.int8)
     for cls in range(spec.classes):
-        pts = centers[cls] + rng.normal(0.0, spec.cluster_spread,
-                                        size=(per_class, spec.dim))
-        lab = np.zeros((per_class, spec.classes), dtype=np.int8)
+        rows = slice(cls * per_class, (cls + 1) * per_class)
+        np.add(centers[cls], rng.normal(0.0, spec.cluster_spread, size=(per_class, spec.dim)),
+               out=feats[rows])
+        lab = labels[rows]
         lab[:, cls] = 1
         if spec.multilabel_overlap > 0:
             gains = rng.random(per_class) < spec.multilabel_overlap
             extra = rng.integers(0, spec.classes - 1, size=per_class)
             extra = np.where(extra >= cls, extra + 1, extra)  # never the own class
             lab[gains, extra[gains]] = 1
-        feats.append(pts)
-        labels.append(lab)
-    return Dataset(features=np.vstack(feats), labels=np.vstack(labels))
+    return Dataset(features=feats, labels=labels)
 
 
 def generate(spec: SynthSpec):

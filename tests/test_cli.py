@@ -8,10 +8,12 @@ import pytest
 
 import adsq.encoder
 from adsq.cli import main
-from adsq.codes import load_codes, pack
-from adsq.data import load_features
-from adsq.encoder import EncoderParams, forward, load_params, save_params
+from adsq.codes import encode_matrix, load_codes, pack
+from adsq.data import load_features, write_features
+from adsq.encoder import EncoderParams, forward, init_params, load_params, save_params
 from adsq.metrics import RelevanceJudge, mean_ap
+from adsq.trainer import MODEL_FILES
+from memtrace import traced_peak
 from references import unpack
 
 TRAIN_OVERRIDES = [
@@ -154,6 +156,69 @@ class TestEncode:
         assert n > 2 * block
         assert max(rows) <= block and sum(rows) == 2 * n
         assert out.read_bytes() == (root / "db.adsqb").read_bytes()
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda blob: blob[:-1], "truncated payload"),
+        (lambda blob: blob + b"\0", "1 trailing bytes"),
+        (lambda blob: b"NOTMAGIC" + blob[8:], "feature-file magic"),
+        (lambda blob: blob[:8] + np.array([0, 8], dtype="<u4").tobytes(), "no rows to encode"),
+    ], ids=["truncated", "trailing", "magic", "no-rows"])
+    def test_bad_feature_file_refused_before_any_forward(self, tmp_path, workspace,
+                                                         monkeypatch, capsys, damage, message):
+        """The file is refused whole before its first block is encoded, though
+        it spans several blocks."""
+        _, data, model = workspace
+        features = tmp_path / "bad.adsqf"
+        features.write_bytes(damage((data / "train.adsqf").read_bytes()))
+        calls = []
+
+        def recording_forward(params, x, keep_hidden=False):
+            calls.append(np.shape(x)[0])
+            return forward(params, x, keep_hidden)
+
+        monkeypatch.setattr(adsq.encoder, "FORWARD_BLOCK_ROWS", 5)
+        monkeypatch.setattr(adsq.encoder, "forward", recording_forward)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        assert main(["encode", "--model", str(model), "--features", str(features),
+                     "--out", str(out_dir / "db.adsqb")]) == 1
+        err = capsys.readouterr().err
+        assert message in err and str(features) in err
+        assert calls == []
+        assert list(out_dir.iterdir()) == []
+
+    def test_nan_in_last_block_fails_before_any_write(self, tmp_path, workspace, monkeypatch,
+                                                      capsys):
+        _, data, model = workspace
+        blob = bytearray((data / "train.adsqf").read_bytes())
+        blob[-4:] = np.array([np.nan], dtype="<f4").tobytes()
+        features = tmp_path / "nan.adsqf"
+        features.write_bytes(blob)
+        monkeypatch.setattr(adsq.encoder, "FORWARD_BLOCK_ROWS", 5)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        assert main(["encode", "--model", str(model), "--features", str(features),
+                     "--out", str(out_dir / "db.adsqb")]) == 1
+        assert f"{features}: feature payload contains NaN or Inf" in capsys.readouterr().err
+        assert list(out_dir.iterdir()) == []
+
+    def test_encode_streams_its_features(self, tmp_path):
+        """Traced memory of a 20k x 64 encode stays below a quarter of the
+        features in float64: the file is read one block at a time."""
+        x = np.random.default_rng(0).normal(size=(20_000, 64))
+        write_features(tmp_path / "f.adsqf", x)
+        model = tmp_path / "model"
+        model.mkdir()
+        for seed, name in enumerate(MODEL_FILES[1:]):  # retrieve-100k's widths
+            save_params(model / name, init_params([64, 64, 32, 32], seed))
+        argv = ["encode", "--model", str(model), "--features", str(tmp_path / "f.adsqf"),
+                "--out", str(tmp_path / "c.adsqb")]
+        code, peak = traced_peak(main, argv)
+        assert code == 0
+        assert peak < x.nbytes / 4
+        want = encode_matrix(load_features(tmp_path / "f.adsqf"),
+                             *(load_params(model / name) for name in MODEL_FILES[1:]))
+        np.testing.assert_array_equal(load_codes(tmp_path / "c.adsqb").payload, want.payload)
 
     def test_nan_weight_fails_before_any_write(self, tmp_path, workspace, capsys):
         _, data, model = workspace

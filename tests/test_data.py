@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import adsq.data
+import adsq.encoder
 from adsq.config import HyperParams
 from adsq.data import (Dataset, LabelPatterns, build_similarity, load_dataset,
                        load_features, load_labels, pack_label_words, write_features,
@@ -11,6 +12,7 @@ from adsq.data import (Dataset, LabelPatterns, build_similarity, load_dataset,
 from adsq.errors import DataError, FormatError
 from adsq.trainer import train
 from labelsets import LABEL_SET_NAMES, hand_label_sets
+from memtrace import traced_peak
 
 
 def random_labels(seed, n, c):
@@ -61,6 +63,24 @@ def test_feature_beyond_float32_rejected_before_writing(tmp_path):
     with pytest.raises(DataError):
         write_features(tmp_path / "big.adsqf", np.array([[1e39, 0.0]]))
     assert list(tmp_path.iterdir()) == []
+
+
+def test_partly_written_feature_file_leaves_nothing(tmp_path, monkeypatch):
+    """A value beyond float32 in the last of several blocks is refused after
+    the earlier blocks went out, leaving neither the file nor a temp file."""
+    monkeypatch.setattr(adsq.encoder, "FORWARD_BLOCK_ROWS", 2)
+    x = np.zeros((7, 3))
+    x[-1, 0] = 1e39
+    with pytest.raises(DataError, match="not finite in float32"):
+        write_features(tmp_path / "big.adsqf", x)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_features_holds_one_block_at_a_time(tmp_path):
+    x = np.random.default_rng(0).normal(size=(20_000, 64))
+    _, peak = traced_peak(write_features, tmp_path / "f.adsqf", x)
+    assert peak < x.nbytes / 8
+    np.testing.assert_array_equal(load_features(tmp_path / "f.adsqf"), x.astype("<f4"))
 
 
 def test_feature_nan_rejected(tmp_path):

@@ -3,6 +3,7 @@ import pytest
 
 from adsq.data import Dataset, build_similarity
 from adsq.synth import SynthSpec, generate
+from memtrace import traced_peak
 
 
 def spec_with(**kw):
@@ -116,3 +117,12 @@ def test_matches_per_item_reference(seed, overlap):
         np.testing.assert_array_equal(got.features, want.features)
         np.testing.assert_array_equal(got.labels, want.labels)
         assert got.labels.dtype == want.labels.dtype
+
+
+def test_generate_fills_one_array_per_split():
+    """At the retrieve-100k benchmark's shape, no second copy of the
+    training features is made: no per-class parts joined at the end."""
+    spec = SynthSpec(classes=21, dim=32, per_class=4810, queries_per_class=10,
+                     multilabel_overlap=0.3, seed=1)
+    (train, _), peak = traced_peak(generate, spec)
+    assert peak < 1.5 * train.features.nbytes
