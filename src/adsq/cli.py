@@ -142,17 +142,8 @@ def cmd_eval(args) -> int:
             raise AdsqError(f"unknown metric {m!r} (choose from {sorted(known)})")
     query_codes = load_codes(args.query_codes)
     db_codes = load_codes(args.db_codes)
-    if query_codes.k_total != db_codes.k_total:
-        raise AdsqError(
-            f"code width mismatch: queries {query_codes.k_total} bits, "
-            f"database {db_codes.k_total} bits")
-    query_labels = load_labels(args.query_labels)
-    db_labels = load_labels(args.db_labels)
-    if query_labels.shape[0] != query_codes.n:
-        raise AdsqError("query labels and codes disagree on item count")
-    if db_labels.shape[0] != db_codes.n:
-        raise AdsqError("database labels and codes disagree on item count")
-    judge = RelevanceJudge(query_labels=query_labels, db_labels=db_labels)
+    judge = RelevanceJudge(query_labels=load_labels(args.query_labels),
+                           db_labels=load_labels(args.db_labels))
     result = evaluate(query_codes, db_codes, judge, map_r=args.map_r,
                       n_list=[n for n in DEFAULT_TOPN_GRID if n <= db_codes.n])
     # (value, grid) pairs per metric, written in this order whatever --metrics says

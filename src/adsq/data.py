@@ -269,4 +269,6 @@ def load_labels(path) -> np.ndarray:
 
 
 def load_dataset(feature_path, label_path) -> Dataset:
+    """Each reader's checks name its file; ``Dataset``'s repeat them, about 4.8 ms
+    of 17 at 101k x 32 features and 21 classes (2-vCPU Xeon)."""
     return Dataset(features=load_features(feature_path), labels=load_labels(label_path))

@@ -111,8 +111,8 @@ class BinaryReader:
             raise FormatError(f"{self.path}: truncated {what} (the file shrank while read)")
         return out
 
-    def expect_rest(self, nbytes: int, what="payload"):
+    def expect_rest(self, nbytes: int):
         """Refuse the file, truncated or with trailing bytes, unless exactly
-        ``nbytes`` are left in it."""
-        self._check(nbytes, what)
+        ``nbytes`` of payload are left in it."""
+        self._check(nbytes, "payload")
         self._refuse_trailing(nbytes)

@@ -12,69 +12,47 @@ terms by name: its likelihood terms by ``labelnet.pairwise_nll``, its
 asymmetric term by ``LabelPatterns.signed``. The codes are the trainer's
 plain n x k_half float64 array of +-1.
 ``imgnet_grads`` is its exact gradient with one batch taken as the whole
-set; it enters the encoder at the hash pre-activation (quantization,
-balance, code-likelihood and asymmetric terms) and at the semantic layer
-(the semantic likelihood term, which never touches the hash head).
+set, read from the batch's outputs and the supervision rows, +-1 code rows
+and {0,1} similarity block that ``wstep_epoch`` gathers for it. It enters
+the encoder at the hash pre-activation (quantization, balance,
+code-likelihood and asymmetric terms) and at the semantic layer (the
+semantic likelihood term, which never touches the hash head).
 
 Which terms run is read from ``hp.variant`` alone (``Variant.keeps_sem``,
 ``Variant.keeps_asym``); a dropped term is neither computed nor
 differentiated.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .config import HyperParams
-from .data import Dataset, LabelPatterns
+from .data import Dataset
 from .encoder import EncoderParams, MomentumSGD, NetOutputs, backward, forward
 from .labelnet import iter_batches, pair_residual, pairwise_nll
 from .numerics import finite_terms
 
 
-@dataclass
-class ImgBatchContext:
-    """Everything one batch of the image objective needs, index-aligned."""
-
-    u: np.ndarray           # batch x k_half, tanh outputs
-    r_img: np.ndarray       # batch x semantic_dim
-    r_sup: np.ndarray       # batch x semantic_dim, label-network semantic rows
-    w_sup: np.ndarray       # batch x k_half, label-network code rows
-    codes: np.ndarray       # batch x k_half, entries +-1
-    sim_binary: np.ndarray  # batch x batch in {0,1}
-
-
-def make_context(batch, outs, sup: NetOutputs, codes, patterns: LabelPatterns) -> ImgBatchContext:
-    """Batch context; ``patterns`` are those of the full training labels."""
-    pid = patterns.ids[batch]
-    return ImgBatchContext(u=outs.u, r_img=outs.r, r_sup=sup.r[pid],
-                           w_sup=sup.u[pid], codes=codes[batch],
-                           sim_binary=patterns.block(batch))
-
-
-def _asym_fit(ctx: ImgBatchContext):
-    """U B^T - k S_signed over the batch, with S_signed = 2 S - 1."""
-    return ctx.u @ ctx.codes.T - ctx.u.shape[1] * (2.0 * ctx.sim_binary - 1.0)
-
-
-def imgnet_grads(ctx: ImgBatchContext, hp: HyperParams):
+def imgnet_grads(outs: NetOutputs, sup: NetOutputs, codes, sim_binary, hp: HyperParams):
     """Exact gradients of ``full_objective``, with the batch taken as the
     whole training set, w.r.t. the semantic outputs and the hash
-    pre-activations: returns (g_r, g_v). The objective itself is never
-    evaluated; non-finite pair logits raise TrainingError naming the term."""
-    g_r = np.zeros_like(ctx.r_img)
+    pre-activations: returns (g_r, g_v); every argument holds the batch's
+    rows in one order. The objective itself is never evaluated; non-finite
+    pair logits raise TrainingError naming the term."""
+    u = outs.u
+    g_r = np.zeros_like(outs.r)
     if hp.variant.keeps_sem:
-        g_lam = pair_residual(ctx.r_sup, ctx.r_img, ctx.sim_binary, "sem_pair")
-        g_r = hp.alpha * 0.5 * (g_lam.T @ ctx.r_sup)
+        g_lam = pair_residual(sup.r, outs.r, sim_binary, "sem_pair")
+        g_r = hp.alpha * 0.5 * (g_lam.T @ sup.r)
 
-    g_u = np.zeros_like(ctx.u)
+    g_u = np.zeros_like(u)
     if hp.variant.keeps_asym:
-        g_u += 2.0 * (_asym_fit(ctx) @ ctx.codes)
-    g_theta = pair_residual(ctx.w_sup, ctx.u, ctx.sim_binary, "code_pair")
-    g_u += hp.beta * 0.5 * (g_theta.T @ ctx.w_sup)
-    g_u += 2.0 * hp.eta * (ctx.u - ctx.codes)
-    g_u += 2.0 * hp.nu * ctx.u.sum(axis=0)
-    g_v = g_u * (1.0 - ctx.u**2)
+        # U B^T - k S_signed over the batch, with S_signed = 2 S - 1
+        g_u += 2.0 * ((u @ codes.T - u.shape[1] * (2.0 * sim_binary - 1.0)) @ codes)
+    g_theta = pair_residual(sup.u, u, sim_binary, "code_pair")
+    g_u += hp.beta * 0.5 * (g_theta.T @ sup.u)
+    g_u += 2.0 * hp.eta * (u - codes)
+    g_u += 2.0 * hp.nu * u.sum(axis=0)
+    g_v = g_u * (1.0 - u**2)
     return g_r, g_v
 
 
@@ -85,8 +63,10 @@ def wstep_epoch(params: EncoderParams, dataset: Dataset, codes, sup: NetOutputs,
     ``optimizer`` owns ``params.arrays`` and updates them in place."""
     for batch in iter_batches(dataset.n, hp.batch_size, rng):
         outs = forward(params, dataset.features[batch], keep_hidden=True)
-        ctx = make_context(batch, outs, sup, codes, dataset.patterns)
-        optimizer.step(backward(params, outs, *imgnet_grads(ctx, hp)), lr)
+        pid = dataset.patterns.ids[batch]
+        grads = imgnet_grads(outs, NetOutputs(r=sup.r[pid], u=sup.u[pid]), codes[batch],
+                             dataset.patterns.block(batch), hp)
+        optimizer.step(backward(params, outs, *grads), lr)
 
 
 def full_objective(outs: NetOutputs, dataset: Dataset, codes, sup: NetOutputs,

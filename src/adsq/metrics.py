@@ -70,10 +70,18 @@ def evaluate(queries: PackedCodes, db: PackedCodes, judge: RelevanceJudge, *,
     level is the precision at the smallest rank with ceil(level * total)
     hits, in exact integer arithmetic on the level's decimal form (0.55 of
     100 relevant items is 55 hits); PR skips queries with no relevant
-    item."""
+    item. Codes of unequal widths, or labels and codes of unequal item
+    counts, raise ``ValueError``."""
     if queries.n == 0 or db.n == 0:
         raise ValueError(f"query set and database must be nonempty, got {queries.n} "
                          f"queries and {db.n} database rows")
+    if queries.k_total != db.k_total:
+        raise ValueError(f"code width mismatch: queries {queries.k_total} bits, "
+                         f"database {db.k_total} bits")
+    counts = (len(judge.query_labels), queries.n, len(judge.db_labels), db.n)
+    if counts[0] != counts[1] or counts[2] != counts[3]:
+        raise ValueError("labels and codes disagree on item count: {} query label rows for "
+                         "{} codes, {} database label rows for {} codes".format(*counts))
     if map_r < 1:
         raise ValueError(f"cutoff must be >= 1, got {map_r}")
     grid = [float(g) for g in recall_grid]

@@ -78,16 +78,15 @@ class TrainState:
     log_rows: list = field(default_factory=list)
 
 
-def convergence_check(history, tol: float = CONVERGENCE_TOL,
-                      patience: int = CONVERGENCE_PATIENCE) -> bool:
-    """True once the relative round-to-round change stayed below ``tol``
-    for ``patience`` consecutive rounds."""
-    if len(history) < patience + 1:
+def convergence_check(history) -> bool:
+    """True once the relative round-to-round change stayed below
+    ``CONVERGENCE_TOL`` for ``CONVERGENCE_PATIENCE`` consecutive rounds."""
+    if len(history) < CONVERGENCE_PATIENCE + 1:
         return False
-    tail = history[-(patience + 1):]
+    tail = history[-(CONVERGENCE_PATIENCE + 1):]
     for prev, cur in zip(tail[:-1], tail[1:]):
         rel = abs(cur - prev) / max(abs(prev), np.finfo(np.float64).tiny)
-        if rel >= tol:
+        if rel >= CONVERGENCE_TOL:
             return False
     return True
 

@@ -70,15 +70,15 @@ def batch_dataset(s):
     return Dataset(features=np.zeros((s.shape[0], 1)), labels=labels_for_similarity(s))
 
 
-def batch_objective(ctx, hp, dataset=None):
-    """``full_objective`` with the batch ``ctx`` (an ``ImgBatchContext``) as
-    the whole training set; ``dataset`` is ``batch_dataset(ctx.sim_binary)``,
+def batch_objective(outs, sup, codes, sim_binary, hp, dataset=None):
+    """``full_objective`` with one batch, given as ``imgnet_grads`` takes it,
+    as the whole training set; ``dataset`` is ``batch_dataset(sim_binary)``,
     built here when not given. The supervision is gathered per pattern,
     as patterns come sorted by key, not in item order."""
-    dataset = batch_dataset(ctx.sim_binary) if dataset is None else dataset
+    dataset = batch_dataset(sim_binary) if dataset is None else dataset
     first = dataset.patterns.first
-    sup = NetOutputs(r=ctx.r_sup[first], u=ctx.w_sup[first])
-    return full_objective(NetOutputs(r=ctx.r_img, u=ctx.u), dataset, ctx.codes, sup, hp)
+    return full_objective(outs, dataset, codes,
+                          NetOutputs(r=sup.r[first], u=sup.u[first]), hp)
 
 
 def batch_label_loss(r, omega, head, labels, hp):

@@ -17,7 +17,7 @@ from adsq.codes import encode_matrix, pack
 from adsq.config import HyperParams, Variant
 from adsq.data import LabelPatterns
 from adsq.encoder import NetOutputs, init_params
-from adsq.imgnet import ImgBatchContext, imgnet_grads
+from adsq.imgnet import imgnet_grads
 from adsq.labelnet import ClassifierHead, labelnet_grad
 from adsq.metrics import RelevanceJudge, evaluate
 from adsq.synth import SynthSpec, generate
@@ -88,16 +88,15 @@ def test_criterion_1_imgnet_gradient_fidelity():
         s_bin, s_signed = random_similarity(rng, m)
         dataset = batch_dataset(s_bin)
 
-        def ctx():
-            return ImgBatchContext(u=np.tanh(v), r_img=r_img,
-                                   r_sup=r_sup, w_sup=w_sup, codes=codes,
-                                   sim_binary=s_bin)
+        def batch():
+            return (NetOutputs(r=r_img, u=np.tanh(v)), NetOutputs(r=r_sup, u=w_sup),
+                    codes, s_bin)
 
         for variant in (Variant.FULL, Variant.NO_ASYM, Variant.NO_SEM, Variant.NO_BOTH):
             hp_v = replace(hp, variant=variant)
-            g_r, g_v = imgnet_grads(ctx(), hp_v)
-            fd_v = fd_grad(lambda: sum(batch_objective(ctx(), hp_v, dataset).values()), v)
-            fd_r = fd_grad(lambda: sum(batch_objective(ctx(), hp_v, dataset).values()), r_img)
+            g_r, g_v = imgnet_grads(*batch(), hp_v)
+            fd_v = fd_grad(lambda: sum(batch_objective(*batch(), hp_v, dataset).values()), v)
+            fd_r = fd_grad(lambda: sum(batch_objective(*batch(), hp_v, dataset).values()), r_img)
             worst = max(worst, max_rel_error(g_v, fd_v))
             if np.any(fd_r) or np.any(g_r):
                 worst = max(worst, max_rel_error(g_r, fd_r))
@@ -348,13 +347,12 @@ def test_criterion_9_numerical_robustness():
     s_bin, s_signed = random_similarity(rng, m)
     codes = np.where(rng.random((m, k)) < 0.5, -1.0, 1.0)
 
-    ctx = ImgBatchContext(u=np.tanh(big_v), r_img=big_r,
-                          r_sup=big_r.copy(), w_sup=np.tanh(big_v.copy()),
-                          codes=codes, sim_binary=s_bin)
+    batch = (NetOutputs(r=big_r, u=np.tanh(big_v)),
+             NetOutputs(r=big_r.copy(), u=np.tanh(big_v.copy())), codes, s_bin)
     fine = True
     for variant in (Variant.FULL, Variant.NO_ASYM, Variant.NO_SEM, Variant.NO_BOTH):
-        bd = batch_objective(ctx, replace(hp, variant=variant))
-        g_r, g_v = imgnet_grads(ctx, replace(hp, variant=variant))
+        bd = batch_objective(*batch, replace(hp, variant=variant))
+        g_r, g_v = imgnet_grads(*batch, replace(hp, variant=variant))
         fine &= np.isfinite(sum(bd.values()))
         fine &= bool(np.all(np.isfinite(g_r)) and np.all(np.isfinite(g_v)))
 

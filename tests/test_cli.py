@@ -398,6 +398,20 @@ class TestEval:
         assert code == 1
         assert "mismatch" in capsys.readouterr().err
 
+    def test_item_count_mismatch_fails(self, tmp_path, workspace, capsys):
+        """The database's labels given for the queries: exit 1, nothing written."""
+        root, data, _ = workspace
+        from adsq.data import load_labels
+        n_q, n_db = load_codes(root / "query.adsqb").n, len(load_labels(data / "train.adsql"))
+        out = tmp_path / "m.csv"
+        code = main(["eval", "--query-codes", str(root / "query.adsqb"),
+                     "--db-codes", str(root / "db.adsqb"),
+                     "--query-labels", str(data / "train.adsql"),
+                     "--db-labels", str(data / "train.adsql"), "--out", str(out)])
+        assert code == 1
+        assert f"{n_db} query label rows for {n_q} codes" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_label_width_mismatch_fails(self, tmp_path, workspace, capsys):
         """3-class query labels against a 4-class database exit 1."""
         root, data, _ = workspace

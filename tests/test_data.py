@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 import adsq.data
 import adsq.encoder
 from adsq.config import HyperParams
-from adsq.data import (Dataset, LabelPatterns, build_similarity, load_dataset,
+from adsq.data import (Dataset, FeatureRows, LabelPatterns, build_similarity, load_dataset,
                        load_features, load_labels, pack_label_words, write_features,
                        write_labels, FEATURE_MAGIC, LABEL_MAGIC)
 from adsq.errors import DataError, FormatError
@@ -81,6 +83,21 @@ def test_write_features_holds_one_block_at_a_time(tmp_path):
     _, peak = traced_peak(write_features, tmp_path / "f.adsqf", x)
     assert peak < x.nbytes / 8
     np.testing.assert_array_equal(load_features(tmp_path / "f.adsqf"), x.astype("<f4"))
+
+
+@pytest.mark.parametrize("reads, expected", [
+    ([slice(0, 5), slice(0, 5)], "from row 5, not 0"),
+    ([slice(5, 10)], "from row 0, not 5")], ids=["again", "ahead"])
+def test_feature_rows_are_read_front_to_back(tmp_path, reads, expected):
+    """A block read again or out of turn is refused, naming the file."""
+    path = tmp_path / "f.adsqf"
+    write_features(path, np.arange(20.0).reshape(10, 2))
+    with FeatureRows(path) as x:
+        for rows in reads[:-1]:
+            x[rows]
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{path}: rows are read front to back, {expected}")):
+            x[reads[-1]]
 
 
 def test_feature_nan_rejected(tmp_path):

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 import adsq.data
+import adsq.imgnet
 import adsq.labelnet
 from adsq.config import HyperParams, Variant
 from adsq.data import Dataset, LabelPatterns, build_similarity
 from adsq.encoder import MomentumSGD, NetOutputs, forward, init_params
 from adsq.errors import TrainingError
-from adsq.imgnet import ImgBatchContext, full_objective, imgnet_grads, make_context, wstep_epoch
+from adsq.imgnet import full_objective, imgnet_grads, wstep_epoch
+from adsq.labelnet import iter_batches
 from adsq.numerics import softplus_stable
 from fdcheck import (TOL, batch_dataset, batch_objective, fd_grad, labels_for_similarity,
                      max_rel_error, random_similarity)
@@ -36,8 +38,8 @@ def make_instance(seed, m=4, k=3, sem=5, **hp_kw):
 
 
 def ctx_from(v, r_img, r_sup, w_sup, codes, s_bin):
-    return ImgBatchContext(u=np.tanh(v), r_img=r_img, r_sup=r_sup, w_sup=w_sup,
-                           codes=codes, sim_binary=s_bin)
+    """What ``imgnet_grads`` takes: (outs, sup, codes, s_bin)."""
+    return NetOutputs(r=r_img, u=np.tanh(v)), NetOutputs(r=r_sup, u=w_sup), codes, s_bin
 
 
 def as_variant(hp, variant):
@@ -51,27 +53,27 @@ class TestLossValues:
         m, k = 2, 3
         codes = np.ones((m, k))
         v = np.arctanh(0.999 * codes)
-        ctx = ctx_from(v, np.zeros((m, 5)), np.zeros((m, 5)), np.zeros((m, k)),
-                       codes, random_similarity(np.random.default_rng(0), m)[0])
-        bd = batch_objective(ctx, hp)
+        batch = ctx_from(v, np.zeros((m, 5)), np.zeros((m, 5)), np.zeros((m, k)),
+                         codes, random_similarity(np.random.default_rng(0), m)[0])
+        bd = batch_objective(*batch, hp)
         assert bd["quant"] == pytest.approx(m * k * 1e-6, rel=1e-9)
 
     def test_balance_zero_for_balanced_bits(self):
         hp, *_ = make_instance(0, nu=1.0, alpha=0, beta=0, eta=0, variant="no-both")
         u = np.array([[0.9, -0.9], [-0.9, 0.9]])
-        ctx = ctx_from(np.arctanh(u), np.zeros((2, 5)), np.zeros((2, 5)),
-                       np.zeros((2, 2)), np.ones((2, 2)),
-                       random_similarity(np.random.default_rng(1), 2)[0])
-        assert batch_objective(ctx, hp)["balance"] == 0.0
+        batch = ctx_from(np.arctanh(u), np.zeros((2, 5)), np.zeros((2, 5)),
+                         np.zeros((2, 2)), np.ones((2, 2)),
+                         random_similarity(np.random.default_rng(1), 2)[0])
+        assert batch_objective(*batch, hp)["balance"] == 0.0
 
     def test_asym_hand_value(self):
         """Single item, one bit: (0.5*1 - 1*1)^2 = 0.25."""
         hp = HyperParams(k_half=1, alpha=0, beta=0, eta=0, nu=0,
                          encoder_hidden=(4,), semantic_dim=2)
-        ctx = ctx_from(np.array([[np.arctanh(0.5)]]), np.zeros((1, 2)),
-                       np.zeros((1, 2)), np.zeros((1, 1)),
-                       np.array([[1.0]]), np.array([[1.0]]))
-        assert batch_objective(ctx, hp)["asym"] == pytest.approx(0.25, rel=1e-12)
+        batch = ctx_from(np.array([[np.arctanh(0.5)]]), np.zeros((1, 2)),
+                         np.zeros((1, 2)), np.zeros((1, 1)),
+                         np.array([[1.0]]), np.array([[1.0]]))
+        assert batch_objective(*batch, hp)["asym"] == pytest.approx(0.25, rel=1e-12)
 
     def test_signed_target_for_dissimilar_pairs(self):
         """A dissimilar pair is pulled toward inner product -k, not 0."""
@@ -80,68 +82,68 @@ class TestLossValues:
         codes = np.array([[1.0, 1.0], [-1.0, -1.0]])
         u = 0.999 * codes
         s_bin = np.eye(2)
-        ctx = ctx_from(np.arctanh(u), np.zeros((2, 2)), np.zeros((2, 2)),
-                       np.zeros((2, 2)), codes, s_bin)
+        batch = ctx_from(np.arctanh(u), np.zeros((2, 2)), np.zeros((2, 2)),
+                         np.zeros((2, 2)), codes, s_bin)
         # opposite codes hit the -k target almost exactly
-        assert batch_objective(ctx, hp)["asym"] < 0.01
+        assert batch_objective(*batch, hp)["asym"] < 0.01
 
     @pytest.mark.parametrize("row, logits", [("r", "sem_pair"), ("u", "code_pair")])
     def test_overflowing_logits_raise_training_error(self, row, logits):
         hp, *inst = make_instance(7)
-        ctx = ctx_from(*inst)
+        outs, sup, codes, s_bin = ctx_from(*inst)
         if row == "r":
-            ctx.r_img[1] = 1e200
-            ctx.r_sup[1] = 1e200
+            outs.r[1] = 1e200
+            sup.r[1] = 1e200
         else:
-            ctx.u[1] = 1e200
-            ctx.w_sup[1] = 1e200
+            outs.u[1] = 1e200
+            sup.u[1] = 1e200
         with np.errstate(over="ignore"), \
                 pytest.raises(TrainingError, match=f"non-finite {logits} logits"):
-            batch_objective(ctx, hp)
+            batch_objective(outs, sup, codes, s_bin, hp)
 
     @pytest.mark.parametrize("term, weight", [("sem_pair", "alpha"), ("code_pair", "beta"),
                                               ("quant", "eta"), ("balance", "nu")])
     def test_overflowing_term_is_named(self, term, weight):
         """A finite weight of 1e308 overflows its term; the error names it."""
         hp, *inst = make_instance(7, **{weight: 1e308})
-        ctx = ctx_from(*inst)
-        ctx.u[:] = 0.9  # bit column sums of 3.6, so the balance term exceeds 1
+        outs, sup, codes, s_bin = ctx_from(*inst)
+        outs.u[:] = 0.9  # bit column sums of 3.6, so the balance term exceeds 1
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(TrainingError, match=f"^non-finite {term} term$"):
-            batch_objective(ctx, hp)
+            batch_objective(outs, sup, codes, s_bin, hp)
 
     def test_overflowing_asym_term_is_named(self):
         """The asymmetric term has no weight: outputs equal to codes of size
         1e160 whose bit columns sum to zero overflow it alone."""
         hp, *inst = make_instance(7)
-        ctx = ctx_from(*inst)
-        ctx.codes[:] = 1e160 * np.array([[1.0], [-1.0], [1.0], [-1.0]])
-        ctx.u[:] = ctx.codes
-        ctx.w_sup[:] = 0.0
+        outs, sup, codes, s_bin = ctx_from(*inst)
+        codes[:] = 1e160 * np.array([[1.0], [-1.0], [1.0], [-1.0]])
+        outs.u[:] = codes
+        sup.u[:] = 0.0
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(TrainingError, match="^non-finite asym term$"):
-            batch_objective(ctx, hp)
+            batch_objective(outs, sup, codes, s_bin, hp)
 
     def test_first_bad_term_in_column_order_is_named(self):
         hp, *inst = make_instance(7, alpha=1e308, eta=1e308)
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(TrainingError, match="^non-finite sem_pair term$"):
-            batch_objective(ctx_from(*inst), hp)
+            batch_objective(*ctx_from(*inst), hp)
 
     def test_breakdown_sums_to_total(self):
         hp, *inst = make_instance(5)
         for variant in VARIANTS:
-            bd = batch_objective(ctx_from(*inst), as_variant(hp, variant))
+            bd = batch_objective(*ctx_from(*inst), as_variant(hp, variant))
             assert list(bd) == ["sem_pair", "code_pair", "quant", "balance", "asym"]
             parts = bd["sem_pair"] + bd["code_pair"] + bd["quant"] + bd["balance"] + bd["asym"]
             assert sum(bd.values()) == pytest.approx(parts, abs=1e-12)
 
     def test_masked_terms_report_zero(self):
         hp, *inst = make_instance(6)
-        ctx = ctx_from(*inst)
-        assert batch_objective(ctx, as_variant(hp, Variant.NO_ASYM))["asym"] == 0.0
-        assert batch_objective(ctx, as_variant(hp, Variant.NO_SEM))["sem_pair"] == 0.0
-        bd = batch_objective(ctx, as_variant(hp, Variant.NO_BOTH))
+        batch = ctx_from(*inst)
+        assert batch_objective(*batch, as_variant(hp, Variant.NO_ASYM))["asym"] == 0.0
+        assert batch_objective(*batch, as_variant(hp, Variant.NO_SEM))["sem_pair"] == 0.0
+        bd = batch_objective(*batch, as_variant(hp, Variant.NO_BOTH))
         assert bd["asym"] == 0.0 and bd["sem_pair"] == 0.0
 
     def test_exact_codes_make_asym_definitional(self):
@@ -155,20 +157,18 @@ class TestLossValues:
         c = np.where(rng.random(k) < 0.5, -1.0, 1.0)
         u_exact = np.where(rng.random((m, 1)) < 0.5, -1.0, 1.0) * c
         s_signed = (u_exact @ u_exact.T) / k  # consistent by construction
-        ctx = ImgBatchContext(u=u_exact, r_img=np.zeros((m, 2)),
-                              r_sup=np.zeros((m, 2)), w_sup=np.zeros((m, k)),
-                              codes=u_exact, sim_binary=(s_signed + 1) / 2)
-        assert batch_objective(ctx, hp)["asym"] == 0.0
+        sup = NetOutputs(r=np.zeros((m, 2)), u=np.zeros((m, k)))
+        s_bin = (s_signed + 1) / 2
+        assert batch_objective(NetOutputs(r=np.zeros((m, 2)), u=u_exact), sup, u_exact, s_bin,
+                               hp)["asym"] == 0.0
         brute = sum((float(u_exact[i] @ u_exact[j]) - k * s_signed[i, j])**2
                     for i in range(m) for j in range(m))
         assert brute == 0.0
         # flipping one bit breaks the reproduction and the term grows
         u_off = u_exact.copy()
         u_off[0, 0] *= -1
-        ctx_off = ImgBatchContext(u=u_off, r_img=np.zeros((m, 2)), r_sup=np.zeros((m, 2)),
-                                  w_sup=np.zeros((m, k)), codes=u_exact,
-                                  sim_binary=(s_signed + 1) / 2)
-        off = batch_objective(ctx_off, hp)["asym"]
+        off = batch_objective(NetOutputs(r=np.zeros((m, 2)), u=u_off), sup, u_exact, s_bin,
+                              hp)["asym"]
         brute_off = sum((float(u_off[i] @ u_exact[j]) - k * s_signed[i, j])**2
                         for i in range(m) for j in range(m))
         assert off > 0.0
@@ -182,32 +182,31 @@ class TestGradients:
         m, k = 3, 3
         codes = np.where(np.random.default_rng(2).random((m, k)) < 0.5, -1.0, 1.0)
         u = 0.999 * codes
-        ctx = ctx_from(np.arctanh(u), np.zeros((m, 5)), np.zeros((m, 5)),
-                       np.zeros((m, k)), codes,
-                       random_similarity(np.random.default_rng(3), m)[0])
-        g = imgnet_grads(ctx, hp)[1]
+        batch = ctx_from(np.arctanh(u), np.zeros((m, 5)), np.zeros((m, 5)),
+                         np.zeros((m, k)), codes,
+                         random_similarity(np.random.default_rng(3), m)[0])
+        g = imgnet_grads(*batch, hp)[1]
         np.testing.assert_allclose(g, 2 * hp.eta * (u - codes) * (1 - u**2), rtol=1e-9)
 
     def test_zero_outputs_pull_toward_codes(self):
         hp, *_ = make_instance(0, alpha=0, beta=0, nu=0, eta=10.0, variant="no-both")
         m, k = 3, 3
         codes = np.where(np.random.default_rng(4).random((m, k)) < 0.5, -1.0, 1.0)
-        ctx = ctx_from(np.zeros((m, k)), np.zeros((m, 5)), np.zeros((m, 5)),
-                       np.zeros((m, k)), codes,
-                       random_similarity(np.random.default_rng(5), m)[0])
-        np.testing.assert_allclose(imgnet_grads(ctx, hp)[1],
+        batch = ctx_from(np.zeros((m, k)), np.zeros((m, 5)), np.zeros((m, 5)),
+                         np.zeros((m, k)), codes,
+                         random_similarity(np.random.default_rng(5), m)[0])
+        np.testing.assert_allclose(imgnet_grads(*batch, hp)[1],
                                    -2 * hp.eta * codes, rtol=1e-12)
 
     @pytest.mark.parametrize("variant", VARIANTS, ids=[v.value for v in VARIANTS])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_finite_differences(self, variant, seed):
         hp, v, r_img, r_sup, w_sup, codes, s_bin = make_instance(seed, variant=variant)
-        ctx = ctx_from(v, r_img, r_sup, w_sup, codes, s_bin)
-        g_r, g_v = imgnet_grads(ctx, hp)
+        g_r, g_v = imgnet_grads(*ctx_from(v, r_img, r_sup, w_sup, codes, s_bin), hp)
         ds = batch_dataset(s_bin)
 
         def loss():
-            terms = batch_objective(ctx_from(v, r_img, r_sup, w_sup, codes, s_bin), hp, ds)
+            terms = batch_objective(*ctx_from(v, r_img, r_sup, w_sup, codes, s_bin), hp, ds)
             return sum(terms.values())
 
         assert max_rel_error(g_v, fd_grad(loss, v)) <= TOL
@@ -286,16 +285,29 @@ def test_two_networks_diverge_with_different_seeds():
     assert not np.allclose(ux, uy)
 
 
-def test_make_context_aligns_rows():
+def test_wstep_epoch_aligns_rows(monkeypatch):
+    """Each batch's supervision, code and similarity rows reach
+    ``imgnet_grads`` in the batch's own item order."""
     ds, hp, params, sup, codes = wstep_setup(3)
-    batch = np.array([4, 7, 19])
-    outs = forward(params, ds.features[batch])
-    ctx = make_context(batch, outs, sup, codes, ds.patterns)
-    np.testing.assert_array_equal(ctx.codes, codes[batch])
-    np.testing.assert_array_equal(ctx.r_sup, sup.r[ds.patterns.ids[batch]])
-    np.testing.assert_array_equal(ctx.w_sup, sup.u[ds.patterns.ids[batch]])
-    assert ctx.sim_binary.shape == (3, 3)
-    np.testing.assert_array_equal(ctx.sim_binary, build_similarity(ds.labels[batch]))
+    seen = []
+    real = adsq.imgnet.imgnet_grads
+
+    def record(outs, batch_sup, batch_codes, sim_binary, batch_hp):
+        seen.append((len(outs.u), batch_sup, batch_codes, sim_binary))
+        return real(outs, batch_sup, batch_codes, sim_binary, batch_hp)
+
+    monkeypatch.setattr(adsq.imgnet, "imgnet_grads", record)
+    wstep_epoch(params, ds, codes, sup, hp,
+                lr=1e-5, rng=np.random.default_rng(4), optimizer=sgd(params, hp))
+    batches = list(iter_batches(ds.n, hp.batch_size, np.random.default_rng(4)))
+    assert len(seen) == len(batches) > 1
+    for batch, (rows, batch_sup, batch_codes, sim_binary) in zip(batches, seen):
+        pid = ds.patterns.ids[batch]
+        assert rows == len(batch)
+        np.testing.assert_array_equal(batch_sup.r, sup.r[pid])
+        np.testing.assert_array_equal(batch_sup.u, sup.u[pid])
+        np.testing.assert_array_equal(batch_codes, codes[batch])
+        np.testing.assert_array_equal(sim_binary, build_similarity(ds.labels[batch]))
 
 
 def test_no_sem_variant_in_hp_drops_sem_term_everywhere():
@@ -306,7 +318,9 @@ def test_no_sem_variant_in_hp_drops_sem_term_everywhere():
     hp = as_variant(hp, "no-sem")
     batch = np.arange(8)
     outs = forward(params, ds.features[batch])
-    for bd in (batch_objective(make_context(batch, outs, sup, codes, ds.patterns), hp),
+    pid = ds.patterns.ids[batch]
+    batch_sup = NetOutputs(r=sup.r[pid], u=sup.u[pid])
+    for bd in (batch_objective(outs, batch_sup, codes[batch], ds.patterns.block(batch), hp),
                full_objective(forward(params, ds.features), ds, codes, sup, hp)):
         assert bd["sem_pair"] == 0.0 and bd["asym"] > 0.0
 

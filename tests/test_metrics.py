@@ -363,6 +363,23 @@ class TestEvaluate:
                      RelevanceJudge(np.zeros((0, dlab.shape[1]), dtype=np.int8), dlab),
                      map_r=5)
 
+    def test_code_width_mismatch_rejected(self):
+        """30-bit queries fit the 4 bytes of a 32-bit database row."""
+        qc, dc, qlab, dlab = random_case(0, n_q=5, n_db=50, k=32)
+        with pytest.raises(ValueError,
+                           match="^code width mismatch: queries 30 bits, database 32 bits$"):
+            evaluate(pack(qc[:, :30]), pack(dc), RelevanceJudge(qlab, dlab), map_r=5)
+
+    @pytest.mark.parametrize("q_rows, db_rows", [(5, 57), (10, 50), (3, 50)])
+    def test_item_count_mismatch_rejected(self, q_rows, db_rows):
+        """Label rows for 5 query and 50 database codes, more or fewer."""
+        qc, dc, qlab, dlab = random_case(0, n_q=10, n_db=57)
+        with pytest.raises(ValueError, match=(
+                f"^labels and codes disagree on item count: {q_rows} query label rows for 5 "
+                f"codes, {db_rows} database label rows for 50 codes$")):
+            evaluate(pack(qc[:5]), pack(dc[:50]), RelevanceJudge(qlab[:q_rows], dlab[:db_rows]),
+                     map_r=5)
+
     def test_zero_cutoff_rejected(self):
         qc, dc, qlab, dlab = random_case(0)
         with pytest.raises(ValueError, match="cutoff"):

@@ -165,3 +165,58 @@ def test_library_names_have_a_non_test_caller():
     assert [f"{path.relative_to(SRC)}:{name}" for path, name in defined
             if name not in TEST_REFERENCES
             and not places.get(name, set()) - {(path, name)}] == []
+
+
+# defaulted parameters the tests may be alone in passing, each with the reason
+TEST_ARGUMENTS = {
+    "build_similarity(labels_b)": "the dense reference's cross block, as in TEST_REFERENCES",
+    "pr_curve(recall_grid)": "perfbench calls the wrapper, which ROADMAP item 6 deletes",
+}
+
+
+def _defaulted_parameters(path):
+    """``(function, parameter, position)`` for each parameter of a function
+    in ``path`` that has a default. ``position`` counts the call's own
+    positional arguments, so a method's ``self`` is not counted; it is None
+    for a keyword-only parameter. Dunder protocol methods are exempt."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or \
+                (node.name.startswith("__") and node.name.endswith("__")):
+            continue
+        a = node.args
+        positional = a.posonlyargs + a.args
+        skip = id(node) in methods and not any(getattr(d, "id", None) == "staticmethod"
+                                               for d in node.decorator_list)
+        found += [(node.name, p.arg, i - skip)
+                  for i, p in enumerate(positional) if i >= len(positional) - len(a.defaults)]
+        found += [(node.name, p.arg, None)
+                  for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    return found
+
+
+def _passes(call, param, position):
+    """Whether ``call`` fills in ``param``; a starred argument fills in all."""
+    return any(isinstance(arg, ast.Starred) for arg in call.args) or \
+        any(k.arg in (None, param) for k in call.keywords) or \
+        (position is not None and len(call.args) > position)
+
+
+def test_every_default_is_overridden_outside_the_tests():
+    """A defaulted parameter that no caller in the library, the scripts or
+    the benchmark fills in is an option kept for the tests alone: read the
+    value inside, or list the parameter with the reason it stays."""
+    calls = {}
+    for d in ("src/adsq", "scripts", "perfbench"):
+        for path in sorted((ROOT / d).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    calls.setdefault(name, []).append(node)
+    defaulted = [f for path in sorted(SRC.rglob("*.py")) for f in _defaulted_parameters(path)]
+    assert len(defaulted) > 10, "the scan no longer sees the library's defaults"
+    unused = [f"{name}({param})" for name, param, position in defaulted
+              if not any(_passes(call, param, position) for call in calls.get(name, []))]
+    assert sorted(unused) == sorted(TEST_ARGUMENTS)
