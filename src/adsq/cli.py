@@ -20,7 +20,7 @@ from .codes import encode_matrix, load_codes, write_codes
 from .config import Variant, load_config
 from .data import FeatureRows, load_dataset, load_labels, write_features, write_labels
 from .encoder import load_params
-from .errors import AdsqError, ConfigError
+from .errors import AdsqError, ConfigError, DataError
 from .fileio import atomic_open, write_csv
 from .metrics import RelevanceJudge, evaluate
 from .synth import SynthSpec, generate
@@ -121,6 +121,10 @@ def cmd_encode(args) -> int:
     with FeatureRows(args.features) as features:
         if len(features) == 0:
             raise AdsqError(f"{args.features}: no rows to encode")
+        for path, params in zip(img_paths, (imgx, imgy)):
+            if params.in_dim != features.dim:
+                raise DataError(f"{args.features} has {features.dim} features per row, "
+                                f"but {path} takes {params.in_dim}")
         names = [f"{path} on {args.features}" for path in img_paths]
         packed = encode_matrix(features, imgx, imgy, names)
     write_codes(args.out, packed)

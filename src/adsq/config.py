@@ -9,6 +9,8 @@ from dataclasses import dataclass
 
 from .errors import ConfigError
 
+LR_STEPS = 7  # points of the geometric learning-rate grid, lr_min to lr_max
+
 
 class Variant(str, enum.Enum):
     """The one ablation switch of a run, read from ``HyperParams.variant``.
@@ -65,7 +67,6 @@ class HyperParams:
     k_half: int = 8
     lr_min: float = 1e-5
     lr_max: float = 1e-2
-    lr_steps: int = 7
     t_label: int = 25
     t_img: int = 3
     outer_rounds: int = 5
@@ -76,8 +77,6 @@ class HyperParams:
     encoder_hidden: tuple = (4096, 4096)
     semantic_dim: int = 512
     variant: Variant = Variant.FULL
-    j3_literal: bool = False
-    refresh_labelnet: bool = True
 
     def __post_init__(self):
         for name, default in _DEFAULTS.items():
@@ -104,8 +103,6 @@ class HyperParams:
         if not (0 < self.lr_min <= self.lr_max < math.inf):
             raise ConfigError(f"need 0 < lr_min <= lr_max < inf, got {self.lr_min}, "
                               f"{self.lr_max}")
-        if self.lr_steps < 1:
-            raise ConfigError(f"lr_steps must be >= 1, got {self.lr_steps}")
         for name in ("t_label", "t_img", "outer_rounds"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
@@ -116,17 +113,11 @@ class HyperParams:
         if any(w < 1 for w in self.encoder_hidden):
             raise ConfigError("encoder_hidden widths must be >= 1")
 
-    def lr_grid(self):
-        """Geometric learning-rate grid from lr_min to lr_max, inclusive."""
-        if self.lr_steps == 1:
-            return [self.lr_min]
-        ratio = (self.lr_max / self.lr_min) ** (1.0 / (self.lr_steps - 1))
-        return [self.lr_min * ratio**i for i in range(self.lr_steps)]
-
     def lr_for_round(self, round_index: int) -> float:
-        """One grid point per outer round, clamped at the last point."""
-        grid = self.lr_grid()
-        return grid[min(round_index, len(grid) - 1)]
+        """One point per outer round of the ``LR_STEPS``-point geometric grid
+        from lr_min to lr_max, inclusive, clamped at the last point."""
+        ratio = (self.lr_max / self.lr_min) ** (1.0 / (LR_STEPS - 1))
+        return self.lr_min * ratio**min(round_index, LR_STEPS - 1)
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -136,7 +127,6 @@ class HyperParams:
 
 
 _DEFAULTS = {f.name: f.default for f in dataclasses.fields(HyperParams)}
-_BOOL_STRINGS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
 def _as_int(name, value) -> int:
@@ -155,14 +145,7 @@ def _as_float(name, value) -> float:
     raise ConfigError(f"{name} must be a number, got {value!r}")
 
 
-def _as_bool(name, value) -> bool:
-    """``value`` of bool field ``name``: a bool, or the integer 0 or 1."""
-    if isinstance(value, bool) or (isinstance(value, int) and value in (0, 1)):
-        return bool(value)
-    raise ConfigError(f"{name} must be true or false, got {value!r}")
-
-
-_FIELD_CHECKS = {bool: _as_bool, int: _as_int, float: _as_float}
+_FIELD_CHECKS = {int: _as_int, float: _as_float}
 
 
 def _coerce(key, value):
@@ -174,10 +157,8 @@ def _coerce(key, value):
     try:
         if isinstance(default, tuple):
             return tuple(int(v) for v in value.split(",") if v.strip())
-        if isinstance(default, bool):
-            return _BOOL_STRINGS[value.lower()]
         return type(default)(value)
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"bad value for config key {key!r}: {value!r}") from exc
 
 

@@ -5,8 +5,8 @@ terms over all ordered pairs of distinct items (i != j):
 
   sem_pair    pairwise likelihood on semantic features, logits 0.5 * r_i.r_j
   code_pair   same on tanh code outputs, logits 0.5 * w_i.w_j
-  binary_reg  L1 pull of |code entries| toward 1 (or literal entries
-              toward +1 when ``j3_literal`` is set)
+  binary_reg  two-sided L1 pull ||w| - 1| of code entries toward +-1; the one-sided
+              |w - 1| is minimised by every entry at +1, so it is not offered
   classify    squared error of the linear classifier readout vs true labels
 
 ``labelnet_loss`` is the loss over the whole training set, one output row
@@ -70,11 +70,10 @@ def pair_residual(a, b, sim_binary, what):
     return g
 
 
-def binary_reg_value(omega, literal: bool, counts) -> float:
+def binary_reg_value(omega, counts) -> float:
     """Per-item L1 distance of codes from the discrete target set, row a
     counted ``counts[a]`` times."""
-    dist = np.abs(omega - 1.0) if literal else np.abs(np.abs(omega) - 1.0)
-    return float((counts[:, None] * dist).sum())
+    return float((counts[:, None] * np.abs(np.abs(omega) - 1.0)).sum())
 
 
 def labelnet_loss(sup: NetOutputs, head: ClassifierHead, patterns: LabelPatterns,
@@ -88,7 +87,7 @@ def labelnet_loss(sup: NetOutputs, head: ClassifierHead, patterns: LabelPatterns
         sem_pair=hp.alpha * pairwise_nll(r, r[ids], patterns, "sem_pair"),
         code_pair=hp.beta * pairwise_nll(omega, omega[ids], patterns, "code_pair"),
         # each item appears in 2*(n-1) ordered-pair slots
-        binary_reg=hp.gamma * 2.0 * (ids.size - 1) * binary_reg_value(omega, hp.j3_literal, counts),
+        binary_reg=hp.gamma * 2.0 * (ids.size - 1) * binary_reg_value(omega, counts),
         classify=hp.delta * float((counts[:, None] * resid2).sum()))
 
 
@@ -97,7 +96,7 @@ def labelnet_grad(outs: NetOutputs, head: ClassifierHead, sim_binary, labels, hp
     (g_r, g_omega, [g_head_weight, g_head_bias]); the loss is never evaluated.
 
     The binary regularizer uses the subgradient convention that its slope
-    is 0 exactly at |entry| = 1 (and at 0 in the literal form's kink).
+    is 0 exactly at |entry| = 1.
     """
     r, omega = outs.r, outs.u
     m = r.shape[0]
@@ -107,10 +106,7 @@ def labelnet_grad(outs: NetOutputs, head: ClassifierHead, sim_binary, labels, hp
     g_r = hp.alpha * (pair_residual(r, r, s, "sem_pair") @ r)
     g_omega = hp.beta * (pair_residual(omega, omega, s, "code_pair") @ omega)
 
-    if hp.j3_literal:
-        reg_slope = np.sign(omega - 1.0)
-    else:
-        reg_slope = np.sign(np.abs(omega) - 1.0) * np.sign(omega)
+    reg_slope = np.sign(np.abs(omega) - 1.0) * np.sign(omega)
     g_omega = g_omega + hp.gamma * 2.0 * (m - 1) * reg_slope
 
     resid = head.predict(omega) - np.asarray(labels, dtype=np.float64)

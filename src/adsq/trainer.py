@@ -1,10 +1,10 @@
 """Alternating training loop: label network first, then rounds of weight
 updates and discrete code updates for both image networks.
 
-Per outer round: (optionally) refresh the label network and its cached
-supervision, run ``t_img`` weight epochs per image network with codes
-fixed, then one coordinate-descent sweep of each code matrix with weights
-fixed; each code matrix is a plain float64 array of +-1, updated in place.
+Per outer round: refresh the label network and its cached supervision,
+run ``t_img`` weight epochs per image network with codes fixed, then one
+coordinate-descent sweep of each code matrix with weights fixed; each
+code matrix is a plain float64 array of +-1, updated in place.
 Each phase logs one ``log_row`` of the terms its objective returns by name.
 The learning rate walks a geometric grid, one point per round, clamped at
 the last point. In the symmetric variant a single image network backs both
@@ -91,6 +91,7 @@ def convergence_check(history) -> bool:
     return True
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train(dataset: Dataset, hp: HyperParams) -> TrainState:
     """Run the full alternating procedure; see the module docstring."""
     symmetric = hp.variant is Variant.SYMMETRIC
@@ -165,7 +166,7 @@ def train(dataset: Dataset, hp: HyperParams) -> TrainState:
 
     for rnd in range(hp.outer_rounds):
         lr = hp.lr_for_round(rnd)
-        if rnd > 0 and hp.refresh_labelnet:
+        if rnd > 0:
             run_phase(rnd, "label", label_phase, rnd, lr)
         full = [run_phase(rnd, f"wstep_{tag}", wstep, rnd, lr, tag, params, codes, opt, rng)
                 for tag, params, codes, opt, rng in nets]

@@ -1,8 +1,9 @@
-"""The names the benchmark under perfbench/ looks up in adsq must exist.
+"""The names the benchmark under perfbench/ looks up in adsq must exist,
+and the training settings it passes must load.
 
-perfbench wraps functions by module attribute and calls the library
-directly, so renaming or deleting one of these names breaks the
-benchmark without failing any other test.
+perfbench wraps functions by module attribute, calls the library
+directly and sets config keys by name, so renaming or deleting one of
+these breaks the benchmark without failing any other test.
 """
 
 import ast
@@ -16,6 +17,10 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 
 from tracing import SPANS  # noqa: E402
+from workloads import LR, WORKLOADS  # noqa: E402
+
+from adsq.cli import _parse_overrides, build_parser  # noqa: E402
+from adsq.config import load_config  # noqa: E402
 
 # adsq module names bound in perfbench by `from adsq import ...`
 ADSQ_MODULES = ("cli", "codes", "data", "metrics", "synth")
@@ -63,3 +68,16 @@ def test_every_adsq_attribute_in_the_scripts_exists():
     missing = [f"{m}.{a}" for m, a in sorted(used)
                if not hasattr(importlib.import_module(m), a)]
     assert not missing
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_workload_training_settings_are_accepted(name):
+    """Each workload's ``adsq train`` arguments, turned into overrides as
+    ``cmd_train`` turns them, load into the settings the workload names."""
+    w = WORKLOADS[name]
+    args = build_parser().parse_args(["train", "--features", "f", "--labels", "l",
+                                      "--out", "o", *w.train_args()])
+    hp = load_config(None, {**_parse_overrides(args.set), "k_half": args.k_half})
+    assert (hp.k_half, hp.encoder_hidden, hp.semantic_dim, hp.t_label, hp.outer_rounds) == \
+        (w.k_half, w.hidden, w.semantic_dim, w.t_label, w.outer_rounds)
+    assert hp.lr_min == hp.lr_max == LR

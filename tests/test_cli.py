@@ -126,6 +126,21 @@ class TestTrain:
         merged = json.loads((out / "manifest.json").read_text())["config"]
         assert merged["k_half"] == 3  # flag beats file
 
+    def test_diverging_train_exits_1_with_only_its_error(self, tmp_path, workspace, capsys):
+        """A learning rate of 1e3 overflows the first label step: the run
+        fails naming its round, phase and term, with no numpy warning."""
+        _, data, _ = workspace
+        out = tmp_path / "run"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(train_args(data, out, extra=["--set", "lr_min=1e3",
+                                                     "--set", "lr_max=1e3"]))
+        assert code == 1
+        assert caught == []
+        assert capsys.readouterr().err == \
+            "adsq train: error: round 0, phase label: non-finite sem_pair logits\n"
+        assert not out.exists()
+
 
 class TestEncode:
     def test_codes_match_forward_signs(self, workspace):
@@ -292,6 +307,28 @@ class TestEncode:
         assert code == 1
         assert f"layer {len(imgy.weights) - 1} has zero width" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("wrong", ["features", "imgy.net"])
+    def test_width_mismatch_names_both_files(self, tmp_path, workspace, capsys, wrong):
+        """9-wide features against the 8-wide model, or an imgy.net taken
+        from a 6-wide model: exit 1 naming the feature file, the model file
+        and both widths, before any output is written."""
+        _, data, model = workspace
+        run_model, features = tmp_path / "model", data / "train.adsqf"
+        shutil.copytree(model, run_model)
+        if wrong == "features":
+            features = tmp_path / "wide.adsqf"
+            write_features(features, np.ones((5, 9)))
+            net, want = run_model / "imgx.net", f"{features} has 9 features per row"
+        else:
+            net, want = run_model / "imgy.net", f"{features} has 8 features per row"
+            save_params(net, init_params([6, 8, 6, 4], seed=0))
+        out = tmp_path / "db.adsqb"
+        assert main(["encode", "--model", str(run_model), "--features", str(features),
+                     "--out", str(out)]) == 1
+        width = 8 if wrong == "features" else 6
+        assert f"{want}, but {net} takes {width}" in capsys.readouterr().err
+        assert list(tmp_path.glob("db.adsqb*")) == []
 
     def test_k_total_recorded(self, workspace):
         root, _, _ = workspace

@@ -392,7 +392,7 @@ def test_full_objective_in_row_blocks_matches_dense_reference(variant, monkeypat
 
     monkeypatch.setattr(adsq.labelnet, "softplus_stable", recording)
     if variant is None:
-        assert_label_row_matches_dense_reference("distinct", literal=False)
+        assert_label_row_matches_dense_reference("distinct")
     else:
         assert_matches_dense_reference("distinct", variant)
     assert {s for s in shapes if len(s) == 2} == {(3, n), (1, n)}

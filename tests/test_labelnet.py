@@ -117,13 +117,8 @@ class TestLossValues:
             batch_label_loss(r, omega, head, labels, hp_with(**{weight: 1e308}))
 
     def test_binary_reg_zero_iff_unit_magnitude(self):
-        assert binary_reg_value(np.array([[1.0, -1.0], [-1.0, 1.0]]), False, np.ones(2)) == 0.0
-        assert binary_reg_value(np.array([[1.0, -0.5]]), False, np.ones(1)) > 0.0
-
-    def test_literal_form_penalizes_minus_one(self):
-        omega = -np.ones((2, K))
-        assert binary_reg_value(omega, False, np.ones(2)) == 0.0
-        assert binary_reg_value(omega, True, np.ones(2)) == pytest.approx(2 * 2 * K)
+        assert binary_reg_value(np.array([[1.0, -1.0], [-1.0, 1.0]]), np.ones(2)) == 0.0
+        assert binary_reg_value(np.array([[1.0, -0.5]]), np.ones(1)) > 0.0
 
 
 class TestGradients:
@@ -158,10 +153,9 @@ class TestGradients:
         dict(alpha=1, beta=0, gamma=0, delta=0),
         dict(alpha=0, beta=1, gamma=0, delta=0),
         dict(alpha=0, beta=0, gamma=0.7, delta=0),
-        dict(alpha=0, beta=0, gamma=0.7, delta=0, j3_literal=True),
         dict(alpha=0, beta=0, gamma=0, delta=1.3),
         dict(alpha=1, beta=1, gamma=0.01, delta=1),
-    ], ids=["sem", "code", "reg", "reg-literal", "classify", "all"])
+    ], ids=["sem", "code", "reg", "classify", "all"])
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_matches_finite_differences(self, weights, seed):
         """The batch gradient is the exact gradient of the full-set loss

@@ -1,6 +1,7 @@
 """Guards on the library source itself."""
 
 import ast
+import dataclasses
 import pathlib
 import sys
 
@@ -220,3 +221,55 @@ def test_every_default_is_overridden_outside_the_tests():
     unused = [f"{name}({param})" for name, param, position in defaulted
               if not any(_passes(call, param, position) for call in calls.get(name, []))]
     assert sorted(unused) == sorted(TEST_ARGUMENTS)
+
+
+# HyperParams fields that no library code, script or benchmark sets, each
+# with the reason it stays: all are paper settings that the user sets
+USER_SETTINGS = {
+    "alpha": "the paper's weight of the semantic pairwise likelihood",
+    "beta": "the paper's weight of the code pairwise likelihood",
+    "gamma": "the paper's weight of the label network's binary regularizer",
+    "delta": "the paper's weight of the classification term",
+    "nu": "the paper's weight of the bit-balance term",
+    "eta": "the paper's weight of the quantization term",
+    "batch_size": "the paper's SGD minibatch size",
+    "momentum": "the paper's SGD momentum",
+    "weight_decay": "the paper's SGD weight decay",
+}
+
+
+def _named_settings(path):
+    """Names ``path`` gives as settings: a call keyword, a string dict key,
+    a string-subscript store such as ``overrides["k_half"] = ...``, or the
+    ``name`` of a string constant ``name=...`` (a ``--set`` argument). A
+    ``**`` spread names nothing."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.keyword) and node.arg is not None:
+            found.add(node.arg)
+        elif isinstance(node, ast.Dict):
+            found |= {k.value for k in node.keys
+                      if isinstance(k, ast.Constant) and isinstance(k.value, str)}
+        elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store) and \
+                isinstance(node.slice, ast.Constant) and isinstance(node.slice.value, str):
+            found.add(node.slice.value)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and \
+                "=" in node.value:
+            found.add(node.value.split("=", 1)[0])
+    return found
+
+
+def test_every_setting_is_set_by_some_run():
+    """A ``HyperParams`` field that no library code, script or benchmark
+    sets keeps a configuration alive for the tests alone: delete it, or
+    list it with the reason it stays."""
+    from adsq.config import HyperParams
+
+    named = set()
+    for d in ("src/adsq", "scripts", "perfbench"):
+        for path in sorted((ROOT / d).rglob("*.py")):
+            if path != SRC / "config.py":
+                named |= _named_settings(path)
+    fields = [f.name for f in dataclasses.fields(HyperParams)]
+    assert {"k_half", "seed", "lr_min"} <= named, "the scan no longer sees the settings"
+    assert sorted(f for f in fields if f not in named) == sorted(USER_SETTINGS)
