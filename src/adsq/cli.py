@@ -20,7 +20,7 @@ from .codes import encode_matrix, load_codes, write_codes
 from .config import Variant, load_config
 from .data import FeatureRows, load_dataset, load_labels, write_features, write_labels
 from .encoder import load_params
-from .errors import AdsqError, ConfigError, DataError
+from .errors import AdsqError, ConfigError, DataError, FormatError
 from .fileio import atomic_open, write_csv
 from .metrics import RelevanceJudge, evaluate
 from .synth import SynthSpec, generate
@@ -38,13 +38,14 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(path, command, config, seeds, inputs, outputs, timings):
+def _write_manifest(path, command, config, seeds, inputs, outputs, timings, hashed=None):
+    """``hashed`` maps input paths already hashed to their SHA-256."""
     manifest = {
         "command": command,
         "version": __version__,
         "config": config,
         "seeds": seeds,
-        "inputs": {os.path.basename(p): _sha256(p) for p in inputs},
+        "inputs": {os.path.basename(p): (hashed or {}).get(p) or _sha256(p) for p in inputs},
         "outputs": {os.path.basename(p): _sha256(p) for p in outputs},
         "timings_s": {k: round(v, 6) for k, v in timings.items()},
     }
@@ -117,6 +118,16 @@ def cmd_train(args) -> int:
 def cmd_encode(args) -> int:
     t0 = time.perf_counter()
     img_paths = [os.path.join(args.model, name) for name in MODEL_FILES[1:]]
+    manifest = os.path.join(args.model, "manifest.json")
+    try:  # the training run's record of its outputs, so that two runs' files never mix
+        with open(manifest, encoding="utf-8") as fh:
+            recorded = dict(json.load(fh)["outputs"])
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise FormatError(f"{manifest}: no record of the model's files ({exc})") from exc
+    hashed = {p: _sha256(p) for p in img_paths}
+    for p in img_paths:
+        if recorded.get(os.path.basename(p)) != hashed[p]:
+            raise FormatError(f"{p} is not the file that {manifest} records")
     imgx, imgy = map(load_params, img_paths)
     with FeatureRows(args.features) as features:
         if len(features) == 0:
@@ -131,7 +142,7 @@ def cmd_encode(args) -> int:
     _write_manifest(args.out + ".manifest.json", "encode",
                     {"model": os.path.basename(os.path.normpath(args.model))},
                     {}, [args.features, *img_paths], [args.out],
-                    {"encode": time.perf_counter() - t0})
+                    {"encode": time.perf_counter() - t0}, hashed)
     return 0
 
 

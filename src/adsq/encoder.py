@@ -3,7 +3,10 @@
 Layout is fixed: rectifier hidden layers, an identity-activation semantic
 layer second from last, and a tanh hash head last. One instance serves the
 label network and one serves each image network; the image pair shares the
-topology but never the weights.
+topology but never the weights. A network's arrays are views of one
+float64 buffer in ``EncoderParams.arrays`` order, which its ``MomentumSGD``
+steps in place; ``backward`` writes into the views of a gradient buffer
+that lives for one training phase.
 
 Gradients flow in through two injection points: ``upstream_r`` at the
 semantic-layer output and ``upstream_v`` at the hash-layer pre-activation,
@@ -15,6 +18,7 @@ count, then per layer rows, cols (both nonzero), float64 weights and biases,
 all finite.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +54,22 @@ class EncoderParams:
         """Every array, in the one order of ``backward``'s gradients and of optimizer state."""
         return self.weights + self.biases
 
+    def on(self, arrays) -> "EncoderParams":
+        """Params of these shapes on ``arrays``, given in ``arrays`` order; more are ignored."""
+        n = self.num_layers
+        return EncoderParams(list(arrays[:n]), list(arrays[n:2 * n]))
+
+
+def views_of(flat, shapes) -> list:
+    """Consecutive views of ``flat`` with ``shapes``, in their order."""
+    ends = np.cumsum([0] + [math.prod(shape) for shape in shapes])
+    return [flat[i:j].reshape(shape) for shape, i, j in zip(shapes, ends, ends[1:])]
+
+
+def flat_copy(arrays) -> list:
+    """Copies of ``arrays``, back to back in one new float64 buffer."""
+    return views_of(np.concatenate([np.ravel(a) for a in arrays]), [a.shape for a in arrays])
+
 
 @dataclass
 class NetOutputs:
@@ -63,7 +83,8 @@ class NetOutputs:
 
 
 def init_params(dims, seed) -> EncoderParams:
-    """Glorot-uniform weights, zero biases, deterministic per seed.
+    """Glorot-uniform weights, zero biases, deterministic per seed, in one
+    new buffer in ``EncoderParams.arrays`` order.
 
     ``dims`` chains input width through hidden widths to the semantic and
     hash widths; at least [input, semantic, hash] is required.
@@ -75,12 +96,13 @@ def init_params(dims, seed) -> EncoderParams:
     if any(d < 1 for d in dims):
         raise ConfigError(f"layer widths must be positive, got {dims}")
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+    layers = list(zip(dims[:-1], dims[1:]))
+    arrays = views_of(np.zeros(sum(fan_out * (fan_in + 1) for fan_in, fan_out in layers)),
+                      [(o, i) for i, o in layers] + [(o,) for _, o in layers])
+    for w, (fan_in, fan_out) in zip(arrays, layers):
         bound = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    return EncoderParams(weights=weights, biases=biases)
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+    return EncoderParams(weights=arrays[:len(layers)], biases=arrays[len(layers):])
 
 
 def forward(params: EncoderParams, x, keep_hidden: bool = False) -> NetOutputs:
@@ -124,11 +146,13 @@ def forward_rows(params: EncoderParams, x) -> NetOutputs:
     return outs
 
 
-def backward(params: EncoderParams, outs: NetOutputs, upstream_r, upstream_v) -> list:
+def backward(params: EncoderParams, outs: NetOutputs, upstream_r, upstream_v,
+             out=None) -> list:
     """Exact reverse-mode parameter gradients for the two injected upstreams,
     in ``params.arrays`` order, from the activations of
     ``forward(params, x, keep_hidden=True)``; the forward pass is never
-    recomputed."""
+    recomputed. They are written into the first arrays of ``out`` (views of
+    a gradient buffer) if given, else into new arrays."""
     hidden, r, u = outs.hidden, outs.r, outs.u
     if hidden is None:
         raise ValueError("backward needs the outputs of forward(..., keep_hidden=True)")
@@ -139,72 +163,74 @@ def backward(params: EncoderParams, outs: NetOutputs, upstream_r, upstream_v) ->
     if upstream_v.shape != u.shape:
         raise ValueError(f"upstream_v shape {upstream_v.shape} != u shape {u.shape}")
 
-    n_layers = params.num_layers
-    gw = [None] * n_layers
-    gb = [None] * n_layers
-
-    gw[-1] = upstream_v.T @ r
-    gb[-1] = upstream_v.sum(axis=0)
-    g = upstream_v @ params.weights[-1] + upstream_r
-
-    gw[-2] = g.T @ hidden[-1]
-    gb[-2] = g.sum(axis=0)
-    g = g @ params.weights[-2]
-
-    for i in range(n_layers - 3, -1, -1):
-        g = g * (hidden[i + 1] > 0)
-        gw[i] = g.T @ hidden[i]
-        gb[i] = g.sum(axis=0)
-        if i > 0:
-            g = g @ params.weights[i]
-    return gw + gb
+    n = params.num_layers
+    grads = [np.empty_like(a) for a in params.arrays] if out is None else out[:2 * n]
+    inputs, g = hidden + [r], upstream_v  # layer i reads inputs[i]
+    for i in range(n - 1, -1, -1):
+        np.matmul(g.T, inputs[i], out=grads[i])
+        g.sum(axis=0, out=grads[n + i])
+        if i == 0:
+            break
+        g = g @ params.weights[i]
+        if i == n - 1:
+            g += upstream_r  # the semantic layer is linear
+        else:
+            g *= inputs[i] > 0
+    return grads
 
 
 class MomentumSGD:
-    """Classic momentum SGD over the parameter arrays it is built with:
+    """Classic momentum SGD over one buffer of parameters:
 
         velocity <- momentum * velocity + grad + weight_decay * param
         param    <- param - lr * velocity
 
-    One optimizer owns the arrays and velocity of one network (and its head).
-    ``step`` takes their gradients in that order and is the one gradient guard:
-    a non-finite one raises TrainingError before any array moves. Each array is
-    updated in place, never replaced, so it must be C-contiguous; a step runs
-    over blocks of ``STEP_BLOCK_ELEMS`` elements with one scratch buffer.
+    One optimizer owns one network (and its head): ``arrays``, C-contiguous
+    consecutive views of one float64 buffer ``flat`` (as ``init_params``,
+    ``load_params`` and ``flat_copy`` give them), stepped in place, and the
+    velocity ``flat_velocity`` with its views ``velocity``. ``step`` takes a
+    ``new_grad`` buffer and is the one gradient guard: a non-finite entry
+    raises TrainingError before any byte moves. It runs over blocks of
+    ``STEP_BLOCK_ELEMS`` elements with one scratch buffer.
     """
 
     def __init__(self, arrays, momentum: float, weight_decay: float):
-        self.arrays = list(arrays)
-        if not all(a.flags.c_contiguous for a in self.arrays):
-            raise ValueError("parameters must be C-contiguous to update in place")
+        self.arrays, self.flat = list(arrays), arrays[0].base
+        self.shapes = [a.shape for a in self.arrays]
+        if not (isinstance(self.flat, np.ndarray) and self.flat.dtype == np.float64
+                and self.flat.shape == (sum(a.size for a in self.arrays),)
+                and all(a.flags.c_contiguous and a.ctypes.data == v.ctypes.data
+                        for a, v in zip(self.arrays, views_of(self.flat, self.shapes)))):
+            raise ValueError("parameters must be C-contiguous consecutive views of one "
+                             "float64 buffer to update in place")
+        self.flat_velocity = np.zeros(self.flat.size)  # zero pages until a step writes them
+        self.velocity = views_of(self.flat_velocity, self.shapes)
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self.velocity = [np.zeros_like(a) for a in self.arrays]
-        self._scratch = np.empty(min(STEP_BLOCK_ELEMS,
-                                     max((a.size for a in self.arrays), default=0)))
+        self._scratch = np.empty(min(STEP_BLOCK_ELEMS, self.flat.size))
 
-    def step(self, grads, lr: float):
+    def new_grad(self):
+        """A new gradient buffer and its views, in ``arrays`` order."""
+        grad = np.empty_like(self.flat)
+        return grad, views_of(grad, self.shapes)
+
+    def step(self, grad, lr: float):
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
-        if len(grads) != len(self.arrays):
-            raise ValueError(f"{len(grads)} gradients for {len(self.arrays)} parameter arrays")
-        for a, g in zip(self.arrays, grads):
-            if g.shape != a.shape:
-                raise ValueError(f"gradient shape {g.shape} != parameter shape {a.shape}")
-            if not np.isfinite(g).all():
-                raise TrainingError("non-finite gradient; aborting epoch")
-        for a, g, vel in zip(self.arrays, grads, self.velocity):
-            a, g, vel = a.ravel(), g.ravel(), vel.ravel()  # views: a and vel are C-contiguous
-            for i in range(0, a.size, STEP_BLOCK_ELEMS):
-                block = slice(i, i + STEP_BLOCK_ELEMS)
-                ab, gb, vb = a[block], g[block], vel[block]
-                t = self._scratch[:ab.size]
-                np.multiply(ab, self.weight_decay, out=t)
-                t += gb
-                vb *= self.momentum
-                vb += t
-                np.multiply(vb, lr, out=t)
-                ab -= t
+        if grad.shape != self.flat.shape:
+            raise ValueError(f"gradient shape {grad.shape} != parameter buffer {self.flat.shape}")
+        if not np.isfinite(grad).all():
+            raise TrainingError("non-finite gradient; aborting epoch")
+        for i in range(0, grad.size, STEP_BLOCK_ELEMS):
+            block = slice(i, i + STEP_BLOCK_ELEMS)
+            ab, gb, vb = self.flat[block], grad[block], self.flat_velocity[block]
+            t = self._scratch[:ab.size]
+            np.multiply(ab, self.weight_decay, out=t)
+            t += gb
+            vb *= self.momentum
+            vb += t
+            np.multiply(vb, lr, out=t)
+            ab -= t
 
 
 def save_params(path, params: EncoderParams):
@@ -215,9 +241,13 @@ def save_params(path, params: EncoderParams):
 
 
 def load_params(path) -> EncoderParams:
-    weights, biases = [], []
+    """The model at ``path`` in one new buffer, sized from the bytes left in
+    the file: each weight matrix is read straight into it, and the biases are
+    copied in after them."""
+    weights, biases, used = [], [], 0
     with BinaryReader(path, MODEL_MAGIC, "model") as r:
         (n_layers,) = r.header(1)
+        flat = np.empty(max(0, r.remaining // 8 - n_layers), dtype="<f8")  # a whole file's values
         for i in range(n_layers):
             rows, cols = r.header(2)
             if not rows or not cols:
@@ -225,11 +255,14 @@ def load_params(path) -> EncoderParams:
             if weights and cols != weights[-1].shape[0]:
                 raise FormatError(f"{path}: layer {i} takes {cols} inputs but layer {i - 1} "
                                   f"gives {weights[-1].shape[0]}")
-            weights.append(r.array("<f8", (rows, cols)).astype(np.float64, copy=False))
-            biases.append(r.array("<f8", (rows,)).astype(np.float64, copy=False))
+            used += rows * cols  # past the buffer only in a file the reader refuses as short
+            weights.append(r.read_into(flat[used - rows * cols:used].reshape(rows, cols))
+                           if used <= flat.size else r.array("<f8", (rows, cols)))
+            biases.append(r.array("<f8", (rows,)))
             for kind, a in (("weights", weights[-1]), ("biases", biases[-1])):
                 if not np.isfinite(a).all():
                     raise FormatError(f"{path}: layer {i} {kind} are not all finite")
     if len(weights) < 2:
         raise FormatError(f"{path}: model must have at least semantic and hash layers")
-    return EncoderParams(weights=weights, biases=biases)
+    flat[used:] = np.concatenate(biases)
+    return EncoderParams(weights, views_of(flat[used:], [b.shape for b in biases]))

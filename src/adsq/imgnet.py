@@ -60,13 +60,15 @@ def wstep_epoch(params: EncoderParams, dataset: Dataset, codes, sup: NetOutputs,
                 hp: HyperParams, *, lr: float, rng, optimizer: MomentumSGD) -> None:
     """One epoch of weight updates with the discrete codes held fixed: per
     step one forward pass and the batch gradients, no objective value.
-    ``optimizer`` owns ``params.arrays`` and updates them in place."""
+    ``params.arrays`` are ``optimizer.arrays``; the gradient buffer lives for this call."""
+    grad, views = optimizer.new_grad()
     for batch in iter_batches(dataset.n, hp.batch_size, rng):
         outs = forward(params, dataset.features[batch], keep_hidden=True)
         pid = dataset.patterns.ids[batch]
         grads = imgnet_grads(outs, NetOutputs(r=sup.r[pid], u=sup.u[pid]), codes[batch],
                              dataset.patterns.block(batch), hp)
-        optimizer.step(backward(params, outs, *grads), lr)
+        backward(params, outs, *grads, views)
+        optimizer.step(grad, lr)
 
 
 def full_objective(outs: NetOutputs, dataset: Dataset, codes, sup: NetOutputs,

@@ -65,8 +65,9 @@ def pair_residual(a, b, sim_binary, what):
     """sigma(theta) - s for the pair logits theta = 0.5 a b^T, zero on the
     diagonal: the upstream of a pairwise likelihood term. Non-finite
     logits raise TrainingError naming ``what``."""
-    g = sigmoid_stable(check_finite(0.5 * (a @ b.T), f"{what} logits")) - sim_binary
-    np.fill_diagonal(g, 0.0)
+    g = sigmoid_stable(check_finite(0.5 * (a @ b.T), f"{what} logits"))
+    g -= sim_binary
+    g.flat[::g.shape[1] + 1] = 0.0
     return g
 
 
@@ -91,9 +92,11 @@ def labelnet_loss(sup: NetOutputs, head: ClassifierHead, patterns: LabelPatterns
         classify=hp.delta * float((counts[:, None] * resid2).sum()))
 
 
-def labelnet_grad(outs: NetOutputs, head: ClassifierHead, sim_binary, labels, hp: HyperParams):
+def labelnet_grad(outs: NetOutputs, head: ClassifierHead, sim_binary, labels, hp: HyperParams,
+                  head_out=None):
     """Exact gradients of ``labelnet_loss``, the batch taken as the whole set:
-    (g_r, g_omega, [g_head_weight, g_head_bias]); the loss is never evaluated.
+    (g_r, g_omega, [g_head_weight, g_head_bias]), the head's written into
+    ``head_out`` if given. The loss is never evaluated.
 
     The binary regularizer uses the subgradient convention that its slope
     is 0 exactly at |entry| = 1.
@@ -112,7 +115,8 @@ def labelnet_grad(outs: NetOutputs, head: ClassifierHead, sim_binary, labels, hp
     resid = head.predict(omega) - np.asarray(labels, dtype=np.float64)
     d = 2.0 * hp.delta * resid
     g_omega = g_omega + d @ head.weight
-    return g_r, g_omega, [d.T @ omega, d.sum(axis=0)]
+    g_head = head_out or [np.empty_like(head.weight), np.empty_like(head.bias)]
+    return g_r, g_omega, [np.matmul(d.T, omega, out=g_head[0]), d.sum(axis=0, out=g_head[1])]
 
 
 def iter_batches(n, batch_size, rng):
@@ -129,14 +133,17 @@ def train_labelnet(params: EncoderParams, head: ClassifierHead, dataset: Dataset
                    optimizer: MomentumSGD) -> NetOutputs:
     """Run ``epochs`` of minibatch SGD (per step one forward pass, the loss
     gradients, no loss value), then return the supervision cached from the
-    final parameters over the full training set. ``optimizer`` owns
-    ``params.arrays + [head.weight, head.bias]`` and updates them in place."""
+    final parameters over the full training set. ``params.arrays + [head.weight,
+    head.bias]`` are ``optimizer.arrays``; the gradient buffer lives for this call."""
+    grad, views = optimizer.new_grad()
     for _ in range(epochs):
         for batch in iter_batches(dataset.n, hp.batch_size, rng):
             x = dataset.labels[batch]
             outs = forward(params, x, keep_hidden=True)
-            g_r, g_omega, g_head = labelnet_grad(outs, head, dataset.patterns.block(batch), x, hp)
-            optimizer.step(backward(params, outs, g_r, g_omega * (1.0 - outs.u**2)) + g_head, lr)
+            g_r, g_omega, _ = labelnet_grad(outs, head, dataset.patterns.block(batch), x, hp,
+                                            views[-2:])
+            backward(params, outs, g_r, g_omega * (1.0 - outs.u**2), views)
+            optimizer.step(grad, lr)
 
     return cache_supervision(params, dataset)
 

@@ -4,8 +4,9 @@ by all loss terms.
 The kernels take float64 arrays that ``check_finite`` has passed, as every
 loss term's logits do, and check nothing themselves. Outputs stay finite
 for any finite input, including |x| in the thousands where the naive
-formulas overflow. ``finite_terms`` checks an objective's weighted terms,
-given by name in log-column order.
+formulas overflow; ``sigmoid_stable`` works in place in its one output
+array. ``finite_terms`` checks an objective's weighted terms, given by
+name in log-column order.
 """
 
 import numpy as np
@@ -22,7 +23,7 @@ def check_finite(value, what):
     """Return ``value``; raise TrainingError naming ``what`` if any entry
     is NaN or Inf. Loss code calls this so that a diverged run fails with
     the trainer's round and phase attached, not a bare ValueError."""
-    if not np.all(np.isfinite(value)):
+    if not np.isfinite(value).all():
         raise TrainingError(f"non-finite {what}")
     return value
 
@@ -42,8 +43,12 @@ def sigmoid_stable(x):
     The result is clamped to the open interval (0, 1): deep negative
     inputs return the smallest positive normal double instead of 0.
     """
-    t = np.exp(-np.abs(x))
-    return np.clip(np.where(x >= 0, 1.0 / (1.0 + t), t / (1.0 + t)), _TINY, _ONE_MINUS_EPS)
+    t = np.exp(-np.abs(x), out=np.empty(np.shape(x)))
+    d = 1.0 + t
+    np.divide(t, d, out=t)
+    np.divide(1.0, d, out=t, where=x >= 0)
+    np.maximum(t, _TINY, out=t)
+    return np.minimum(t, _ONE_MINUS_EPS, out=t)
 
 
 def softplus_stable(x):

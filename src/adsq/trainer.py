@@ -20,11 +20,11 @@ from .bstep import bstep_sweep
 from .codes import pack, quantize_sign, write_codes
 from .config import HyperParams, Variant
 from .data import Dataset
-from .encoder import MomentumSGD, forward_rows, init_params, save_params
+from .encoder import MomentumSGD, flat_copy, forward_rows, init_params, save_params
 from .errors import DataError, TrainingError
 from .fileio import write_csv
 from .imgnet import full_objective, wstep_epoch
-from .labelnet import init_head, labelnet_loss, train_labelnet
+from .labelnet import ClassifierHead, init_head, labelnet_loss, train_labelnet
 
 MODEL_FILES = ("label.net", "imgx.net", "imgy.net")
 CODE_FILES = ("codes_x.adsqb", "codes_y.adsqb")
@@ -105,6 +105,8 @@ def train(dataset: Dataset, hp: HyperParams) -> TrainState:
 
     label_params = init_params(label_dims, subseed(hp.seed, _STREAM_LABEL_INIT))
     head = init_head(dataset.num_classes, hp.k_half, subseed(hp.seed, _STREAM_HEAD_INIT))
+    label_arrays = flat_copy(label_params.arrays + [head.weight, head.bias])  # one buffer
+    label_params, head = label_params.on(label_arrays), ClassifierHead(*label_arrays[-2:])
     imgx_params = init_params(img_dims, subseed(hp.seed, _STREAM_IMGX_INIT))
     imgy_params = imgx_params if symmetric else init_params(
         img_dims, subseed(hp.seed, _STREAM_IMGY_INIT))
@@ -113,8 +115,7 @@ def train(dataset: Dataset, hp: HyperParams) -> TrainState:
     imgx_rng = np.random.default_rng(subseed(hp.seed, _STREAM_IMGX_BATCH))
     imgy_rng = np.random.default_rng(subseed(hp.seed, _STREAM_IMGY_BATCH))
 
-    opt_label = MomentumSGD(label_params.arrays + [head.weight, head.bias],
-                            hp.momentum, hp.weight_decay)
+    opt_label = MomentumSGD(label_arrays, hp.momentum, hp.weight_decay)
     opt_x = MomentumSGD(imgx_params.arrays, hp.momentum, hp.weight_decay)
     opt_y = None if symmetric else MomentumSGD(imgy_params.arrays, hp.momentum,
                                                hp.weight_decay)

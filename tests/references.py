@@ -2,6 +2,7 @@
 
 ``unpack`` inverts ``adsq.codes.pack``; ``hamming_distance`` is the scalar
 distance that ``adsq.codes.distances_to_all``'s word scan is checked against.
+``sigmoid_reference`` is the plain form of ``adsq.numerics.sigmoid_stable``.
 """
 
 import numpy as np
@@ -19,3 +20,11 @@ def hamming_distance(a, b) -> int:
     if a.shape != b.shape:
         raise ValueError(f"packed rows differ in length: {a.shape} vs {b.shape}")
     return int(np.bitwise_count(np.bitwise_xor(a, b)).sum())
+
+
+def sigmoid_reference(x) -> np.ndarray:
+    """1/(1+e^-x) through e^-|x|, clamped to [tiny, 1 - eps/2], in plain
+    numpy calls: the value ``sigmoid_stable`` must give bit for bit."""
+    t = np.exp(-np.abs(x))
+    return np.clip(np.where(x >= 0, 1.0 / (1.0 + t), t / (1.0 + t)),
+                   np.finfo(np.float64).tiny, np.nextafter(1.0, 0.0))

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import shutil
 import warnings
@@ -6,7 +7,9 @@ import warnings
 import numpy as np
 import pytest
 
+import adsq.cli
 import adsq.encoder
+import adsq.trainer
 from adsq.cli import main
 from adsq.codes import encode_matrix, load_codes, pack
 from adsq.data import load_features, write_features
@@ -36,6 +39,14 @@ def train_args(data_dir, out, extra=()):
             "--labels", str(data_dir / "train.adsql"),
             "--out", str(out), "--k-half", "4", "--seed", "3",
             *TRAIN_OVERRIDES, *extra]
+
+
+def record_model(model):
+    """Record every file of the model directory ``model``, some of them
+    written by hand, in the training manifest that ``adsq encode`` checks."""
+    outputs = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in model.iterdir() if p.name != "manifest.json"}
+    (model / "manifest.json").write_text(json.dumps({"outputs": outputs}))
 
 
 @pytest.fixture(scope="module")
@@ -226,6 +237,7 @@ class TestEncode:
         model.mkdir()
         for seed, name in enumerate(MODEL_FILES[1:]):  # retrieve-100k's widths
             save_params(model / name, init_params([64, 64, 32, 32], seed))
+        record_model(model)
         argv = ["encode", "--model", str(model), "--features", str(tmp_path / "f.adsqf"),
                 "--out", str(tmp_path / "c.adsqb")]
         code, peak = traced_peak(main, argv)
@@ -242,6 +254,7 @@ class TestEncode:
         imgy = load_params(bad_model / "imgy.net")
         imgy.weights[0][0, 0] = np.nan
         save_params(bad_model / "imgy.net", imgy)
+        record_model(bad_model)
         out_dir = tmp_path / "out"
         out_dir.mkdir()
         code = main(["encode", "--model", str(bad_model),
@@ -261,6 +274,7 @@ class TestEncode:
         imgx = load_params(bad_model / "imgx.net")
         getattr(imgx, kind)[layer][0] = value
         save_params(bad_model / "imgx.net", imgx)
+        record_model(bad_model)
         out_dir = tmp_path / "out"
         out_dir.mkdir()
         assert main(["encode", "--model", str(bad_model),
@@ -279,6 +293,7 @@ class TestEncode:
         params = load_params(bad_model / name)
         params.weights[0][0] = 1e308
         save_params(bad_model / name, params)
+        record_model(bad_model)
         out = tmp_path / "db.adsqb"
         features = data / "train.adsqf"
         with warnings.catch_warnings(record=True) as caught:
@@ -301,6 +316,7 @@ class TestEncode:
         save_params(bad_model / "imgy.net",
                     EncoderParams(weights=imgy.weights[:-1] + [np.zeros((0, sem))],
                                   biases=imgy.biases[:-1] + [np.zeros(0)]))
+        record_model(bad_model)
         out = tmp_path / "db.adsqb"
         code = main(["encode", "--model", str(bad_model),
                      "--features", str(data / "train.adsqf"), "--out", str(out)])
@@ -323,12 +339,82 @@ class TestEncode:
         else:
             net, want = run_model / "imgy.net", f"{features} has 8 features per row"
             save_params(net, init_params([6, 8, 6, 4], seed=0))
+            record_model(run_model)
         out = tmp_path / "db.adsqb"
         assert main(["encode", "--model", str(run_model), "--features", str(features),
                      "--out", str(out)]) == 1
         width = 8 if wrong == "features" else 6
         assert f"{want}, but {net} takes {width}" in capsys.readouterr().err
         assert list(tmp_path.glob("db.adsqb*")) == []
+
+    @pytest.mark.parametrize("stop", range(7))
+    def test_train_stopped_inside_save_run_never_mixes_runs(self, tmp_path, workspace,
+                                                            monkeypatch, capsys, stop):
+        """A second train (seed 4) into a finished run's directory stops
+        before its ``stop``-th write (6: its manifest). Encode then gives
+        the first run's codes byte for byte, or exits 1 naming a model file
+        and writes nothing; it refuses once imgx.net is the second run's."""
+        root, data, model = workspace
+        run_model = tmp_path / "model"
+        shutil.copytree(model, run_model)
+        written = []
+
+        class Stopped(Exception):
+            pass
+
+        def stopping(write):
+            def wrapper(*args, **kwargs):
+                if len(written) == stop:
+                    raise Stopped
+                written.append(args[0])
+                return write(*args, **kwargs)
+            return wrapper
+
+        for module, name in ((adsq.trainer, "save_params"), (adsq.trainer, "write_codes"),
+                             (adsq.trainer, "write_csv"), (adsq.cli, "_write_manifest")):
+            monkeypatch.setattr(module, name, stopping(getattr(module, name)))
+        with pytest.raises(Stopped):
+            main(train_args(data, run_model, ["--seed", "4"]))
+        monkeypatch.undo()
+        assert len(written) == stop
+        out = tmp_path / "db.adsqb"
+        code = main(["encode", "--model", str(run_model),
+                     "--features", str(data / "train.adsqf"), "--out", str(out)])
+        if code == 0:
+            assert out.read_bytes() == (root / "db.adsqb").read_bytes()
+        else:
+            err = capsys.readouterr().err
+            assert code == 1 and "is not the file that" in err
+            assert any(f"{run_model / name} is not" in err for name in MODEL_FILES[1:])
+            assert list(tmp_path.glob("db.adsqb*")) == []
+        assert (code == 0) == (stop < 2)  # label.net alone does not encode
+
+    def test_model_without_manifest_is_refused(self, tmp_path, workspace, capsys):
+        _, data, model = workspace
+        run_model = tmp_path / "model"
+        shutil.copytree(model, run_model)
+        (run_model / "manifest.json").unlink()
+        assert main(["encode", "--model", str(run_model),
+                     "--features", str(data / "train.adsqf"),
+                     "--out", str(tmp_path / "db.adsqb")]) == 1
+        err = capsys.readouterr().err
+        assert f"{run_model / 'manifest.json'}: no record of the model's files" in err
+        assert list(tmp_path.glob("db.adsqb*")) == []
+
+    def test_each_model_file_is_hashed_once(self, tmp_path, workspace, monkeypatch):
+        """The hash checked against the training manifest is the one the
+        encode manifest records."""
+        _, data, model = workspace
+        real, hashed = adsq.cli._sha256, []
+        monkeypatch.setattr(adsq.cli, "_sha256", lambda path: hashed.append(path) or real(path))
+        out = tmp_path / "db.adsqb"
+        assert main(["encode", "--model", str(model),
+                     "--features", str(data / "train.adsqf"), "--out", str(out)]) == 0
+        models = [str(model / name) for name in MODEL_FILES[1:]]
+        assert sorted(p for p in hashed if p in models) == models
+        trained = json.loads((model / "manifest.json").read_text())["outputs"]
+        inputs = json.loads((tmp_path / "db.adsqb.manifest.json").read_text())["inputs"]
+        assert all(inputs[name] == trained[name] for name in MODEL_FILES[1:])
 
     def test_k_total_recorded(self, workspace):
         root, _, _ = workspace

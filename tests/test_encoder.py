@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import adsq.encoder
-from adsq.encoder import (EncoderParams, MomentumSGD, backward, forward, init_params,
-                          load_params, save_params)
+from adsq.encoder import (EncoderParams, MomentumSGD, backward, flat_copy, forward,
+                          init_params, load_params, save_params)
 from adsq.errors import ConfigError, FormatError, TrainingError
 from fdcheck import TOL, fd_grad, max_rel_error
 from netparams import copy_params, same_params
@@ -144,7 +144,7 @@ class TestSgd:
     def _step(p, fill, lr, momentum, optimizer=None):
         if optimizer is None:
             optimizer = MomentumSGD(p.arrays, momentum=momentum, weight_decay=0.0)
-        optimizer.step([np.full_like(a, fill) for a in p.arrays], lr)
+        optimizer.step(np.full_like(optimizer.flat, fill), lr)
 
     def test_vanilla_step(self):
         p = init_params([3, 4, 2], seed=0)
@@ -170,29 +170,85 @@ class TestSgd:
 
     def test_nonfinite_gradient_aborts(self):
         p = init_params([3, 4, 2], seed=3)
-        bad = [np.ones_like(a) for a in p.arrays]
-        bad[0][0, 0] = np.nan
         opt = MomentumSGD(p.arrays, momentum=0.9, weight_decay=0.0)
+        bad, views = opt.new_grad()
+        bad[:] = 1.0
+        views[0][0, 0] = np.nan
         with pytest.raises(TrainingError):
             opt.step(bad, lr=0.1)
 
-    def test_wrong_gradient_count_changes_nothing(self):
+    def test_steps_the_buffer_its_arrays_view(self):
+        """The optimizer takes ``init_params``' one buffer as it is and steps
+        it in place; velocity and each gradient buffer are buffers of their own."""
+        p = init_params([3, 5, 4, 2], seed=4)
+        flat = p.weights[0].base
+        opt = MomentumSGD(p.arrays, momentum=0.9, weight_decay=0.0)
+        assert opt.flat is flat and flat.size == sum(a.size for a in p.arrays)
+        assert all(a is b for a, b in zip(opt.arrays, p.arrays))
+        assert all(np.shares_memory(a, flat) for a in p.arrays)
+        assert all(np.shares_memory(v, opt.flat_velocity) for v in opt.velocity)
+        grad, views = opt.new_grad()
+        assert all(np.shares_memory(g, grad) for g in views)
+        assert not np.shares_memory(grad, flat) and not np.shares_memory(grad, opt.flat_velocity)
+        assert [g.shape for g in views] == [a.shape for a in p.arrays]
+        before = flat.copy()
+        grad[:] = 1.0
+        opt.step(grad, 0.1)
+        np.testing.assert_allclose(p.weights[0], before[:p.weights[0].size].reshape(5, 3) - 0.1)
+
+    @pytest.mark.parametrize("arrays", [
+        lambda: [np.ones(4), np.ones(3)],                 # two buffers
+        lambda: flat_copy([np.ones(4), np.ones(3)])[::-1],  # out of order
+        lambda: flat_copy([np.ones(4), np.ones(3)])[:1],    # part of the buffer
+        lambda: [flat_copy([np.ones((3, 4))])[0].T],        # not C-contiguous
+    ], ids=["two-buffers", "out-of-order", "part", "transposed"])
+    def test_refuses_arrays_that_are_not_one_buffer(self, arrays):
+        with pytest.raises(ValueError, match="consecutive views of one float64 buffer"):
+            MomentumSGD(arrays(), momentum=0.9, weight_decay=0.0)
+
+    def test_gradient_of_another_layout_changes_nothing(self):
         p = init_params([3, 4, 2], seed=4)
         before = copy_params(p)
         opt = MomentumSGD(p.arrays, momentum=0.9, weight_decay=0.0)
-        for grads in ([np.ones_like(a) for a in p.arrays[:-1]],
-                      [np.ones_like(a) for a in p.arrays + [p.biases[-1]]]):
-            with pytest.raises(ValueError, match="gradients for 4 parameter arrays"):
-                opt.step(grads, lr=0.1)
+        for grad in (np.ones(opt.flat.size - 1), np.ones((1, opt.flat.size))):
+            with pytest.raises(ValueError, match="!= parameter buffer"):
+                opt.step(grad, lr=0.1)
         assert same_params(p, before)
-        assert not any(np.any(v) for v in opt.velocity)
+        assert not opt.flat_velocity.any()
+
+    @pytest.mark.parametrize("index", range(6))
+    def test_nan_in_any_layer_view_changes_nothing(self, index):
+        """A NaN in the gradient view of any weight or bias stops the step
+        before one parameter or velocity byte moves."""
+        p = init_params([3, 5, 4, 2], seed=5)
+        opt = MomentumSGD(p.arrays, momentum=0.9, weight_decay=5e-4)
+        grad, views = opt.new_grad()
+        grad[:] = 1.0
+        opt.step(grad, 0.1)  # nonzero velocity
+        before = opt.flat.tobytes(), opt.flat_velocity.tobytes()
+        views[index].flat[-1] = np.nan
+        with pytest.raises(TrainingError, match="non-finite gradient; aborting epoch"):
+            opt.step(grad, 0.1)
+        assert (opt.flat.tobytes(), opt.flat_velocity.tobytes()) == before
+
+    def test_backward_fills_the_gradient_views(self):
+        """Written into a gradient buffer's views, backward's gradients equal
+        the ones it returns as new arrays."""
+        p = init_params([3, 5, 4, 2], seed=6)
+        rng = np.random.default_rng(6)
+        outs = forward(p, rng.normal(size=(7, 3)), keep_hidden=True)
+        up_r, up_v = rng.normal(size=(7, 4)), rng.normal(size=(7, 2))
+        grad, views = MomentumSGD(p.arrays, momentum=0.9, weight_decay=0.0).new_grad()
+        assert backward(p, outs, up_r, up_v, views) == views
+        fresh = backward(p, outs, up_r, up_v)
+        assert grad.tobytes() == b"".join(g.tobytes() for g in fresh)
 
     @staticmethod
     def _multi_block_arrays(seed):
-        # with 7-element blocks: 5 x 6 spans five blocks, 13 two, 2 one, 3 x 5 three
+        # one buffer of 60 in 7-element blocks: blocks cross every array boundary
         rng = np.random.default_rng(seed)
-        return [rng.normal(size=(5, 6)), rng.normal(size=13), rng.normal(size=2),
-                rng.normal(size=(3, 5))]
+        return flat_copy([rng.normal(size=(5, 6)), rng.normal(size=13), rng.normal(size=2),
+                          rng.normal(size=(3, 5))])
 
     def test_blocked_step_is_bit_identical_to_textbook(self, monkeypatch):
         monkeypatch.setattr(adsq.encoder, "STEP_BLOCK_ELEMS", 7)
@@ -204,7 +260,7 @@ class TestSgd:
         rng = np.random.default_rng(1)
         for lr in (0.1, 0.03, 0.2):
             grads = [rng.normal(size=a.shape) for a in arrays]
-            opt.step(grads, lr)
+            opt.step(np.concatenate([g.ravel() for g in grads]), lr)
             for a, g, vel in zip(ref, grads, ref_vel):
                 vel *= momentum
                 vel += g + wd * a
@@ -216,10 +272,10 @@ class TestSgd:
         monkeypatch.setattr(adsq.encoder, "STEP_BLOCK_ELEMS", 7)
         arrays = self._multi_block_arrays(2)
         opt = MomentumSGD(arrays, momentum=0.9, weight_decay=5e-4)
-        opt.step([np.ones_like(a) for a in arrays], 0.1)  # nonzero velocity
+        opt.step(np.ones_like(opt.flat), 0.1)  # nonzero velocity
         before = [a.copy() for a in arrays + opt.velocity]
-        grads = [np.ones_like(a) for a in arrays]
-        grads[-1][-1, -1] = np.nan
+        grads = np.ones_like(opt.flat)
+        grads[-1] = np.nan
         with pytest.raises(TrainingError):
             opt.step(grads, 0.1)
         assert [a.tobytes() for a in arrays + opt.velocity] == [b.tobytes() for b in before]
@@ -240,6 +296,18 @@ class TestModelFile:
         assert all(np.array_equal(a, b) for a, b in zip(p.weights, q.weights))
         assert all(np.array_equal(a, b) for a, b in zip(p.biases, q.biases))
 
+    def test_loaded_arrays_are_views_of_a_fresh_buffer(self, tmp_path):
+        p = init_params([3, 5, 4, 2], seed=11)
+        path = tmp_path / "net.net"
+        save_params(path, p)
+        q, again = load_params(path), load_params(path)
+        flat = q.weights[0].base
+        assert flat.ndim == 1 and flat.size == sum(a.size for a in q.arrays)
+        assert all(a.base is flat and np.shares_memory(a, flat) for a in q.arrays)
+        # in ``arrays`` order, back to back
+        assert flat.tobytes() == b"".join(a.tobytes() for a in p.arrays)
+        assert not any(np.shares_memory(a, again.weights[0].base) for a in q.arrays)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.net"
         path.write_bytes(b"WRONGMAG" + b"\x00" * 16)
@@ -253,6 +321,19 @@ class TestModelFile:
         blob = path.read_bytes()
         path.write_bytes(blob[:-4])
         with pytest.raises(FormatError):
+            load_params(path)
+
+    def test_more_layers_than_the_file_holds(self, tmp_path):
+        """A header claiming 100 layers over a three-layer file: the buffer
+        sized from the bytes left holds no layer, each is read on its own,
+        and the file is refused at the first missing header."""
+        p = init_params([3, 5, 4, 2], seed=0)
+        path = tmp_path / "m.net"
+        save_params(path, p)
+        blob = bytearray(path.read_bytes())
+        blob[8:12] = struct.pack("<I", 100)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="truncated header"):
             load_params(path)
 
     def test_layer_width_mismatch(self, tmp_path):

@@ -3,15 +3,16 @@ import math
 import numpy as np
 import pytest
 
+import adsq.labelnet
 from adsq.config import HyperParams
 from adsq.data import Dataset
-from adsq.encoder import MomentumSGD, NetOutputs, forward, init_params
+from adsq.encoder import NetOutputs, forward, init_params
 from adsq.errors import TrainingError
 from adsq.labelnet import (ClassifierHead, binary_reg_value, cache_supervision, init_head,
                            labelnet_grad, labelnet_loss, train_labelnet)
 from fdcheck import (TOL, batch_label_loss, fd_grad, labels_for_similarity, max_rel_error,
                      random_similarity)
-from netparams import copy_params, same_params
+from netparams import copy_params, optimize, same_params
 
 K = 3
 SEM = 4
@@ -209,10 +210,50 @@ def phase_setup(seed=0):
 
 
 def run_phase(ds, hp, params, head, *, epochs, lr, seed):
-    return train_labelnet(
-        params, head, ds, hp, epochs=epochs, lr=lr, rng=np.random.default_rng(seed),
-        optimizer=MomentumSGD(params.arrays + [head.weight, head.bias],
-                              hp.momentum, hp.weight_decay))
+    optimizer = optimize(params, hp, head)
+    return train_labelnet(params, head, ds, hp, epochs=epochs, lr=lr,
+                          rng=np.random.default_rng(seed), optimizer=optimizer)
+
+
+def test_head_shares_the_label_network_buffer():
+    """The label network's weights, biases and both head arrays are views of
+    its optimizer's one buffer, and a phase steps them there."""
+    ds, hp, params, head = phase_setup(2)
+    optimizer = optimize(params, hp, head)
+    arrays = params.arrays + [head.weight, head.bias]
+    assert all(np.shares_memory(a, optimizer.flat) for a in arrays)
+    assert optimizer.flat.size == sum(a.size for a in arrays)
+    head_before = head.weight.copy()
+    train_labelnet(params, head, ds, hp, epochs=1, lr=1e-3, rng=np.random.default_rng(2),
+                   optimizer=optimizer)
+    assert not np.array_equal(head.weight, head_before)
+    assert optimizer.flat.tobytes() == b"".join(a.tobytes() for a in arrays)
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["weight", "bias"])
+def test_nan_in_head_gradient_changes_nothing(monkeypatch, which):
+    """A NaN in either head gradient view stops the step before one
+    parameter or velocity byte moves."""
+    ds, hp, params, head = phase_setup(4)
+    optimizer = optimize(params, hp, head)
+
+    def epoch():
+        train_labelnet(params, head, ds, hp, epochs=1, lr=1e-3,
+                       rng=np.random.default_rng(4), optimizer=optimizer)
+
+    epoch()  # nonzero velocity
+    before = optimizer.flat.tobytes(), optimizer.flat_velocity.tobytes()
+    real = adsq.labelnet.labelnet_grad
+
+    def poisoned(*args):
+        g_r, g_omega, g_head = real(*args)
+        g_head[which].flat[-1] = np.nan
+        return g_r, g_omega, g_head
+
+    monkeypatch.setattr(adsq.labelnet, "labelnet_grad", poisoned)
+    with pytest.raises(TrainingError, match="non-finite gradient"):
+        epoch()
+    assert (optimizer.flat.tobytes(), optimizer.flat_velocity.tobytes()) == before
 
 
 def full_set_loss(ds, hp, params, head):

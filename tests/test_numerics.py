@@ -5,7 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adsq.labelnet import pair_residual
 from adsq.numerics import sigmoid_stable, softplus_stable
+from references import sigmoid_reference
+
+EDGES = [0.0, -0.0, 5e-324, 1e-300, 36.7, 37.0, 709.0, 746.0, 1e308]
 
 
 class TestSigmoid:
@@ -37,6 +41,28 @@ class TestSigmoid:
     def test_symmetry(self, x):
         """sigma(x) + sigma(-x) = 1."""
         assert sigmoid_stable(x) + sigmoid_stable(-x) == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("draw", [
+    lambda: np.array(EDGES + [-e for e in EDGES]),
+    lambda: 50.0 * np.random.default_rng(0).normal(size=(700, 700)),
+], ids=["edges", "normal"])
+def test_sigmoid_is_bit_identical_to_reference(draw):
+    """At the edges of the double range, at the clamps and the branch point
+    (including -0.0), and on a wide draw."""
+    x = draw()
+    got = sigmoid_stable(x)
+    assert got.dtype == np.float64 and got.shape == x.shape
+    assert got.tobytes() == sigmoid_reference(x).tobytes()
+
+
+def test_pair_residual_is_bit_identical_to_reference():
+    rng = np.random.default_rng(1)
+    a, b = 3.0 * rng.normal(size=(2, 40, 7))
+    s = (rng.random((40, 40)) < 0.3).astype(np.float64)
+    want = sigmoid_reference(0.5 * (a @ b.T)) - s
+    np.fill_diagonal(want, 0.0)
+    assert pair_residual(a, b, s, "probe").tobytes() == want.tobytes()
 
 
 class TestSoftplus:

@@ -10,6 +10,7 @@ import adsq.encoder
 import adsq.imgnet
 import adsq.labelnet
 import adsq.numerics
+import adsq.trainer
 from adsq.codes import encode_matrix, quantize_sign
 from adsq.config import HyperParams, Variant
 from adsq.data import Dataset, build_similarity
@@ -20,7 +21,8 @@ from adsq.labelnet import cache_supervision, init_head, labelnet_loss, train_lab
 from adsq.synth import SynthSpec, generate
 from adsq.trainer import convergence_check, log_row, save_run, subseed, train
 from labelsets import LABEL_SET_NAMES, hand_label_sets
-from netparams import same_params
+from memtrace import traced_peak
+from netparams import optimize, same_params
 from references import unpack
 
 TINY = dict(k_half=4, encoder_hidden=(8,), semantic_dim=6, batch_size=8,
@@ -160,7 +162,7 @@ def one_epoch(phase, ds, hp):
     lr, rng = hp.lr_for_round(0), np.random.default_rng(0)
     if phase == "label":
         head = init_head(ds.num_classes, hp.k_half, 1)
-        opt = MomentumSGD(label.arrays + [head.weight, head.bias], hp.momentum, hp.weight_decay)
+        opt = optimize(label, hp, head)
         return opt, lambda: train_labelnet(label, head, ds, hp, epochs=1, lr=lr, rng=rng,
                                            optimizer=opt)
     img = init_params([ds.dim, *hp.encoder_hidden, hp.semantic_dim, hp.k_half], 2)
@@ -200,6 +202,69 @@ def test_nonfinite_gradient_stops_at_the_optimizer_step(tiny_data, monkeypatch, 
     assert [a.tobytes() for a in opt.arrays + opt.velocity] == before
     with pytest.raises(TrainingError, match=f"round 0, phase {phase}: non-finite gradient"):
         train(ds, hp)
+
+
+def test_each_network_is_one_buffer_of_its_optimizer(tiny_data, monkeypatch):
+    """Every weight and bias of each trained network, and both arrays of the
+    label network's head, are views of that network's optimizer buffer,
+    which no other network's arrays touch."""
+    seen = {}
+    real_label, real_wstep = adsq.trainer.train_labelnet, adsq.trainer.wstep_epoch
+
+    def label(params, head, *args, optimizer, **kwargs):
+        seen["label"] = params.arrays + [head.weight, head.bias], optimizer
+        return real_label(params, head, *args, optimizer=optimizer, **kwargs)
+
+    def wstep(params, *args, optimizer, **kwargs):
+        seen[id(params)] = params.arrays, optimizer
+        return real_wstep(params, *args, optimizer=optimizer, **kwargs)
+
+    monkeypatch.setattr(adsq.trainer, "train_labelnet", label)
+    monkeypatch.setattr(adsq.trainer, "wstep_epoch", wstep)
+    state, _ = run_tiny(tiny_data)
+    assert len(seen) == 3
+    buffers = [opt.flat for _, opt in seen.values()]
+    for arrays, opt in seen.values():
+        assert opt.flat.size == sum(a.size for a in arrays)
+        assert all(np.shares_memory(a, opt.flat) for a in arrays)
+        assert not any(np.shares_memory(a, b) for a in arrays for b in buffers
+                       if b is not opt.flat)
+    trained = [state.label_params.arrays, state.imgx_params.arrays, state.imgy_params.arrays]
+    held = [arrays for arrays, _ in seen.values()]
+    for mine, theirs in zip(trained, held):
+        assert all(a is b for a, b in zip(mine, theirs))
+
+
+def test_runs_in_one_process_are_independent(tiny_data):
+    """Seed 1, seed 2, then seed 1 again in one process: the two seed-1 runs
+    give byte-identical codes, parameters and log rows, so no buffer is
+    shared across runs or networks."""
+    first, other, again = (run_tiny(tiny_data, seed=seed)[0] for seed in (1, 2, 1))
+    assert not np.array_equal(first.codes_x, other.codes_x)
+
+    def everything(state):
+        arrays = [state.codes_x, state.codes_y]
+        for name in ("label_params", "imgx_params", "imgy_params"):
+            arrays += getattr(state, name).arrays
+        return [a.tobytes() for a in arrays], [repr(row) for row in state.log_rows]
+
+    assert everything(first) == everything(again)
+
+
+# Traced peak of the wide train below at the parent of the one-buffer
+# optimizer, whose step took per-step gradient arrays.
+WIDE_PEAK_BEFORE = 31873742
+
+
+def test_wide_train_traced_peak_stays_put():
+    """A wide network's gradient buffer lives for one phase: a buffer kept
+    for the optimizer's life adds one network's size to the peak."""
+    ds, _ = generate(SynthSpec(classes=10, dim=512, per_class=30, queries_per_class=1, seed=4))
+    hp = HyperParams(k_half=16, encoder_hidden=(512, 512), semantic_dim=128, t_label=1,
+                     outer_rounds=1, seed=4)
+    state, peak = traced_peak(train, ds, hp)
+    assert state.rounds_run == 1 and ds.n == 300
+    assert peak <= 1.02 * WIDE_PEAK_BEFORE
 
 
 def dense_label_row(labels, params, head, hp):
