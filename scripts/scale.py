@@ -3,7 +3,8 @@
 
 Each point (label kind, n) runs in a subprocess of its own, which makes n
 items, trains one round (lr 3e-7, seed 1) and reports its train wall time,
-the number p of distinct label rows, and its own peak RSS (``ru_maxrss``).
+the number p of distinct label rows, its own peak RSS (``ru_maxrss``) and
+its minor page faults (``ru_minflt``, each a first touch of a fresh page).
 BLAS threads default to 1. Label kinds:
 
   synth    adsq.synth clusters: 10 classes, 30 % multi-label overlap (p ~ 55)
@@ -70,9 +71,10 @@ def run_point(kind, n, widths="pairwise", seed=1) -> dict:
     hp = HyperParams(**WIDTHS[widths], outer_rounds=1, lr_min=3e-7, lr_max=3e-7, seed=seed)
     t0 = time.perf_counter()
     train(ds, hp)
-    return {"kind": kind, "n": n, "p": int(ds.patterns.counts.size),
-            "train_s": time.perf_counter() - t0,
-            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}
+    seconds = time.perf_counter() - t0
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    return {"kind": kind, "n": n, "p": int(ds.patterns.counts.size), "train_s": seconds,
+            "peak_rss_mb": usage.ru_maxrss / 1024.0, "minflt": usage.ru_minflt}
 
 
 def measure(kind, n, widths="pairwise") -> dict:
@@ -99,13 +101,13 @@ def main(argv=None):
         return
     print(f"widths: {args.widths}, BLAS threads: "
           f"{os.environ.get('OPENBLAS_NUM_THREADS', '1')}, numpy {np.__version__}")
-    print("| labels | n | p | train s | peak RSS MB |")
-    print("| --- | --- | --- | --- | --- |")
+    print("| labels | n | p | train s | peak RSS MB | minor faults |")
+    print("| --- | --- | --- | --- | --- | --- |")
     for kind in KINDS:
         for n in args.n:
             r = measure(kind, n, args.widths)
-            print(f"| {kind} | {n} | {r['p']} | {r['train_s']:.2f} | {r['peak_rss_mb']:.0f} |",
-                  flush=True)
+            print(f"| {kind} | {n} | {r['p']} | {r['train_s']:.2f} | {r['peak_rss_mb']:.0f} "
+                  f"| {r['minflt']} |", flush=True)
 
 
 if __name__ == "__main__":

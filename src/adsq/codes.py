@@ -1,6 +1,7 @@
 """Sign quantization, asymmetric code concatenation, bit packing, and
-linear-scan Hamming search. ``sign_bits`` is the one sign kernel: the
-trainer's ``quantize_sign`` and ``encode_matrix`` both take it.
+linear-scan Hamming search. ``sign_bits`` is the sign kernel of the
+trainer's ``quantize_sign``; ``encode_matrix`` gives the same bits from each
+network's hash pre-activation, without its tanh.
 
 Packed layout: one row per item, MSB-first within each byte, bit 1 means
 +1, rows padded to a byte boundary with zero bits. For +-1 codes of equal
@@ -104,7 +105,8 @@ def quantize_sign(values) -> np.ndarray:
 def encode_matrix(x, imgx_params: EncoderParams, imgy_params: EncoderParams,
                   names=("the x network", "the y network")) -> PackedCodes:
     """Packed row-wise codes of length 2*k_half for the n rows of ``x``:
-    x-network half first, each half the ``sign_bits`` of its network's u.
+    x-network half first, each half the ``sign_bits`` of its network's u,
+    read off the hash pre-activation (see ``_output_bits``).
     ``x`` is a feature array or a ``FeatureRows``; it is read once, as
     ``x[rows]`` for each ``encoder.row_slices`` block in order. Per block,
     the two networks' sign bits are joined and one ``packbits`` puts them
@@ -125,12 +127,13 @@ def encode_matrix(x, imgx_params: EncoderParams, imgy_params: EncoderParams,
 
 
 def _output_bits(name, params: EncoderParams, block) -> np.ndarray:
-    """``sign_bits`` of one network's u for ``block``; u is dropped on return."""
-    u = encoder.forward(params, block).u
-    try:
-        return sign_bits(u)
-    except ValueError as exc:
-        raise ValueError(f"outputs of {name} are not finite") from exc
+    """``sign_bits`` of one network's u for ``block``, taken from its hash
+    pre-activation v without the tanh: tanh(v) >= 0 exactly when v >= 0, and
+    tanh(v) is not finite only when v is NaN. v is dropped on return."""
+    v = encoder.pre_activation(params, block, keep_hidden=False).u
+    if np.isnan(v).any():
+        raise ValueError(f"outputs of {name} are not finite")
+    return v >= 0
 
 
 def pack(codes) -> PackedCodes:

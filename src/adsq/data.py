@@ -30,7 +30,10 @@ from .fileio import BinaryReader, write_binary
 
 FEATURE_MAGIC = b"ADSQF001"
 LABEL_MAGIC = b"ADSQL001"
-BLOCK_ELEMS = 1 << 22  # entries per block of pattern rows (32 MB of float64)
+# Entries per block of pattern rows: 2 MB of float64 per buffer. Chosen by a
+# sweep of 2^12 .. 2^22: smaller budgets leave too few rows per block at large
+# n (2 rows at 2^14 and n = 8000), larger ones only add memory.
+BLOCK_ELEMS = 1 << 18
 
 
 def _freeze(arr):
@@ -155,10 +158,15 @@ class LabelPatterns:
         words = self.words[self.ids[index]]
         return share_labels(words, words).astype(np.float64)
 
+    def block_rows(self, width) -> int:
+        """Pattern rows per slice of ``row_blocks(width)``: max(1, BLOCK_ELEMS //
+        width), and p at most."""
+        return min(self.counts.size, max(1, BLOCK_ELEMS // width))
+
     def row_blocks(self, width):
-        """(rows, similar) per slice of at most max(1, BLOCK_ELEMS // width)
-        pattern rows; ``similar`` is its boolean block against all p."""
-        step = max(1, BLOCK_ELEMS // width)
+        """(rows, similar) per slice of ``block_rows(width)`` pattern rows (the
+        last may be shorter); ``similar`` is its boolean block against all p."""
+        step = self.block_rows(width)
         for start in range(0, self.counts.size, step):
             rows = slice(start, start + step)
             yield rows, share_labels(self.words[rows], self.words)

@@ -10,12 +10,13 @@ that lives for one training phase.
 
 Gradients flow in through two injection points: ``upstream_r`` at the
 semantic-layer output and ``upstream_v`` at the hash-layer pre-activation,
-which ``forward`` does not keep: it takes tanh in place. Only an SGD
-batch's ``forward`` keeps the activations ``backward`` reads; every
-many-row forward runs over the ``row_slices`` of ``FORWARD_BLOCK_ROWS``
-rows. Model files (``ADSQW001``) are ``adsq.fileio`` containers: the layer
-count, then per layer rows, cols (both nonzero), float64 weights and biases,
-all finite.
+which ``forward`` does not keep: it takes the tanh of its
+``pre_activation`` in place. Encoding calls ``pre_activation`` itself, as it
+needs only the sign. Only an SGD batch's ``forward`` keeps the activations
+``backward`` reads; every many-row forward runs over the ``row_slices`` of
+``FORWARD_BLOCK_ROWS`` rows. Model files (``ADSQW001``) are ``adsq.fileio``
+containers: the layer count, then per layer rows, cols (both nonzero),
+float64 weights and biases, all finite.
 """
 
 import math
@@ -108,6 +109,14 @@ def init_params(dims, seed) -> EncoderParams:
 def forward(params: EncoderParams, x, keep_hidden: bool = False) -> NetOutputs:
     """Outputs for the rows of ``x``. Only ``keep_hidden`` keeps the input and
     each rectifier output (for ``backward``); else each is dropped after use."""
+    outs = pre_activation(params, x, keep_hidden)
+    np.tanh(outs.u, out=outs.u)
+    return outs
+
+
+def pre_activation(params: EncoderParams, x, keep_hidden: bool) -> NetOutputs:
+    """``forward`` before its last step: ``u`` holds the hash pre-activation,
+    which ``forward`` takes the tanh of in place."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.in_dim:
         raise ValueError(
@@ -122,10 +131,9 @@ def forward(params: EncoderParams, x, keep_hidden: bool = False) -> NetOutputs:
             hidden.append(h)
     r = h @ params.weights[-2].T
     r += params.biases[-2]
-    u = r @ params.weights[-1].T
-    u += params.biases[-1]
-    np.tanh(u, out=u)
-    return NetOutputs(r=r, u=u, hidden=hidden)
+    v = r @ params.weights[-1].T
+    v += params.biases[-1]
+    return NetOutputs(r=r, u=v, hidden=hidden)
 
 
 def row_slices(n: int):
@@ -190,8 +198,9 @@ class MomentumSGD:
     ``load_params`` and ``flat_copy`` give them), stepped in place, and the
     velocity ``flat_velocity`` with its views ``velocity``. ``step`` takes a
     ``new_grad`` buffer and is the one gradient guard: a non-finite entry
-    raises TrainingError before any byte moves. It runs over blocks of
-    ``STEP_BLOCK_ELEMS`` elements with one scratch buffer.
+    raises TrainingError before any byte moves. It checks, then updates, in
+    blocks of ``STEP_BLOCK_ELEMS`` elements with one scratch buffer, which
+    the check pass reads as bool; no gradient-sized temporary is made.
     """
 
     def __init__(self, arrays, momentum: float, weight_decay: float):
@@ -219,8 +228,11 @@ class MomentumSGD:
             raise ValueError(f"learning rate must be positive, got {lr}")
         if grad.shape != self.flat.shape:
             raise ValueError(f"gradient shape {grad.shape} != parameter buffer {self.flat.shape}")
-        if not np.isfinite(grad).all():
-            raise TrainingError("non-finite gradient; aborting epoch")
+        finite = self._scratch.view(bool)  # the check pass's mask, in the scratch's bytes
+        for i in range(0, grad.size, STEP_BLOCK_ELEMS):  # every block, before any byte moves
+            gb = grad[i:i + STEP_BLOCK_ELEMS]
+            if not np.isfinite(gb, out=finite[:gb.size]).all():
+                raise TrainingError("non-finite gradient; aborting epoch")
         for i in range(0, grad.size, STEP_BLOCK_ELEMS):
             block = slice(i, i + STEP_BLOCK_ELEMS)
             ab, gb, vb = self.flat[block], grad[block], self.flat_velocity[block]

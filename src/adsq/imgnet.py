@@ -9,8 +9,10 @@ pushes every bit's column sum toward zero.
 
 ``full_objective`` evaluates it for the diagnostics and returns its weighted
 terms by name: its likelihood terms by ``labelnet.pairwise_nll``, its
-asymmetric term by ``LabelPatterns.signed``. The codes are the trainer's
-plain n x k_half float64 array of +-1.
+asymmetric term by ``LabelPatterns.signed``. After a code update,
+``recoded_objective`` recomputes only the two terms that read the codes
+(quant and asym) and takes the other three from the result before it. The
+codes are the trainer's plain n x k_half float64 array of +-1.
 ``imgnet_grads`` is its exact gradient with one batch taken as the whole
 set, read from the batch's outputs and the supervision rows, +-1 code rows
 and {0,1} similarity block that ``wstep_epoch`` gathers for it. It enters
@@ -83,17 +85,32 @@ def full_objective(outs: NetOutputs, dataset: Dataset, codes, sup: NetOutputs,
     array is made. Returns the weighted terms by name, in log-column order;
     a term the variant drops is 0.0 and is never computed."""
     pat, u = dataset.patterns, outs.u
+    sem_pair = hp.alpha * pairwise_nll(sup.r, outs.r, pat, "sem_pair") \
+        if hp.variant.keeps_sem else 0.0
+    code_pair = hp.beta * pairwise_nll(sup.u, u, pat, "code_pair")
+    quant, asym = _code_terms(u, pat, codes, hp)
+    return finite_terms(sem_pair=sem_pair, code_pair=code_pair, quant=quant,
+                        balance=hp.nu * float((u.sum(axis=0)**2).sum()), asym=asym)
+
+
+def recoded_objective(terms: dict, outs: NetOutputs, dataset: Dataset, codes,
+                      hp: HyperParams) -> dict:
+    """``full_objective`` after the codes changed: ``terms`` is its result for
+    the same ``outs`` and supervision with the codes before. sem_pair,
+    code_pair and balance do not read the codes, so they are taken from
+    ``terms``; only quant and asym are computed, from ``codes``. Bit for bit
+    a fresh ``full_objective`` call, without its two pairwise likelihoods."""
+    quant, asym = _code_terms(outs.u, dataset.patterns, codes, hp)
+    return finite_terms(**{**terms, "quant": quant, "asym": asym})
+
+
+def _code_terms(u, pat, codes, hp: HyperParams):
+    """(quant, asym), the two weighted terms that read the codes; asym is
+    0.0, and never computed, where the variant drops it."""
     n, k = codes.shape
-
-    def asym():
-        # ||U B^T - k S_signed||^2 with S_signed = 2 S - 1, every entry +-1
-        return float(((u.T @ u) * (codes.T @ codes)).sum()) \
-            - 2.0 * k * float((u * pat.signed(codes)).sum()) + float(k * k) * n * n
-
-    v = hp.variant
-    return finite_terms(
-        sem_pair=hp.alpha * pairwise_nll(sup.r, outs.r, pat, "sem_pair") if v.keeps_sem else 0.0,
-        code_pair=hp.beta * pairwise_nll(sup.u, u, pat, "code_pair"),
-        quant=hp.eta * float(((u - codes)**2).sum()),
-        balance=hp.nu * float((u.sum(axis=0)**2).sum()),
-        asym=asym() if v.keeps_asym else 0.0)
+    quant = hp.eta * float(((u - codes)**2).sum())
+    if not hp.variant.keeps_asym:
+        return quant, 0.0
+    # ||U B^T - k S_signed||^2 with S_signed = 2 S - 1, every entry +-1
+    return quant, float(((u.T @ u) * (codes.T @ codes)).sum()) \
+        - 2.0 * k * float((u * pat.signed(codes)).sum()) + float(k * k) * n * n

@@ -12,8 +12,10 @@ terms over all ordered pairs of distinct items (i != j):
 ``labelnet_loss`` is the loss over the whole training set, one output row
 per label pattern, returned as the four weighted terms by name; ``labelnet_grad`` is its exact gradient with one batch
 taken as the whole set. ``pairwise_nll`` is the value of every pairwise
-likelihood term, here and in the image objective, summed over the row
-blocks of ``LabelPatterns.row_blocks``. The trained ``NetOutputs`` are
+likelihood term, here and in the image objective: each row block of
+``LabelPatterns.row_blocks`` is formed in place, in buffers reused across
+blocks, and its row sums are weighted by the pattern counts in one
+product at the end. The trained ``NetOutputs`` are
 cached per label pattern as fixed supervision for the image networks.
 """
 
@@ -24,7 +26,7 @@ import numpy as np
 from .config import HyperParams
 from .data import Dataset, LabelPatterns
 from .encoder import EncoderParams, MomentumSGD, NetOutputs, backward, forward, forward_rows
-from .numerics import check_finite, finite_terms, sigmoid_stable, softplus_stable
+from .numerics import bernoulli_nll, check_finite, finite_terms, sigmoid_stable, softplus_stable
 
 
 @dataclass
@@ -47,15 +49,24 @@ def init_head(num_classes: int, k_half: int, seed) -> ClassifierHead:
 
 def pairwise_nll(sup_pat, img, pat: LabelPatterns, what) -> float:
     """Negative log-likelihood of the shared-label similarity of ``pat`` over
-    ordered item pairs i != j, logits 0.5 sup_pat[ids[i]].img[j], summed over
-    count-weighted pattern x item logits in the row blocks of
-    ``pat.row_blocks``. Non-finite logits raise TrainingError naming
-    ``what``."""
-    total = 0.0
-    for rows, similar in pat.row_blocks(img.shape[0]):
-        logits = check_finite(0.5 * (sup_pat[rows] @ img.T), f"{what} logits")
-        s = similar[:, pat.ids]
-        total += float(pat.counts[rows] @ (softplus_stable(logits) - s * logits).sum(axis=1))
+    ordered item pairs i != j, logits 0.5 sup_pat[ids[i]].img[j]: the sum of
+    each pattern x item logit row, in the row blocks of ``pat.row_blocks``,
+    weighted by the pattern counts in one product. Each block is formed in
+    the same three float buffers and one bool buffer, of one block each.
+    Non-finite logits raise TrainingError naming ``what``."""
+    n = img.shape[0]
+    step = pat.block_rows(n)
+    logits, scratch, nll = np.empty((3, step, n))
+    s = np.empty((step, n), dtype=bool)
+    per_row = np.empty(pat.counts.size)
+    for rows, similar in pat.row_blocks(n):
+        m = similar.shape[0]
+        x = np.matmul(sup_pat[rows], img.T, out=logits[:m])
+        x *= 0.5
+        check_finite(x, f"{what} logits")
+        np.take(similar, pat.ids, axis=1, out=s[:m], mode="clip")  # ids lie in range
+        bernoulli_nll(x, s[:m], scratch[:m], nll[:m]).sum(axis=1, out=per_row[rows])
+    total = float(pat.counts @ per_row)
     # take out each item's own pair (s_ii = 1)
     own = check_finite(0.5 * np.einsum("ij,ij->i", sup_pat[pat.ids], img), f"{what} logits")
     return total - float((softplus_stable(own) - own).sum())

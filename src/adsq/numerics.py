@@ -5,8 +5,9 @@ The kernels take float64 arrays that ``check_finite`` has passed, as every
 loss term's logits do, and check nothing themselves. Outputs stay finite
 for any finite input, including |x| in the thousands where the naive
 formulas overflow; ``sigmoid_stable`` works in place in its one output
-array. ``finite_terms`` checks an objective's weighted terms, given by
-name in log-column order.
+array, and ``bernoulli_nll`` in the two buffers its caller gives it, so a
+blocked caller reuses them for every block. ``finite_terms`` checks an
+objective's weighted terms, given by name in log-column order.
 """
 
 import numpy as np
@@ -58,3 +59,20 @@ def softplus_stable(x):
     form overflows past x ~ 710.
     """
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
+def bernoulli_nll(x, s, scratch, out):
+    """softplus(x) - s x per entry, the negative log-likelihood of a boolean
+    ``s`` under logits ``x``, into ``out``: the operations of
+    ``softplus_stable(x) - s * x`` in place, so bit for bit the same.
+    log1p(e^-|x|) goes into ``scratch``, max(x, 0) plus it into ``out``, then
+    s x into ``scratch`` and out of ``out`` (two plain passes: a ``where=s``
+    subtraction is several times slower); ``x`` is left as it is."""
+    np.abs(x, out=scratch)
+    np.negative(scratch, out=scratch)
+    np.exp(scratch, out=scratch)
+    np.log1p(scratch, out=scratch)
+    np.maximum(x, 0.0, out=out)
+    out += scratch
+    np.multiply(x, s, out=scratch)
+    return np.subtract(out, scratch, out=out)

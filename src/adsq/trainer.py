@@ -5,7 +5,9 @@ Per outer round: refresh the label network and its cached supervision,
 run ``t_img`` weight epochs per image network with codes fixed, then one
 coordinate-descent sweep of each code matrix with weights fixed; each
 code matrix is a plain float64 array of +-1, updated in place.
-Each phase logs one ``log_row`` of the terms its objective returns by name.
+Each phase logs one ``log_row`` of the terms its objective returns by name;
+a B-step's row takes the terms that do not read the codes from the W-step
+row before it (``recoded_objective``).
 The learning rate walks a geometric grid, one point per round, clamped at
 the last point. In the symmetric variant a single image network backs both
 halves of the final code.
@@ -23,7 +25,7 @@ from .data import Dataset
 from .encoder import MomentumSGD, flat_copy, forward_rows, init_params, save_params
 from .errors import DataError, TrainingError
 from .fileio import write_csv
-from .imgnet import full_objective, wstep_epoch
+from .imgnet import full_objective, recoded_objective, wstep_epoch
 from .labelnet import ClassifierHead, init_head, labelnet_loss, train_labelnet
 
 MODEL_FILES = ("label.net", "imgx.net", "imgy.net")
@@ -137,8 +139,8 @@ def train(dataset: Dataset, hp: HyperParams) -> TrainState:
         state.log_rows.append(log_row(rnd, "label", labelnet_loss(
             state.supervision, head, dataset.patterns, hp)))
 
-    def img_row(rnd, phase, outs, codes) -> LogRow:
-        row = log_row(rnd, phase, full_objective(outs, dataset, codes, state.supervision, hp))
+    def img_row(rnd, phase, terms) -> LogRow:
+        row = log_row(rnd, phase, terms)
         state.log_rows.append(row)
         return row
 
@@ -147,12 +149,14 @@ def train(dataset: Dataset, hp: HyperParams) -> TrainState:
             wstep_epoch(params, dataset, codes, state.supervision, hp,
                         lr=lr, rng=rng, optimizer=opt)
         outs = forward_rows(params, dataset.features)
-        img_row(rnd, f"wstep_{tag}", outs, codes)
-        return outs
+        terms = full_objective(outs, dataset, codes, state.supervision, hp)
+        img_row(rnd, f"wstep_{tag}", terms)
+        return outs, terms
 
-    def bstep(rnd, tag, outs, codes) -> float:
+    def bstep(rnd, tag, outs, terms, codes) -> float:
         bstep_sweep(codes, outs.u, dataset.patterns, hp)
-        return img_row(rnd, f"bstep_{tag}", outs, codes).loss_total
+        return img_row(rnd, f"bstep_{tag}",
+                       recoded_objective(terms, outs, dataset, codes, hp)).loss_total
 
     run_phase(0, "label", label_phase, 0, hp.lr_for_round(0))
 
@@ -172,9 +176,10 @@ def train(dataset: Dataset, hp: HyperParams) -> TrainState:
         full = [run_phase(rnd, f"wstep_{tag}", wstep, rnd, lr, tag, params, codes, opt, rng)
                 for tag, params, codes, opt, rng in nets]
         # one full-set forward per network and round serves its wstep row, its
-        # B-step and its bstep row: the weights do not move in between
-        totals = [run_phase(rnd, f"bstep_{tag}", bstep, rnd, tag, outs, codes)
-                  for (tag, _, codes, _, _), outs in zip(nets, full)]
+        # B-step and its bstep row: the weights do not move in between, so the
+        # bstep row recomputes only the terms that read the codes
+        totals = [run_phase(rnd, f"bstep_{tag}", bstep, rnd, tag, outs, terms, codes)
+                  for (tag, _, codes, _, _), (outs, terms) in zip(nets, full)]
         state.history.append(sum(totals))
         state.rounds_run = rnd + 1
         if convergence_check(state.history):

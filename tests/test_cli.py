@@ -13,7 +13,8 @@ import adsq.trainer
 from adsq.cli import main
 from adsq.codes import encode_matrix, load_codes, pack
 from adsq.data import load_features, write_features
-from adsq.encoder import EncoderParams, forward, init_params, load_params, save_params
+from adsq.encoder import (EncoderParams, forward, init_params, load_params, pre_activation,
+                          save_params)
 from adsq.metrics import RelevanceJudge, mean_ap
 from adsq.trainer import MODEL_FILES
 from memtrace import traced_peak
@@ -169,12 +170,12 @@ class TestEncode:
         block = 5
         rows = []
 
-        def recording_forward(params, x, keep_hidden=False):
+        def recording_pre_activation(params, x, keep_hidden):
             rows.append(np.shape(x)[0])
-            return forward(params, x, keep_hidden)
+            return pre_activation(params, x, keep_hidden)
 
         monkeypatch.setattr(adsq.encoder, "FORWARD_BLOCK_ROWS", block)
-        monkeypatch.setattr(adsq.encoder, "forward", recording_forward)
+        monkeypatch.setattr(adsq.encoder, "pre_activation", recording_pre_activation)
         out = tmp_path / "blocked.adsqb"
         assert main(["encode", "--model", str(model),
                      "--features", str(data / "train.adsqf"), "--out", str(out)]) == 0
@@ -198,12 +199,12 @@ class TestEncode:
         features.write_bytes(damage((data / "train.adsqf").read_bytes()))
         calls = []
 
-        def recording_forward(params, x, keep_hidden=False):
+        def recording_pre_activation(params, x, keep_hidden):
             calls.append(np.shape(x)[0])
-            return forward(params, x, keep_hidden)
+            return pre_activation(params, x, keep_hidden)
 
         monkeypatch.setattr(adsq.encoder, "FORWARD_BLOCK_ROWS", 5)
-        monkeypatch.setattr(adsq.encoder, "forward", recording_forward)
+        monkeypatch.setattr(adsq.encoder, "pre_activation", recording_pre_activation)
         out_dir = tmp_path / "out"
         out_dir.mkdir()
         assert main(["encode", "--model", str(model), "--features", str(features),

@@ -85,6 +85,38 @@ class TestEncode:
         np.testing.assert_array_equal(codes[:, :2], codes[:, 2:])
 
 
+class TestEncodeSkipsTanh:
+    """Encoding signs the hash pre-activation v, not tanh(v)."""
+
+    EDGES = [-0.0, 0.0, 5e-324, -5e-324, 1e-300, -1e-300, np.inf, -np.inf]
+
+    def encode_with_v(self, monkeypatch, v):
+        """Codes of one row whose pre-activation, in both networks, is ``v``."""
+        real = adsq.encoder.pre_activation
+
+        def fixed(params, x, keep_hidden):
+            outs = real(params, x, keep_hidden)
+            outs.u[...] = v
+            return outs
+
+        monkeypatch.setattr(adsq.encoder, "pre_activation", fixed)
+        p = init_params([5, 4, 3, v.shape[1]], seed=10)
+        return encode_matrix(np.zeros((1, 5)), p, p)
+
+    def test_edge_values_sign_as_tanh_would(self, monkeypatch):
+        v = np.array([self.EDGES])
+        want = sign_bits(np.tanh(v))
+        codes = unpack(self.encode_with_v(monkeypatch, v))
+        np.testing.assert_array_equal(codes > 0, np.hstack([want, want]))
+
+    def test_nan_raises_as_tanh_would(self, monkeypatch):
+        v = np.array([self.EDGES + [np.nan]])
+        with pytest.raises(ValueError, match="finite"):
+            sign_bits(np.tanh(v))
+        with pytest.raises(ValueError, match="outputs of the x network are not finite"):
+            self.encode_with_v(monkeypatch, v)
+
+
 class TestEncodeBlocks:
     B = 4
 

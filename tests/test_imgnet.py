@@ -12,7 +12,7 @@ from adsq.encoder import MomentumSGD, NetOutputs, forward, init_params
 from adsq.errors import TrainingError
 from adsq.imgnet import full_objective, imgnet_grads, wstep_epoch
 from adsq.labelnet import iter_batches
-from adsq.numerics import softplus_stable
+from adsq.numerics import bernoulli_nll
 from fdcheck import (TOL, batch_dataset, batch_objective, fd_grad, labels_for_similarity,
                      max_rel_error, random_similarity)
 from labelsets import LABEL_SET_NAMES, hand_label_sets
@@ -386,11 +386,11 @@ def test_full_objective_in_row_blocks_matches_dense_reference(variant, monkeypat
     monkeypatch.setattr(adsq.data, "BLOCK_ELEMS", 3 * n)
     shapes = []
 
-    def recording(x):
+    def recording(x, s, scratch, out):
         shapes.append(np.shape(x))
-        return softplus_stable(x)
+        return bernoulli_nll(x, s, scratch, out)
 
-    monkeypatch.setattr(adsq.labelnet, "softplus_stable", recording)
+    monkeypatch.setattr(adsq.labelnet, "bernoulli_nll", recording)
     if variant is None:
         assert_label_row_matches_dense_reference("distinct")
     else:

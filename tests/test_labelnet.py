@@ -3,15 +3,17 @@ import math
 import numpy as np
 import pytest
 
+import adsq.data
 import adsq.labelnet
 from adsq.config import HyperParams
 from adsq.data import Dataset
 from adsq.encoder import NetOutputs, forward, init_params
 from adsq.errors import TrainingError
 from adsq.labelnet import (ClassifierHead, binary_reg_value, cache_supervision, init_head,
-                           labelnet_grad, labelnet_loss, train_labelnet)
+                           labelnet_grad, labelnet_loss, pairwise_nll, train_labelnet)
 from fdcheck import (TOL, batch_label_loss, fd_grad, labels_for_similarity, max_rel_error,
                      random_similarity)
+from memtrace import traced_peak
 from netparams import copy_params, optimize, same_params
 
 K = 3
@@ -291,3 +293,18 @@ def test_loss_descends_on_separable_toy():
     run_phase(ds, hp, params, head, epochs=50, lr=1e-4, seed=7)
     assert full_set_loss(ds, hp, params, head) < before
 
+
+def test_pairwise_nll_peak_is_a_few_blocks_not_pattern_by_item():
+    """Every label row distinct (p = n = 3000): one call's traced peak is a
+    few blocks of ``BLOCK_ELEMS`` entries plus O(n k), far below the 72 MB of
+    one p x n float64 array."""
+    n, k = 3000, 8
+    labels = ((np.arange(1, n + 1)[:, None] >> np.arange(12)) & 1).astype(np.int8)
+    pat = Dataset(features=np.zeros((n, 1)), labels=labels).patterns
+    assert pat.counts.size == n
+    rng = np.random.default_rng(0)
+    sup, img = rng.normal(size=(n, k)), rng.normal(size=(n, k))
+    bound = 40 * adsq.data.BLOCK_ELEMS + 16 * n * (k + 8)
+    assert 4 * bound < 8 * n * n
+    value, peak = traced_peak(pairwise_nll, sup, img, pat, "code_pair")
+    assert math.isfinite(value) and value > 0 and peak <= bound

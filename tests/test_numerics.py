@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adsq.labelnet import pair_residual
-from adsq.numerics import sigmoid_stable, softplus_stable
+from adsq.numerics import bernoulli_nll, sigmoid_stable, softplus_stable
 from references import sigmoid_reference
 
 EDGES = [0.0, -0.0, 5e-324, 1e-300, 36.7, 37.0, 709.0, 746.0, 1e308]
@@ -54,6 +54,24 @@ def test_sigmoid_is_bit_identical_to_reference(draw):
     got = sigmoid_stable(x)
     assert got.dtype == np.float64 and got.shape == x.shape
     assert got.tobytes() == sigmoid_reference(x).tobytes()
+
+
+@pytest.mark.parametrize("draw", [
+    lambda: np.array([EDGES + [-e for e in EDGES]] * 2),
+    lambda: 50.0 * np.random.default_rng(2).normal(size=(300, 700)),
+], ids=["edges", "normal"])
+def test_bernoulli_nll_is_bit_identical_to_softplus_form(draw):
+    """Both labels at every edge value, and a wide draw with random labels:
+    the in-place kernel equals ``softplus_stable(x) - s * x`` byte for byte,
+    and leaves ``x`` as it was."""
+    x = draw()
+    s = np.random.default_rng(3).random(x.shape) < 0.5
+    s[0], s[-1] = False, True
+    before = x.copy()
+    scratch, out = np.empty_like(x), np.empty_like(x)
+    got = bernoulli_nll(x, s, scratch, out)
+    assert got is out and x.tobytes() == before.tobytes()
+    assert got.tobytes() == (softplus_stable(x) - s * x).tobytes()
 
 
 def test_pair_residual_is_bit_identical_to_reference():

@@ -20,13 +20,14 @@ def scale():
 @pytest.mark.parametrize("kind", ["synth", "diverse"])
 def test_point_runs_in_a_subprocess_and_reports(scale, kind):
     """One n = 200 point per label kind: the child trains and reports its
-    own time, pattern count and peak RSS."""
+    own time, pattern count, peak RSS and minor page faults."""
     r = scale.measure(kind, 200)
     assert (r["kind"], r["n"]) == (kind, 200)
     # synth labels repeat (10 classes, one extra at most); diverse ones rarely do
     assert (r["p"] <= 55) if kind == "synth" else (r["p"] > 150)
     assert r["train_s"] > 0 and math.isfinite(r["train_s"])
     assert r["peak_rss_mb"] > 0 and math.isfinite(r["peak_rss_mb"])
+    assert type(r["minflt"]) is int and r["minflt"] >= 0
 
 
 def test_default_widths_are_the_hyperparams_defaults(scale):

@@ -342,23 +342,31 @@ def test_training_builds_no_similarity_wider_than_patterns(tiny_data, monkeypatc
     assert rows and max(rows) <= max(hp.batch_size, p)
 
 
+def record_softplus(monkeypatch):
+    """Lists of the sizes of the logits that ``softplus_stable`` (the own
+    pairs) and ``bernoulli_nll`` (the pattern x item blocks) receive."""
+    sizes = {"softplus_stable": [], "bernoulli_nll": []}
+    for name, sink in sizes.items():
+        original = getattr(adsq.numerics, name)
+
+        def recording(x, *rest, original=original, sink=sink):
+            sink.append(np.size(x))
+            return original(x, *rest)
+
+        patch_everywhere(monkeypatch, name, original, recording)
+    return sizes["softplus_stable"], sizes["bernoulli_nll"]
+
+
 def test_training_softplus_sees_no_item_pair_array(tiny_data, monkeypatch):
     """The pairwise likelihoods run over pattern x item logits in the
     full-set objective and in the label row, so no array softplus receives
     holds more than p x n entries."""
-    original = adsq.numerics.softplus_stable
-    sizes = []
-
-    def recording(x):
-        sizes.append(np.size(x))
-        return original(x)
-
-    patch_everywhere(monkeypatch, "softplus_stable", original, recording)
+    own, blocks = record_softplus(monkeypatch)
     ds, _ = tiny_data
     p = ds.patterns.counts.size
     assert 2 <= p < ds.n
     train(ds, HyperParams(**TINY))
-    assert sizes and max(sizes) <= p * ds.n
+    assert own and blocks and max(own + blocks) <= p * ds.n
 
 
 def test_training_similarity_and_softplus_blocks_stay_within_budget(monkeypatch):
@@ -368,7 +376,7 @@ def test_training_similarity_and_softplus_blocks_stay_within_budget(monkeypatch)
     labels = hand_label_sets()["distinct"]
     n = labels.shape[0]
     monkeypatch.setattr(adsq.data, "BLOCK_ELEMS", 3 * n)
-    kernel, softplus = adsq.data.share_labels, adsq.numerics.softplus_stable
+    kernel = adsq.data.share_labels
     sizes = []
 
     def recording_kernel(words_a, words_b):
@@ -376,24 +384,24 @@ def test_training_similarity_and_softplus_blocks_stay_within_budget(monkeypatch)
         sizes.append(block.size)
         return block
 
-    def recording_softplus(x):
-        sizes.append(np.size(x))
-        return softplus(x)
-
     patch_everywhere(monkeypatch, "share_labels", kernel, recording_kernel)
-    patch_everywhere(monkeypatch, "softplus_stable", softplus, recording_softplus)
+    own, blocks = record_softplus(monkeypatch)
     ds = Dataset(features=np.random.default_rng(0).normal(size=(n, 5)), labels=labels)
     hp = HyperParams(**TINY)
     assert ds.patterns.counts.size == n and hp.batch_size**2 < n * n
     train(ds, hp)
+    # every logits block is seen: three pattern rows, then the last one
+    assert set(blocks) == {3 * n, n} and own
+    sizes += own + blocks
     assert sizes and max(sizes) <= max(adsq.data.BLOCK_ELEMS, hp.batch_size**2)
 
 
 @pytest.mark.parametrize("variant", ["full", "sym"])
 def test_training_computes_each_quantity_once(tiny_data, monkeypatch, variant):
     """Over a whole run: one encoder forward per SGD step (backward reuses
-    it), one image objective per log row and none during SGD, one label
-    loss per label phase (its log row), and one full-set forward per image
+    it), one image objective per log row and none during SGD (the whole one
+    for a wstep row, its code terms alone for a bstep row), one label loss
+    per label phase (its log row), and one full-set forward per image
     network per round."""
     ds, _ = tiny_data
     calls = Counter()
@@ -415,6 +423,7 @@ def test_training_computes_each_quantity_once(tiny_data, monkeypatch, variant):
                                 ("forward_rows", adsq.encoder, None),
                                 ("backward", adsq.encoder, None),
                                 ("full_objective", adsq.imgnet, None),
+                                ("recoded_objective", adsq.imgnet, None),
                                 ("labelnet_loss", adsq.labelnet, None),
                                 ("wstep_epoch", adsq.imgnet, "wstep"),
                                 ("train_labelnet", adsq.labelnet, "label")):
@@ -429,14 +438,84 @@ def test_training_computes_each_quantity_once(tiny_data, monkeypatch, variant):
     # plus the supervision cached at the end of each label phase
     assert calls["forward", "label"] == calls["backward", "label"] + label_phases
     # a wstep and a bstep row per network and round, none inside an epoch
-    assert calls["full_objective", "train"] == 2 * nets * state.rounds_run
-    assert sum(n for (key, _), n in calls.items() if key == "full_objective") \
-        == calls["full_objective", "train"]
+    for key in ("full_objective", "recoded_objective"):
+        assert calls[key, "train"] == nets * state.rounds_run, key
+        assert sum(n for (k, _), n in calls.items() if k == key) == calls[key, "train"], key
     assert calls["labelnet_loss", "train"] == label_phases
     assert calls["labelnet_loss", "label"] == 0
     # plus the warm start of the codes before round 0
     assert sum(n for (key, _), n in calls.items() if key == "full-set image forward") \
         == nets * (state.rounds_run + 1)
+
+
+@pytest.mark.parametrize("variant", ["full", "no-sem", "sym"])
+def test_pairwise_nll_runs_per_round(tiny_data, monkeypatch, variant):
+    """Each round's label row takes two pairwise likelihoods and each wstep
+    row one per likelihood term its variant keeps; a bstep row takes none,
+    so a round runs 2 x nets + 2 of them in the full variant, not 4 x nets + 2."""
+    events = []
+    nll, row = adsq.labelnet.pairwise_nll, adsq.trainer.log_row
+
+    def counting_nll(*args):
+        events.append("nll")
+        return nll(*args)
+
+    def counting_row(rnd, phase, terms):
+        events.append((rnd, phase))
+        return row(rnd, phase, terms)
+
+    patch_everywhere(monkeypatch, "pairwise_nll", nll, counting_nll)
+    monkeypatch.setattr(adsq.trainer, "log_row", counting_row)
+    state = train(tiny_data[0], HyperParams(**{**TINY, "variant": variant}))
+    assert state.rounds_run == TINY["outer_rounds"] == 2
+
+    per_row, pending = Counter(), 0
+    for event in events:  # each call counts toward the next log row
+        if event == "nll":
+            pending += 1
+        else:
+            per_row[event], pending = pending, 0
+    assert pending == 0
+    nets = 1 if variant == "sym" else 2
+    likelihoods = 1 if variant == "no-sem" else 2  # per wstep row
+    tags = ["x"] if nets == 1 else ["x", "y"]
+    for rnd in range(state.rounds_run):
+        assert per_row[rnd, "label"] == 2
+        for tag in tags:
+            assert (per_row[rnd, f"wstep_{tag}"], per_row[rnd, f"bstep_{tag}"]) == (likelihoods, 0)
+        assert sum(n for (r, _), n in per_row.items() if r == rnd) == 2 + nets * likelihoods
+    if variant == "full":
+        assert sum(per_row.values()) == (2 * nets + 2) * state.rounds_run
+
+
+@pytest.mark.parametrize("variant", list(Variant), ids=[v.value for v in Variant])
+def test_bstep_row_equals_a_fresh_full_objective(tiny_data, monkeypatch, variant):
+    """Every bstep row's terms, the three taken from the wstep row as well as
+    the two recomputed, equal a fresh full-set evaluation bit for bit."""
+    full, recoded = adsq.imgnet.full_objective, adsq.imgnet.recoded_objective
+    sups, checked = [], []
+
+    def recording_full(outs, dataset, codes, sup, hp):
+        sups.append(sup)
+        return full(outs, dataset, codes, sup, hp)
+
+    def checking_recoded(terms, outs, dataset, codes, hp):
+        got = recoded(terms, outs, dataset, codes, hp)
+        fresh = full(outs, dataset, codes, sups[-1], hp)
+        assert list(got) == list(fresh)
+        assert [np.float64(v).tobytes() for v in got.values()] == \
+            [np.float64(v).tobytes() for v in fresh.values()]
+        checked.append(got)
+        return got
+
+    patch_everywhere(monkeypatch, "full_objective", full, recording_full)
+    patch_everywhere(monkeypatch, "recoded_objective", recoded, checking_recoded)
+    state = train(tiny_data[0], HyperParams(**{**TINY, "variant": variant}))
+    bstep_rows = [r for r in state.log_rows if r.phase.startswith("bstep")]
+    assert len(checked) == len(bstep_rows) > 0
+    # the codes moved, so the recomputed terms are the new codes' own
+    assert any(r.j3 != w.j3 for r, w in zip(bstep_rows, (r for r in state.log_rows
+                                                         if r.phase.startswith("wstep"))))
 
 
 def test_training_forwards_never_see_more_than_a_block(tiny_data, monkeypatch):
