@@ -49,9 +49,9 @@ def update_column(B, c: int, U, P) -> np.ndarray:
     k = B.shape[1]
     if not 0 <= c < k:
         raise IndexError(f"column index {c} out of range for {k} columns")
-    rest = np.delete(np.arange(k), c)
-    cross = U[:, rest].T @ U[:, c]          # (k-1,)
-    arg = 2.0 * (B[:, rest] @ cross) + P[:, c]
+    cross = U.T @ U[:, c]
+    cross[c] = 0.0  # the other columns alone, without copying them
+    arg = 2.0 * (B @ cross) + P[:, c]
     if not np.all(np.isfinite(arg)):
         raise TrainingError(f"non-finite code-update argument in column {c}")
     new = np.where(arg >= 0, -1.0, 1.0)

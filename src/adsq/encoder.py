@@ -3,10 +3,11 @@
 Layout is fixed: rectifier hidden layers, an identity-activation semantic
 layer second from last, and a tanh hash head last. One instance serves the
 label network and one serves each image network; the image pair shares the
-topology but never the weights. A network's arrays are views of one
-float64 buffer in ``EncoderParams.arrays`` order, which its ``MomentumSGD``
-steps in place; ``backward`` writes into the views of a gradient buffer
-that lives for one training phase.
+topology but never the weights. A trained network's arrays are views of
+one float64 buffer in ``EncoderParams.arrays`` order, which its
+``MomentumSGD`` steps in place; ``backward`` writes into the views of a
+gradient buffer that lives for one training phase. A loaded model is only
+encoded, so ``load_params`` gives one plain array per weight matrix and bias.
 
 Gradients flow in through two injection points: ``upstream_r`` at the
 semantic-layer output and ``upstream_v`` at the hash-layer pre-activation,
@@ -194,9 +195,9 @@ class MomentumSGD:
         param    <- param - lr * velocity
 
     One optimizer owns one network (and its head): ``arrays``, C-contiguous
-    consecutive views of one float64 buffer ``flat`` (as ``init_params``,
-    ``load_params`` and ``flat_copy`` give them), stepped in place, and the
-    velocity ``flat_velocity`` with its views ``velocity``. ``step`` takes a
+    consecutive views of one float64 buffer ``flat`` (as ``init_params`` and
+    ``flat_copy`` give them), stepped in place, and the velocity buffer
+    ``flat_velocity`` of the same layout. ``step`` takes a
     ``new_grad`` buffer and is the one gradient guard: a non-finite entry
     raises TrainingError before any byte moves. It checks, then updates, in
     blocks of ``STEP_BLOCK_ELEMS`` elements with one scratch buffer, which
@@ -213,7 +214,6 @@ class MomentumSGD:
             raise ValueError("parameters must be C-contiguous consecutive views of one "
                              "float64 buffer to update in place")
         self.flat_velocity = np.zeros(self.flat.size)  # zero pages until a step writes them
-        self.velocity = views_of(self.flat_velocity, self.shapes)
         self.momentum = momentum
         self.weight_decay = weight_decay
         self._scratch = np.empty(min(STEP_BLOCK_ELEMS, self.flat.size))
@@ -253,13 +253,11 @@ def save_params(path, params: EncoderParams):
 
 
 def load_params(path) -> EncoderParams:
-    """The model at ``path`` in one new buffer, sized from the bytes left in
-    the file: each weight matrix is read straight into it, and the biases are
-    copied in after them."""
-    weights, biases, used = [], [], 0
+    """The model at ``path``, one new array per weight matrix and bias: a
+    loaded model is only encoded, never stepped."""
+    weights, biases = [], []
     with BinaryReader(path, MODEL_MAGIC, "model") as r:
         (n_layers,) = r.header(1)
-        flat = np.empty(max(0, r.remaining // 8 - n_layers), dtype="<f8")  # a whole file's values
         for i in range(n_layers):
             rows, cols = r.header(2)
             if not rows or not cols:
@@ -267,14 +265,11 @@ def load_params(path) -> EncoderParams:
             if weights and cols != weights[-1].shape[0]:
                 raise FormatError(f"{path}: layer {i} takes {cols} inputs but layer {i - 1} "
                                   f"gives {weights[-1].shape[0]}")
-            used += rows * cols  # past the buffer only in a file the reader refuses as short
-            weights.append(r.read_into(flat[used - rows * cols:used].reshape(rows, cols))
-                           if used <= flat.size else r.array("<f8", (rows, cols)))
+            weights.append(r.array("<f8", (rows, cols)))
             biases.append(r.array("<f8", (rows,)))
             for kind, a in (("weights", weights[-1]), ("biases", biases[-1])):
                 if not np.isfinite(a).all():
                     raise FormatError(f"{path}: layer {i} {kind} are not all finite")
     if len(weights) < 2:
         raise FormatError(f"{path}: model must have at least semantic and hash layers")
-    flat[used:] = np.concatenate(biases)
-    return EncoderParams(weights, views_of(flat[used:], [b.shape for b in biases]))
+    return EncoderParams(weights, biases)

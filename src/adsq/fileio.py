@@ -81,11 +81,6 @@ class BinaryReader:
     def close(self):
         self._fh.close()
 
-    @property
-    def remaining(self) -> int:
-        """Bytes of the file after the parts read so far."""
-        return self._size - self._pos
-
     def _refuse_trailing(self, nbytes):
         if self._size - self._pos > nbytes:
             raise FormatError(f"{self.path}: {self._size - self._pos - nbytes} trailing bytes")

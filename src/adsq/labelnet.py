@@ -10,13 +10,15 @@ terms over all ordered pairs of distinct items (i != j):
   classify    squared error of the linear classifier readout vs true labels
 
 ``labelnet_loss`` is the loss over the whole training set, one output row
-per label pattern, returned as the four weighted terms by name; ``labelnet_grad`` is its exact gradient with one batch
-taken as the whole set. ``pairwise_nll`` is the value of every pairwise
-likelihood term, here and in the image objective: each row block of
-``LabelPatterns.row_blocks`` is formed in place, in buffers reused across
-blocks, and its row sums are weighted by the pattern counts in one
-product at the end. The trained ``NetOutputs`` are
-cached per label pattern as fixed supervision for the image networks.
+per label pattern, returned as the four weighted terms by name;
+``labelnet_grad`` is its exact gradient with one batch taken as the whole
+set. ``pairwise_nll`` is the value of every pairwise likelihood term, here
+and in the image objective: each row block of ``LabelPatterns.row_blocks``
+is formed in place, in buffers reused across blocks, and its row sums are
+weighted by the pattern counts in one product at the end; the items' own
+pairs are taken out through the same kernel, in the first row of those
+buffers. The trained ``NetOutputs`` are cached per label pattern as fixed
+supervision for the image networks.
 """
 
 from dataclasses import dataclass
@@ -26,7 +28,7 @@ import numpy as np
 from .config import HyperParams
 from .data import Dataset, LabelPatterns
 from .encoder import EncoderParams, MomentumSGD, NetOutputs, backward, forward, forward_rows
-from .numerics import bernoulli_nll, check_finite, finite_terms, sigmoid_stable, softplus_stable
+from .numerics import bernoulli_nll, check_finite, finite_terms, sigmoid_stable
 
 
 @dataclass
@@ -51,8 +53,9 @@ def pairwise_nll(sup_pat, img, pat: LabelPatterns, what) -> float:
     """Negative log-likelihood of the shared-label similarity of ``pat`` over
     ordered item pairs i != j, logits 0.5 sup_pat[ids[i]].img[j]: the sum of
     each pattern x item logit row, in the row blocks of ``pat.row_blocks``,
-    weighted by the pattern counts in one product. Each block is formed in
-    the same three float buffers and one bool buffer, of one block each.
+    weighted by the pattern counts in one product, less each item's own
+    pair. Each block, and the own pairs, are formed in the same three float
+    buffers and one bool buffer, of one block each.
     Non-finite logits raise TrainingError naming ``what``."""
     n = img.shape[0]
     step = pat.block_rows(n)
@@ -67,9 +70,12 @@ def pairwise_nll(sup_pat, img, pat: LabelPatterns, what) -> float:
         np.take(similar, pat.ids, axis=1, out=s[:m], mode="clip")  # ids lie in range
         bernoulli_nll(x, s[:m], scratch[:m], nll[:m]).sum(axis=1, out=per_row[rows])
     total = float(pat.counts @ per_row)
-    # take out each item's own pair (s_ii = 1)
-    own = check_finite(0.5 * np.einsum("ij,ij->i", sup_pat[pat.ids], img), f"{what} logits")
-    return total - float((softplus_stable(own) - own).sum())
+    # take out each item's own pair (s_ii = 1), in the first row of the same buffers
+    own = np.einsum("ij,ij->i", sup_pat[pat.ids], img, out=logits[0])
+    own *= 0.5
+    check_finite(own, f"{what} logits")
+    s[0] = True
+    return total - float(bernoulli_nll(own, s[0], scratch[0], nll[0]).sum())
 
 
 def pair_residual(a, b, sim_binary, what):

@@ -6,8 +6,9 @@ loss term's logits do, and check nothing themselves. Outputs stay finite
 for any finite input, including |x| in the thousands where the naive
 formulas overflow; ``sigmoid_stable`` works in place in its one output
 array, and ``bernoulli_nll`` in the two buffers its caller gives it, so a
-blocked caller reuses them for every block. ``finite_terms`` checks an
-objective's weighted terms, given by name in log-column order.
+blocked caller reuses them for every block; it is the one softplus kernel.
+``finite_terms`` checks an objective's weighted terms, given by name in
+log-column order.
 """
 
 import numpy as np
@@ -52,21 +53,13 @@ def sigmoid_stable(x):
     return np.minimum(t, _ONE_MINUS_EPS, out=t)
 
 
-def softplus_stable(x):
-    """log(1+e^x) computed as max(x,0) + log1p(e^-|x|).
-
-    Exact to within a few ulp across the whole double range; the naive
-    form overflows past x ~ 710.
-    """
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-
-
 def bernoulli_nll(x, s, scratch, out):
     """softplus(x) - s x per entry, the negative log-likelihood of a boolean
-    ``s`` under logits ``x``, into ``out``: the operations of
-    ``softplus_stable(x) - s * x`` in place, so bit for bit the same.
-    log1p(e^-|x|) goes into ``scratch``, max(x, 0) plus it into ``out``, then
-    s x into ``scratch`` and out of ``out`` (two plain passes: a ``where=s``
+    ``s`` under logits ``x``, into ``out``. softplus(x) is taken as
+    max(x, 0) + log1p(e^-|x|), exact to within a few ulp across the whole
+    double range (the naive form overflows past x ~ 710): log1p(e^-|x|)
+    goes into ``scratch``, max(x, 0) plus it into ``out``, then s x into
+    ``scratch`` and out of ``out`` (two plain passes: a ``where=s``
     subtraction is several times slower); ``x`` is left as it is."""
     np.abs(x, out=scratch)
     np.negative(scratch, out=scratch)

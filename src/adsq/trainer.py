@@ -9,8 +9,11 @@ Each phase logs one ``log_row`` of the terms its objective returns by name;
 a B-step's row takes the terms that do not read the codes from the W-step
 row before it (``recoded_objective``).
 The learning rate walks a geometric grid, one point per round, clamped at
-the last point. In the symmetric variant a single image network backs both
-halves of the final code.
+the last point. The image networks are built in one loop, network i (x,
+then y) seeded from the streams ``_STREAM_IMGX_INIT + i`` and
+``_STREAM_IMGX_BATCH + i``; in the symmetric variant the one network x backs
+both halves of the final code. The phases return their values, and the
+``TrainState`` is built once, when the rounds end.
 """
 
 import os
@@ -22,7 +25,8 @@ from .bstep import bstep_sweep
 from .codes import pack, quantize_sign, write_codes
 from .config import HyperParams, Variant
 from .data import Dataset
-from .encoder import MomentumSGD, flat_copy, forward_rows, init_params, save_params
+from .encoder import (MomentumSGD, NetOutputs, flat_copy, forward_rows, init_params,
+                      save_params)
 from .errors import DataError, TrainingError
 from .fileio import write_csv
 from .imgnet import full_objective, recoded_objective, wstep_epoch
@@ -38,11 +42,9 @@ CONVERGENCE_PATIENCE = 2
 # fixed stream ids feeding per-purpose RNGs derived from the run seed
 _STREAM_LABEL_INIT = 0
 _STREAM_HEAD_INIT = 1
-_STREAM_IMGX_INIT = 2
-_STREAM_IMGY_INIT = 3
+_STREAM_IMGX_INIT = 2  # the y network's is 3
 _STREAM_LABEL_BATCH = 4
-_STREAM_IMGX_BATCH = 5
-_STREAM_IMGY_BATCH = 6
+_STREAM_IMGX_BATCH = 5  # the y network's is 6
 
 
 def subseed(seed: int, stream: int) -> int:
@@ -74,7 +76,6 @@ class TrainState:
     imgy_params: object
     codes_x: np.ndarray  # n x k_half float64, entries +-1
     codes_y: np.ndarray
-    supervision: object
     rounds_run: int = 0
     history: list = field(default_factory=list)
     log_rows: list = field(default_factory=list)
@@ -96,95 +97,68 @@ def convergence_check(history) -> bool:
 @np.errstate(over="ignore", invalid="ignore")
 def train(dataset: Dataset, hp: HyperParams) -> TrainState:
     """Run the full alternating procedure; see the module docstring."""
-    symmetric = hp.variant is Variant.SYMMETRIC
-
     if dataset.n < hp.batch_size:
         raise DataError(f"n >= batch_size required, got n={dataset.n} < "
                         f"batch_size={hp.batch_size}")
 
-    label_dims = [dataset.num_classes, *hp.encoder_hidden, hp.semantic_dim, hp.k_half]
-    img_dims = [dataset.dim, *hp.encoder_hidden, hp.semantic_dim, hp.k_half]
-
-    label_params = init_params(label_dims, subseed(hp.seed, _STREAM_LABEL_INIT))
+    dims = [*hp.encoder_hidden, hp.semantic_dim, hp.k_half]
+    label_params = init_params([dataset.num_classes, *dims], subseed(hp.seed, _STREAM_LABEL_INIT))
     head = init_head(dataset.num_classes, hp.k_half, subseed(hp.seed, _STREAM_HEAD_INIT))
     label_arrays = flat_copy(label_params.arrays + [head.weight, head.bias])  # one buffer
     label_params, head = label_params.on(label_arrays), ClassifierHead(*label_arrays[-2:])
-    imgx_params = init_params(img_dims, subseed(hp.seed, _STREAM_IMGX_INIT))
-    imgy_params = imgx_params if symmetric else init_params(
-        img_dims, subseed(hp.seed, _STREAM_IMGY_INIT))
-
     label_rng = np.random.default_rng(subseed(hp.seed, _STREAM_LABEL_BATCH))
-    imgx_rng = np.random.default_rng(subseed(hp.seed, _STREAM_IMGX_BATCH))
-    imgy_rng = np.random.default_rng(subseed(hp.seed, _STREAM_IMGY_BATCH))
-
     opt_label = MomentumSGD(label_arrays, hp.momentum, hp.weight_decay)
-    opt_x = MomentumSGD(imgx_params.arrays, hp.momentum, hp.weight_decay)
-    opt_y = None if symmetric else MomentumSGD(imgy_params.arrays, hp.momentum,
-                                               hp.weight_decay)
 
-    state = TrainState(label_params=label_params, imgx_params=imgx_params,
-                       imgy_params=imgy_params, codes_x=None, codes_y=None,
-                       supervision=None)
+    # one image network per tag; the symmetric variant's one backs both halves
+    nets = []
+    for i, tag in enumerate("x" if hp.variant is Variant.SYMMETRIC else "xy"):
+        params = init_params([dataset.dim, *dims], subseed(hp.seed, _STREAM_IMGX_INIT + i))
+        nets.append((tag, params, MomentumSGD(params.arrays, hp.momentum, hp.weight_decay),
+                     np.random.default_rng(subseed(hp.seed, _STREAM_IMGX_BATCH + i))))
+    history, log_rows = [], []
 
     def run_phase(rnd, phase, fn, *args):
         try:
-            return fn(*args)
+            return fn(rnd, phase, *args)
         except TrainingError as exc:
             raise TrainingError(f"round {rnd}, phase {phase}: {exc}") from exc
 
-    def label_phase(rnd, lr):
-        state.supervision = train_labelnet(label_params, head, dataset, hp,
-                                           epochs=hp.t_label, lr=lr, rng=label_rng,
-                                           optimizer=opt_label)
-        state.log_rows.append(log_row(rnd, "label", labelnet_loss(
-            state.supervision, head, dataset.patterns, hp)))
+    def label_phase(rnd, phase, lr) -> NetOutputs:
+        sup = train_labelnet(label_params, head, dataset, hp, epochs=hp.t_label, lr=lr,
+                             rng=label_rng, optimizer=opt_label)
+        log_rows.append(log_row(rnd, phase, labelnet_loss(sup, head, dataset.patterns, hp)))
+        return sup
 
-    def img_row(rnd, phase, terms) -> LogRow:
-        row = log_row(rnd, phase, terms)
-        state.log_rows.append(row)
-        return row
-
-    def wstep(rnd, lr, tag, params, codes, opt, rng):
+    def wstep(rnd, phase, lr, sup, params, opt, rng, codes):
         for _ in range(hp.t_img):
-            wstep_epoch(params, dataset, codes, state.supervision, hp,
-                        lr=lr, rng=rng, optimizer=opt)
+            wstep_epoch(params, dataset, codes, sup, hp, lr=lr, rng=rng, optimizer=opt)
         outs = forward_rows(params, dataset.features)
-        terms = full_objective(outs, dataset, codes, state.supervision, hp)
-        img_row(rnd, f"wstep_{tag}", terms)
+        terms = full_objective(outs, dataset, codes, sup, hp)
+        log_rows.append(log_row(rnd, phase, terms))
         return outs, terms
 
-    def bstep(rnd, tag, outs, terms, codes) -> float:
+    def bstep(rnd, phase, outs, terms, codes) -> float:
         bstep_sweep(codes, outs.u, dataset.patterns, hp)
-        return img_row(rnd, f"bstep_{tag}",
-                       recoded_objective(terms, outs, dataset, codes, hp)).loss_total
+        log_rows.append(log_row(rnd, phase, recoded_objective(terms, outs, dataset, codes, hp)))
+        return log_rows[-1].loss_total
 
-    run_phase(0, "label", label_phase, 0, hp.lr_for_round(0))
-
+    sup = run_phase(0, "label", label_phase, hp.lr_for_round(0))
     # warm-start codes from the current (still untrained) networks
-    state.codes_x = quantize_sign(forward_rows(imgx_params, dataset.features).u)
-    state.codes_y = state.codes_x if symmetric else quantize_sign(
-        forward_rows(imgy_params, dataset.features).u)
-
-    nets = [("x", imgx_params, state.codes_x, opt_x, imgx_rng)]
-    if not symmetric:
-        nets.append(("y", imgy_params, state.codes_y, opt_y, imgy_rng))
-
+    codes = [quantize_sign(forward_rows(params, dataset.features).u) for _, params, _, _ in nets]
     for rnd in range(hp.outer_rounds):
         lr = hp.lr_for_round(rnd)
         if rnd > 0:
-            run_phase(rnd, "label", label_phase, rnd, lr)
-        full = [run_phase(rnd, f"wstep_{tag}", wstep, rnd, lr, tag, params, codes, opt, rng)
-                for tag, params, codes, opt, rng in nets]
-        # one full-set forward per network and round serves its wstep row, its
-        # B-step and its bstep row: the weights do not move in between, so the
-        # bstep row recomputes only the terms that read the codes
-        totals = [run_phase(rnd, f"bstep_{tag}", bstep, rnd, tag, outs, terms, codes)
-                  for (tag, _, codes, _, _), (outs, terms) in zip(nets, full)]
-        state.history.append(sum(totals))
-        state.rounds_run = rnd + 1
-        if convergence_check(state.history):
+            sup = run_phase(rnd, "label", label_phase, lr)
+        full = [run_phase(rnd, f"wstep_{tag}", wstep, lr, sup, params, opt, rng, c)
+                for (tag, params, opt, rng), c in zip(nets, codes)]
+        # one full-set forward per network and round serves its wstep row, its B-step and
+        # its bstep row: the weights do not move in between, so only the code terms rerun
+        history.append(sum(run_phase(rnd, f"bstep_{tag}", bstep, outs, terms, c)
+                           for (tag, *_), (outs, terms), c in zip(nets, full, codes)))
+        if convergence_check(history):
             break
-    return state
+    return TrainState(label_params, nets[0][1], nets[-1][1], codes[0], codes[-1],
+                      len(history), history, log_rows)
 
 
 def save_run(state: TrainState, outdir) -> list:

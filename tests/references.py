@@ -2,7 +2,9 @@
 
 ``unpack`` inverts ``adsq.codes.pack``; ``hamming_distance`` is the scalar
 distance that ``adsq.codes.distances_to_all``'s word scan is checked against.
-``sigmoid_reference`` is the plain form of ``adsq.numerics.sigmoid_stable``.
+``sigmoid_reference`` is the plain form of ``adsq.numerics.sigmoid_stable``,
+and ``softplus_stable`` the softplus that ``adsq.numerics.bernoulli_nll``
+forms in place.
 """
 
 import numpy as np
@@ -28,3 +30,12 @@ def sigmoid_reference(x) -> np.ndarray:
     t = np.exp(-np.abs(x))
     return np.clip(np.where(x >= 0, 1.0 / (1.0 + t), t / (1.0 + t)),
                    np.finfo(np.float64).tiny, np.nextafter(1.0, 0.0))
+
+
+def softplus_stable(x):
+    """log(1+e^x) computed as max(x,0) + log1p(e^-|x|).
+
+    Exact to within a few ulp across the whole double range; the naive
+    form overflows past x ~ 710.
+    """
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))

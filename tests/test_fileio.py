@@ -58,7 +58,7 @@ def tiny_state():
     codes = np.ones((2, 2))
     rows = [LogRow(0, "label", 1.0, 0.5, 0.25, 0.125, 0.125, 0.0)] * 2
     return TrainState(label_params=params, imgx_params=params,
-                      imgy_params=params, codes_x=codes, codes_y=codes, supervision=None,
+                      imgy_params=params, codes_x=codes, codes_y=codes,
                       log_rows=rows)
 
 

@@ -194,12 +194,12 @@ def test_nonfinite_gradient_stops_at_the_optimizer_step(tiny_data, monkeypatch, 
     hp = HyperParams(**TINY)
     opt, run_epoch = one_epoch(phase, ds, hp)
     run_epoch()  # with true gradients, so the velocity is not all zero
-    before = [a.tobytes() for a in opt.arrays + opt.velocity]
+    before = [a.tobytes() for a in opt.arrays + [opt.flat_velocity]]
     real = getattr(module, name)
     monkeypatch.setattr(module, name, lambda *args: poison(real(*args)))
     with pytest.raises(TrainingError, match="non-finite gradient"):
         run_epoch()
-    assert [a.tobytes() for a in opt.arrays + opt.velocity] == before
+    assert [a.tobytes() for a in opt.arrays + [opt.flat_velocity]] == before
     with pytest.raises(TrainingError, match=f"round 0, phase {phase}: non-finite gradient"):
         train(ds, hp)
 
@@ -343,18 +343,18 @@ def test_training_builds_no_similarity_wider_than_patterns(tiny_data, monkeypatc
 
 
 def record_softplus(monkeypatch):
-    """Lists of the sizes of the logits that ``softplus_stable`` (the own
-    pairs) and ``bernoulli_nll`` (the pattern x item blocks) receive."""
-    sizes = {"softplus_stable": [], "bernoulli_nll": []}
-    for name, sink in sizes.items():
-        original = getattr(adsq.numerics, name)
+    """Lists of the sizes of the logits that ``bernoulli_nll``, the one
+    softplus kernel, receives: 1-D for the own pairs, 2-D for the pattern x
+    item blocks."""
+    own, blocks = [], []
+    original = adsq.numerics.bernoulli_nll
 
-        def recording(x, *rest, original=original, sink=sink):
-            sink.append(np.size(x))
-            return original(x, *rest)
+    def recording(x, *rest):
+        (own if np.ndim(x) == 1 else blocks).append(np.size(x))
+        return original(x, *rest)
 
-        patch_everywhere(monkeypatch, name, original, recording)
-    return sizes["softplus_stable"], sizes["bernoulli_nll"]
+    patch_everywhere(monkeypatch, "bernoulli_nll", original, recording)
+    return own, blocks
 
 
 def test_training_softplus_sees_no_item_pair_array(tiny_data, monkeypatch):
