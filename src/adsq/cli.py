@@ -71,20 +71,14 @@ def cmd_synth(args) -> int:
                      queries_per_class=args.queries_per_class,
                      cluster_spread=args.spread, center_scale=args.center_scale,
                      multilabel_overlap=args.overlap, seed=args.seed)
-    train_split, query_split = generate(spec)
+    splits = generate(spec)
     os.makedirs(args.out, exist_ok=True)
-    paths = {
-        "train.adsqf": train_split.features, "train.adsql": train_split.labels,
-        "query.adsqf": query_split.features, "query.adsql": query_split.labels,
-    }
     written = []
-    for name, matrix in paths.items():
-        path = os.path.join(args.out, name)
-        if name.endswith(".adsqf"):
-            write_features(path, matrix)
-        else:
-            write_labels(path, matrix)
-        written.append(path)
+    for name, split in zip(("train", "query"), splits):
+        stem = os.path.join(args.out, name)
+        write_features(stem + ".adsqf", split.features)
+        write_labels(stem + ".adsql", split.labels)
+        written += [stem + ".adsqf", stem + ".adsql"]
     _write_manifest(os.path.join(args.out, "manifest.json"), "synth",
                     dataclasses.asdict(spec), {"seed": spec.seed}, [], written,
                     {"generate": time.perf_counter() - t0})

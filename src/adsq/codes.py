@@ -1,7 +1,6 @@
 """Sign quantization, asymmetric code concatenation, bit packing, and
-linear-scan Hamming search. ``sign_bits`` is the sign kernel of the
-trainer's ``quantize_sign``; ``encode_matrix`` gives the same bits from each
-network's hash pre-activation, without its tanh.
+linear-scan Hamming search. ``encode_matrix`` takes each network's sign
+bits, with sign(0) = +1, from its hash pre-activation, without its tanh.
 
 Packed layout: one row per item, MSB-first within each byte, bit 1 means
 +1, rows padded to a byte boundary with zero bits. For +-1 codes of equal
@@ -88,24 +87,10 @@ class PackedCodes:
         return self.payload[i]
 
 
-def sign_bits(values) -> np.ndarray:
-    """Elementwise ``values >= 0`` as bools, the bit 1 of sign(0) = +1;
-    raises ValueError on a NaN or infinite entry."""
-    arr = np.asarray(values, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("sign_bits requires finite input")
-    return arr >= 0
-
-
-def quantize_sign(values) -> np.ndarray:
-    """Elementwise sign with sign(0) = +1."""
-    return np.where(sign_bits(values), 1.0, -1.0)
-
-
 def encode_matrix(x, imgx_params: EncoderParams, imgy_params: EncoderParams,
                   names=("the x network", "the y network")) -> PackedCodes:
     """Packed row-wise codes of length 2*k_half for the n rows of ``x``:
-    x-network half first, each half the ``sign_bits`` of its network's u,
+    x-network half first, each half the bits u >= 0 of its network's u,
     read off the hash pre-activation (see ``_output_bits``).
     ``x`` is a feature array or a ``FeatureRows``; it is read once, as
     ``x[rows]`` for each ``encoder.row_slices`` block in order. Per block,
@@ -127,7 +112,7 @@ def encode_matrix(x, imgx_params: EncoderParams, imgy_params: EncoderParams,
 
 
 def _output_bits(name, params: EncoderParams, block) -> np.ndarray:
-    """``sign_bits`` of one network's u for ``block``, taken from its hash
+    """The bits u >= 0 of one network's u for ``block``, taken from its hash
     pre-activation v without the tanh: tanh(v) >= 0 exactly when v >= 0, and
     tanh(v) is not finite only when v is NaN. v is dropped on return."""
     v = encoder.pre_activation(params, block, keep_hidden=False).u

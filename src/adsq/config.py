@@ -40,10 +40,8 @@ class Variant(str, enum.Enum):
 
 
 def parse_variant(value) -> Variant:
-    if isinstance(value, Variant):
-        return value
     try:
-        return Variant(str(value))
+        return Variant(value)
     except ValueError:
         valid = ", ".join(v.value for v in Variant)
         raise ConfigError(f"unknown variant {value!r} (expected one of: {valid})") from None
@@ -87,29 +85,18 @@ class HyperParams:
             raise ConfigError(f"encoder_hidden must be a list, got {self.encoder_hidden!r}")
         self.encoder_hidden = tuple(_as_int("encoder_hidden", w) for w in self.encoder_hidden)
         self.variant = parse_variant(self.variant)
-        self.validate()
-
-    def validate(self):
         for name in ("alpha", "beta", "gamma", "delta", "nu", "eta", "weight_decay"):
             v = getattr(self, name)
             if not math.isfinite(v) or v < 0:
                 raise ConfigError(f"{name} must be finite and >= 0, got {v}")
         if not 0 <= self.momentum < 1:
             raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.k_half < 1:
-            raise ConfigError(f"k_half must be >= 1, got {self.k_half}")
-        if self.batch_size < 2:
-            raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
+        for name, least in _INT_MINIMA.items():
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if not (0 < self.lr_min <= self.lr_max < math.inf):
             raise ConfigError(f"need 0 < lr_min <= lr_max < inf, got {self.lr_min}, "
                               f"{self.lr_max}")
-        for name in ("t_label", "t_img", "outer_rounds"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.semantic_dim < 1:
-            raise ConfigError("semantic_dim must be >= 1")
         if any(w < 1 for w in self.encoder_hidden):
             raise ConfigError("encoder_hidden widths must be >= 1")
 
@@ -127,6 +114,9 @@ class HyperParams:
 
 
 _DEFAULTS = {f.name: f.default for f in dataclasses.fields(HyperParams)}
+# the least value of each int field but encoder_hidden, whose widths are >= 1
+_INT_MINIMA = {"k_half": 1, "batch_size": 2, "t_label": 0, "t_img": 0, "outer_rounds": 0,
+               "seed": 0, "semantic_dim": 1}
 
 
 def _as_int(name, value) -> int:

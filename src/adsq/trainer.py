@@ -22,7 +22,7 @@ from dataclasses import astuple, dataclass, field, fields
 import numpy as np
 
 from .bstep import bstep_sweep
-from .codes import pack, quantize_sign, write_codes
+from .codes import pack, write_codes
 from .config import HyperParams, Variant
 from .data import Dataset
 from .encoder import (MomentumSGD, NetOutputs, flat_copy, forward_rows, init_params,
@@ -31,6 +31,7 @@ from .errors import DataError, TrainingError
 from .fileio import write_csv
 from .imgnet import full_objective, recoded_objective, wstep_epoch
 from .labelnet import ClassifierHead, init_head, labelnet_loss, train_labelnet
+from .numerics import check_finite
 
 MODEL_FILES = ("label.net", "imgx.net", "imgy.net")
 CODE_FILES = ("codes_x.adsqb", "codes_y.adsqb")
@@ -77,7 +78,6 @@ class TrainState:
     codes_x: np.ndarray  # n x k_half float64, entries +-1
     codes_y: np.ndarray
     rounds_run: int = 0
-    history: list = field(default_factory=list)
     log_rows: list = field(default_factory=list)
 
 
@@ -143,8 +143,10 @@ def train(dataset: Dataset, hp: HyperParams) -> TrainState:
         return log_rows[-1].loss_total
 
     sup = run_phase(0, "label", label_phase, hp.lr_for_round(0))
-    # warm-start codes from the current (still untrained) networks
-    codes = [quantize_sign(forward_rows(params, dataset.features).u) for _, params, _, _ in nets]
+    # warm-start codes: the signs, sign(0) = +1, of the still untrained networks' outputs
+    codes = [np.where(check_finite(forward_rows(params, dataset.features).u,
+                                   f"warm-start outputs of network {tag}") >= 0, 1.0, -1.0)
+             for tag, params, _, _ in nets]
     for rnd in range(hp.outer_rounds):
         lr = hp.lr_for_round(rnd)
         if rnd > 0:
@@ -158,7 +160,7 @@ def train(dataset: Dataset, hp: HyperParams) -> TrainState:
         if convergence_check(history):
             break
     return TrainState(label_params, nets[0][1], nets[-1][1], codes[0], codes[-1],
-                      len(history), history, log_rows)
+                      len(history), log_rows)
 
 
 def save_run(state: TrainState, outdir) -> list:

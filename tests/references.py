@@ -1,7 +1,8 @@
 """Plain references for the packed-code layout, used only by the tests.
 
 ``unpack`` inverts ``adsq.codes.pack``; ``hamming_distance`` is the scalar
-distance that ``adsq.codes.distances_to_all``'s word scan is checked against.
+distance that ``adsq.codes.distances_to_all``'s word scan is checked against;
+``quantize_sign`` is the +-1 sign that codes are defined by.
 ``sigmoid_reference`` is the plain form of ``adsq.numerics.sigmoid_stable``,
 and ``softplus_stable`` the softplus that ``adsq.numerics.bernoulli_nll``
 forms in place.
@@ -13,6 +14,11 @@ import numpy as np
 def unpack(packed) -> np.ndarray:
     """The +-1 float matrix of a ``PackedCodes``."""
     return np.unpackbits(packed.payload, axis=1, count=packed.k_total) * 2.0 - 1.0
+
+
+def quantize_sign(values) -> np.ndarray:
+    """Elementwise sign with sign(0) = +1."""
+    return np.where(np.asarray(values) >= 0, 1.0, -1.0)
 
 
 def hamming_distance(a, b) -> int:

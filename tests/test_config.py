@@ -44,11 +44,21 @@ def test_invariant_violations_rejected(bad):
         make_hyperparams(bad)
 
 
+@pytest.mark.parametrize("field, least", [("k_half", 1), ("batch_size", 2), ("t_label", 0),
+                                          ("t_img", 0), ("outer_rounds", 0), ("seed", 0),
+                                          ("semantic_dim", 1)])
+def test_int_field_below_its_least_value_rejected_by_name(field, least):
+    assert getattr(HyperParams(**{field: least}), field) == least
+    with pytest.raises(ConfigError, match=field):
+        HyperParams(**{field: least - 1})
+
+
 def test_variant_parsing():
     assert parse_variant("no-asym") is Variant.NO_ASYM
     assert parse_variant(Variant.FULL) is Variant.FULL
-    with pytest.raises(ConfigError):
-        parse_variant("nonsense")
+    for value in ("nonsense", None, ["full"]):
+        with pytest.raises(ConfigError, match="unknown variant"):
+            parse_variant(value)
 
 
 def test_string_coercion_for_cli_overrides():

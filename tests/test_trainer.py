@@ -11,7 +11,7 @@ import adsq.imgnet
 import adsq.labelnet
 import adsq.numerics
 import adsq.trainer
-from adsq.codes import encode_matrix, quantize_sign
+from adsq.codes import encode_matrix
 from adsq.config import HyperParams, Variant
 from adsq.data import Dataset, build_similarity
 from adsq.encoder import MomentumSGD, forward, init_params
@@ -23,7 +23,7 @@ from adsq.trainer import convergence_check, log_row, save_run, subseed, train
 from labelsets import LABEL_SET_NAMES, hand_label_sets
 from memtrace import traced_peak
 from netparams import optimize, same_params
-from references import unpack
+from references import quantize_sign, unpack
 
 TINY = dict(k_half=4, encoder_hidden=(8,), semantic_dim=6, batch_size=8,
             t_label=4, t_img=2, outer_rounds=2, seed=3)
@@ -99,7 +99,7 @@ class TestTrainLoop:
             assert all(np.array_equal(x, y) for x, y in zip(a.biases, b.biases))
         np.testing.assert_array_equal(s1.codes_x, s2.codes_x)
         np.testing.assert_array_equal(s1.codes_y, s2.codes_y)
-        assert s1.history == s2.history
+        assert s1.log_rows == s2.log_rows
 
     def test_symmetric_variant_shares_weights(self, tiny_data):
         state, hp = run_tiny(tiny_data, variant="sym")
@@ -119,8 +119,20 @@ class TestTrainLoop:
         assert np.isin(state.codes_y, (-1.0, 1.0)).all()
 
     def test_history_one_entry_per_round(self, tiny_data):
+        """The bstep rows, one per network and round, span ``rounds_run`` rounds."""
         state, hp = run_tiny(tiny_data)
-        assert len(state.history) == state.rounds_run <= hp.outer_rounds
+        rounds = [r.round for r in state.log_rows if r.phase.startswith("bstep")]
+        assert rounds == [rnd for rnd in range(state.rounds_run) for _ in "xy"]
+        assert 0 < state.rounds_run <= hp.outer_rounds
+
+    def test_zero_outputs_warm_start_as_plus_one(self, tiny_data):
+        """sign(0) = +1: all-zero features make every untrained output exactly
+        0, and with no rounds the codes stay the warm start's."""
+        ds, _ = tiny_data
+        zero = Dataset(features=np.zeros_like(ds.features), labels=ds.labels)
+        state = train(zero, HyperParams(**{**TINY, "outer_rounds": 0}))
+        assert not forward(state.imgx_params, zero.features).u.any()
+        assert (state.codes_x == 1.0).all() and (state.codes_y == 1.0).all()
 
     def test_masked_term_absent_from_log(self, tiny_data):
         state, _ = run_tiny(tiny_data, variant="no-asym")
@@ -153,6 +165,23 @@ class TestTrainLoop:
             with pytest.raises(TrainingError,
                                match="^round 0, phase wstep_x: non-finite sem_pair logits$"):
                 train(huge, HyperParams(**TINY))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_overflowing_warm_start_names_the_network(self, seed):
+        """Untrained outputs that overflow fail the warm start of the codes
+        as a TrainingError naming network x, not as a bare ValueError.
+        ``adsq train`` cannot reach this: its float32 feature files cap at
+        3.4e38, and with these settings a file of 3e38 features fails later,
+        as "round 0, phase wstep_x: non-finite sem_pair logits"."""
+        rng = np.random.default_rng(seed)
+        features = np.clip(rng.normal(size=(100, 32)), -1, 1) * 1.7e308
+        ds = Dataset(features=features, labels=np.eye(4, dtype=np.int8)[np.arange(100) % 4])
+        hp = HyperParams(encoder_hidden=(16,), semantic_dim=8, k_half=4, seed=seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingError,
+                               match="^non-finite warm-start outputs of network x$"):
+                train(ds, hp)
 
 
 def one_epoch(phase, ds, hp):
