@@ -4,11 +4,12 @@ Every command writes a manifest JSON recording the resolved
 configuration, seeds, SHA-256 digests of inputs and outputs, tool
 version, and wall-clock per phase; ``eval`` adds the seconds of its
 scans, rankings, relevance rows and metric arithmetic, each summed over
-queries. Exit codes: 0 success, 1 runtime or data error, 2 usage error.
+query blocks. Exit codes: 0 success, 1 runtime or data error, 2 usage error.
 """
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -170,7 +171,9 @@ def cmd_eval(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="adsq",
         description="Asymmetric two-network semantic hashing: synthesize data, "

@@ -12,12 +12,13 @@ from ``adsq.data.FeatureRows``, which reads them from the file.
 
 In memory, the payload is read-only and each code set keeps a read-only
 uint64 word view of its rows, zero-padded to whole words (no copy for
-64-bit codes), so the view never goes stale. The scan XORs a query's words
-against it and popcounts each word column into the narrowest unsigned
-dtype that holds k_total, so a stable argsort takes numpy's radix sort. A
-query row, like every stored row, must have zero padding bits, so no
-distance exceeds k_total. ``search_topk`` sorts only the rows within a
-distance cut, unless the database is small or k large.
+64-bit codes), so the view never goes stale. The scan XORs the words of a
+block of query rows against it and popcounts each word column into one
+(queries x n) block of the narrowest unsigned dtype that holds k_total, so
+a stable argsort takes numpy's radix sort. A query row, like every stored
+row, must have zero padding bits, so no distance exceeds k_total.
+``search_topk`` sorts only the rows within a distance cut, unless the
+database is small or k large.
 """
 
 from dataclasses import dataclass
@@ -131,19 +132,22 @@ def pack(codes) -> PackedCodes:
                        payload=np.packbits(arr > 0, axis=1))
 
 
-def distances_to_all(query_row, db: PackedCodes) -> np.ndarray:
-    """Hamming distances from one packed query row to every database row,
-    as the narrowest unsigned dtype that holds ``db.k_total``."""
-    q = np.asarray(query_row, dtype=np.uint8)
-    if q.shape != (db.payload.shape[1],):
+def distances_to_all(query_rows, db: PackedCodes) -> np.ndarray:
+    """Hamming distances from each of the packed query rows (a 2-D uint8
+    array, one row per query) to every database row: a block of one row per
+    query, as the narrowest unsigned dtype that holds ``db.k_total``."""
+    q = np.asarray(query_rows, dtype=np.uint8)
+    if q.ndim != 2 or q.shape[1] != db.payload.shape[1]:
         raise ValueError("query row width does not match database")
-    if q[-1] & _pad_mask(db.k_total):
+    pad = _pad_mask(db.k_total)
+    if pad and (q[:, -1] & pad).any():
         raise ValueError("nonzero padding bits in query row")
-    q_words = _as_words(q[None, :])[0]
-    dist = np.bitwise_count(db.words[:, 0] ^ q_words[0]).astype(
-        np.min_scalar_type(db.k_total), copy=False)
-    for j in range(1, q_words.size):
-        dist += np.bitwise_count(db.words[:, j] ^ q_words[j])
+    q_words = _as_words(q)
+    dist = np.bitwise_count(q_words[:, :1] ^ db.words[:, 0])  # uint8: up to 255 bits
+    if db.k_total > 255:
+        dist = dist.astype(np.min_scalar_type(db.k_total))
+    for j in range(1, q_words.shape[1]):
+        dist += np.bitwise_count(q_words[:, j:j + 1] ^ db.words[:, j])
     return dist
 
 
@@ -177,7 +181,7 @@ def search_topk(query_row, db: PackedCodes, k: int) -> np.ndarray:
         100k  n     34   673 / 1420    43   746 / 1574"""
     if not 0 <= k <= db.n:
         raise ValueError(f"k={k} must lie in [0, {db.n}], the database size")
-    dist = distances_to_all(query_row, db)
+    dist = distances_to_all(np.asarray(query_row, dtype=np.uint8)[None], db)[0]
     if db.n <= FULL_SORT_MAX_ROWS or k * CUT_ROWS_PER_K > db.n:
         return np.argsort(dist, kind="stable")[:k].copy()
     # the cut, the least c with k rows at distance <= c, lies in [lo, hi] once

@@ -68,8 +68,7 @@ class Dataset:
         if not binary.all():
             problems.append(f"labels contain entries outside {{0, 1}}: "
                             f"{np.unique(labels[~binary]).tolist()[:10]}")
-        # any over each column of a transposed copy: numpy reduces short rows slowly
-        zero_rows = np.flatnonzero(~np.ascontiguousarray(labels.T).any(axis=0))
+        zero_rows = _all_zero_rows(labels)
         if zero_rows.size:
             problems.append(f"all-zero label rows at indices {zero_rows.tolist()[:10]}")
         if problems:
@@ -93,6 +92,12 @@ class Dataset:
     def patterns(self) -> "LabelPatterns":
         """Label patterns of the (read-only) labels, built on first use."""
         return LabelPatterns(self.labels)
+
+
+def _all_zero_rows(labels) -> np.ndarray:
+    """Indices of the rows of the 2-D ``labels`` with no nonzero entry."""
+    # any over each column of a transposed copy: numpy reduces short rows slowly
+    return np.flatnonzero(~np.ascontiguousarray(labels.T).any(axis=0))
 
 
 def pack_label_words(labels) -> np.ndarray:
@@ -261,7 +266,7 @@ def write_labels(path, labels):
         raise ValueError(f"label matrix must be 2-D, got shape {lab.shape}")
     if not ((lab == 0) | (lab == 1)).all():
         raise DataError("label entries must be 0 or 1")
-    if not lab.any(axis=1).all():
+    if _all_zero_rows(lab).size:
         raise DataError("refusing to write a label matrix with an all-zero row")
     write_binary(path, LABEL_MAGIC, lab.shape, lab.astype(np.uint8))
 
@@ -271,7 +276,7 @@ def load_labels(path) -> np.ndarray:
         lab = r.array(np.uint8, r.header(2))
     if lab.size and lab.max() > 1:  # uint8: nothing lies below 0
         raise FormatError(f"{path}: label payload contains values outside {{0, 1}}")
-    if not lab.any(axis=1).all():
+    if _all_zero_rows(lab).size:
         raise DataError(f"{path}: label matrix has an all-zero row")
     return lab.astype(np.int8)
 

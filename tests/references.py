@@ -5,10 +5,17 @@ distance that ``adsq.codes.distances_to_all``'s word scan is checked against;
 ``quantize_sign`` is the +-1 sign that codes are defined by.
 ``sigmoid_reference`` is the plain form of ``adsq.numerics.sigmoid_stable``,
 and ``softplus_stable`` the softplus that ``adsq.numerics.bernoulli_nll``
-forms in place.
+forms in place. ``per_query_evaluate`` is the arithmetic of
+``adsq.metrics.evaluate`` one query at a time, which the block path must
+give to the last bit.
 """
 
+from bisect import bisect_right
+from fractions import Fraction
+
 import numpy as np
+
+from adsq.data import build_similarity
 
 
 def unpack(packed) -> np.ndarray:
@@ -45,3 +52,35 @@ def softplus_stable(x):
     form overflows past x ~ 710.
     """
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
+def per_query_evaluate(queries, db, qlab, dlab, map_r, recall_grid, n_list):
+    """(map, ph2, pr, pn) of ``adsq.metrics.evaluate``, one query at a time:
+    a popcount scan of the packed rows, one stable argsort, the ranks of the
+    relevant items, and every metric from those ranks in the same numpy
+    operations and summation order as ``evaluate`` uses."""
+    relevant = build_similarity(qlab, dlab) > 0
+    levels = [Fraction(str(float(g))).as_integer_ratio() for g in recall_grid]
+    n_arr = np.array(n_list, dtype=np.int64)
+    aps, ph2s, pr_rows = [], [], []
+    pn_sums = np.zeros(n_arr.size)
+    for qi in range(queries.n):
+        dist = np.bitwise_count(db.payload ^ queries.payload[qi]).sum(axis=1)
+        order = np.argsort(dist, kind="stable")
+        ranks = np.flatnonzero(relevant[qi][order]) + 1
+        total = ranks.size
+        if total:
+            top = np.searchsorted(ranks, map_r, "right")
+            aps.append(float((np.arange(1, top + 1) / ranks[:top]).sum()
+                             / min(map_r, total)))
+            need = np.array([-(-num * total // den) for num, den in levels],
+                            dtype=np.int64)
+            pr_rows.append(need / ranks[need - 1])
+        else:
+            aps.append(0.0)
+        within = bisect_right(order, 2, key=dist.__getitem__)
+        ph2s.append(np.searchsorted(ranks, within, "right") / within if within else 0.0)
+        pn_sums += np.searchsorted(ranks, n_arr, "right") / n_arr
+    return (float(np.mean(aps)), float(np.mean(ph2s)),
+            [(float(g), float(np.mean(vals))) for g, vals in zip(recall_grid, zip(*pr_rows))],
+            [(int(n), float(s / queries.n)) for n, s in zip(n_arr, pn_sums)])

@@ -15,6 +15,7 @@ from adsq.codes import encode_matrix, load_codes, pack
 from adsq.data import load_features, write_features
 from adsq.encoder import (EncoderParams, forward, init_params, load_params, pre_activation,
                           save_params)
+from adsq.errors import ConfigError, FormatError
 from adsq.metrics import RelevanceJudge, mean_ap
 from adsq.trainer import MODEL_FILES
 from memtrace import traced_peak
@@ -591,3 +592,30 @@ def test_train_idempotent_output_digests(tmp_path):
     m2 = json.loads((tmp_path / "r2" / "manifest.json").read_text())
     assert m1["outputs"] == m2["outputs"]
     assert m1["inputs"] == m2["inputs"]
+
+
+def test_parser_is_built_once_and_each_call_parses_its_own_arguments(monkeypatch, capsys):
+    """``main`` reuses one parser; a call gets none of an earlier call's
+    ``--set`` pairs, flags or subcommand."""
+    assert adsq.cli.build_parser() is adsq.cli.build_parser()
+    seen = []
+
+    def stop_train(path, overrides):
+        seen.append(("train", path, overrides))
+        raise ConfigError("stopped")
+
+    def stop_eval(path):
+        seen.append(("eval", path))
+        raise FormatError("stopped")
+
+    monkeypatch.setattr(adsq.cli, "load_config", stop_train)
+    monkeypatch.setattr(adsq.cli, "load_codes", stop_eval)
+    train = ["train", "--features", "f", "--labels", "l", "--out", "o"]
+    assert main([*train, "--set", "a=1", "--set", "b=2", "--seed", "3", "--config", "c"]) == 1
+    assert main(["eval", "--query-codes", "q", "--db-codes", "d", "--query-labels", "ql",
+                 "--db-labels", "dl", "--out", "m"]) == 1
+    assert main([*train, "--set", "c=3"]) == 1
+    assert main(train) == 1
+    assert seen == [("train", "c", {"a": "1", "b": "2", "seed": 3}), ("eval", "q"),
+                    ("train", None, {"c": "3"}), ("train", None, {})]
+    assert capsys.readouterr().err.count("stopped") == 4

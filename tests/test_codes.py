@@ -198,9 +198,10 @@ class TestSearch:
     def test_distances_match_rowwise_calls(self):
         codes = random_codes(9, 30, 24)
         db = pack(codes)
-        q = db.row(4)
-        all_d = distances_to_all(q, db)
-        assert all(all_d[j] == hamming_distance(q, db.row(j)) for j in range(30))
+        block = distances_to_all(db.payload[4:7], db)
+        assert block.shape == (3, 30)
+        assert all(block[i, j] == hamming_distance(db.row(4 + i), db.row(j))
+                   for i in range(3) for j in range(30))
 
 
 def tied_codes(seed, n, k, distinct=4):
@@ -214,7 +215,7 @@ def assert_scan_matches_oracle(query, codes, db):
     (distance, index) order for every k up to n."""
     k_total, n = codes.shape[1], codes.shape[0]
     qrow = pack(query[None, :]).row(0)
-    dist = distances_to_all(qrow, db)
+    dist = distances_to_all(qrow[None], db)[0]
     expect = (k_total - (codes @ query).astype(np.int64)) // 2
     np.testing.assert_array_equal(dist.astype(np.int64), expect)
     order = np.lexsort((np.arange(n), expect))
@@ -250,7 +251,7 @@ class TestWordScan:
     def test_distance_dtype_is_narrowest(self, k_total, dtype):
         # stable argsort radix-sorts only 8- and 16-bit keys
         db = pack(random_codes(k_total, 5, k_total))
-        assert distances_to_all(db.row(0), db).dtype == dtype
+        assert distances_to_all(db.payload[:2], db).dtype == dtype
 
     def test_whole_word_rows_are_viewed_not_copied(self):
         db = pack(random_codes(6, 10, 64))
@@ -298,9 +299,27 @@ class TestWordScan:
         db = pack(random_codes(k_total, 5, k_total))
         query = db.row(2).copy()
         query[-1] |= 1
-        for scan in (lambda: distances_to_all(query, db), lambda: search_topk(query, db, 3)):
+        block = np.vstack([db.payload[:2], query])  # only the last row has one
+        for scan in (lambda: distances_to_all(block, db), lambda: search_topk(query, db, 3)):
             with pytest.raises(ValueError, match="padding bits in query row"):
                 scan()
+
+    @pytest.mark.parametrize("k_total", K_TOTALS)
+    def test_block_scan_is_the_rowwise_scan(self, k_total):
+        """A block of query rows, the database's own among them, scans each
+        row as a one-row block does."""
+        db = pack(tied_codes(k_total + 4, 40, k_total))
+        queries = np.vstack([db.payload[5:8], pack(random_codes(k_total + 5, 4, k_total)).payload])
+        block = distances_to_all(queries, db)
+        assert block.shape == (7, 40)
+        for q, row in zip(queries, block):
+            np.testing.assert_array_equal(distances_to_all(q[None], db)[0], row)
+            assert [int(d) for d in row] == [hamming_distance(q, db.row(j)) for j in range(40)]
+
+    def test_one_dimensional_query_rejected(self):
+        db = pack(random_codes(3, 5, 16))
+        with pytest.raises(ValueError, match="query row width does not match database"):
+            distances_to_all(db.row(0), db)
 
 
 def cut_path_always(monkeypatch):

@@ -8,8 +8,10 @@ from adsq.codes import pack
 from adsq.data import build_similarity
 from adsq.metrics import (RelevanceJudge, evaluate, mean_ap,
                           mean_precision_at_hamming2, pr_curve, precision_at_n)
+from memtrace import traced_peak
 from oracles import (oracle_mean_ap, oracle_ph2, oracle_pn, oracle_pr,
                      random_case)
+from references import per_query_evaluate
 
 
 # ---------------------------------------------------------------- relevance
@@ -25,10 +27,10 @@ class TestRelevanceJudge:
         dlab[::7, -1] = 1
         judge = RelevanceJudge(qlab, dlab)
         want = build_similarity(qlab, dlab) > 0
-        for qi in range(qlab.shape[0]):
-            got = judge.relevance(qi)
+        for rows in (slice(None), slice(0, 1), slice(3, 8), slice(11, 12)):
+            got = judge.relevance(rows)
             assert got.dtype == bool
-            np.testing.assert_array_equal(got, want[qi])
+            np.testing.assert_array_equal(got, want[rows])
 
     @pytest.mark.parametrize("q_classes, db_classes", [(3, 4), (63, 64), (64, 65)])
     def test_width_mismatch_rejected_at_construction(self, q_classes, db_classes):
@@ -248,7 +250,7 @@ class TestPrecisionAtN:
         qc, dc, qlab, dlab = random_case(4, n_q=3, n_db=30)
         judge = RelevanceJudge(qlab, dlab)
         got = dict(precision_at_n(pack(qc), pack(dc), judge, [30]))
-        base = np.mean([judge.relevance(i).mean() for i in range(3)])
+        base = np.mean([judge.relevance(slice(i, i + 1)).mean() for i in range(3)])
         assert got[30] == pytest.approx(base, abs=1e-12)
 
     def test_n_beyond_db_rejected(self):
@@ -284,6 +286,16 @@ class TestPrecisionAtN:
 # ---------------------------------------------------------------- one pass
 
 
+# query rows per block: one, three (a short last block unless 3 divides the
+# query count), or every query
+BLOCK_ROWS = {"one_per_block": 1, "short_last_block": 3, "one_block": 1 << 20}
+
+
+def set_budget(monkeypatch, case, n_db):
+    """Set the scan budget so that each block holds ``BLOCK_ROWS[case]`` queries."""
+    monkeypatch.setattr(adsq.metrics, "QUERY_BLOCK_ELEMS", BLOCK_ROWS[case] * n_db)
+
+
 def cutoffs(n_db):
     """mAP cutoffs: one item, part of the database, all of it (as the
     benchmark evaluates), and beyond it."""
@@ -304,7 +316,7 @@ class TestEvaluate:
         qlab, dlab = (np.pad(lab, ((0, 0), (0, 1))) for lab in (qlab, dlab))
         qlab[0] = [0, 0, 0, 1]
         judge = RelevanceJudge(qlab, dlab)
-        assert not judge.relevance(0).any() and judge.relevance(1).any()
+        assert not judge.relevance(slice(0, 1)).any() and judge.relevance(slice(1, 2)).any()
         alone = evaluate(pack(qc[:1]), pack(dc), RelevanceJudge(qlab[:1], dlab), map_r=12,
                          recall_grid=(0.5, 1.0))
         assert (alone.map, alone.pr) == (0.0, [])
@@ -339,22 +351,37 @@ class TestEvaluate:
                                                                abs=1e-12)
 
     def test_one_scan_and_one_relevance_row_per_query(self, monkeypatch):
+        """Whatever the block size, every query row is scanned, ranked and
+        given its relevance row once, in query order."""
         qc, dc, qlab, dlab = random_case(1)
-        calls = {"scan": 0, "relevance": 0}
-        scan, relevance = adsq.metrics.distances_to_all, RelevanceJudge.relevance
+        queries = pack(qc)
+        scan, argsort, relevance = (adsq.metrics.distances_to_all, np.argsort,
+                                    RelevanceJudge.relevance)
+        scanned, ranked, relevance_rows = [], [], []
 
-        def counted_scan(*args):
-            calls["scan"] += 1
-            return scan(*args)
+        def counted_scan(query_rows, db):
+            scanned.append(np.array(query_rows))
+            return scan(query_rows, db)
 
-        def counted_relevance(self, qi):
-            calls["relevance"] += 1
-            return relevance(self, qi)
+        def counted_argsort(a, *args, **kwargs):
+            ranked.append(len(a))
+            return argsort(a, *args, **kwargs)
+
+        def counted_relevance(self, rows):
+            relevance_rows.extend(range(len(qlab))[rows])
+            return relevance(self, rows)
 
         monkeypatch.setattr(adsq.metrics, "distances_to_all", counted_scan)
+        monkeypatch.setattr(np, "argsort", counted_argsort)
         monkeypatch.setattr(RelevanceJudge, "relevance", counted_relevance)
-        evaluate(pack(qc), pack(dc), RelevanceJudge(qlab, dlab), map_r=10, n_list=[5])
-        assert calls == {"scan": len(qc), "relevance": len(qc)}
+        for budget, rows in BLOCK_ROWS.items():
+            set_budget(monkeypatch, budget, len(dc))
+            evaluate(queries, pack(dc), RelevanceJudge(qlab, dlab), map_r=10, n_list=[5])
+            np.testing.assert_array_equal(np.vstack(scanned), queries.payload)
+            assert sum(ranked) == len(qc) and relevance_rows == list(range(len(qc)))
+            assert len(scanned) == len(ranked) == -(-len(qc) // rows)
+            for calls in (scanned, ranked, relevance_rows):
+                calls.clear()
 
     def test_empty_query_set_rejected(self):
         _, dc, _, dlab = random_case(0)
@@ -384,3 +411,98 @@ class TestEvaluate:
         qc, dc, qlab, dlab = random_case(0)
         with pytest.raises(ValueError, match="cutoff"):
             evaluate(pack(qc), pack(dc), RelevanceJudge(qlab, dlab), map_r=0)
+
+
+# ---------------------------------------------------------------- query blocks
+
+LEVEL_17 = 0.49739583333333337  # see test_17_digit_level_needs_exact_hit_count
+
+
+def ties_and_no_relevant_case():
+    """Database codes drawn from 4 distinct 6-bit codes, so distances tie and
+    ties break by index; query 0 holds a class no database row holds."""
+    qc, dc, qlab, dlab = random_case(6, n_q=8, n_db=40, k=6)
+    dc = dc[np.random.default_rng(6).integers(0, 4, len(dc))]
+    qlab, dlab = (np.pad(lab, ((0, 0), (0, 1))) for lab in (qlab, dlab))
+    qlab[0] = [0, 0, 0, 1]
+    return qc, dc, qlab, dlab, (0.25, 0.5, 1.0)
+
+
+def two_word_case():
+    """72-bit rows: one word and part of a second; 5 distinct database
+    codes, each query one of them with 0-2 bits flipped."""
+    qc, dc, qlab, dlab = random_case(5, n_q=7, n_db=60, k=72)
+    rng = np.random.default_rng(5)
+    dc = dc[rng.integers(0, 5, len(dc))]
+    qc = dc[rng.integers(0, len(dc), len(qc))]
+    for q in qc:
+        q[rng.choice(72, size=rng.integers(0, 3), replace=False)] *= -1
+    return qc, dc, qlab, dlab, (0.25, 0.5, 1.0)
+
+
+def level_17_case():
+    """The database of ``test_17_digit_level_needs_exact_hit_count`` (all
+    codes equal, 384 items of class 0 with one item of class 1 at index
+    191) against five queries of either class or both."""
+    flags = np.array([1] * 191 + [0] + [1] * 193)
+    dlab = np.stack([flags, 1 - flags], axis=1).astype(np.int8)
+    qlab = np.array([[1, 0], [0, 1], [1, 1], [1, 0], [0, 1]], dtype=np.int8)
+    return np.ones((5, 8)), np.ones((flags.size, 8)), qlab, dlab, (LEVEL_17, 0.3, 1.0)
+
+
+BLOCK_CASES = {"ties_and_no_relevant": ties_and_no_relevant_case, "two_words": two_word_case,
+               "level_17": level_17_case}
+
+
+class TestQueryBlocks:
+    @pytest.mark.parametrize("budget", list(BLOCK_ROWS))
+    @pytest.mark.parametrize("case", list(BLOCK_CASES))
+    def test_matches_oracles_and_per_query_reference(self, monkeypatch, case, budget):
+        """Each block size gives the per-query reference's values to the last
+        bit, and the oracles' values."""
+        qc, dc, qlab, dlab, grid = BLOCK_CASES[case]()
+        set_budget(monkeypatch, budget, len(dc))
+        n_list = [1, 7, len(dc)]
+        for map_r in cutoffs(len(dc)):
+            got = evaluate(pack(qc), pack(dc), RelevanceJudge(qlab, dlab), map_r=map_r,
+                           recall_grid=grid, n_list=n_list)
+            assert (got.map, got.ph2, got.pr, got.pn) == per_query_evaluate(
+                pack(qc), pack(dc), qlab, dlab, map_r, grid, n_list)
+            assert all(type(v) is float for v in (got.map, got.ph2, *(p for _, p in got.pr),
+                                                  *(p for _, p in got.pn)))
+            assert got.map == pytest.approx(oracle_mean_ap(qc, dc, qlab, dlab, map_r),
+                                            abs=1e-12)
+            assert got.ph2 == pytest.approx(oracle_ph2(qc, dc, qlab, dlab), abs=1e-12)
+            for got_points, expect in ((got.pr, oracle_pr(qc, dc, qlab, dlab, grid)),
+                                       (got.pn, oracle_pn(qc, dc, qlab, dlab, n_list))):
+                assert [x for x, _ in got_points] == [x for x, _ in expect]
+                assert [p for _, p in got_points] == pytest.approx(
+                    [p for _, p in expect], abs=1e-12)
+
+    def test_level_17_needs_are_exact_in_blocks(self, monkeypatch):
+        """In blocks of three queries, the 17-digit level needs 192 of 384
+        hits (rank 193, past the class-1 item), 1 of 1 (rank 192) and 192 of
+        385 (rank 192), as each query does alone."""
+        qc, dc, qlab, dlab, grid = level_17_case()
+        set_budget(monkeypatch, "short_last_block", len(dc))
+        got = evaluate(pack(qc), pack(dc), RelevanceJudge(qlab, dlab), map_r=1,
+                       recall_grid=grid)
+        per_query = [192 / 193, 1 / 192, 192 / 192, 192 / 193, 1 / 192]
+        assert got.pr[0] == (LEVEL_17, float(np.mean(per_query)))
+
+    def test_peak_memory_does_not_grow_with_queries(self):
+        """Ten times the queries against one database stay within 10 % of the
+        traced peak: a block's arrays are bounded by the budget, not the query count."""
+        rng = np.random.default_rng(0)
+        n_db, k, classes = 1 << 14, 64, 5
+        db = pack(np.where(rng.random((n_db, k)) < 0.5, -1.0, 1.0))
+        dlab = np.eye(classes, dtype=np.int8)[rng.integers(0, classes, n_db)]
+        assert adsq.metrics.QUERY_BLOCK_ELEMS // n_db < 200  # 200 queries already fill blocks
+        peaks = []
+        for n_q in (200, 2000):
+            queries = pack(np.where(rng.random((n_q, k)) < 0.5, -1.0, 1.0))
+            judge = RelevanceJudge(np.eye(classes, dtype=np.int8)[rng.integers(0, classes, n_q)],
+                                   dlab)
+            peaks.append(traced_peak(evaluate, queries, db, judge, map_r=100,
+                                     n_list=[1, 10, 100])[1])
+        assert peaks[1] <= 1.1 * peaks[0]
