@@ -84,9 +84,6 @@ class PackedCodes:
         words.flags.writeable = False
         object.__setattr__(self, "words", words)
 
-    def row(self, i) -> np.ndarray:
-        return self.payload[i]
-
 
 def encode_matrix(x, imgx_params: EncoderParams, imgy_params: EncoderParams,
                   names=("the x network", "the y network")) -> PackedCodes:

@@ -41,10 +41,11 @@ def imgnet_grads(outs: NetOutputs, sup: NetOutputs, codes, sim_binary, hp: Hyper
     rows in one order. The objective itself is never evaluated; non-finite
     pair logits raise TrainingError naming the term."""
     u = outs.u
-    g_r = np.zeros_like(outs.r)
     if hp.variant.keeps_sem:
         g_lam = pair_residual(sup.r, outs.r, sim_binary, "sem_pair")
         g_r = hp.alpha * 0.5 * (g_lam.T @ sup.r)
+    else:
+        g_r = np.zeros_like(outs.r)
 
     g_u = np.zeros_like(u)
     if hp.variant.keeps_asym:

@@ -9,11 +9,12 @@ Each phase logs one ``log_row`` of the terms its objective returns by name;
 a B-step's row takes the terms that do not read the codes from the W-step
 row before it (``recoded_objective``).
 The learning rate walks a geometric grid, one point per round, clamped at
-the last point. The image networks are built in one loop, network i (x,
-then y) seeded from the streams ``_STREAM_IMGX_INIT + i`` and
-``_STREAM_IMGX_BATCH + i``; in the symmetric variant the one network x backs
-both halves of the final code. The phases return their values, and the
-``TrainState`` is built once, when the rounds end.
+the last point. Every run takes exactly ``hp.outer_rounds`` rounds. The
+image networks are built in one loop, network i (x, then y) seeded from the
+streams ``_STREAM_IMGX_INIT + i`` and ``_STREAM_IMGX_BATCH + i``; in the
+symmetric variant the one network x backs both halves of the final code.
+The phases return their values, and the ``TrainState`` is built once, when
+the rounds end.
 """
 
 import os
@@ -36,9 +37,6 @@ from .numerics import check_finite
 MODEL_FILES = ("label.net", "imgx.net", "imgy.net")
 CODE_FILES = ("codes_x.adsqb", "codes_y.adsqb")
 LOG_FILE = "train_log.csv"
-
-CONVERGENCE_TOL = 1e-4
-CONVERGENCE_PATIENCE = 2
 
 # fixed stream ids feeding per-purpose RNGs derived from the run seed
 _STREAM_LABEL_INIT = 0
@@ -81,19 +79,6 @@ class TrainState:
     log_rows: list = field(default_factory=list)
 
 
-def convergence_check(history) -> bool:
-    """True once the relative round-to-round change stayed below
-    ``CONVERGENCE_TOL`` for ``CONVERGENCE_PATIENCE`` consecutive rounds."""
-    if len(history) < CONVERGENCE_PATIENCE + 1:
-        return False
-    tail = history[-(CONVERGENCE_PATIENCE + 1):]
-    for prev, cur in zip(tail[:-1], tail[1:]):
-        rel = abs(cur - prev) / max(abs(prev), np.finfo(np.float64).tiny)
-        if rel >= CONVERGENCE_TOL:
-            return False
-    return True
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def train(dataset: Dataset, hp: HyperParams) -> TrainState:
     """Run the full alternating procedure; see the module docstring."""
@@ -115,7 +100,7 @@ def train(dataset: Dataset, hp: HyperParams) -> TrainState:
         params = init_params([dataset.dim, *dims], subseed(hp.seed, _STREAM_IMGX_INIT + i))
         nets.append((tag, params, MomentumSGD(params.arrays, hp.momentum, hp.weight_decay),
                      np.random.default_rng(subseed(hp.seed, _STREAM_IMGX_BATCH + i))))
-    history, log_rows = [], []
+    log_rows = []
 
     def run_phase(rnd, phase, fn, *args):
         try:
@@ -137,10 +122,9 @@ def train(dataset: Dataset, hp: HyperParams) -> TrainState:
         log_rows.append(log_row(rnd, phase, terms))
         return outs, terms
 
-    def bstep(rnd, phase, outs, terms, codes) -> float:
+    def bstep(rnd, phase, outs, terms, codes):
         bstep_sweep(codes, outs.u, dataset.patterns, hp)
         log_rows.append(log_row(rnd, phase, recoded_objective(terms, outs, dataset, codes, hp)))
-        return log_rows[-1].loss_total
 
     sup = run_phase(0, "label", label_phase, hp.lr_for_round(0))
     # warm-start codes: the signs, sign(0) = +1, of the still untrained networks' outputs
@@ -155,12 +139,10 @@ def train(dataset: Dataset, hp: HyperParams) -> TrainState:
                 for (tag, params, opt, rng), c in zip(nets, codes)]
         # one full-set forward per network and round serves its wstep row, its B-step and
         # its bstep row: the weights do not move in between, so only the code terms rerun
-        history.append(sum(run_phase(rnd, f"bstep_{tag}", bstep, outs, terms, c)
-                           for (tag, *_), (outs, terms), c in zip(nets, full, codes)))
-        if convergence_check(history):
-            break
+        for (tag, *_), (outs, terms), c in zip(nets, full, codes):
+            run_phase(rnd, f"bstep_{tag}", bstep, outs, terms, c)
     return TrainState(label_params, nets[0][1], nets[-1][1], codes[0], codes[-1],
-                      len(history), log_rows)
+                      hp.outer_rounds, log_rows)
 
 
 def save_run(state: TrainState, outdir) -> list:

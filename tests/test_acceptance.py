@@ -255,7 +255,7 @@ def test_criterion_5_hamming_identity():
         pa, pb = pack(a), pack(b)
         dots = (a * b).sum(axis=1).astype(np.int64)
         expect = (k - dots) // 2
-        got = np.array([hamming_distance(pa.row(i), pb.row(i)) for i in range(10_000)])
+        got = np.array([hamming_distance(pa.payload[i], pb.payload[i]) for i in range(10_000)])
         assert np.array_equal(got, expect), f"identity violated at k={k}"
         pairs_checked += 10_000
     elapsed = time.perf_counter() - t0

@@ -134,15 +134,15 @@ class TestPack:
 class TestHamming:
     def test_identical_is_zero(self):
         p = pack(random_codes(0, 1, 16))
-        assert hamming_distance(p.row(0), p.row(0)) == 0
+        assert hamming_distance(p.payload[0], p.payload[0]) == 0
 
     def test_complement_is_k(self):
         c = random_codes(1, 1, 12)
-        assert hamming_distance(pack(c).row(0), pack(-c).row(0)) == 12
+        assert hamming_distance(pack(c).payload[0], pack(-c).payload[0]) == 12
 
     def test_half_mismatch(self):
-        a = pack(np.array([[1.0, 1, 1, 1]])).row(0)
-        b = pack(np.array([[1.0, 1, -1, -1]])).row(0)
+        a = pack(np.array([[1.0, 1, 1, 1]])).payload[0]
+        b = pack(np.array([[1.0, 1, -1, -1]])).payload[0]
         assert hamming_distance(a, b) == 2
 
     def test_length_mismatch(self):
@@ -154,7 +154,7 @@ class TestHamming:
     def test_inner_product_identity(self, seed, k):
         """popcount distance = (k - <a, b>) / 2 exactly."""
         pair = random_codes(seed, 2, k)
-        dist = hamming_distance(pack(pair).row(0), pack(pair).row(1))
+        dist = hamming_distance(pack(pair).payload[0], pack(pair).payload[1])
         assert dist == (k - int(pair[0] @ pair[1])) // 2
 
 
@@ -162,34 +162,34 @@ class TestSearch:
     def test_self_is_nearest(self):
         codes = random_codes(2, 20, 16)
         db = pack(codes)
-        assert search_topk(db.row(7), db, 1)[0] == 7
+        assert search_topk(db.payload[7], db, 1)[0] == 7
 
     def test_ties_break_by_index(self):
         codes = np.array([[1.0, 1, 1, 1], [1.0, 1, 1, 1], [-1.0, -1, -1, -1]])
         db = pack(codes)
-        np.testing.assert_array_equal(search_topk(db.row(1), db, 3), [0, 1, 2])
+        np.testing.assert_array_equal(search_topk(db.payload[1], db, 3), [0, 1, 2])
 
     def test_result_owns_only_k_entries(self):
         db = pack(random_codes(8, 40, 16))
-        got = search_topk(db.row(3), db, 5)
+        got = search_topk(db.payload[3], db, 5)
         assert got.shape == (5,) and got.base is None
 
     def test_k_too_large(self):
         db = pack(random_codes(3, 5, 8))
         with pytest.raises(ValueError):
-            search_topk(db.row(0), db, 6)
+            search_topk(db.payload[0], db, 6)
 
     def test_negative_k_rejected(self):
         db = pack(random_codes(4, 10, 8))
         with pytest.raises(ValueError):
-            search_topk(db.row(0), db, -1)
+            search_topk(db.payload[0], db, -1)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_naive_sort(self, seed):
         codes = random_codes(seed, 50, 12)
         query = random_codes(seed + 100, 1, 12)
         db = pack(codes)
-        qrow = pack(query).row(0)
+        qrow = pack(query).payload[0]
         got = search_topk(qrow, db, 50)
         dist = [int((query[0] != codes[j]).sum()) for j in range(50)]
         expect = sorted(range(50), key=lambda j: (dist[j], j))
@@ -200,7 +200,7 @@ class TestSearch:
         db = pack(codes)
         block = distances_to_all(db.payload[4:7], db)
         assert block.shape == (3, 30)
-        assert all(block[i, j] == hamming_distance(db.row(4 + i), db.row(j))
+        assert all(block[i, j] == hamming_distance(db.payload[4 + i], db.payload[j])
                    for i in range(3) for j in range(30))
 
 
@@ -214,7 +214,7 @@ def assert_scan_matches_oracle(query, codes, db):
     """Distances are (k - <a, b>) / 2 on the +-1 codes; search is the
     (distance, index) order for every k up to n."""
     k_total, n = codes.shape[1], codes.shape[0]
-    qrow = pack(query[None, :]).row(0)
+    qrow = pack(query[None, :]).payload[0]
     dist = distances_to_all(qrow[None], db)[0]
     expect = (k_total - (codes @ query).astype(np.int64)) // 2
     np.testing.assert_array_equal(dist.astype(np.int64), expect)
@@ -297,7 +297,7 @@ class TestWordScan:
     def test_query_padding_bits_rejected(self, k_total):
         # a set padding bit would count as one more mismatch against every row
         db = pack(random_codes(k_total, 5, k_total))
-        query = db.row(2).copy()
+        query = db.payload[2].copy()
         query[-1] |= 1
         block = np.vstack([db.payload[:2], query])  # only the last row has one
         for scan in (lambda: distances_to_all(block, db), lambda: search_topk(query, db, 3)):
@@ -314,12 +314,12 @@ class TestWordScan:
         assert block.shape == (7, 40)
         for q, row in zip(queries, block):
             np.testing.assert_array_equal(distances_to_all(q[None], db)[0], row)
-            assert [int(d) for d in row] == [hamming_distance(q, db.row(j)) for j in range(40)]
+            assert [int(d) for d in row] == [hamming_distance(q, db.payload[j]) for j in range(40)]
 
     def test_one_dimensional_query_rejected(self):
         db = pack(random_codes(3, 5, 16))
         with pytest.raises(ValueError, match="query row width does not match database"):
-            distances_to_all(db.row(0), db)
+            distances_to_all(db.payload[0], db)
 
 
 def cut_path_always(monkeypatch):
@@ -346,7 +346,7 @@ class TestCutSelection:
         for query in (codes[3], random_codes(k_total + 5, 1, k_total)[0]):
             expect = (k_total - (codes @ query).astype(np.int64)) // 2
             order = np.lexsort((np.arange(n), expect))
-            qrow = pack(query[None, :]).row(0)
+            qrow = pack(query[None, :]).payload[0]
             for k in (0, 1, 100, n):
                 got = search_topk(qrow, db, k)
                 np.testing.assert_array_equal(got, order[:k])
@@ -360,7 +360,7 @@ class TestCutSelection:
         query = random_codes(offset + 2, 1, 64)[0]
         expect = (64 - (codes @ query).astype(np.int64)) // 2
         order = np.lexsort((np.arange(n), expect))
-        qrow = pack(query[None, :]).row(0)
+        qrow = pack(query[None, :]).payload[0]
         # n // CUT_ROWS_PER_K is the largest k on the cut path above the row crossover
         per_k = adsq.codes.CUT_ROWS_PER_K
         for k in (0, 1, 100, n // per_k, n // per_k + 1, n):
@@ -375,7 +375,7 @@ def assert_search_matches_lexsort(query, codes, ks):
     n, k_total = codes.shape
     expect = (k_total - (codes @ query).astype(np.int64)) // 2
     order = np.lexsort((np.arange(n), expect))
-    db, qrow = pack(codes), pack(query[None, :]).row(0)
+    db, qrow = pack(codes), pack(query[None, :]).payload[0]
     for k in ks:
         got = search_topk(qrow, db, k)
         np.testing.assert_array_equal(got, order[:k])

@@ -168,6 +168,33 @@ def test_library_names_have_a_non_test_caller():
             and not places.get(name, set()) - {(path, name)}] == []
 
 
+def _methods(path):
+    """``(class, name)`` for each method and property of a class in ``path``;
+    dunder protocol methods are called by the language and are exempt."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [(node.name, f.name) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+            for f in node.body if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (f.name.startswith("__") and f.name.endswith("__"))]
+
+
+def test_library_methods_have_a_non_test_caller():
+    """Every method and property of a library class is loaded as an
+    attribute by the library, the scripts or the benchmark (the traced
+    attributes in ``SPANS`` included); one only the tests load is surface
+    kept for them alone."""
+    loaded = {name for span in SPANS for name in span[2].split(".")}
+    for d in ("src/adsq", "scripts", "perfbench"):
+        for path in sorted((ROOT / d).rglob("*.py")):
+            loaded |= {n.attr for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"),
+                                                          filename=str(path)))
+                       if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    methods = [(path, cls, name) for path in sorted(SRC.rglob("*.py"))
+               for cls, name in _methods(path)]
+    assert len(methods) > 10, "the scan no longer sees the library's methods"
+    assert [f"{path.relative_to(SRC)}:{cls}.{name}" for path, cls, name in methods
+            if name not in loaded] == []
+
+
 # defaulted parameters the tests may be alone in passing, each with the reason
 TEST_ARGUMENTS = {
     "build_similarity(labels_b)": "the dense reference's cross block, as in TEST_REFERENCES",
