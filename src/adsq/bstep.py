@@ -35,7 +35,6 @@ def bstep_objective(U, B, sim_signed, k_half: int, eta: float) -> float:
 
 def compute_P(U, patterns: LabelPatterns, hp: HyperParams) -> np.ndarray:
     """P for the shared-label similarity of ``patterns``."""
-    U = np.asarray(U, dtype=np.float64)
     if patterns.ids.shape != U.shape[:1]:
         raise ValueError(f"patterns cover {patterns.ids.size} items, U has {U.shape[0]} rows")
     return -2.0 * hp.k_half * patterns.signed(U) - 2.0 * hp.eta * U
@@ -66,7 +65,6 @@ def bstep_sweep(B, U, patterns: LabelPatterns, hp: HyperParams) -> np.ndarray:
     """Update every column of ``B`` once, in place and in ascending order;
     each update checks that the objective does not increase (see
     ``update_column``)."""
-    U = np.asarray(U, dtype=np.float64)
     P = compute_P(U, patterns, hp)
     for c in range(B.shape[1]):
         update_column(B, c, U, P)

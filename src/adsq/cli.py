@@ -1,9 +1,9 @@
 """Command-line surface: synth, train, encode, eval.
 
-Every command writes a manifest JSON recording the resolved
-configuration, seeds, SHA-256 digests of inputs and outputs, tool
-version, and wall-clock per phase; ``eval`` adds the seconds of its
-scans, rankings, relevance rows and metric arithmetic, each summed over
+Every command writes a manifest JSON recording the resolved configuration,
+seeds, SHA-256 digests of inputs (by command-line role, a model file by name)
+and outputs, tool version, and wall-clock per phase; ``eval`` adds the seconds
+of its scans, rankings, relevance rows and metric arithmetic, each summed over
 query blocks. Exit codes: 0 success, 1 runtime or data error, 2 usage error.
 """
 
@@ -40,13 +40,13 @@ def _sha256(path) -> str:
 
 
 def _write_manifest(path, command, config, seeds, inputs, outputs, timings, hashed=None):
-    """``hashed`` maps input paths already hashed to their SHA-256."""
+    """``inputs`` maps keys to paths; ``hashed``, input paths already hashed to SHA-256."""
     manifest = {
         "command": command,
         "version": __version__,
         "config": config,
         "seeds": seeds,
-        "inputs": {os.path.basename(p): (hashed or {}).get(p) or _sha256(p) for p in inputs},
+        "inputs": {key: (hashed or {}).get(p) or _sha256(p) for key, p in inputs.items()},
         "outputs": {os.path.basename(p): _sha256(p) for p in outputs},
         "timings_s": {k: round(v, 6) for k, v in timings.items()},
     }
@@ -81,7 +81,7 @@ def cmd_synth(args) -> int:
         write_labels(stem + ".adsql", split.labels)
         written += [stem + ".adsqf", stem + ".adsql"]
     _write_manifest(os.path.join(args.out, "manifest.json"), "synth",
-                    dataclasses.asdict(spec), {"seed": spec.seed}, [], written,
+                    dataclasses.asdict(spec), {"seed": spec.seed}, {}, written,
                     {"generate": time.perf_counter() - t0})
     return 0
 
@@ -104,7 +104,7 @@ def cmd_train(args) -> int:
     written = save_run(state, args.out)
     _write_manifest(os.path.join(args.out, "manifest.json"), "train",
                     hp.to_dict(), {"seed": hp.seed},
-                    [args.features, args.labels], written,
+                    {"features": args.features, "labels": args.labels}, written,
                     {"load": t_load - t0, "train": t_train - t_load,
                      "save": time.perf_counter() - t_train})
     return 0
@@ -136,8 +136,8 @@ def cmd_encode(args) -> int:
     write_codes(args.out, packed)
     _write_manifest(args.out + ".manifest.json", "encode",
                     {"model": os.path.basename(os.path.normpath(args.model))},
-                    {}, [args.features, *img_paths], [args.out],
-                    {"encode": time.perf_counter() - t0}, hashed)
+                    {}, {"features": args.features, **dict(zip(MODEL_FILES[1:], img_paths))},
+                    [args.out], {"encode": time.perf_counter() - t0}, hashed)
     return 0
 
 
@@ -165,8 +165,8 @@ def cmd_eval(args) -> int:
                for m in points if m in wanted for value, grid in points[m]])
     _write_manifest(args.out + ".manifest.json", "eval",
                     {"metrics": wanted, "map_r": args.map_r}, {},
-                    [args.query_codes, args.db_codes, args.query_labels,
-                     args.db_labels],
+                    {role: getattr(args, role)
+                     for role in ("query_codes", "db_codes", "query_labels", "db_labels")},
                     [args.out], {"eval": time.perf_counter() - t0, **result.seconds})
     return 0
 

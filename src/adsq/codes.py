@@ -91,18 +91,18 @@ def encode_matrix(x, imgx_params: EncoderParams, imgy_params: EncoderParams,
     x-network half first, each half the bits u >= 0 of its network's u,
     read off the hash pre-activation (see ``_output_bits``).
     ``x`` is a feature array or a ``FeatureRows``; it is read once, as
-    ``x[rows]`` for each ``encoder.row_slices`` block in order. Per block,
-    the two networks' sign bits are joined and one ``packbits`` puts them
-    into the n-row payload, so no n-row float array is made: from a
-    ``FeatureRows``, memory is the payload plus a few blocks. Finite
-    weights can still overflow: an output that is not finite raises
-    ValueError naming its network by ``names``, with no numpy warning."""
+    ``x[rows]`` for each ``encoder.row_slices`` block in order, widened to
+    float64 once for both networks. Per block, their sign bits are joined
+    and one ``packbits`` puts them into the n-row payload, so no n-row float
+    array is made: from a ``FeatureRows``, memory is the payload plus a few
+    blocks. Finite weights can still overflow: an output that is not finite
+    raises ValueError naming its network by ``names``, with no numpy warning."""
     n = len(x)
     k_total = imgx_params.weights[-1].shape[0] + imgy_params.weights[-1].shape[0]
     payload = np.empty((n, (k_total + 7) // 8), dtype=np.uint8)
     with np.errstate(over="ignore", invalid="ignore"):
         for rows in encoder.row_slices(n):
-            block = x[rows]
+            block = np.asarray(x[rows], dtype=np.float64)
             bits = [_output_bits(name, p, block)
                     for name, p in zip(names, (imgx_params, imgy_params))]
             payload[rows] = np.packbits(np.hstack(bits), axis=1)

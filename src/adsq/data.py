@@ -9,14 +9,14 @@ similarity from per-pattern sums over bounded ``row_blocks``, O(n k + p^2 k).
 
 Feature files (``ADSQF001``) hold n, dim and an n x dim float32 matrix;
 label files (``ADSQL001``) hold n, classes and n x classes bytes in {0, 1};
-both are ``adsq.fileio`` containers. Training math is double precision,
-so features are widened to float64 on load. Feature matrices move one
-``encoder.row_slices`` block at a time: ``write_features`` casts, checks
-and writes each block in turn, and ``FeatureRows``, the one feature
-reader, refuses a payload that does not end exactly at the end of the
-file before it reads any block, then gives each block in float64.
-``load_features`` fills one float64 array from it; ``adsq encode``
-encodes from it directly, so it never holds the whole matrix.
+both are ``adsq.fileio`` containers. Features stay the file's float32
+until ``encoder.pre_activation`` widens a batch or block to the float64 of
+the training math. Feature matrices move one ``encoder.row_slices`` block
+at a time: ``write_features`` casts, checks and writes each block in turn,
+and ``FeatureRows``, the one feature reader, refuses a payload that does
+not end exactly at the end of the file before it reads any block, then
+gives each block in float32. ``load_features`` fills one float32 array
+from it; ``adsq encode`` encodes from it directly, never the whole matrix.
 """
 
 from dataclasses import dataclass
@@ -46,15 +46,18 @@ class Dataset:
     """Feature matrix plus aligned multi-hot label matrix. One DataError
     names every fault of the values as given: an array that is not 2-D (then
     nothing more), unequal row counts, a non-finite feature, a label not
-    exactly 0 or 1, an all-zero label row. Arrays already float64 / int8 are
-    kept without a copy and made read-only; a caller that keeps writing to
-    its arrays passes copies."""
+    exactly 0 or 1, an all-zero label row. Float32 features, as a file holds
+    them, stay float32; any others become float64. Features already float32
+    or float64 and labels already int8 are kept without a copy and made
+    read-only; a caller that keeps writing to its arrays passes copies."""
 
-    features: np.ndarray  # n x dim, float64
+    features: np.ndarray  # n x dim, float32 or float64
     labels: np.ndarray    # n x classes, int8 in {0,1}
 
     def __post_init__(self):
-        features, labels = np.asarray(self.features, dtype=np.float64), np.asarray(self.labels)
+        features, labels = self.features, np.asarray(self.labels)
+        if getattr(features, "dtype", None) != np.float32:
+            features = np.asarray(features, dtype=np.float64)
         problems = [f"{name} must be 2-D, got shape {arr.shape}"
                     for name, arr in (("features", features), ("labels", labels)) if arr.ndim != 2]
         if problems:
@@ -177,17 +180,16 @@ class LabelPatterns:
             yield rows, share_labels(self.words[rows], self.words)
 
     def signed(self, y) -> np.ndarray:
-        """``S_signed @ y`` over items for an n-row ``y``, S_signed = 2 S - 1:
+        """``S_signed @ y`` over items for an n-row float64 ``y``, S_signed = 2 S - 1:
         2 (S_pat @ sums(y))[ids] - colsum(y), one row block at a time."""
         y_pat = self.sums(y)
         s_y = np.concatenate([similar.astype(np.float64) @ y_pat
                               for _, similar in self.row_blocks(len(y_pat))])
-        return 2.0 * s_y[self.ids] - np.asarray(y, dtype=np.float64).sum(axis=0)
+        return 2.0 * s_y[self.ids] - y.sum(axis=0)
 
     def sums(self, x) -> np.ndarray:
-        """Per-pattern sums of the rows of the n-row matrix ``x``."""
-        return np.add.reduceat(np.asarray(x, dtype=np.float64)[self._order], self._starts,
-                               axis=0)
+        """Per-pattern sums of the rows of the n-row float64 matrix ``x``."""
+        return np.add.reduceat(x[self._order], self._starts, axis=0)
 
 
 def _float32_blocks(x):
@@ -212,9 +214,9 @@ def write_features(path, features):
 class FeatureRows:
     """The rows of one feature file, read front to back: a context manager
     with ``len``, ``dim`` and ``x[rows]`` for consecutive row slices, which
-    gives that block in float64. Truncated and trailing bytes are refused
-    on opening; each block is read into one reused float32 buffer and
-    checked finite, a fault raising ``DataError`` naming the file."""
+    gives that block in float32, in one reused buffer valid until the next
+    read. Truncated and trailing bytes are refused on opening; each block
+    is checked finite, a fault raising ``DataError`` naming the file."""
 
     def __init__(self, path):
         self.path = path
@@ -248,13 +250,13 @@ class FeatureRows:
         if not np.isfinite(block).all():
             raise DataError(f"{self.path}: feature payload contains NaN or Inf")
         self._next = stop
-        return block.astype(np.float64)
+        return block
 
 
 def load_features(path) -> np.ndarray:
-    """The whole feature file as one float64 array, filled block by block."""
+    """The whole feature file as one float32 array, filled block by block."""
     with FeatureRows(path) as src:
-        out = np.empty((len(src), src.dim))
+        out = np.empty((len(src), src.dim), dtype=np.float32)
         for rows in row_slices(len(src)):
             out[rows] = src[rows]
     return out
@@ -282,6 +284,6 @@ def load_labels(path) -> np.ndarray:
 
 
 def load_dataset(feature_path, label_path) -> Dataset:
-    """Each reader's checks name its file; ``Dataset``'s repeat them, about 4.8 ms
-    of 17 at 101k x 32 features and 21 classes (2-vCPU Xeon)."""
+    """Each reader's checks name its file; ``Dataset``'s repeat them, about 4.9 ms
+    of 13 at 101k x 32 float32 features and 21 classes (2-vCPU Xeon)."""
     return Dataset(features=load_features(feature_path), labels=load_labels(label_path))

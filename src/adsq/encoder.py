@@ -117,13 +117,14 @@ def forward(params: EncoderParams, x, keep_hidden: bool = False) -> NetOutputs:
 
 def pre_activation(params: EncoderParams, x, keep_hidden: bool) -> NetOutputs:
     """``forward`` before its last step: ``u`` holds the hash pre-activation,
-    which ``forward`` takes the tanh of in place."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != params.in_dim:
+    which ``forward`` takes the tanh of in place. Training features, a
+    float32 ``Dataset``'s batch or block, are widened to float64 here, and
+    the widened copy is dropped after the first layer unless kept."""
+    h = np.asarray(x, dtype=np.float64)
+    if h.ndim != 2 or h.shape[1] != params.in_dim:
         raise ValueError(
-            f"input shape {x.shape} does not match encoder input width {params.in_dim}")
-    hidden = [x] if keep_hidden else None
-    h = x
+            f"input shape {h.shape} does not match encoder input width {params.in_dim}")
+    hidden = [h] if keep_hidden else None
     for w, b in zip(params.weights[:-2], params.biases[:-2]):
         h = h @ w.T
         h += b
@@ -165,8 +166,6 @@ def backward(params: EncoderParams, outs: NetOutputs, upstream_r, upstream_v,
     hidden, r, u = outs.hidden, outs.r, outs.u
     if hidden is None:
         raise ValueError("backward needs the outputs of forward(..., keep_hidden=True)")
-    upstream_r = np.asarray(upstream_r, dtype=np.float64)
-    upstream_v = np.asarray(upstream_v, dtype=np.float64)
     if upstream_r.shape != r.shape:
         raise ValueError(f"upstream_r shape {upstream_r.shape} != r shape {r.shape}")
     if upstream_v.shape != u.shape:

@@ -120,11 +120,10 @@ def labelnet_grad(outs: NetOutputs, head: ClassifierHead, sim_binary, labels, hp
     """
     r, omega = outs.r, outs.u
     m = r.shape[0]
-    s = np.asarray(sim_binary, dtype=np.float64)
 
     # symmetric pair matrices: both slots fold into one product
-    g_r = hp.alpha * (pair_residual(r, r, s, "sem_pair") @ r)
-    g_omega = hp.beta * (pair_residual(omega, omega, s, "code_pair") @ omega)
+    g_r = hp.alpha * (pair_residual(r, r, sim_binary, "sem_pair") @ r)
+    g_omega = hp.beta * (pair_residual(omega, omega, sim_binary, "code_pair") @ omega)
 
     reg_slope = np.sign(np.abs(omega) - 1.0) * np.sign(omega)
     g_omega = g_omega + hp.gamma * 2.0 * (m - 1) * reg_slope

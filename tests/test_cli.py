@@ -488,6 +488,27 @@ class TestEval:
         assert all(np.isfinite(t) and t >= 0 for t in parts)
         assert sum(parts) <= timings["eval"]
 
+    def test_manifest_keeps_every_input_digest(self, tmp_path, workspace):
+        """Inputs are keyed by role, so inputs that share a base name each
+        keep their own digest."""
+        root, data, _ = workspace
+        files = {"query_codes": (root / "query.adsqb", "a/codes.adsqb"),
+                 "db_codes": (root / "db.adsqb", "b/codes.adsqb"),
+                 "query_labels": (data / "query.adsql", "a/labels.adsql"),
+                 "db_labels": (data / "train.adsql", "b/labels.adsql")}
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        for src, dst in files.values():
+            shutil.copyfile(src, tmp_path / dst)
+        argv = ["eval", "--out", str(tmp_path / "metrics.csv")]
+        for role, (_, dst) in files.items():
+            argv += [f"--{role.replace('_', '-')}", str(tmp_path / dst)]
+        assert main(argv) == 0
+        inputs = json.loads((tmp_path / "metrics.csv.manifest.json").read_text())["inputs"]
+        assert inputs == {role: hashlib.sha256(src.read_bytes()).hexdigest()
+                          for role, (src, _) in files.items()}
+        assert len(set(inputs.values())) == 4
+
     def test_self_retrieval_beats_chance(self, tmp_path, workspace):
         """Database queried with itself: every item is its own nearest hit."""
         root, data, _ = workspace

@@ -1,4 +1,6 @@
+import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -76,6 +78,39 @@ def test_partly_written_feature_file_leaves_nothing(tmp_path, monkeypatch):
     with pytest.raises(DataError, match="not finite in float32"):
         write_features(tmp_path / "big.adsqf", x)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_features_are_read_as_float32(tmp_path, monkeypatch):
+    """``FeatureRows`` gives each block as the float32 it read, and
+    ``load_features`` fills a float32 array: widening is the encoder's."""
+    monkeypatch.setattr(adsq.encoder, "FORWARD_BLOCK_ROWS", 4)
+    x = np.random.default_rng(0).normal(size=(10, 3)).astype(np.float32)
+    path = tmp_path / "f.adsqf"
+    write_features(path, x)
+    with FeatureRows(path) as src:
+        for rows in adsq.encoder.row_slices(len(src)):
+            block = src[rows]
+            assert block.dtype == np.float32
+            np.testing.assert_array_equal(block, x[rows])
+    loaded = load_features(path)
+    assert loaded.dtype == np.float32
+    np.testing.assert_array_equal(loaded, x)
+
+
+def test_load_dataset_holds_the_feature_file_once(tmp_path):
+    """The loaded dataset holds its features at the file's size: memory
+    traced after ``load_dataset`` returns is at most 1.1 x the feature file
+    plus the labels."""
+    n = 4000
+    write_features(tmp_path / "f.adsqf", np.random.default_rng(0).normal(size=(n, 256)))
+    write_labels(tmp_path / "l.adsql", random_labels(0, n, 8))
+    tracemalloc.start()
+    try:
+        ds = load_dataset(tmp_path / "f.adsqf", tmp_path / "l.adsql")
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 1.1 * os.path.getsize(tmp_path / "f.adsqf") + ds.labels.nbytes
 
 
 def test_write_features_holds_one_block_at_a_time(tmp_path):
@@ -329,6 +364,18 @@ def test_validate_clean_dataset():
     ds = Dataset(features=feats, labels=labels.astype(np.float64))
     assert ds.labels.dtype == np.int8 and ds.features.dtype == np.float64
     np.testing.assert_array_equal(ds.labels, labels)
+    np.testing.assert_array_equal(ds.features, feats)
+
+
+@pytest.mark.parametrize("given, kept", [
+    (np.float64, np.float64), (np.float32, np.float32), (np.float16, np.float64),
+    (np.int64, np.float64)])
+def test_dataset_keeps_float32_and_float64_features(given, kept):
+    """Float32 and float64 features are kept as given, without a copy; any
+    other dtype is converted to float64."""
+    feats = (10 * np.random.default_rng(0).normal(size=(10, 3))).astype(given)
+    ds = Dataset(features=feats, labels=random_labels(0, 10, 2))
+    assert ds.features.dtype == kept and (ds.features is feats) == (given is kept)
     np.testing.assert_array_equal(ds.features, feats)
 
 

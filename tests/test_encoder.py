@@ -8,6 +8,7 @@ from adsq.encoder import (EncoderParams, MomentumSGD, backward, flat_copy, forwa
                           init_params, load_params, save_params)
 from adsq.errors import ConfigError, FormatError, TrainingError
 from fdcheck import TOL, fd_grad, max_rel_error
+from memtrace import traced_peak
 from netparams import copy_params, same_params
 
 
@@ -81,6 +82,17 @@ class TestForward:
         p = init_params([3, 4, 2], seed=0)
         with pytest.raises(ValueError):
             forward(p, np.zeros((2, 5)))
+
+    def test_widened_input_is_dropped_after_the_first_layer(self):
+        """A float32 input's float64 copy lives only until the first layer's
+        output exists: with two hidden layers as wide as the input, the
+        traced peak stays below three such arrays."""
+        n, d = 2000, 64
+        p = init_params([d, d, d, 8, 4], seed=0)
+        x = np.random.default_rng(0).normal(size=(n, d)).astype(np.float32)
+        outs, peak = traced_peak(forward, p, x)
+        assert peak < 2.5 * 8 * n * d
+        np.testing.assert_array_equal(outs.u, forward(p, x.astype(np.float64)).u)
 
 
 class TestBackward:

@@ -85,7 +85,7 @@ WRITERS = [
     ("codes", "c.adsqb", lambda d: write_codes(d / "c.adsqb", pack(np.ones((2, 8)))), ()),
     ("params", "m.net", lambda d: save_params(d / "m.net", init_params([3, 4, 2], 0)), ()),
     ("manifest", "manifest.json",
-     lambda d: cli._write_manifest(d / "manifest.json", "synth", {}, {}, [], [], {"t": 0.0}),
+     lambda d: cli._write_manifest(d / "manifest.json", "synth", {}, {}, {}, [], {"t": 0.0}),
      ()),
     ("train-log", "train_log.csv", lambda d: save_run(tiny_state(), d),
      MODEL_FILES + CODE_FILES),

@@ -250,20 +250,35 @@ def test_each_network_is_one_buffer_of_its_optimizer(tiny_data, monkeypatch):
         assert all(a is b for a, b in zip(mine, theirs))
 
 
+def everything(state):
+    """The bytes of a run's codes and parameters, and its log rows."""
+    arrays = [state.codes_x, state.codes_y]
+    for name in ("label_params", "imgx_params", "imgy_params"):
+        arrays += getattr(state, name).arrays
+    return [a.tobytes() for a in arrays], [repr(row) for row in state.log_rows]
+
+
 def test_runs_in_one_process_are_independent(tiny_data):
     """Seed 1, seed 2, then seed 1 again in one process: the two seed-1 runs
     give byte-identical codes, parameters and log rows, so no buffer is
     shared across runs or networks."""
     first, other, again = (run_tiny(tiny_data, seed=seed)[0] for seed in (1, 2, 1))
     assert not np.array_equal(first.codes_x, other.codes_x)
-
-    def everything(state):
-        arrays = [state.codes_x, state.codes_y]
-        for name in ("label_params", "imgx_params", "imgy_params"):
-            arrays += getattr(state, name).arrays
-        return [a.tobytes() for a in arrays], [repr(row) for row in state.log_rows]
-
     assert everything(first) == everything(again)
+
+
+def test_float32_features_train_as_their_float64_widening(tiny_data, monkeypatch):
+    """A float32 ``Dataset`` keeps its features as given and trains to the
+    very parameters, codes and log rows of the same values in float64: the
+    encoder widens each batch and block exactly (blocks of 16 rows here)."""
+    monkeypatch.setattr(adsq.encoder, "FORWARD_BLOCK_ROWS", 16)
+    src = tiny_data[0]
+    f32 = src.features.astype(np.float32)
+    narrow = Dataset(features=f32, labels=src.labels)
+    wide = Dataset(features=f32.astype(np.float64), labels=src.labels)
+    assert narrow.features is f32 and wide.features.dtype == np.float64
+    hp = HyperParams(**TINY)
+    assert everything(train(narrow, hp)) == everything(train(wide, hp))
 
 
 # Traced peak of the wide train below at the parent of the one-buffer
