@@ -4,8 +4,10 @@ leaves them byte-identical.
 
 Each run goes through ``adsq.cli.main`` into a directory of its own:
 
-* ``fixture``: ``scripts/run_fixture.py``'s pipeline at seed 7;
-* ``variants``: the same pipeline at seed 8, once per ``Variant``;
+* ``fixture``: ``scripts/run_fixture.py``'s cell of the full variant at
+  seed 7;
+* ``variants``: its cell of each ``Variant`` at seed 8, the variant passed
+  to ``adsq train`` as ``--set variant=...``;
 * ``workloads``: each ``perfbench/workloads.py`` shape at seeds 1-3, its
   inputs from ``make_inputs``, trained with ``Workload.train_args()``,
   then the database and queries encoded and evaluated.
@@ -37,11 +39,11 @@ WORKLOAD_SEEDS = (1, 2, 3)
 
 
 def fixture_runs(work):
-    return [pipeline(os.path.join(work, "fixture-7"), 7)]
+    return [pipeline(os.path.join(work, "fixture-7"), 7, {"variant": "full"})]
 
 
 def variant_runs(work):
-    return [pipeline(os.path.join(work, f"variant-{v.value}-8"), 8, variant=v.value)
+    return [pipeline(os.path.join(work, f"variant-{v.value}-8"), 8, {"variant": v.value})
             for v in Variant]
 
 

@@ -1,16 +1,19 @@
 #!/usr/bin/env python3
-"""End-to-end demo on the synthetic cluster benchmark.
+"""The synthetic cluster benchmark through the ``adsq`` commands: a table of
+mAP@100 over variants x seeds, optionally x the values of one setting.
 
-Generates data, trains the full model, encodes the database and query
-splits and evaluates them, then prints the total time, the header and the
-mAP@R and P@H<=2 rows of the metrics CSV, and the training wall-clock
-from the model's manifest.
+Each cell runs synth -> train -> encode -> eval through ``adsq.cli.main``
+into ``--out/<row>-<seed>/`` and reads its ``map`` row back from that
+directory's ``metrics.csv``. The train settings, ``FIXED`` and the cell's
+own, reach ``adsq train`` as ``--set`` pairs; a scanned value wins over a
+fixed one.
 
-    python scripts/run_fixture.py --out runs/demo --seed 7
+    python scripts/run_fixture.py --seeds 7 --variants full     # one demo run
+    python scripts/run_fixture.py                                # the ablation table
+    python scripts/run_fixture.py --variants full --scan eta=0.1,1,10,100
 """
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -18,17 +21,20 @@ import time
 from adsq.cli import main as adsq_main
 from adsq.config import Variant
 
+FIXED = {"k_half": 8, "encoder_hidden": 64, "semantic_dim": 32}
 
-def pipeline(out, seed, k_half=8, variant="full"):
-    """The ``adsq`` argument lists of the demo, in order; every output goes
-    under ``out``."""
+
+def pipeline(out, seed, settings):
+    """The ``adsq`` argument lists of one cell, in order; every output goes
+    under ``out``. ``settings`` maps config keys to values over ``FIXED``."""
     data, model = os.path.join(out, "data"), os.path.join(out, "model")
+    sets = [arg for key, value in {**FIXED, "seed": seed, **settings}.items()
+            for arg in ("--set", f"{key}={value}")]
     return [
         ["synth", "--classes", "4", "--dim", "32", "--per-class", "100",
          "--queries-per-class", "25", "--spread", "0.5", "--seed", str(seed), "--out", data],
         ["train", "--features", f"{data}/train.adsqf", "--labels", f"{data}/train.adsql",
-         "--out", model, "--k-half", str(k_half), "--seed", str(seed), "--variant", variant,
-         "--set", "encoder_hidden=64", "--set", "semantic_dim=32"],
+         "--out", model, *sets],
         ["encode", "--model", model, "--features", f"{data}/train.adsqf",
          "--out", f"{out}/db.adsqb"],
         ["encode", "--model", model, "--features", f"{data}/query.adsqf",
@@ -39,33 +45,41 @@ def pipeline(out, seed, k_half=8, variant="full"):
     ]
 
 
-def run(argv):
-    code = adsq_main(argv)
-    if code != 0:
-        sys.exit(code)
+def score(out, seed, settings) -> float:
+    """Run one cell under ``out``; the ``map`` value of its ``metrics.csv``."""
+    for argv in pipeline(out, seed, settings):
+        code = adsq_main(argv)
+        if code != 0:
+            sys.exit(code)
+    with open(f"{out}/metrics.csv") as fh:
+        return next(float(line.split(",")[2]) for line in fh if line.startswith("map,"))
 
 
-def main():
-    ap = argparse.ArgumentParser(description=__doc__)
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--out", default="runs/fixture")
-    ap.add_argument("--seed", type=int, default=7)
-    ap.add_argument("--k-half", type=int, default=8)
-    ap.add_argument("--variant", default="full", choices=[v.value for v in Variant])
-    args = ap.parse_args()
+    ap.add_argument("--seeds", default="7,8,9")
+    ap.add_argument("--variants", default=",".join(v.value for v in Variant))
+    ap.add_argument("--scan", metavar="KEY=V1,V2,...", help="a row per variant and value")
+    args = ap.parse_args(argv)
+    seeds = [int(s) for s in args.seeds.split(",")]
+    scans = [("", {})]  # (row name suffix, settings) per scanned value
+    if args.scan:
+        if "=" not in args.scan:
+            ap.error(f"--scan expects KEY=V1,V2,..., got {args.scan!r}")
+        key, values = args.scan.split("=", 1)
+        scans = [(f"-{key}={value}", {key: value}) for value in values.split(",")]
+    rows = [(variant + suffix, {"variant": variant, **scan})
+            for variant in args.variants.split(",") for suffix, scan in scans]
 
     t0 = time.perf_counter()
-    for argv in pipeline(args.out, args.seed, args.k_half, args.variant):
-        run(argv)
-
-    print(f"\nfinished in {time.perf_counter() - t0:.1f}s; outputs under {args.out}/")
-    with open(f"{args.out}/metrics.csv") as fh:
-        for line in fh.read().splitlines():
-            metric = line.split(",")[0]
-            if metric in ("metric", "map", "ph2"):
-                print(" ", line)
-    with open(f"{args.out}/model/manifest.json") as fh:
-        manifest = json.load(fh)
-    print("  train wall-clock:", manifest["timings_s"]["train"], "s")
+    print(f"{'config':<14} " + " ".join(f"seed{s:<4}" for s in seeds) + "  mean")
+    for name, settings in rows:
+        vals = [score(os.path.join(args.out, f"{name}-{s}"), s, settings) for s in seeds]
+        cells = " ".join(f"{v:.4f}  " for v in vals)
+        print(f"{name:<14} {cells} {sum(vals) / len(vals):.4f}")
+    print(f"finished in {time.perf_counter() - t0:.1f}s; outputs under {args.out}/")
 
 
 if __name__ == "__main__":

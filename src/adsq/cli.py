@@ -18,7 +18,7 @@ import time
 
 from . import __version__
 from .codes import encode_matrix, load_codes, write_codes
-from .config import Variant, load_config
+from .config import load_config
 from .data import FeatureRows, load_dataset, load_labels, write_features, write_labels
 from .encoder import load_params
 from .errors import AdsqError, ConfigError, DataError, FormatError
@@ -88,8 +88,6 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     overrides = _parse_overrides(args.set)
-    if args.variant is not None:
-        overrides["variant"] = args.variant
     if args.seed is not None:
         overrides["seed"] = args.seed
     if args.k_half is not None:
@@ -197,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None, help="JSON config file")
-    p.add_argument("--variant", choices=[v.value for v in Variant], default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--k-half", type=int, default=None)
     p.add_argument("--set", action="append", metavar="KEY=VALUE",

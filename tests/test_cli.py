@@ -12,12 +12,14 @@ import adsq.encoder
 import adsq.trainer
 from adsq.cli import main
 from adsq.codes import encode_matrix, load_codes, pack
-from adsq.data import load_features, write_features
+from adsq.config import make_hyperparams
+from adsq.data import Dataset, load_features, write_features
 from adsq.encoder import (EncoderParams, forward, init_params, load_params, pre_activation,
                           save_params)
 from adsq.errors import ConfigError, FormatError
 from adsq.metrics import RelevanceJudge, mean_ap
-from adsq.trainer import MODEL_FILES
+from adsq.synth import SynthSpec, generate
+from adsq.trainer import MODEL_FILES, save_run, train
 from memtrace import traced_peak
 from references import unpack
 
@@ -116,9 +118,25 @@ class TestTrain:
     def test_symmetric_writes_identical_networks(self, tmp_path, workspace):
         _, data, _ = workspace
         out = tmp_path / "sym"
-        assert main(train_args(data, out, extra=["--variant", "sym"])) == 0
+        assert main(train_args(data, out, extra=["--set", "variant=sym"])) == 0
         assert (out / "imgx.net").read_bytes() == (out / "imgy.net").read_bytes()
         assert (out / "codes_x.adsqb").read_bytes() == (out / "codes_y.adsqb").read_bytes()
+
+    def test_writes_what_in_process_training_on_float32_features_writes(self, tmp_path,
+                                                                        workspace):
+        """``adsq train`` on ``adsq synth``'s files is in-process ``train`` on
+        the same spec's features rounded to float32, byte for byte; on the
+        float64 features the image networks and the log differ."""
+        _, data, model = workspace
+        train_split, _ = generate(SynthSpec(classes=3, dim=8, per_class=12,
+                                            queries_per_class=4, seed=5))
+        hp = make_hyperparams({"k_half": 4, "seed": 3,
+                               **dict(pair.split("=") for pair in TRAIN_OVERRIDES[1::2])})
+        out = tmp_path / "in-process"
+        save_run(train(Dataset(train_split.features.astype(np.float32), train_split.labels),
+                       hp), out)
+        for name in (*MODEL_FILES, "codes_x.adsqb", "codes_y.adsqb", "train_log.csv"):
+            assert (out / name).read_bytes() == (model / name).read_bytes(), name
 
     def test_unknown_config_key_names_it(self, tmp_path, workspace, capsys):
         _, data, _ = workspace

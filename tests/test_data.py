@@ -113,6 +113,18 @@ def test_load_dataset_holds_the_feature_file_once(tmp_path):
     assert held <= 1.1 * os.path.getsize(tmp_path / "f.adsqf") + ds.labels.nbytes
 
 
+def test_load_dataset_peaks_near_its_files(tmp_path):
+    """``Dataset`` checks the features finite one ``row_slices`` block at a
+    time, not through one n x dim mask, so loading peaks at most at 1.1 x
+    the two files. At 16k rows the reader's block buffer is a small share."""
+    n = 16_000
+    files = tmp_path / "f.adsqf", tmp_path / "l.adsql"
+    write_features(files[0], np.random.default_rng(0).normal(size=(n, 128)))
+    write_labels(files[1], random_labels(0, n, 8))
+    _, peak = traced_peak(load_dataset, *files)
+    assert peak <= 1.1 * sum(map(os.path.getsize, files))
+
+
 def test_write_features_holds_one_block_at_a_time(tmp_path):
     x = np.random.default_rng(0).normal(size=(20_000, 64))
     _, peak = traced_peak(write_features, tmp_path / "f.adsqf", x)

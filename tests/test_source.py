@@ -1,5 +1,6 @@
 """Guards on the library source itself."""
 
+import argparse
 import ast
 import dataclasses
 import pathlib
@@ -300,3 +301,37 @@ def test_every_setting_is_set_by_some_run():
     fields = [f.name for f in dataclasses.fields(HyperParams)]
     assert {"k_half", "seed", "lr_min"} <= named, "the scan no longer sees the settings"
     assert sorted(f for f in fields if f not in named) == sorted(USER_SETTINGS)
+
+
+# adsq options that no script or benchmark passes, each with the reason it stays
+USER_OPTIONS = {
+    "train --config": "a JSON file of settings that the user writes",
+    "synth --center-scale": "a parameter of the generated data, left at its default",
+    "synth --overlap": "a parameter of the generated data, left at its default",
+}
+
+
+def _passed_options(path):
+    """The ``--`` string constants of ``path``, but for the options that its
+    own parser adds."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    own = {id(arg) for node in ast.walk(tree) if isinstance(node, ast.Call)
+           and getattr(node.func, "attr", None) == "add_argument" for arg in node.args}
+    return {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)
+            and isinstance(n.value, str) and n.value.startswith("--") and id(n) not in own}
+
+
+def test_every_option_is_passed_by_some_run():
+    """An ``adsq`` option that no script or benchmark passes is a second way
+    in kept for the tests alone: delete it, or list it with the reason it
+    stays."""
+    from adsq.cli import build_parser
+
+    passed = {opt for d in ("scripts", "perfbench") for path in sorted((ROOT / d).rglob("*.py"))
+              for opt in _passed_options(path)}
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    options = [f"{name} {opt}" for name, parser in commands.items() for a in parser._actions
+               for opt in a.option_strings if opt.startswith("--") and opt != "--help"]
+    assert len(options) > 20, "the scan no longer sees the options"
+    assert sorted(o for o in options if o.split()[1] not in passed) == sorted(USER_OPTIONS)
