@@ -52,7 +52,9 @@ WIDTHS = {
 
 
 def make_dataset(kind, n, seed) -> Dataset:
-    """n items of 32-d synth features with ``kind`` labels."""
+    """n items of 32-d synth features with ``kind`` labels. The features are
+    rounded to the float32 that ``adsq synth`` writes and ``adsq train``
+    reads, so a point trains what the command trains."""
     train_split, _ = generate(SynthSpec(classes=CLASSES, dim=32, per_class=-(-n // CLASSES),
                                         queries_per_class=1, multilabel_overlap=0.3,
                                         seed=seed))
@@ -62,7 +64,7 @@ def make_dataset(kind, n, seed) -> Dataset:
         labels = (rng.random((n, 40)) < 0.1).astype(np.int8)
         empty = np.flatnonzero(labels.sum(axis=1) == 0)
         labels[empty, rng.integers(0, 40, empty.size)] = 1
-    return Dataset(features=features, labels=labels)
+    return Dataset(features=features.astype(np.float32), labels=labels)
 
 
 def run_point(kind, n, widths="pairwise", seed=1) -> dict:

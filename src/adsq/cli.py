@@ -5,6 +5,8 @@ seeds, SHA-256 digests of inputs (by command-line role, a model file by name)
 and outputs, tool version, and wall-clock per phase; ``eval`` adds the seconds
 of its scans, rankings, relevance rows and metric arithmetic, each summed over
 query blocks. Exit codes: 0 success, 1 runtime or data error, 2 usage error.
+``train`` settings: the ``--config`` file, each ``--set`` pair in order,
+then ``--seed`` and ``--k-half``, all through ``load_config``; the later wins.
 """
 
 import argparse
@@ -21,7 +23,7 @@ from .codes import encode_matrix, load_codes, write_codes
 from .config import load_config
 from .data import FeatureRows, load_dataset, load_labels, write_features, write_labels
 from .encoder import load_params
-from .errors import AdsqError, ConfigError, DataError, FormatError
+from .errors import AdsqError, DataError, FormatError
 from .fileio import atomic_open, write_csv
 from .metrics import RelevanceJudge, evaluate
 from .synth import SynthSpec, generate
@@ -56,16 +58,6 @@ def _write_manifest(path, command, config, seeds, inputs, outputs, timings, hash
     return manifest
 
 
-def _parse_overrides(pairs):
-    overrides = {}
-    for pair in pairs or []:
-        if "=" not in pair:
-            raise ConfigError(f"--set expects key=value, got {pair!r}")
-        key, value = pair.split("=", 1)
-        overrides[key.strip()] = value.strip()
-    return overrides
-
-
 def cmd_synth(args) -> int:
     t0 = time.perf_counter()
     spec = SynthSpec(classes=args.classes, dim=args.dim, per_class=args.per_class,
@@ -87,12 +79,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    overrides = _parse_overrides(args.set)
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.k_half is not None:
-        overrides["k_half"] = args.k_half
-    hp = load_config(args.config, overrides)
+    flags = {"seed": args.seed, "k_half": args.k_half}  # last, so they win over all
+    pairs = [*(args.set or []), *(f"{k}={v}" for k, v in flags.items() if v is not None)]
+    hp = load_config(args.config, pairs)
 
     t0 = time.perf_counter()
     dataset = load_dataset(args.features, args.labels)
@@ -101,7 +90,7 @@ def cmd_train(args) -> int:
     t_train = time.perf_counter()
     written = save_run(state, args.out)
     _write_manifest(os.path.join(args.out, "manifest.json"), "train",
-                    hp.to_dict(), {"seed": hp.seed},
+                    dataclasses.asdict(hp), {"seed": hp.seed},
                     {"features": args.features, "labels": args.labels}, written,
                     {"load": t_load - t0, "train": t_train - t_load,
                      "save": time.perf_counter() - t_train})
@@ -198,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--k-half", type=int, default=None)
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                   help="override any config key; flags win over the file")
+                   help="set a config key; a later --set wins, --seed and --k-half win over all")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("encode", help="encode features with a trained model")

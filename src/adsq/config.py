@@ -1,4 +1,4 @@
-"""Run configuration: hyper-parameters, ablation variants, JSON loading."""
+"""Run configuration: hyper-parameters, ablation variants, and ``load_config``."""
 
 import dataclasses
 import enum
@@ -39,14 +39,6 @@ class Variant(str, enum.Enum):
         return self not in (Variant.NO_ASYM, Variant.NO_BOTH)
 
 
-def parse_variant(value) -> Variant:
-    try:
-        return Variant(value)
-    except ValueError:
-        valid = ", ".join(v.value for v in Variant)
-        raise ConfigError(f"unknown variant {value!r} (expected one of: {valid})") from None
-
-
 @dataclass
 class HyperParams:
     """All knobs of a training run.
@@ -78,13 +70,7 @@ class HyperParams:
 
     def __post_init__(self):
         for name, default in _DEFAULTS.items():
-            check = _FIELD_CHECKS.get(type(default))
-            if check is not None:
-                setattr(self, name, check(name, getattr(self, name)))
-        if not isinstance(self.encoder_hidden, (list, tuple)):
-            raise ConfigError(f"encoder_hidden must be a list, got {self.encoder_hidden!r}")
-        self.encoder_hidden = tuple(_as_int("encoder_hidden", w) for w in self.encoder_hidden)
-        self.variant = parse_variant(self.variant)
+            setattr(self, name, _FIELD_CHECKS[type(default)](name, getattr(self, name)))
         for name in ("alpha", "beta", "gamma", "delta", "nu", "eta", "weight_decay"):
             v = getattr(self, name)
             if not math.isfinite(v) or v < 0:
@@ -105,12 +91,6 @@ class HyperParams:
         from lr_min to lr_max, inclusive, clamped at the last point."""
         ratio = (self.lr_max / self.lr_min) ** (1.0 / (LR_STEPS - 1))
         return self.lr_min * ratio**min(round_index, LR_STEPS - 1)
-
-    def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["encoder_hidden"] = list(self.encoder_hidden)
-        d["variant"] = self.variant.value
-        return d
 
 
 _DEFAULTS = {f.name: f.default for f in dataclasses.fields(HyperParams)}
@@ -135,12 +115,31 @@ def _as_float(name, value) -> float:
     raise ConfigError(f"{name} must be a number, got {value!r}")
 
 
-_FIELD_CHECKS = {int: _as_int, float: _as_float}
+def _as_widths(name, value) -> tuple:
+    """``value`` of tuple field ``name`` as a tuple of int widths, from a list or tuple."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{name} must be a list, got {value!r}")
+    return tuple(_as_int(name, w) for w in value)
+
+
+def _as_variant(name, value) -> Variant:
+    """``value`` of Variant field ``name`` as a ``Variant``: a member or its value."""
+    try:
+        return Variant(value)
+    except ValueError:
+        valid = ", ".join(v.value for v in Variant)
+        raise ConfigError(f"unknown {name} {value!r} (expected one of: {valid})") from None
+
+
+# the check of each field, by the type of its default
+_FIELD_CHECKS = {int: _as_int, float: _as_float, tuple: _as_widths, Variant: _as_variant}
 
 
 def _coerce(key, value):
-    """A ``--set`` string as the type of the key's default; ``HyperParams``
-    itself checks every value, JSON values as they are."""
+    """The value of config key ``key``, a string typed as the key's default;
+    ``HyperParams`` itself checks every value, JSON values as they are."""
+    if key not in _DEFAULTS:
+        raise ConfigError(f"unknown config key: {key!r}")
     default = _DEFAULTS[key]
     if not isinstance(value, str) or isinstance(default, Variant):
         return value
@@ -152,19 +151,11 @@ def _coerce(key, value):
         raise ConfigError(f"bad value for config key {key!r}: {value!r}") from exc
 
 
-def make_hyperparams(mapping: dict) -> HyperParams:
-    """Build HyperParams from a plain dict, rejecting unknown keys by name."""
-    clean = {}
-    for key, value in mapping.items():
-        if key not in _DEFAULTS:
-            raise ConfigError(f"unknown config key: {key!r}")
-        clean[key] = _coerce(key, value)
-    return HyperParams(**clean)
-
-
-def load_config(path=None, overrides=None) -> HyperParams:
-    """Read a JSON config file and apply overrides on top; overrides win."""
-    merged = {}
+def load_config(path, pairs) -> HyperParams:
+    """Settings from the JSON object in file ``path`` (None for none), then
+    from each ``KEY=VALUE`` string of ``pairs`` in order, a later one
+    winning. An unknown key is refused by name."""
+    settings = {}
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
             try:
@@ -173,7 +164,10 @@ def load_config(path=None, overrides=None) -> HyperParams:
                 raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
-        merged.update(raw)
-    if overrides:
-        merged.update(overrides)
-    return make_hyperparams(merged)
+        settings.update(raw)
+    for pair in pairs:
+        if "=" not in pair:
+            raise ConfigError(f"--set expects key=value, got {pair!r}")
+        key, value = pair.split("=", 1)
+        settings[key.strip()] = value.strip()
+    return HyperParams(**{key: _coerce(key, value) for key, value in settings.items()})

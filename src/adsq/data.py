@@ -127,15 +127,11 @@ def share_labels(words_a, words_b) -> np.ndarray:
     return shared
 
 
-def build_similarity(labels_a, labels_b=None) -> np.ndarray:
-    """Pairwise similarity block from multi-hot labels: entry (i, j) is 1.0
-    iff row i of ``labels_a`` and row j of ``labels_b`` (default
-    ``labels_a``) share at least one positive label, else 0.0."""
-    a, b = np.asarray(labels_a), np.asarray(labels_a if labels_b is None else labels_b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
-        raise ValueError(f"label blocks must be 2-D with equal widths, got {a.shape} "
-                         f"and {b.shape}")
-    return share_labels(pack_label_words(a), pack_label_words(b)).astype(np.float64)
+def build_similarity(labels) -> np.ndarray:
+    """Pairwise similarity of multi-hot labels: entry (i, j) is 1.0 iff rows
+    i and j of ``labels`` share at least one positive label, else 0.0."""
+    words = pack_label_words(labels)
+    return share_labels(words, words).astype(np.float64)
 
 
 class LabelPatterns:

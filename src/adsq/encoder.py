@@ -156,13 +156,12 @@ def forward_rows(params: EncoderParams, x) -> NetOutputs:
     return outs
 
 
-def backward(params: EncoderParams, outs: NetOutputs, upstream_r, upstream_v,
-             out=None) -> list:
+def backward(params: EncoderParams, outs: NetOutputs, upstream_r, upstream_v, out) -> list:
     """Exact reverse-mode parameter gradients for the two injected upstreams,
     in ``params.arrays`` order, from the activations of
     ``forward(params, x, keep_hidden=True)``; the forward pass is never
     recomputed. They are written into the first arrays of ``out`` (views of
-    a gradient buffer) if given, else into new arrays."""
+    a gradient buffer), which are returned."""
     hidden, r, u = outs.hidden, outs.r, outs.u
     if hidden is None:
         raise ValueError("backward needs the outputs of forward(..., keep_hidden=True)")
@@ -172,7 +171,7 @@ def backward(params: EncoderParams, outs: NetOutputs, upstream_r, upstream_v,
         raise ValueError(f"upstream_v shape {upstream_v.shape} != u shape {u.shape}")
 
     n = params.num_layers
-    grads = [np.empty_like(a) for a in params.arrays] if out is None else out[:2 * n]
+    grads = out[:2 * n]
     inputs, g = hidden + [r], upstream_v  # layer i reads inputs[i]
     for i in range(n - 1, -1, -1):
         np.matmul(g.T, inputs[i], out=grads[i])

@@ -191,9 +191,8 @@ def mean_precision_at_hamming2(queries: PackedCodes, db: PackedCodes,
     return evaluate(queries, db, judge, map_r=1).ph2
 
 
-def pr_curve(queries: PackedCodes, db: PackedCodes, judge: RelevanceJudge,
-             recall_grid=DEFAULT_RECALL_GRID) -> list:
-    return evaluate(queries, db, judge, map_r=1, recall_grid=recall_grid).pr
+def pr_curve(queries: PackedCodes, db: PackedCodes, judge: RelevanceJudge) -> list:
+    return evaluate(queries, db, judge, map_r=1).pr
 
 
 def precision_at_n(queries: PackedCodes, db: PackedCodes, judge: RelevanceJudge,

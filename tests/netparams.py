@@ -1,8 +1,8 @@
-"""Copy and comparison of encoder parameter sets for the tests."""
+"""Copy and comparison of encoder parameter sets, and gradient buffers, for the tests."""
 
 import numpy as np
 
-from adsq.encoder import EncoderParams, MomentumSGD, flat_copy
+from adsq.encoder import EncoderParams, MomentumSGD, flat_copy, views_of
 
 
 def copy_params(p) -> EncoderParams:
@@ -15,6 +15,12 @@ def same_params(a, b) -> bool:
     return (len(a.weights) == len(b.weights)
             and all(np.array_equal(x, y) for x, y in zip(a.weights + a.biases,
                                                           b.weights + b.biases)))
+
+
+def grad_views(p) -> list:
+    """Views of a new NaN-filled gradient buffer, one per array of ``p``, for
+    ``backward`` to fill: an entry it leaves unwritten stays NaN."""
+    return views_of(np.full(sum(a.size for a in p.arrays), np.nan), [a.shape for a in p.arrays])
 
 
 def optimize(params, hp, head=None) -> MomentumSGD:

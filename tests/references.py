@@ -15,8 +15,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from adsq.data import build_similarity
-
 
 def unpack(packed) -> np.ndarray:
     """The +-1 float matrix of a ``PackedCodes``."""
@@ -56,10 +54,11 @@ def softplus_stable(x):
 
 def per_query_evaluate(queries, db, qlab, dlab, map_r, recall_grid, n_list):
     """(map, ph2, pr, pn) of ``adsq.metrics.evaluate``, one query at a time:
-    a popcount scan of the packed rows, one stable argsort, the ranks of the
+    relevance from a product of the label matrices, not the packed kernel, a
+    popcount scan of the packed rows, one stable argsort, the ranks of the
     relevant items, and every metric from those ranks in the same numpy
     operations and summation order as ``evaluate`` uses."""
-    relevant = build_similarity(qlab, dlab) > 0
+    relevant = (np.asarray(qlab, np.int64) @ np.asarray(dlab, np.int64).T) > 0
     levels = [Fraction(str(float(g))).as_integer_ratio() for g in recall_grid]
     n_arr = np.array(n_list, dtype=np.int64)
     aps, ph2s, pr_rows = [], [], []

@@ -19,7 +19,7 @@ sys.path.insert(0, str(PERFBENCH))
 from tracing import SPANS  # noqa: E402
 from workloads import LR, WORKLOADS  # noqa: E402
 
-from adsq.cli import _parse_overrides, build_parser  # noqa: E402
+import adsq.cli  # noqa: E402
 from adsq.config import load_config  # noqa: E402
 
 # adsq module names bound in perfbench by `from adsq import ...`
@@ -71,13 +71,23 @@ def test_every_adsq_attribute_in_the_scripts_exists():
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
-def test_workload_training_settings_are_accepted(name):
-    """Each workload's ``adsq train`` arguments, turned into overrides as
-    ``cmd_train`` turns them, load into the settings the workload names."""
+def test_workload_training_settings_are_accepted(name, tmp_path, monkeypatch):
+    """Each workload's ``adsq train`` arguments, resolved by ``cmd_train``
+    itself, load into the settings the workload names; the missing input
+    files then end the run."""
     w = WORKLOADS[name]
-    args = build_parser().parse_args(["train", "--features", "f", "--labels", "l",
-                                      "--out", "o", *w.train_args()])
-    hp = load_config(None, {**_parse_overrides(args.set), "k_half": args.k_half})
+    resolved = []
+
+    def record(path, pairs):
+        resolved.append(load_config(path, pairs))
+        return resolved[-1]
+
+    monkeypatch.setattr(adsq.cli, "load_config", record)
+    assert adsq.cli.main(["train", "--features", str(tmp_path / "f"), "--labels",
+                          str(tmp_path / "l"), "--out", str(tmp_path / "o"), "--seed", "1",
+                          *w.train_args()]) == 1
+    (hp,) = resolved
     assert (hp.k_half, hp.encoder_hidden, hp.semantic_dim, hp.t_label, hp.outer_rounds) == \
         (w.k_half, w.hidden, w.semantic_dim, w.t_label, w.outer_rounds)
     assert hp.lr_min == hp.lr_max == LR
+    assert hp.seed == 1

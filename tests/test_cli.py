@@ -12,7 +12,7 @@ import adsq.encoder
 import adsq.trainer
 from adsq.cli import main
 from adsq.codes import encode_matrix, load_codes, pack
-from adsq.config import make_hyperparams
+from adsq.config import load_config
 from adsq.data import Dataset, load_features, write_features
 from adsq.encoder import (EncoderParams, forward, init_params, load_params, pre_activation,
                           save_params)
@@ -130,8 +130,7 @@ class TestTrain:
         _, data, model = workspace
         train_split, _ = generate(SynthSpec(classes=3, dim=8, per_class=12,
                                             queries_per_class=4, seed=5))
-        hp = make_hyperparams({"k_half": 4, "seed": 3,
-                               **dict(pair.split("=") for pair in TRAIN_OVERRIDES[1::2])})
+        hp = load_config(None, ["k_half=4", "seed=3", *TRAIN_OVERRIDES[1::2]])
         out = tmp_path / "in-process"
         save_run(train(Dataset(train_split.features.astype(np.float32), train_split.labels),
                        hp), out)
@@ -633,14 +632,32 @@ def test_train_idempotent_output_digests(tmp_path):
     assert m1["inputs"] == m2["inputs"]
 
 
+def test_flags_win_over_set_and_a_later_set_wins(tmp_path, monkeypatch, capsys):
+    """``--k-half`` wins over ``--set k_half=...``, and of two ``--set``
+    pairs of one key the later wins; the missing inputs then end each run."""
+    resolved = []
+
+    def record(path, pairs):
+        resolved.append(load_config(path, pairs))
+        return resolved[-1]
+
+    monkeypatch.setattr(adsq.cli, "load_config", record)
+    train = ["train", "--features", str(tmp_path / "f"), "--labels", str(tmp_path / "l"),
+             "--out", str(tmp_path / "o")]
+    assert main([*train, "--set", "k_half=4", "--k-half", "3"]) == 1
+    assert main([*train, "--set", "seed=1", "--set", "seed=2"]) == 1
+    assert [(hp.k_half, hp.seed) for hp in resolved] == [(3, 0), (8, 2)]
+    assert capsys.readouterr().err.count("adsq train: error") == 2
+
+
 def test_parser_is_built_once_and_each_call_parses_its_own_arguments(monkeypatch, capsys):
     """``main`` reuses one parser; a call gets none of an earlier call's
     ``--set`` pairs, flags or subcommand."""
     assert adsq.cli.build_parser() is adsq.cli.build_parser()
     seen = []
 
-    def stop_train(path, overrides):
-        seen.append(("train", path, overrides))
+    def stop_train(path, pairs):
+        seen.append(("train", path, pairs))
         raise ConfigError("stopped")
 
     def stop_eval(path):
@@ -655,6 +672,6 @@ def test_parser_is_built_once_and_each_call_parses_its_own_arguments(monkeypatch
                  "--db-labels", "dl", "--out", "m"]) == 1
     assert main([*train, "--set", "c=3"]) == 1
     assert main(train) == 1
-    assert seen == [("train", "c", {"a": "1", "b": "2", "seed": 3}), ("eval", "q"),
-                    ("train", None, {"c": "3"}), ("train", None, {})]
+    assert seen == [("train", "c", ["a=1", "b=2", "seed=3"]), ("eval", "q"),
+                    ("train", None, ["c=3"]), ("train", None, [])]
     assert capsys.readouterr().err.count("stopped") == 4

@@ -3,8 +3,7 @@ import json
 
 import pytest
 
-from adsq.config import (HyperParams, Variant, load_config, make_hyperparams,
-                         parse_variant)
+from adsq.config import HyperParams, Variant, load_config
 from adsq.errors import ConfigError
 
 
@@ -24,7 +23,7 @@ def test_unknown_key_named_in_error():
     is refused, not run without it."""
     for key in ("not_a_key", "j3_literal", "refresh_labelnet", "lr_steps"):
         with pytest.raises(ConfigError, match=f"unknown config key: '{key}'"):
-            make_hyperparams({key: 1})
+            load_config(None, [f"{key}=1"])
 
 
 @pytest.mark.parametrize("bad", [
@@ -41,7 +40,7 @@ def test_unknown_key_named_in_error():
 ])
 def test_invariant_violations_rejected(bad):
     with pytest.raises(ConfigError):
-        make_hyperparams(bad)
+        HyperParams(**bad)
 
 
 @pytest.mark.parametrize("field, least", [("k_half", 1), ("batch_size", 2), ("t_label", 0),
@@ -54,15 +53,15 @@ def test_int_field_below_its_least_value_rejected_by_name(field, least):
 
 
 def test_variant_parsing():
-    assert parse_variant("no-asym") is Variant.NO_ASYM
-    assert parse_variant(Variant.FULL) is Variant.FULL
+    assert HyperParams(variant="no-asym").variant is Variant.NO_ASYM
+    assert HyperParams(variant=Variant.FULL).variant is Variant.FULL
     for value in ("nonsense", None, ["full"]):
         with pytest.raises(ConfigError, match="unknown variant"):
-            parse_variant(value)
+            HyperParams(variant=value)
 
 
 def test_string_coercion_for_cli_overrides():
-    hp = make_hyperparams({"k_half": "4", "gamma": "0.5", "encoder_hidden": "16,8"})
+    hp = load_config(None, ["k_half=4", "gamma=0.5", "encoder_hidden=16,8"])
     assert hp.k_half == 4
     assert hp.gamma == 0.5
     assert hp.encoder_hidden == (16, 8)
@@ -72,18 +71,18 @@ def test_string_coercion_for_cli_overrides():
                                         ("k_half", float("inf")), ("encoder_hidden", [16, 8.5])])
 def test_fractional_int_value_rejected_by_name(key, value):
     with pytest.raises(ConfigError, match=key):
-        make_hyperparams({key: value})
+        HyperParams(**{key: value})
 
 
 def test_fractional_int_value_in_config_file_rejected(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"t_img": 1.5}))
     with pytest.raises(ConfigError, match="t_img"):
-        load_config(path)
+        load_config(path, [])
 
 
 def test_integral_float_is_an_int():
-    hp = make_hyperparams({"batch_size": 2.0, "t_img": 3.0, "encoder_hidden": [16.0, 8]})
+    hp = HyperParams(batch_size=2.0, t_img=3.0, encoder_hidden=[16.0, 8])
     assert (hp.batch_size, hp.t_img, hp.encoder_hidden) == (2, 3, (16, 8))
     assert type(hp.batch_size) is int and type(hp.t_img) is int
 
@@ -91,7 +90,7 @@ def test_integral_float_is_an_int():
 @pytest.mark.parametrize("field, value", [("t_img", 1.5), ("encoder_hidden", (64.5,)),
                                           ("k_half", "8"), ("k_half", True)])
 def test_direct_construction_checks_int_fields_by_name(field, value):
-    """Built directly, not through make_hyperparams, an int field still
+    """Built directly, not through load_config, an int field still
     takes no fractional value, no string and no bool."""
     with pytest.raises(ConfigError, match=field):
         HyperParams(**{field: value})
@@ -110,11 +109,11 @@ def test_direct_construction_checks_float_fields_by_name(field, value):
 @pytest.mark.parametrize("value", [True, None, [1.0]], ids=repr)
 def test_json_float_field_takes_only_a_number(value):
     with pytest.raises(ConfigError, match="alpha"):
-        make_hyperparams({"alpha": value})
+        HyperParams(alpha=value)
 
 
 def test_float_fields_hold_floats():
-    hp = make_hyperparams({"alpha": 2, "momentum": 0})
+    hp = HyperParams(alpha=2, momentum=0)
     assert (hp.alpha, hp.momentum) == (2.0, 0.0)
     assert type(hp.alpha) is float and type(HyperParams(nu=3).nu) is float
 
@@ -122,26 +121,38 @@ def test_float_fields_hold_floats():
 def test_load_config_file_and_overrides(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"k_half": 6, "nu": 2.0}))
-    hp = load_config(path, overrides={"nu": "5"})
+    hp = load_config(path, ["nu=5"])
     assert hp.k_half == 6
     assert hp.nu == 5.0
+
+
+def test_later_pair_wins_and_a_pair_needs_an_equals_sign(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"nu": 2.0}))
+    assert load_config(path, ["nu=5", "nu=3"]).nu == 3.0
+    with pytest.raises(ConfigError, match="expects key=value, got 'nu'"):
+        load_config(path, ["nu"])
 
 
 def test_load_config_rejects_non_object(tmp_path):
     path = tmp_path / "arr.json"
     path.write_text("[1, 2]")
     with pytest.raises(ConfigError):
-        load_config(path)
+        load_config(path, [])
 
 
-def test_to_dict_round_trips():
+def test_manifest_config_loads_as_a_config_file(tmp_path):
+    """The JSON of ``dataclasses.asdict``, which a train manifest records,
+    loads back as a config file into equal settings."""
     hp = HyperParams(k_half=4, variant="sym", encoder_hidden=(8, 4))
-    again = make_hyperparams(hp.to_dict())
-    assert again == hp
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(dataclasses.asdict(hp)))
+    assert json.loads(path.read_text())["variant"] == "sym"
+    assert load_config(path, []) == hp
 
 
 def test_momentum_zero_and_weight_decay_zero_are_valid():
-    hp = make_hyperparams({"momentum": "0", "weight_decay": "0"})
+    hp = load_config(None, ["momentum=0", "weight_decay=0"])
     assert (hp.momentum, hp.weight_decay) == (0.0, 0.0)
 
 
@@ -166,6 +177,6 @@ CHANGED = HyperParams(alpha=2.0, beta=0.5, gamma=0.25, delta=3.0, nu=1.5, eta=0.
 def test_every_field_round_trips_from_its_set_string(field):
     value = getattr(CHANGED, field.name)
     assert value != field.default
-    got = make_hyperparams({field.name: set_string(value)})
+    got = load_config(None, [f"{field.name}={set_string(value)}"])
     assert getattr(got, field.name) == value
     assert type(getattr(got, field.name)) is type(value)

@@ -272,18 +272,6 @@ def test_similarity_symmetric():
     np.testing.assert_array_equal(sim, sim.T)
 
 
-def test_cross_block_matches_full_block():
-    """Two label sets give the off-diagonal block of their stacked matrix."""
-    a, b = random_labels(5, 7, 4), random_labels(6, 11, 4)
-    full = build_similarity(np.vstack([a, b]))
-    np.testing.assert_array_equal(build_similarity(a, b), full[:7, 7:])
-
-
-def test_similarity_rejects_mismatched_widths():
-    with pytest.raises(ValueError):
-        build_similarity(np.ones((2, 3)), np.ones((2, 4)))
-
-
 # ---------------------------------------------------------------- label patterns
 
 

@@ -9,7 +9,7 @@ from adsq.encoder import (EncoderParams, MomentumSGD, backward, flat_copy, forwa
 from adsq.errors import ConfigError, FormatError, TrainingError
 from fdcheck import TOL, fd_grad, max_rel_error
 from memtrace import traced_peak
-from netparams import copy_params, same_params
+from netparams import copy_params, grad_views, same_params
 
 
 def zero_width_model(layer, rows, cols) -> bytes:
@@ -99,7 +99,8 @@ class TestBackward:
     def test_zero_upstream_zero_grads(self):
         p = init_params([3, 4, 4, 2], seed=5)
         x = np.random.default_rng(3).normal(size=(6, 3))
-        g = backward(p, forward(p, x, keep_hidden=True), np.zeros((6, 4)), np.zeros((6, 2)))
+        g = backward(p, forward(p, x, keep_hidden=True), np.zeros((6, 4)), np.zeros((6, 2)),
+                     grad_views(p))
         assert len(g) == 2 * p.num_layers and all(np.all(a == 0) for a in g)
 
     @pytest.mark.parametrize("seed", range(20))
@@ -116,7 +117,7 @@ class TestBackward:
         x = rng.normal(size=(5, 3))
         coef_r = rng.normal(size=(5, 4))
         coef_v = rng.normal(size=(5, 2))
-        analytic = backward(p, forward(p, x, keep_hidden=True), coef_r, coef_v)
+        analytic = backward(p, forward(p, x, keep_hidden=True), coef_r, coef_v, grad_views(p))
         for li in range(p.num_layers):
             for arr, ga in ((p.weights[li], analytic[li]),
                             (p.biases[li], analytic[p.num_layers + li])):
@@ -130,7 +131,7 @@ class TestBackward:
         rng = np.random.default_rng(7)
         x = rng.normal(size=(6, 3))
         up_r = rng.normal(size=(6, 4))
-        g = backward(p, forward(p, x, keep_hidden=True), up_r, np.zeros((6, 2)))
+        g = backward(p, forward(p, x, keep_hidden=True), up_r, np.zeros((6, 2)), grad_views(p))
         np.testing.assert_allclose(g[0], up_r.T @ x, rtol=1e-12)
         np.testing.assert_allclose(g[p.num_layers], up_r.sum(axis=0), rtol=1e-12)
         assert np.all(g[1] == 0)
@@ -142,13 +143,13 @@ class TestBackward:
         outs = forward(p, np.zeros((2, 3)))
         assert outs.hidden is None
         with pytest.raises(ValueError, match="keep_hidden"):
-            backward(p, outs, np.zeros((2, 4)), np.zeros((2, 2)))
+            backward(p, outs, np.zeros((2, 4)), np.zeros((2, 2)), grad_views(p))
 
     def test_upstream_shape_mismatch(self):
         p = init_params([3, 4, 2], seed=0)
         outs = forward(p, np.zeros((2, 3)), keep_hidden=True)
         with pytest.raises(ValueError):
-            backward(p, outs, np.zeros((2, 3)), np.zeros((2, 2)))
+            backward(p, outs, np.zeros((2, 3)), np.zeros((2, 2)), grad_views(p))
 
 
 class TestSgd:
@@ -245,15 +246,15 @@ class TestSgd:
         assert (opt.flat.tobytes(), opt.flat_velocity.tobytes()) == before
 
     def test_backward_fills_the_gradient_views(self):
-        """Written into a gradient buffer's views, backward's gradients equal
-        the ones it returns as new arrays."""
+        """Written into an optimizer's gradient buffer, backward's gradients
+        equal the ones it writes into a buffer of its own."""
         p = init_params([3, 5, 4, 2], seed=6)
         rng = np.random.default_rng(6)
         outs = forward(p, rng.normal(size=(7, 3)), keep_hidden=True)
         up_r, up_v = rng.normal(size=(7, 4)), rng.normal(size=(7, 2))
         grad, views = MomentumSGD(p.arrays, momentum=0.9, weight_decay=0.0).new_grad()
         assert backward(p, outs, up_r, up_v, views) == views
-        fresh = backward(p, outs, up_r, up_v)
+        fresh = backward(p, outs, up_r, up_v, grad_views(p))
         assert grad.tobytes() == b"".join(g.tobytes() for g in fresh)
 
     @staticmethod

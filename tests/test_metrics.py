@@ -5,7 +5,6 @@ import pytest
 
 import adsq.metrics
 from adsq.codes import pack
-from adsq.data import build_similarity
 from adsq.metrics import (RelevanceJudge, evaluate, mean_ap,
                           mean_precision_at_hamming2, pr_curve, precision_at_n)
 from memtrace import traced_peak
@@ -20,13 +19,15 @@ from references import per_query_evaluate
 class TestRelevanceJudge:
     @pytest.mark.parametrize("classes", [1, 63, 64, 65, 130])
     def test_matches_build_similarity(self, classes):
+        """Relevance is the shared-label rule, here from a product of the
+        label matrices, across every word boundary of the packed labels."""
         rng = np.random.default_rng(classes)
         qlab = (rng.random((12, classes)) < 0.1).astype(np.int8)
         dlab = (rng.random((300, classes)) < 0.1).astype(np.int8)
         qlab[::2, -1] = 1  # the last class sits in the last word
         dlab[::7, -1] = 1
         judge = RelevanceJudge(qlab, dlab)
-        want = build_similarity(qlab, dlab) > 0
+        want = (qlab.astype(np.int64) @ dlab.T.astype(np.int64)) > 0
         for rows in (slice(None), slice(0, 1), slice(3, 8), slice(11, 12)):
             got = judge.relevance(rows)
             assert got.dtype == bool
@@ -161,7 +162,8 @@ class TestPrCurve:
         dc = np.vstack([np.ones((3, 4)), -np.ones((3, 4))])
         dlab = np.array([[1, 0]] * 3 + [[0, 1]] * 3, dtype=np.int8)
         qlab = np.array([[1, 0]], dtype=np.int8)
-        pts = pr_curve(pack(q), pack(dc), RelevanceJudge(qlab, dlab), (0.5, 1.0))
+        pts = evaluate(pack(q), pack(dc), RelevanceJudge(qlab, dlab), map_r=1,
+                       recall_grid=(0.5, 1.0)).pr
         assert all(p == pytest.approx(1.0) for _, p in pts)
 
     def test_worked_example(self):
@@ -170,7 +172,8 @@ class TestPrCurve:
         dc = np.array([[1.0, 1, 1, 1], [1.0, 1, 1, -1], [1.0, 1, -1, -1]])
         dlab = np.array([[1, 0], [0, 1], [1, 0]], dtype=np.int8)
         qlab = np.array([[1, 0]], dtype=np.int8)
-        pts = dict(pr_curve(pack(q), pack(dc), RelevanceJudge(qlab, dlab), (0.5, 1.0)))
+        pts = dict(evaluate(pack(q), pack(dc), RelevanceJudge(qlab, dlab), map_r=1,
+                            recall_grid=(0.5, 1.0)).pr)
         assert pts[0.5] == pytest.approx(1.0)
         assert pts[1.0] == pytest.approx(2 / 3)
 
@@ -185,14 +188,15 @@ class TestPrCurve:
         # relevant items are the two exact matches ranked... reversed: make
         # relevant the farthest instead
         dlab = np.array([[1, 0]] * 6 + [[0, 1]] * 2, dtype=np.int8)
-        pts = dict(pr_curve(pack(q), pack(dc), RelevanceJudge(qlab, dlab), (1.0,)))
+        pts = dict(evaluate(pack(q), pack(dc), RelevanceJudge(qlab, dlab), map_r=1,
+                            recall_grid=(1.0,)).pr)
         assert pts[1.0] == pytest.approx(6 / 8)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_oracle(self, seed):
         qc, dc, qlab, dlab = random_case(seed)
         grid = (0.25, 0.5, 0.75, 1.0)
-        got = pr_curve(pack(qc), pack(dc), RelevanceJudge(qlab, dlab), grid)
+        got = evaluate(pack(qc), pack(dc), RelevanceJudge(qlab, dlab), map_r=1, recall_grid=grid).pr
         expect = oracle_pr(qc, dc, qlab, dlab, grid)
         for (g1, p1), (g2, p2) in zip(got, expect):
             assert g1 == g2 and p1 == pytest.approx(p2, abs=1e-12)
@@ -225,14 +229,16 @@ class TestPrCurve:
         dc = np.ones((flags.size, 8))
         qlab = np.array([[1, 0]], dtype=np.int8)
         dlab = np.stack([flags, 1 - flags], axis=1).astype(np.int8)
-        pts = pr_curve(pack(q), pack(dc), RelevanceJudge(qlab, dlab), (level, 1.0))
+        pts = evaluate(pack(q), pack(dc), RelevanceJudge(qlab, dlab), map_r=1,
+                       recall_grid=(level, 1.0)).pr
         assert pts == [(level, 192 / 193), (1.0, 384 / 385)]
         assert oracle_pr(q, dc, qlab, dlab, (level, 1.0)) == pts
 
     def test_grid_outside_unit_interval_rejected(self):
         qc, dc, qlab, dlab = random_case(0)
         with pytest.raises(ValueError):
-            pr_curve(pack(qc), pack(dc), RelevanceJudge(qlab, dlab), (0.0, 0.5))
+            evaluate(pack(qc), pack(dc), RelevanceJudge(qlab, dlab), map_r=1,
+                     recall_grid=(0.0, 0.5)).pr
 
 
 # ---------------------------------------------------------------- P@N

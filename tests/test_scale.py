@@ -2,6 +2,7 @@ import importlib.util
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from adsq.config import HyperParams
@@ -28,6 +29,12 @@ def test_point_runs_in_a_subprocess_and_reports(scale, kind):
     assert r["train_s"] > 0 and math.isfinite(r["train_s"])
     assert r["peak_rss_mb"] > 0 and math.isfinite(r["peak_rss_mb"])
     assert type(r["minflt"]) is int and r["minflt"] >= 0
+
+
+@pytest.mark.parametrize("kind", ["synth", "diverse"])
+def test_dataset_holds_the_float32_features_that_adsq_train_reads(scale, kind):
+    ds = scale.make_dataset(kind, 30, seed=1)
+    assert ds.features.dtype == np.float32 and ds.features.shape == (30, 32)
 
 
 def test_default_widths_are_the_hyperparams_defaults(scale):

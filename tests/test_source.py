@@ -198,8 +198,12 @@ def test_library_methods_have_a_non_test_caller():
 
 # defaulted parameters the tests may be alone in passing, each with the reason
 TEST_ARGUMENTS = {
-    "build_similarity(labels_b)": "the dense reference's cross block, as in TEST_REFERENCES",
-    "pr_curve(recall_grid)": "perfbench calls the wrapper, which ROADMAP item 6 deletes",
+    "evaluate(recall_grid)": "acceptance 4 checks PR on a grid of its own against the oracle",
+}
+# defaulted parameters that every run fills in, each with the reason the default stays
+TEST_DEFAULTS = {
+    "encode_matrix(names)": "acceptance 6-8 encode as an in-process user does, unnamed",
+    "labelnet_grad(head_out)": "acceptance 2 and 9 take the head's gradients as new arrays",
 }
 
 
@@ -233,10 +237,10 @@ def _passes(call, param, position):
         (position is not None and len(call.args) > position)
 
 
-def test_every_default_is_overridden_outside_the_tests():
-    """A defaulted parameter that no caller in the library, the scripts or
-    the benchmark fills in is an option kept for the tests alone: read the
-    value inside, or list the parameter with the reason it stays."""
+def _defaults_and_their_fillings():
+    """``(name(param), [whether each call fills it in])`` for each defaulted
+    parameter of the library, over every call of its name in the library,
+    the scripts and the benchmark."""
     calls = {}
     for d in ("src/adsq", "scripts", "perfbench"):
         for path in sorted((ROOT / d).rglob("*.py")):
@@ -245,10 +249,28 @@ def test_every_default_is_overridden_outside_the_tests():
                     name = getattr(node.func, "id", getattr(node.func, "attr", None))
                     calls.setdefault(name, []).append(node)
     defaulted = [f for path in sorted(SRC.rglob("*.py")) for f in _defaulted_parameters(path)]
-    assert len(defaulted) > 10, "the scan no longer sees the library's defaults"
-    unused = [f"{name}({param})" for name, param, position in defaulted
-              if not any(_passes(call, param, position) for call in calls.get(name, []))]
+    assert {("forward", "keep_hidden", 2), ("atomic_open", "mode", 1)} <= set(defaulted), \
+        "the scan no longer sees the library's defaults"
+    return [(f"{name}({param})", [_passes(call, param, position)
+                                  for call in calls.get(name, [])])
+            for name, param, position in defaulted]
+
+
+def test_every_default_is_overridden_outside_the_tests():
+    """A defaulted parameter that no caller in the library, the scripts or
+    the benchmark fills in is an option kept for the tests alone: read the
+    value inside, or list the parameter with the reason it stays."""
+    unused = [name for name, fills in _defaults_and_their_fillings() if not any(fills)]
     assert sorted(unused) == sorted(TEST_ARGUMENTS)
+
+
+def test_every_default_is_taken_outside_the_tests():
+    """A defaulted parameter that every caller in the library, the scripts
+    and the benchmark fills in has a default kept for the tests alone: make
+    the parameter required, or list it with the reason its default stays.
+    One that no such caller reaches is left to the test above."""
+    always = [name for name, fills in _defaults_and_their_fillings() if fills and all(fills)]
+    assert sorted(always) == sorted(TEST_DEFAULTS)
 
 
 # HyperParams fields that no library code, script or benchmark sets, each
