@@ -110,10 +110,11 @@ def labelnet_loss(sup: NetOutputs, head: ClassifierHead, patterns: LabelPatterns
 
 
 def labelnet_grad(outs: NetOutputs, head: ClassifierHead, sim_binary, labels, hp: HyperParams,
-                  head_out=None):
+                  head_out):
     """Exact gradients of ``labelnet_loss``, the batch taken as the whole set:
     (g_r, g_omega, [g_head_weight, g_head_bias]), the head's written into
-    ``head_out`` if given. The loss is never evaluated.
+    ``head_out``, a pair of arrays shaped as the head's weight and bias. The
+    loss is never evaluated.
 
     The binary regularizer uses the subgradient convention that its slope
     is 0 exactly at |entry| = 1.
@@ -131,8 +132,8 @@ def labelnet_grad(outs: NetOutputs, head: ClassifierHead, sim_binary, labels, hp
     resid = head.predict(omega) - np.asarray(labels, dtype=np.float64)
     d = 2.0 * hp.delta * resid
     g_omega = g_omega + d @ head.weight
-    g_head = head_out or [np.empty_like(head.weight), np.empty_like(head.bias)]
-    return g_r, g_omega, [np.matmul(d.T, omega, out=g_head[0]), d.sum(axis=0, out=g_head[1])]
+    return g_r, g_omega, [np.matmul(d.T, omega, out=head_out[0]),
+                          d.sum(axis=0, out=head_out[1])]
 
 
 def iter_batches(n, batch_size, rng):

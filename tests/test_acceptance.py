@@ -139,7 +139,9 @@ def test_criterion_2_labelnet_gradient_fidelity():
         for weights in term_configs:
             hp = HyperParams(k_half=k, semantic_dim=sem, encoder_hidden=(4,), **weights)
             outs = NetOutputs(r=r, u=omega)
-            g_r, g_omega, g_head = labelnet_grad(outs, head, s_bin, labels, hp)
+            g_r, g_omega, g_head = labelnet_grad(outs, head, s_bin, labels, hp,
+                                                 [np.empty_like(head.weight),
+                                                  np.empty_like(head.bias)])
 
             def loss():
                 return sum(batch_label_loss(r, omega, head, labels, hp).values())
@@ -361,7 +363,8 @@ def test_criterion_9_numerical_robustness():
                           bias=np.zeros(labels.shape[1]))
     outs = NetOutputs(r=big_r, u=np.tanh(big_v))
     bd = batch_label_loss(outs.r, outs.u, head, labels, hp)
-    g_r, g_omega, g_head = labelnet_grad(outs, head, s_bin, labels, hp)
+    g_r, g_omega, g_head = labelnet_grad(outs, head, s_bin, labels, hp,
+                                         [np.empty_like(head.weight), np.empty_like(head.bias)])
     fine &= np.isfinite(sum(bd.values()))
     fine &= bool(all(np.all(np.isfinite(a)) for a in (g_r, g_omega, *g_head)))
     report(9, "numerical robustness", bool(fine),

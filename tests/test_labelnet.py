@@ -131,15 +131,17 @@ class TestGradients:
         head = ClassifierHead(np.zeros((CLASSES, K)), np.zeros(CLASSES))
         s_bin, _ = random_similarity(np.random.default_rng(0), 4)
         g_r, g_omega, _ = labelnet_grad(outputs(np.zeros((4, SEM)), np.zeros((4, K))),
-                                        head, s_bin, np.eye(4, CLASSES), hp)
+                                        head, s_bin, np.eye(4, CLASSES), hp,
+                                        [np.empty_like(head.weight), np.empty_like(head.bias)])
         assert np.all(g_r == 0)
         assert np.all(g_omega == 0)
 
     def test_classify_gradient_is_linear_residual(self):
         hp = hp_with(alpha=0, beta=0, gamma=0, delta=1.0)
         r, omega, labels, head, s_bin = random_instance(2)
-        _, _, (g_head_weight, g_head_bias) = labelnet_grad(outputs(r, omega), head, s_bin,
-                                                           labels, hp)
+        _, _, (g_head_weight, g_head_bias) = labelnet_grad(
+            outputs(r, omega), head, s_bin, labels, hp,
+            [np.empty_like(head.weight), np.empty_like(head.bias)])
         resid = head.predict(omega) - labels
         np.testing.assert_allclose(g_head_bias, 2 * resid.sum(axis=0), rtol=1e-12)
         np.testing.assert_allclose(g_head_weight, 2 * resid.T @ omega, rtol=1e-12)
@@ -147,9 +149,10 @@ class TestGradients:
     def test_subgradient_zero_at_unit_codes(self):
         hp = hp_with(alpha=0, beta=0, gamma=1.0, delta=0)
         omega = np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, -1.0]])
-        _, g_omega, _ = labelnet_grad(outputs(np.zeros((2, SEM)), omega),
-                                      ClassifierHead(np.zeros((CLASSES, K)), np.zeros(CLASSES)),
-                                      np.ones((2, 2)), np.eye(2), hp)
+        head = ClassifierHead(np.zeros((CLASSES, K)), np.zeros(CLASSES))
+        _, g_omega, _ = labelnet_grad(outputs(np.zeros((2, SEM)), omega), head,
+                                      np.ones((2, 2)), np.eye(2), hp,
+                                      [np.empty_like(head.weight), np.empty_like(head.bias)])
         assert np.all(g_omega == 0)
 
     @pytest.mark.parametrize("weights", [
@@ -165,7 +168,9 @@ class TestGradients:
         with the batch as the whole set."""
         hp = hp_with(**weights)
         r, omega, labels, head, s_bin = random_instance(seed)
-        g_r, g_omega, g_head = labelnet_grad(outputs(r, omega), head, s_bin, labels, hp)
+        g_r, g_omega, g_head = labelnet_grad(outputs(r, omega), head, s_bin, labels, hp,
+                                             [np.empty_like(head.weight),
+                                              np.empty_like(head.bias)])
 
         def loss():
             return sum(batch_label_loss(r, omega, head, labels, hp).values())

@@ -203,7 +203,6 @@ TEST_ARGUMENTS = {
 # defaulted parameters that every run fills in, each with the reason the default stays
 TEST_DEFAULTS = {
     "encode_matrix(names)": "acceptance 6-8 encode as an in-process user does, unnamed",
-    "labelnet_grad(head_out)": "acceptance 2 and 9 take the head's gradients as new arrays",
 }
 
 
@@ -323,6 +322,33 @@ def test_every_setting_is_set_by_some_run():
     fields = [f.name for f in dataclasses.fields(HyperParams)]
     assert {"k_half", "seed", "lr_min"} <= named, "the scan no longer sees the settings"
     assert sorted(f for f in fields if f not in named) == sorted(USER_SETTINGS)
+
+
+def _reaches_training(path):
+    """Lines of ``path`` that import ``adsq.trainer`` or load the name
+    ``HyperParams``: training or its settings built outside ``adsq train``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.Import):
+            bad = any(a.name == "adsq.trainer" for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            bad = node.module == "adsq.trainer" or (
+                node.module == "adsq" and any(a.name == "trainer" for a in node.names))
+        else:
+            bad = (isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+                   and getattr(node, "id", getattr(node, "attr", None)) == "HyperParams")
+        if bad:
+            found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    return found
+
+
+def test_scripts_train_only_through_the_command():
+    """A script that trains in-process measures a copy of ``adsq train``
+    that can drift from the command; scripts reach training through
+    ``adsq.cli`` alone."""
+    scripts = sorted((ROOT / "scripts").rglob("*.py"))
+    assert scripts, f"no scripts found under {ROOT / 'scripts'}"
+    assert [line for path in scripts for line in _reaches_training(path)] == []
 
 
 # adsq options that no script or benchmark passes, each with the reason it stays
