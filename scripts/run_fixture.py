@@ -8,13 +8,21 @@ directory's ``metrics.csv``. The train settings, ``FIXED`` and the cell's
 own, reach ``adsq train`` as ``--set`` pairs; a scanned value wins over a
 fixed one.
 
+After its cells each row prints the mean over seeds and the sample standard
+deviation (``sd``), then three columns paired against the table's first
+row at the same seeds: the seeds where the row scores higher (``wins``),
+the mean difference (``diff``) and its standard error (``se``). A spread
+needs two seeds; with one, ``sd`` and ``se`` print ``-``.
+
     python scripts/run_fixture.py --seeds 7 --variants full     # one demo run
     python scripts/run_fixture.py                                # the ablation table
     python scripts/run_fixture.py --variants full --scan eta=0.1,1,10,100
 """
 
 import argparse
+import math
 import os
+import statistics
 import sys
 import time
 
@@ -55,6 +63,18 @@ def score(out, seed, settings) -> float:
         return next(float(line.split(",")[2]) for line in fh if line.startswith("map,"))
 
 
+def row_stats(vals, base) -> str:
+    """The columns after a row's cells (see the module docstring); ``base``
+    is the first row's values at the same seeds."""
+    diffs = [v - b for v, b in zip(vals, base)]
+    spread = len(vals) > 1
+    sd = f"{statistics.stdev(vals):.4f}" if spread else "-"
+    se = f"{statistics.stdev(diffs) / math.sqrt(len(diffs)):.4f}" if spread else "-"
+    wins = f"{sum(d > 0 for d in diffs)}/{len(diffs)}"
+    return (f"{sum(vals) / len(vals):.4f} {sd:>7} {wins:>6} "
+            f"{sum(diffs) / len(diffs):>+8.4f} {se:>7}")
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -74,11 +94,15 @@ def main(argv=None):
             for variant in args.variants.split(",") for suffix, scan in scans]
 
     t0 = time.perf_counter()
-    print(f"{'config':<14} " + " ".join(f"seed{s:<4}" for s in seeds) + "  mean")
+    print(f"{'config':<14} " + " ".join(f"seed{s:<4}" for s in seeds)
+          + f"{'mean':>7} {'sd':>7} {'wins':>6} {'diff':>8} {'se':>7}")
+    base = None
     for name, settings in rows:
         vals = [score(os.path.join(args.out, f"{name}-{s}"), s, settings) for s in seeds]
+        base = base or vals
         cells = " ".join(f"{v:.4f}  " for v in vals)
-        print(f"{name:<14} {cells} {sum(vals) / len(vals):.4f}")
+        print(f"{name:<14} {cells} {row_stats(vals, base)}")
+    print(f"(wins, diff and se are paired against {rows[0][0]} at the same seeds)")
     print(f"finished in {time.perf_counter() - t0:.1f}s; outputs under {args.out}/")
 
 

@@ -1,10 +1,11 @@
 """Command-line surface: synth, train, encode, eval.
 
-Every command writes a manifest JSON recording the resolved configuration,
-seeds, SHA-256 digests of inputs (by command-line role, a model file by name)
-and outputs, tool version, and wall-clock per phase; ``eval`` adds the seconds
-of its scans, rankings, relevance rows and metric arithmetic, each summed over
-query blocks. Exit codes: 0 success, 1 runtime or data error, 2 usage error.
+Every command writes a manifest JSON recording the resolved configuration
+(the one record of the seed, for ``synth`` and ``train``), SHA-256 digests
+of inputs (by command-line role, a model file by name) and outputs, tool
+version, and wall-clock per phase; ``eval`` adds the seconds of its scans,
+rankings, relevance rows and metric arithmetic, each summed over query
+blocks. Exit codes: 0 success, 1 runtime or data error, 2 usage error.
 ``train`` settings: the ``--config`` file, each ``--set`` pair in order,
 then ``--seed`` and ``--k-half``, all through ``load_config``; the later wins.
 """
@@ -41,13 +42,12 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(path, command, config, seeds, inputs, outputs, timings, hashed=None):
+def _write_manifest(path, command, config, inputs, outputs, timings, hashed=None):
     """``inputs`` maps keys to paths; ``hashed``, input paths already hashed to SHA-256."""
     manifest = {
         "command": command,
         "version": __version__,
         "config": config,
-        "seeds": seeds,
         "inputs": {key: (hashed or {}).get(p) or _sha256(p) for key, p in inputs.items()},
         "outputs": {os.path.basename(p): _sha256(p) for p in outputs},
         "timings_s": {k: round(v, 6) for k, v in timings.items()},
@@ -61,8 +61,7 @@ def _write_manifest(path, command, config, seeds, inputs, outputs, timings, hash
 def cmd_synth(args) -> int:
     t0 = time.perf_counter()
     spec = SynthSpec(classes=args.classes, dim=args.dim, per_class=args.per_class,
-                     queries_per_class=args.queries_per_class,
-                     cluster_spread=args.spread, center_scale=args.center_scale,
+                     queries_per_class=args.queries_per_class, cluster_spread=args.spread,
                      multilabel_overlap=args.overlap, seed=args.seed)
     splits = generate(spec)
     os.makedirs(args.out, exist_ok=True)
@@ -73,7 +72,7 @@ def cmd_synth(args) -> int:
         write_labels(stem + ".adsql", split.labels)
         written += [stem + ".adsqf", stem + ".adsql"]
     _write_manifest(os.path.join(args.out, "manifest.json"), "synth",
-                    dataclasses.asdict(spec), {"seed": spec.seed}, {}, written,
+                    dataclasses.asdict(spec), {}, written,
                     {"generate": time.perf_counter() - t0})
     return 0
 
@@ -90,7 +89,7 @@ def cmd_train(args) -> int:
     t_train = time.perf_counter()
     written = save_run(state, args.out)
     _write_manifest(os.path.join(args.out, "manifest.json"), "train",
-                    dataclasses.asdict(hp), {"seed": hp.seed},
+                    dataclasses.asdict(hp),
                     {"features": args.features, "labels": args.labels}, written,
                     {"load": t_load - t0, "train": t_train - t_load,
                      "save": time.perf_counter() - t_train})
@@ -123,7 +122,7 @@ def cmd_encode(args) -> int:
     write_codes(args.out, packed)
     _write_manifest(args.out + ".manifest.json", "encode",
                     {"model": os.path.basename(os.path.normpath(args.model))},
-                    {}, {"features": args.features, **dict(zip(MODEL_FILES[1:], img_paths))},
+                    {"features": args.features, **dict(zip(MODEL_FILES[1:], img_paths))},
                     [args.out], {"encode": time.perf_counter() - t0}, hashed)
     return 0
 
@@ -151,7 +150,7 @@ def cmd_eval(args) -> int:
               [(m, db_codes.k_total, repr(value), grid)
                for m in points if m in wanted for value, grid in points[m]])
     _write_manifest(args.out + ".manifest.json", "eval",
-                    {"metrics": wanted, "map_r": args.map_r}, {},
+                    {"metrics": wanted, "map_r": args.map_r},
                     {role: getattr(args, role)
                      for role in ("query_codes", "db_codes", "query_labels", "db_labels")},
                     [args.out], {"eval": time.perf_counter() - t0, **result.seconds})
@@ -173,7 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-class", type=int, default=100)
     p.add_argument("--queries-per-class", type=int, default=25)
     p.add_argument("--spread", type=float, default=0.5)
-    p.add_argument("--center-scale", type=float, default=1.0)
     p.add_argument("--overlap", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)

@@ -1,10 +1,12 @@
 """Seeded synthetic benchmark: Gaussian class clusters with optional
-multi-label overlap. Items are emitted class-sorted, so with zero overlap
-the similarity matrix is block diagonal. Train and query splits come from
-the same distribution but are separate draws. Each split's features and
-labels are filled class by class into one preallocated array each, with
-the draws per class in a fixed order: normal, then random, then
-integers."""
+multi-label overlap. Class centres are drawn uniformly from [-1, 1] in
+every dimension, and ``cluster_spread`` is the standard deviation of the
+items about their centre, so it alone sets how far apart the clusters are.
+Items are emitted class-sorted, so with zero overlap the similarity matrix
+is block diagonal. Train and query splits come from the same distribution
+but are separate draws. Each split's features and labels are filled class
+by class into one preallocated array each, with the draws per class in a
+fixed order: normal, then random, then integers."""
 
 from dataclasses import dataclass
 
@@ -20,7 +22,6 @@ class SynthSpec:
     per_class: int
     queries_per_class: int
     cluster_spread: float = 0.5
-    center_scale: float = 1.0
     multilabel_overlap: float = 0.0
     seed: int = 0
 
@@ -55,8 +56,7 @@ def _make_split(rng, centers, spec: SynthSpec, per_class: int) -> Dataset:
 def generate(spec: SynthSpec):
     """Return (train, query) datasets, deterministic per seed."""
     rng = np.random.default_rng(spec.seed)
-    centers = rng.uniform(-spec.center_scale, spec.center_scale,
-                          size=(spec.classes, spec.dim))
+    centers = rng.uniform(-1.0, 1.0, size=(spec.classes, spec.dim))
     train = _make_split(rng, centers, spec, spec.per_class)
     query = _make_split(rng, centers, spec, spec.queries_per_class)
     return train, query

@@ -1,20 +1,19 @@
-"""Alternating training loop: label network first, then rounds of weight
-updates and discrete code updates for both image networks.
-
-Per outer round: refresh the label network and its cached supervision,
-run ``t_img`` weight epochs per image network with codes fixed, then one
-coordinate-descent sweep of each code matrix with weights fixed; each
-code matrix is a plain float64 array of +-1, updated in place.
-Each phase logs one ``log_row`` of the terms its objective returns by name;
-a B-step's row takes the terms that do not read the codes from the W-step
-row before it (``recoded_objective``).
+"""Alternating training loop. The codes are warm-started once, from the
+signs of the untrained image networks' outputs; then each outer round
+refreshes the label network and its cached supervision, runs ``t_img``
+weight epochs per image network with codes fixed, then one coordinate-descent
+sweep of each code matrix with weights fixed; each code matrix is a plain
+float64 array of +-1, updated in place. With 0 rounds nothing trains.
+``run_phase`` is the one call site of every phase: it names a phase's
+``TrainingError`` by round and phase and logs one ``log_row`` of the terms
+the phase's objective returns by name; a B-step's row takes the terms that
+do not read the codes from the W-step row before it (``recoded_objective``).
 The learning rate walks a geometric grid, one point per round, clamped at
 the last point. Every run takes exactly ``hp.outer_rounds`` rounds. The
 image networks are built in one loop, network i (x, then y) seeded from the
 streams ``_STREAM_IMGX_INIT + i`` and ``_STREAM_IMGX_BATCH + i``; in the
 symmetric variant the one network x backs both halves of the final code.
-The phases return their values, and the ``TrainState`` is built once, when
-the rounds end.
+The ``TrainState`` is built once, when the rounds end.
 """
 
 import os
@@ -26,8 +25,7 @@ from .bstep import bstep_sweep
 from .codes import pack, write_codes
 from .config import HyperParams, Variant
 from .data import Dataset
-from .encoder import (MomentumSGD, NetOutputs, flat_copy, forward_rows, init_params,
-                      save_params)
+from .encoder import MomentumSGD, flat_copy, forward_rows, init_params, save_params
 from .errors import DataError, TrainingError
 from .fileio import write_csv
 from .imgnet import full_objective, recoded_objective, wstep_epoch
@@ -103,38 +101,36 @@ def train(dataset: Dataset, hp: HyperParams) -> TrainState:
     log_rows = []
 
     def run_phase(rnd, phase, fn, *args):
+        """``fn(*args)`` returns (result, terms); the terms make the phase's log row."""
         try:
-            return fn(rnd, phase, *args)
+            result, terms = fn(*args)
         except TrainingError as exc:
             raise TrainingError(f"round {rnd}, phase {phase}: {exc}") from exc
+        log_rows.append(log_row(rnd, phase, terms))
+        return result, terms
 
-    def label_phase(rnd, phase, lr) -> NetOutputs:
+    def label_phase(lr):
         sup = train_labelnet(label_params, head, dataset, hp, epochs=hp.t_label, lr=lr,
                              rng=label_rng, optimizer=opt_label)
-        log_rows.append(log_row(rnd, phase, labelnet_loss(sup, head, dataset.patterns, hp)))
-        return sup
+        return sup, labelnet_loss(sup, head, dataset.patterns, hp)
 
-    def wstep(rnd, phase, lr, sup, params, opt, rng, codes):
+    def wstep(lr, sup, params, opt, rng, codes):
         for _ in range(hp.t_img):
             wstep_epoch(params, dataset, codes, sup, hp, lr=lr, rng=rng, optimizer=opt)
         outs = forward_rows(params, dataset.features)
-        terms = full_objective(outs, dataset, codes, sup, hp)
-        log_rows.append(log_row(rnd, phase, terms))
-        return outs, terms
+        return outs, full_objective(outs, dataset, codes, sup, hp)
 
-    def bstep(rnd, phase, outs, terms, codes):
+    def bstep(outs, terms, codes):
         bstep_sweep(codes, outs.u, dataset.patterns, hp)
-        log_rows.append(log_row(rnd, phase, recoded_objective(terms, outs, dataset, codes, hp)))
+        return codes, recoded_objective(terms, outs, dataset, codes, hp)
 
-    sup = run_phase(0, "label", label_phase, hp.lr_for_round(0))
     # warm-start codes: the signs, sign(0) = +1, of the still untrained networks' outputs
     codes = [np.where(check_finite(forward_rows(params, dataset.features).u,
                                    f"warm-start outputs of network {tag}") >= 0, 1.0, -1.0)
              for tag, params, _, _ in nets]
     for rnd in range(hp.outer_rounds):
         lr = hp.lr_for_round(rnd)
-        if rnd > 0:
-            sup = run_phase(rnd, "label", label_phase, lr)
+        sup, _ = run_phase(rnd, "label", label_phase, lr)
         full = [run_phase(rnd, f"wstep_{tag}", wstep, lr, sup, params, opt, rng, c)
                 for (tag, params, opt, rng), c in zip(nets, codes)]
         # one full-set forward per network and round serves its wstep row, its B-step and

@@ -39,7 +39,7 @@ def report(num, name, ok, detail):
 
 def fixture_spec(seed):
     return SynthSpec(classes=4, dim=32, per_class=100, queries_per_class=25,
-                     cluster_spread=0.5, center_scale=1.0, seed=seed)
+                     cluster_spread=0.5, seed=seed)
 
 
 def run_fixture(variant, seed):

@@ -99,6 +99,16 @@ class TestSynth:
             main(["synth", "--classes", "3"])
         assert exc.value.code == 2
 
+    def test_center_scale_is_not_an_option(self, tmp_path, capsys):
+        """``--spread`` alone sets how far apart the clusters lie; a second
+        scale of the centres would only rescale every feature."""
+        out = tmp_path / "data"
+        with pytest.raises(SystemExit) as exc:
+            main([*synth_args(out), "--center-scale", "1"])
+        assert exc.value.code == 2
+        assert "--center-scale" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_writes_models_codes_log(self, workspace):
@@ -142,6 +152,29 @@ class TestTrain:
         code = main(train_args(data, tmp_path / "x", extra=["--set", "bogus_key=1"]))
         assert code == 1
         assert "bogus_key" in capsys.readouterr().err
+
+    def test_bad_value_for_config_key_names_it(self, tmp_path, workspace, capsys):
+        """Without ``--k-half``, which would win over the pair, ``k_half=abc``
+        reaches the int conversion."""
+        _, data, _ = workspace
+        out = tmp_path / "x"
+        code = main(["train", "--features", str(data / "train.adsqf"),
+                     "--labels", str(data / "train.adsql"), "--out", str(out),
+                     "--set", "k_half=abc"])
+        assert code == 1
+        assert "bad value for config key 'k_half': 'abc'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_width_features_refused_before_any_write(self, tmp_path, workspace, capsys):
+        """A feature file of no columns reaches ``init_params``' width check."""
+        _, data, _ = workspace
+        features, out = tmp_path / "empty.adsqf", tmp_path / "x"
+        write_features(features, np.zeros((len(load_features(data / "train.adsqf")), 0)))
+        args = train_args(data, out)
+        args[args.index("--features") + 1] = str(features)
+        assert main(args) == 1
+        assert "layer widths must be positive, got [0, 8, 6, 4]" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_file_with_flag_override(self, tmp_path, workspace):
         _, data, _ = workspace
@@ -601,6 +634,31 @@ class TestEval:
         assert code == 1
         assert "no metric requested" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_unknown_metric_named_before_loading(self, tmp_path, capsys):
+        missing = tmp_path / "missing"
+        out = tmp_path / "m.csv"
+        code = main(["eval", "--query-codes", str(missing), "--db-codes", str(missing),
+                     "--query-labels", str(missing), "--db-labels", str(missing),
+                     "--metrics", "map,bogus", "--out", str(out)])
+        assert code == 1
+        assert "unknown metric 'bogus'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_manifests_record_the_seed_once(self, tmp_path, workspace):
+        """Synth and train record their seed in ``config``; no manifest of
+        the four commands holds a second record of it."""
+        root, data, model = workspace
+        out = tmp_path / "metrics.csv"
+        assert main(self.eval_args(root, data, out)) == 0
+        paths = {"synth": data / "manifest.json", "train": model / "manifest.json",
+                 "encode": root / "db.adsqb.manifest.json",
+                 "eval": tmp_path / "metrics.csv.manifest.json"}
+        manifests = {cmd: json.loads(path.read_text()) for cmd, path in paths.items()}
+        assert {cmd: m["command"] for cmd, m in manifests.items()} == {c: c for c in paths}
+        assert not [cmd for cmd, m in manifests.items() if "seeds" in m]
+        assert (manifests["synth"]["config"]["seed"], manifests["train"]["config"]["seed"]) \
+            == (5, 3)
 
     def test_empty_query_set_fails(self, tmp_path, workspace, capsys):
         root, data, _ = workspace

@@ -281,6 +281,12 @@ class TestWordScan:
             PackedCodes(n=4, k_total=16, payload=payload)
 
 
+    @pytest.mark.parametrize("shape", [(3, 2), (4, 3), (4, 1)])
+    def test_payload_shape_must_match_n_and_k_total(self, shape):
+        with pytest.raises(ValueError, match=rf"payload shape \({shape[0]}, {shape[1]}\) does "
+                                             r"not match n=4, k_total=16"):
+            PackedCodes(n=4, k_total=16, payload=np.zeros(shape, dtype=np.uint8))
+
     def test_zero_bit_codes_rejected(self):
         with pytest.raises(ValueError, match="k_total must be at least 1"):
             PackedCodes(n=3, k_total=0, payload=np.zeros((3, 0), dtype=np.uint8))

@@ -141,6 +141,18 @@ def test_load_config_rejects_non_object(tmp_path):
         load_config(path, [])
 
 
+def test_load_config_names_a_file_that_is_not_json(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text("k_half = 4\n")
+    with pytest.raises(ConfigError, match=f"config file {path} is not valid JSON"):
+        load_config(path, [])
+
+
+def test_zero_encoder_width_rejected():
+    with pytest.raises(ConfigError, match="encoder_hidden widths must be >= 1"):
+        load_config(None, ["encoder_hidden=8,0"])
+
+
 def test_manifest_config_loads_as_a_config_file(tmp_path):
     """The JSON of ``dataclasses.asdict``, which a train manifest records,
     loads back as a config file into equal settings."""

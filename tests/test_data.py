@@ -61,6 +61,20 @@ def test_feature_truncated_payload(tmp_path):
         load_features(path)
 
 
+def test_feature_file_shrunk_after_opening(tmp_path):
+    """Sizes are checked on opening; a file cut short later fails at the
+    block that finds it short, naming the file. Rows of 64 KB each, so
+    that the reader's buffer does not already hold the cut bytes."""
+    path = tmp_path / "shrunk.adsqf"
+    write_features(path, np.ones((4, 1 << 14)))
+    with FeatureRows(path) as x:
+        assert x[0:1].shape == (1, 1 << 14)
+        os.truncate(path, os.path.getsize(path) - 4)
+        with pytest.raises(FormatError, match=f"{path}: truncated payload "
+                                              r"\(the file shrank while read\)"):
+            x[1:4]
+
+
 def test_feature_beyond_float32_rejected_before_writing(tmp_path):
     """1e39 is finite as a double but inf as float32, the stored width:
     it must be refused, leaving neither the file nor a temp file."""

@@ -151,6 +151,12 @@ class TestBackward:
         with pytest.raises(ValueError):
             backward(p, outs, np.zeros((2, 3)), np.zeros((2, 2)), grad_views(p))
 
+    def test_upstream_v_shape_mismatch(self):
+        p = init_params([3, 4, 2], seed=0)
+        outs = forward(p, np.zeros((2, 3)), keep_hidden=True)
+        with pytest.raises(ValueError, match=r"upstream_v shape \(2, 3\) != u shape \(2, 2\)"):
+            backward(p, outs, np.zeros((2, 4)), np.zeros((2, 3)), grad_views(p))
+
 
 class TestSgd:
     @staticmethod
@@ -189,6 +195,15 @@ class TestSgd:
         views[0][0, 0] = np.nan
         with pytest.raises(TrainingError):
             opt.step(bad, lr=0.1)
+
+    @pytest.mark.parametrize("lr", [0.0, -0.1])
+    def test_learning_rate_not_positive_changes_nothing(self, lr):
+        p = init_params([3, 4, 2], seed=3)
+        before = copy_params(p)
+        opt = MomentumSGD(p.arrays, momentum=0.9, weight_decay=0.0)
+        with pytest.raises(ValueError, match="learning rate must be positive"):
+            opt.step(np.ones_like(opt.flat), lr)
+        assert same_params(p, before) and not opt.flat_velocity.any()
 
     def test_steps_the_buffer_its_arrays_view(self):
         """The optimizer takes ``init_params``' one buffer as it is and steps
@@ -347,6 +362,13 @@ class TestModelFile:
         blob[8:12] = struct.pack("<I", 100)
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match="truncated header"):
+            load_params(path)
+
+    def test_one_layer_model_refused(self, tmp_path):
+        path = tmp_path / "one.net"
+        save_params(path, EncoderParams(weights=[np.zeros((2, 3))], biases=[np.zeros(2)]))
+        with pytest.raises(FormatError, match="one.net: model must have at least semantic "
+                                              "and hash layers"):
             load_params(path)
 
     def test_layer_width_mismatch(self, tmp_path):

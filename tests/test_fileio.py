@@ -85,7 +85,7 @@ WRITERS = [
     ("codes", "c.adsqb", lambda d: write_codes(d / "c.adsqb", pack(np.ones((2, 8)))), ()),
     ("params", "m.net", lambda d: save_params(d / "m.net", init_params([3, 4, 2], 0)), ()),
     ("manifest", "manifest.json",
-     lambda d: cli._write_manifest(d / "manifest.json", "synth", {}, {}, {}, [], {"t": 0.0}),
+     lambda d: cli._write_manifest(d / "manifest.json", "synth", {}, {}, [], {"t": 0.0}),
      ()),
     ("train-log", "train_log.csv", lambda d: save_run(tiny_state(), d),
      MODEL_FILES + CODE_FILES),
@@ -155,6 +155,18 @@ def test_huge_header_is_rejected_before_allocating(tmp_path, fmt, write, load):
     path.write_bytes(blob[:8] + b"\xff" * width + blob[8 + width:])
     with pytest.raises(FormatError, match="truncated"):
         load(path)
+
+
+@pytest.mark.parametrize("write, what", [
+    (lambda p: write_features(p, np.ones(3)), "feature matrix"),
+    (lambda p: write_labels(p, np.ones(3)), "label matrix"),
+    (lambda p: write_codes(p, pack(np.ones(8))), "code matrix"),
+], ids=["features", "labels", "codes"])
+def test_writer_refuses_a_one_dimensional_array(tmp_path, write, what):
+    path = tmp_path / "file"
+    with pytest.raises(ValueError, match=rf"{what} must be 2-D, got shape \(\d+,\)"):
+        write(path)
+    assert not path.exists()
 
 
 def test_reader_checks_magic(tmp_path):

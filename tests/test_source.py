@@ -354,8 +354,8 @@ def test_scripts_train_only_through_the_command():
 # adsq options that no script or benchmark passes, each with the reason it stays
 USER_OPTIONS = {
     "train --config": "a JSON file of settings that the user writes",
-    "synth --center-scale": "a parameter of the generated data, left at its default",
-    "synth --overlap": "a parameter of the generated data, left at its default",
+    "synth --overlap": "the multi-label rate of the benchmark workloads' data "
+                       "(perfbench/workloads.py OVERLAP), which a user makes with adsq synth",
 }
 
 

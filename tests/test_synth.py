@@ -88,7 +88,7 @@ def reference_generate(spec):
     """``generate`` with one extra label set per item in a Python loop; the
     same random draws in the same order."""
     rng = np.random.default_rng(spec.seed)
-    centers = rng.uniform(-spec.center_scale, spec.center_scale, size=(spec.classes, spec.dim))
+    centers = rng.uniform(-1.0, 1.0, size=(spec.classes, spec.dim))
     splits = []
     for per_class in (spec.per_class, spec.queries_per_class):
         feats, labels = [], []

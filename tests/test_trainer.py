@@ -57,15 +57,16 @@ def test_variant_keeps_terms(variant):
 
 class TestTrainLoop:
     def test_zero_rounds_leaves_imgnets_at_init(self, tiny_data):
+        """With no rounds nothing trains, the label network included, and
+        the log holds no row."""
         state, hp = run_tiny(tiny_data, outer_rounds=0)
         ds = tiny_data[0]
-        dims = [ds.dim, *hp.encoder_hidden, hp.semantic_dim, hp.k_half]
-        fresh_x = init_params(dims, subseed(hp.seed, 2))
+        dims = [*hp.encoder_hidden, hp.semantic_dim, hp.k_half]
+        fresh_x = init_params([ds.dim, *dims], subseed(hp.seed, 2))
         assert same_params(state.imgx_params, fresh_x)
-        # label net did train
-        fresh_label = init_params([ds.num_classes, *hp.encoder_hidden,
-                                   hp.semantic_dim, hp.k_half], subseed(hp.seed, 0))
-        assert not same_params(state.label_params, fresh_label)
+        fresh_label = init_params([ds.num_classes, *dims], subseed(hp.seed, 0))
+        assert same_params(state.label_params, fresh_label)
+        assert state.log_rows == [] and state.rounds_run == 0
 
     def test_bitwise_reproducible(self, tiny_data):
         s1, _ = run_tiny(tiny_data)
